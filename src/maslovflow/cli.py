@@ -37,6 +37,7 @@ from .suites import (
     hamiltonian_suite,
     morse_suite,
     theorem_suite,
+    three_term_suite,
 )
 
 _VERIFY_CHOICES = ("clm", "hamiltonian", "three-term", "alpha-beta", "morse", "axioms", "gap")

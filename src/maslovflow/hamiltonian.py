@@ -2,10 +2,15 @@
 
 The fundamental solution solves J Psi' + S_lambda(t) Psi = 0 with Psi(0) = I,
 i.e. Psi' = J S_lambda(t) Psi (the sign is pinned by S = delta I giving
-Psi(t) = exp(delta J t)).  The identity checkers compare the spectral flow of
+Psi(t) = exp(delta J t)).  It is fixed-step RK4 written as products of the
+one-step propagators P_k (see propagator.py): every grid node Psi(t_k) =
+P_{k-1} ... P_0 comes out of one inclusive prefix scan, doubling the offset
+each round, so a whole trajectory costs log2(steps) batched products rather
+than a loop over the steps.  The identity checkers compare the spectral flow of
 the boundary-value family, computed by shooting, against Maslov indices of
 paths transported by Psi, computed by eigenphase winding; the two sides share
-no code path beyond basic linear algebra.
+nothing beyond the RK4 step propagators, which the tests check against an
+independent integrator, and basic linear algebra.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import scipy.linalg
 from .families import SymmetricFamily
 from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
+from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
 from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS
 from .symplectic import LagrangianFrame, l1_frame, standard_J
@@ -46,7 +52,8 @@ class FundamentalSolution:
         """Psi_lambda(t) at an arbitrary time, exact on grid nodes.
 
         Off-grid values integrate from the nearest lower node with four
-        shortened fourth-order steps, so evaluation stays deterministic.
+        shortened RK4 steps, whose propagators are multiplied onto the node
+        value, so evaluation stays deterministic.
         Constant-coefficient families use the matrix exponential directly.
         """
         t = float(t)
@@ -63,19 +70,15 @@ class FundamentalSolution:
             return Psi
         K = self.coeff_fn
         sub = rem / 4.0
-        Psi = np.array(Psi)
-        for j in range(4):
-            a = t0 + j * sub
-            k1 = K(a) @ Psi
-            k2 = K(a + sub / 2) @ (Psi + 0.5 * sub * k1)
-            k3 = K(a + sub / 2) @ (Psi + 0.5 * sub * k2)
-            k4 = K(a + sub) @ (Psi + sub * k3)
-            Psi = Psi + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return Psi
+        samples = np.array([K(s) for s in t0 + 0.5 * sub * np.arange(9)])
+        return ordered_product(rk4_step_propagators(samples[::2], samples[1::2], sub)) @ Psi
 
 
 def fundamental_solution(S: SymmetricFamily, lam: float, steps: int = DEFAULT_STEPS) -> FundamentalSolution:
     """Solve J Psi' + S_lambda(t) Psi = 0, Psi(0) = I, by fixed-step RK4.
+
+    Every node value is a prefix product of the step propagators (for
+    t-independent S, of the exact step exp(h J S)), formed by a log-depth scan.
 
     Raises when the symplecticity drift exceeds 1e-6, suggesting more steps.
     """
@@ -85,28 +88,17 @@ def fundamental_solution(S: SymmetricFamily, lam: float, steps: int = DEFAULT_ST
     J = standard_J(n)
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
+    mats = np.empty((steps + 1, 2 * n, 2 * n))
+    mats[0] = np.eye(2 * n)
     if S.t_independent():
         # constant-coefficient system: exact one-step propagator, no drift
         D = J @ S(lam, 0.0)
-        E = scipy.linalg.expm(h * D)
-        mats = np.empty((steps + 1, 2 * n, 2 * n))
-        mats[0] = np.eye(2 * n)
-        for k in range(steps):
-            mats[k + 1] = E @ mats[k]
+        mats[1:] = prefix_products(np.broadcast_to(scipy.linalg.expm(h * D), (steps, 2 * n, 2 * n)))
         mats.setflags(write=False)
         return FundamentalSolution(float(lam), ts, mats, lambda t: D, generator=D)
     nodes = J @ S(lam, ts)
     mids = J @ S(lam, ts[:-1] + 0.5 * h)
-    mats = np.empty((steps + 1, 2 * n, 2 * n))
-    Psi = np.eye(2 * n)
-    mats[0] = Psi
-    for k in range(steps):
-        k1 = nodes[k] @ Psi
-        k2 = mids[k] @ (Psi + 0.5 * h * k1)
-        k3 = mids[k] @ (Psi + 0.5 * h * k2)
-        k4 = nodes[k + 1] @ (Psi + h * k3)
-        Psi = Psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        mats[k + 1] = Psi
+    mats[1:] = prefix_products(rk4_step_propagators(nodes, mids, h))
     drift = max(
         np.linalg.norm(mats[i].T @ J @ mats[i] - J, 2) for i in (steps // 2, steps)
     )

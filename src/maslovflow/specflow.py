@@ -4,7 +4,11 @@ Eigenvalues are located by transfer-matrix shooting: mu is in the spectrum of
 A_lambda exactly when the propagated subspace Phi_{lambda,mu}(1) gamma_1(lambda)
 meets gamma_2(lambda), detected through the smallest singular value of the
 concatenated frame matrix.  For S identically zero the transfer matrix is the
-closed-form rotation exp(-mu J), so those spectra carry no discretization error.
+closed-form rotation exp(-mu J), and for t-independent S it is one matrix
+exponential per mu, so those spectra carry no RK4 error.  Otherwise Phi(1) is
+the ordered product of the RK4 one-step propagators (see propagator.py): all
+steps are built at once for a small chunk of mu values and multiplied pairwise
+in log depth, the same arithmetic as stepping, reassociated.
 Detector evaluations are batched over mu, and roots are pinned by vectorized
 bisection on a smooth determinant that changes sign at odd-order crossings,
 with dip polishing for even-order ones.
@@ -26,6 +30,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .paths import LagrangianPath, RotatedPath
+from .propagator import ordered_product, rk4_step_propagators
 from .symplectic import gap_distance, standard_J, subspace_frame
 
 MU_TOL = 1e-10
@@ -38,24 +43,20 @@ _MOTION_CAP = np.pi / 8
 _ZERO_TOL = 1e-9
 DEFAULT_STEPS = 256
 MAX_DEPTH = 40
+# mu values propagated together: at 256 steps and n = 2, chunks of 4 beat 2, 8
+# and 16 for batches of 8-250 mu (2-vCPU Xeon, 4 MB L2, one BLAS thread: 250 mu
+# in 24 ms against 30-42 ms); 4 mu keep the step arrays near 1 MB in total
+_MU_CHUNK = 4
 
 
 def _rk4_transfer_batch(nodes, mids, mus, J, h):
     """Propagate Phi' = (JS(t) - mu J) Phi from identity, batched over mu."""
-    dim = J.shape[0]
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    muJ = mus[:, None, None] * J
-    Phi = np.broadcast_to(np.eye(dim), (len(mus), dim, dim)).copy()
-    for k in range(len(mids)):
-        A = nodes[k] - muJ
-        M = mids[k] - muJ
-        B = nodes[k + 1] - muJ
-        k1 = A @ Phi
-        k2 = M @ (Phi + (0.5 * h) * k1)
-        k3 = M @ (Phi + (0.5 * h) * k2)
-        k4 = B @ (Phi + h * k3)
-        Phi = Phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Phi
+    out = np.empty((len(mus),) + J.shape)
+    for s in range(0, len(mus), _MU_CHUNK):
+        muJ = mus[s : s + _MU_CHUNK, None, None, None] * J
+        out[s : s + _MU_CHUNK] = ordered_product(rk4_step_propagators(nodes - muJ, mids - muJ, h))
+    return out
 
 
 def transfer_matrix(S_of_t, n: int, mu: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -138,8 +139,7 @@ class BoundaryValueFamily:
             return np.cos(mus)[:, None, None] * eye - np.sin(mus)[:, None, None] * self._J
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
-            K0 = self._generator(lam)
-            return np.stack([scipy.linalg.expm(K0 - mu * self._J) for mu in mus])
+            return scipy.linalg.expm(self._generator(lam) - mus[:, None, None] * self._J)
         nodes, mids, h = self._stage_data(lam)
         return _rk4_transfer_batch(nodes, mids, mus, self._J, h)
 
@@ -220,10 +220,13 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     step = (np.pi / 8.0) / (1.0 + min(fam.s_norm, 3.0))
     npts = max(9, int(np.ceil((mu_max - mu_min) / step)) + 1)
     grid = np.linspace(mu_min, mu_max, npts)
+    # one scan point past each edge, so the edge points get the dip test too
+    pad = grid[1] - grid[0]
+    grid = np.concatenate([[mu_min - pad], grid, [mu_max + pad]])
     svals, dets = fam.detector_batch(lam, grid)
     g = svals[:, -1]
 
-    for idx in (0, -1):
+    for idx in (1, -2):
         if g[idx] <= 10 * tol:
             raise ValueError(
                 f"window endpoint mu={grid[idx]:.12g} is an eigenvalue at lambda={lam:.6g}; "
@@ -235,7 +238,7 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     def add_roots(cands):
         added = []
         for mu in np.atleast_1d(cands):
-            if all(abs(mu - r) >= 1e-7 for r in roots):
+            if mu_min < mu < mu_max and all(abs(mu - r) >= 1e-7 for r in roots):
                 roots.append(float(mu))
                 added.append(float(mu))
         return added
@@ -252,19 +255,18 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
         )
         return float(res.x)
 
-    def sign_change_roots(xs, ds):
-        mask = ds[:-1] * ds[1:] < 0
-        if not np.any(mask):
-            return np.empty(0)
-        i = np.nonzero(mask)[0]
-        return _bisect_roots(fam, lam, xs[i], xs[i + 1], ds[i], tol)
+    # sign changes of the smooth determinant: odd-order roots; the two padded
+    # intervals lie outside the window and are not bisected
+    changes = dets[:-1] * dets[1:] < 0
+    inside = np.nonzero(changes[1:-1])[0] + 1
+    if inside.size:
+        add_roots(_bisect_roots(fam, lam, grid[inside], grid[inside + 1], dets[inside], tol))
 
-    add_roots(sign_change_roots(grid, dets))
-
-    # dips without a sign change: even-order roots (higher multiplicities)
-    for i in range(1, npts - 1):
+    # dips without a sign change: even-order roots (higher multiplicities); a
+    # sign change beside a dip is an odd-order root, bisected above if inside
+    for i in range(1, len(grid) - 1):
         if g[i] < _DIP_CUT and g[i] <= g[i - 1] and g[i] <= g[i + 1]:
-            if known_root_within(grid[i - 1], grid[i + 1]):
+            if changes[i - 1] or changes[i] or known_root_within(grid[i - 1], grid[i + 1]):
                 continue
             add_roots([polish_dip(grid[i - 1], grid[i + 1])])
 

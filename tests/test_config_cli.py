@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from maslovflow.cli import main
+from maslovflow.cli import _VERIFY_CHOICES, main
 from maslovflow.config import ConfigError, parse_config
 
 GAMMA_NOR_CFG = {
@@ -190,6 +190,13 @@ def test_cli_verify_axioms_small(tmp_path, capsys):
 def test_cli_verify_gap_small(capsys):
     assert main(["verify", "gap", "--count", "5", "--seed", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", _VERIFY_CHOICES)
+def test_cli_verify_every_suite_without_config(which, capsys):
+    assert main(["verify", which, "--count", "1"]) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["values"]["instances"] >= 1
 
 
 def test_cli_verify_clm_with_config(tmp_path, capsys):

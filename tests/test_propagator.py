@@ -1,0 +1,160 @@
+"""Tests of the RK4 step propagators shared by shooting and fundamental solutions.
+
+Shooting (transfer_matrix, BoundaryValueFamily) and the Maslov side of the
+Hamiltonian identities (fundamental_solution, FundamentalSolution.at) build
+their solutions from the same one-step propagators, so those are checked
+against code that is not maslovflow: scipy's DOP853 integrator and a plain
+RK4 loop that lives only in this file.
+"""
+
+import numpy as np
+import pytest
+import scipy.integrate
+import scipy.linalg
+
+from maslovflow import (
+    BoundaryValueFamily,
+    ConstantPath,
+    SymmetricFamily,
+    fundamental_solution,
+    gamma_nor,
+    l1_frame,
+    standard_J,
+    transfer_matrix,
+)
+from maslovflow.propagator import ordered_product, prefix_products
+
+
+def _family(n: int, seed: int) -> SymmetricFamily:
+    """A t-dependent family, cubic in t, with coefficients of order one."""
+    rng = np.random.default_rng(seed)
+    return SymmetricFamily(rng.normal(size=(2, 4, 2 * n, 2 * n)) * 0.6)
+
+
+def _solve_ivp_flow(K, dim: int, t_eval):
+    """Phi(t) for Phi' = K(t) Phi, Phi(0) = I, by DOP853 at rtol 1e-12."""
+
+    def rhs(t, y):
+        return (K(t) @ y.reshape(dim, dim)).ravel()
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, float(t_eval[-1])), np.eye(dim).ravel(), method="DOP853",
+        rtol=1e-12, atol=1e-13, t_eval=t_eval,
+    )
+    assert sol.success
+    return sol.y.T.reshape(-1, dim, dim)
+
+
+def _loop_rk4(K, dim: int, steps: int):
+    """Every node of classical RK4 for Phi' = K(t) Phi, stepped one by one."""
+    h = 1.0 / steps
+    Phi = np.eye(dim)
+    out = [Phi]
+    for k in range(steps):
+        t = k * h
+        k1 = K(t) @ Phi
+        k2 = K(t + 0.5 * h) @ (Phi + 0.5 * h * k1)
+        k3 = K(t + 0.5 * h) @ (Phi + 0.5 * h * k2)
+        k4 = K(t + h) @ (Phi + h * k3)
+        Phi = Phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(Phi)
+    return np.array(out)
+
+
+def _rk4_bound(steps: int) -> float:
+    """Fourth-order global error bound for these families (|S| up to about 7):
+    measured errors stay below a fifth of it at 100 and 257 steps."""
+    return 20.0 / steps**4
+
+
+def _rel(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [100, 257])
+def test_transfer_matrix_against_solve_ivp_and_loop(n, steps):
+    S = _family(n, seed=10 + n)
+    J = standard_J(n)
+    lam = 0.7
+    for mu in (-3.1, 0.4, 2.5):
+        K = lambda t: J @ S(lam, t) - mu * J  # noqa: E731
+        Phi = transfer_matrix(lambda t: S(lam, t), n, mu, steps=steps)
+        exact = _solve_ivp_flow(K, 2 * n, [1.0])[-1]
+        assert _rel(Phi, exact) < _rk4_bound(steps)
+        assert _rel(Phi, _loop_rk4(K, 2 * n, steps)[-1]) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [100, 257])
+def test_fundamental_solution_against_solve_ivp_and_loop(n, steps):
+    S = _family(n, seed=20 + n)
+    J = standard_J(n)
+    lam = 0.35
+    K = lambda t: J @ S(lam, t)  # noqa: E731
+    sol = fundamental_solution(S, lam, steps=steps)
+    exact = _solve_ivp_flow(K, 2 * n, sol.ts)
+    assert _rel(sol.mats, exact) < _rk4_bound(steps)
+    assert _rel(sol.mats, _loop_rk4(K, 2 * n, steps)) < 1e-13
+    assert np.array_equal(sol.mats[0], np.eye(2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fundamental_solution_off_grid_against_solve_ivp(n):
+    S = _family(n, seed=30 + n)
+    J = standard_J(n)
+    lam = 0.9
+    sol = fundamental_solution(S, lam, steps=100)
+    ts = np.array([0.0037, 0.25, 0.5013, 0.777, 0.9999])
+    exact = _solve_ivp_flow(lambda t: J @ S(lam, t), 2 * n, ts)
+    for t, ref in zip(ts, exact):
+        assert _rel(sol.at(float(t)), ref) < _rk4_bound(100)
+
+
+def test_fundamental_solution_constant_scan_matches_powers():
+    n = 2
+    rng = np.random.default_rng(4)
+    G = rng.normal(size=(2 * n, 2 * n))
+    S = SymmetricFamily((G + G.T)[None, None] * 0.5)
+    sol = fundamental_solution(S, 0.0, steps=100)
+    E = scipy.linalg.expm(0.01 * standard_J(n) @ S(0.0, 0.0))
+    Psi = np.eye(2 * n)
+    for k in range(101):
+        assert _rel(sol.mats[k], Psi) < 1e-13
+        Psi = E @ Psi
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 13, 16, 33])
+def test_products_match_sequential_order(length):
+    rng = np.random.default_rng(length)
+    P = np.eye(3) + 0.3 * rng.normal(size=(length, 3, 3))
+    X = np.eye(3)
+    prefix = []
+    for k in range(length):
+        X = P[k] @ X
+        prefix.append(X)
+    assert _rel(ordered_product(P), X) < 1e-14
+    assert _rel(prefix_products(P), np.array(prefix)) < 1e-14
+
+
+def test_transfer_batch_independent_of_batch_size():
+    # mu values are propagated in chunks; a batch must equal its single rows
+    n = 2
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), _family(n, seed=5))
+    mus = np.linspace(-4.0, 4.0, 11)
+    batch = fam._transfer_batch(0.6, mus)
+    for mu, Phi in zip(mus, batch):
+        assert _rel(Phi, fam.transfer(0.6, mu)) < 1e-14
+
+
+def test_transfer_batch_expm_branch_matches_per_mu():
+    n = 2
+    wall = ConstantPath(l1_frame(n))
+    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
+    coeffs[1, 0] = 5.0 * np.eye(2 * n)
+    fam = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+    mus = np.linspace(-11.0, 11.0, 9)
+    K0 = standard_J(n) @ fam.S(0.8, 0.0)
+    J = standard_J(n)
+    for mu, Phi in zip(mus, fam._transfer_batch(0.8, mus)):
+        assert _rel(Phi, scipy.linalg.expm(K0 - mu * J)) < 1e-14

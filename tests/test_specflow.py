@@ -138,6 +138,29 @@ def test_spectrum_window_endpoint_collision():
         spectrum_window(fam, 0.0, -np.pi / 2, 1.0)
 
 
+def test_spectrum_window_double_eigenvalue_in_last_scan_interval():
+    # Dirichlet walls, S = 0: mu = k pi with multiplicity n; pi lies 0.05
+    # inside the edge, within the last scan interval, and gives no sign change
+    n = 2
+    wall = ConstantPath(l1_frame(n))
+    window = spectrum_window(BoundaryValueFamily(wall, wall), 0.0, -1.0, np.pi + 0.05)
+    assert_spectrum_matches(window, [(0.0, 2), (np.pi, 2)], tol=1e-6)
+
+
+def test_spectrum_window_double_eigenvalue_near_edge_expm_branch():
+    # walls with S = 5 lambda I: mu = k pi + 5 lambda, multiplicity 2;
+    # 5 + 2 pi = 11.283 lies 0.017 inside the edge 11.3
+    n = 2
+    wall = ConstantPath(l1_frame(n))
+    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
+    coeffs[1, 0] = 5.0 * np.eye(2 * n)
+    fam = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+    window = spectrum_window(fam, 1.0, -11.3, 11.3)
+    expected = [(5.0 + k * np.pi, 2) for k in range(-5, 3)]
+    assert_spectrum_matches(window, expected, tol=1e-6)
+    assert abs(window.eigenvalues[-1][0] - (5.0 + 2.0 * np.pi)) < 1e-6
+
+
 def test_kernel_dimension_matches_intersection():
     rng = np.random.default_rng(8)
     for _ in range(10):
