@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .families import SymmetricFamily
 from .paths import (
@@ -27,20 +26,13 @@ from .paths import (
     UnitaryDiagonalPath,
     gamma_nor,
     gamma_nor_prime,
+    polynomial_action,
 )
-from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame, standard_J
+from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame
 
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
-
-
-DEFAULT_SOLVER = {
-    "steps": 256,
-    "tol": 1e-8,
-    "max_depth": 40,
-    "mu_window": [-np.pi + 0.1, np.pi - 0.1],
-}
 
 
 @dataclass
@@ -123,19 +115,12 @@ def build_path(desc, n: int, where: str = "path") -> LagrangianPath:
         base_desc = desc.get("base")
         if isinstance(base_desc, dict):
             base = build_path(base_desc, n, f"{where}.base")
+            base_payload = base_desc
         else:
             base = _parse_frame(base_desc, n, f"{where}.base")
-        J = standard_J(n)
-
-        def fn(lam, gens=gens, J=J):
-            G = sum(gens[k] * lam**k for k in range(len(gens)))
-            return scipy.linalg.expm(J @ G)
-
-        payload = {"type": "symplectic_action", "generator": gens.tolist(),
-                   "base": base_desc if isinstance(base_desc, dict) else np.asarray(
-                       base.F if isinstance(base, LagrangianFrame) else base.frame(0.0).F
-                   ).tolist()}
-        return SymplecticActionPath(fn, base, payload=payload)
+            base_payload = base.F.tolist()
+        payload = {"type": "symplectic_action", "generator": gens.tolist(), "base": base_payload}
+        return SymplecticActionPath(polynomial_action(gens), base, payload=payload)
     if kind == "concat":
         pieces = desc.get("pieces")
         _expect(isinstance(pieces, list) and pieces, f"{where}.pieces", "expected a nonempty list")
@@ -223,7 +208,7 @@ def parse_config(data) -> ProblemConfig:
     n = data.get("n")
     _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
 
-    solver_in = dict(DEFAULT_SOLVER)
+    solver_in = SolverSettings().to_dict()
     solver_in.update(data.get("solver", {}))
     _expect(isinstance(solver_in["steps"], int) and solver_in["steps"] >= 16, "solver.steps",
             "must be an integer >= 16")

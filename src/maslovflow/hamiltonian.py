@@ -110,30 +110,13 @@ def fundamental_solution(S: SymmetricFamily, lam: float, steps: int = DEFAULT_ST
     return FundamentalSolution(float(lam), ts, mats, lambda t: J @ S(lam, t))
 
 
-class _PsiCache:
-    """Memoized fundamental solutions of one family, keyed by lambda."""
-
-    def __init__(self, S: SymmetricFamily, steps: int):
-        self.S = S
-        self.steps = steps
-        self._sols: dict[float, FundamentalSolution] = {}
-
-    def solution(self, lam: float) -> FundamentalSolution:
-        lam = float(lam)
-        got = self._sols.get(lam)
-        if got is None:
-            got = fundamental_solution(self.S, lam, self.steps)
-            self._sols[lam] = got
-        return got
-
-    def end(self, lam: float) -> np.ndarray:
-        return self.solution(lam).end()
-
-
 def transported_path(S: SymmetricFamily, gamma1: LagrangianPath, steps: int = DEFAULT_STEPS) -> LagrangianPath:
     """The path lambda -> Psi_lambda(1) gamma_1(lambda)."""
-    cache = _PsiCache(S, steps)
-    return SymplecticActionPath(cache.end, gamma1, hints=gamma1.breakpoint_hints())
+    return SymplecticActionPath(
+        lambda lam: fundamental_solution(S, lam, steps).end(),
+        gamma1,
+        hints=gamma1.breakpoint_hints(),
+    )
 
 
 def frozen_time_path(S: SymmetricFamily, lam: float, base: LagrangianFrame, steps: int = DEFAULT_STEPS) -> LagrangianPath:

@@ -35,6 +35,10 @@ DEFAULT_TOL = 1e-8
 MAX_DEPTH = 40
 
 
+class UnresolvedCrossing(RuntimeError):
+    """Crossing counting hit its bisection depth cap on some segment."""
+
+
 @dataclass(frozen=True)
 class CrossingRecord:
     """One signed crossing event of a pair of Lagrangian paths."""
@@ -106,7 +110,7 @@ class _PairCounter:
             if w is not None and margin > z:
                 return self._arc_count(pb, w) - self._arc_count(pa, w)
         if depth >= self.max_depth:
-            raise RuntimeError(
+            raise UnresolvedCrossing(
                 f"unresolved crossing near lambda in [{a:.12g}, {b:.12g}] "
                 f"after {self.max_depth} bisections"
             )
@@ -186,7 +190,7 @@ def maslov_pair(
     counter = _PairCounter(g1, g2, max_depth)
     try:
         return counter.total()
-    except RuntimeError:
+    except UnresolvedCrossing:
         # degenerate crossing cluster: retry through a small stable rotation
         theta = perturbation_theta(g1, g2, theta_max=1e-3, tol=tol, max_depth=max_depth)
         return maslov_pair(g1, RotatedPath(g2, -theta), tol, max_depth)

@@ -9,6 +9,7 @@ cached per parameter value; paths are immutable once built.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .symplectic import (
     LagrangianFrame,
@@ -214,6 +215,18 @@ class SymplecticActionPath(LagrangianPath):
         if self._payload is None:
             raise ValueError("symplectic action path built from a bare callable; not serializable")
         return dict(self._payload)
+
+
+def polynomial_action(gens):
+    """lambda -> expm(J G(lambda)) for the symmetric polynomial
+    G(lambda) = sum_k gens[k] lambda^k, a matrix family for SymplecticActionPath."""
+    J = standard_J(len(gens[0]) // 2)
+
+    def fn(lam):
+        G = sum(gens[k] * lam**k for k in range(len(gens)))
+        return scipy.linalg.expm(J @ G)
+
+    return fn
 
 
 class RotatedPath(LagrangianPath):

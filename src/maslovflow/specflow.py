@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import ordered_product, rk4_step_propagators
 from .symplectic import gap_distance, standard_J, subspace_frame
@@ -47,6 +48,12 @@ MAX_DEPTH = 40
 # and 16 for batches of 8-250 mu (2-vCPU Xeon, 4 MB L2, one BLAS thread: 250 mu
 # in 24 ms against 30-42 ms); 4 mu keep the step arrays near 1 MB in total
 _MU_CHUNK = 4
+# equal widening of both window edges per retry in _clean_windows
+_EDGE_NUDGE = 0.0137
+
+
+class EigenvalueAtWindowEdge(ValueError):
+    """An endpoint of a requested mu-window is an eigenvalue."""
 
 
 def _rk4_transfer_batch(nodes, mids, mus, J, h):
@@ -105,6 +112,11 @@ class BoundaryValueFamily:
                     M = self.S(lam, t)
                     if np.linalg.norm(M - M.T, 2) > 1e-12:
                         raise ValueError(f"S is not symmetric at (lambda, t)=({lam}, {t})")
+
+    def shifted(self, delta: float) -> "BoundaryValueFamily":
+        """The family A + delta I: the same boundary paths with S + delta I."""
+        S = SymmetricFamily.zero(self.n) if self.S is None else self.S
+        return BoundaryValueFamily(self.gamma1, self.gamma2, S.shifted(delta), self.steps)
 
     @property
     def s_norm(self) -> float:
@@ -228,7 +240,7 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
 
     for idx in (1, -2):
         if g[idx] <= 10 * tol:
-            raise ValueError(
+            raise EigenvalueAtWindowEdge(
                 f"window endpoint mu={grid[idx]:.12g} is an eigenvalue at lambda={lam:.6g}; "
                 "shift the window"
             )
@@ -319,16 +331,15 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     return SpectrumWindow(float(lam), float(mu_min), float(mu_max), tuple(eigenvalues))
 
 
-def _clean_window(fam, lam: float, lo: float, hi: float, tol: float = MU_TOL) -> SpectrumWindow:
-    """spectrum_window with the endpoints nudged off any eigenvalue."""
+def _clean_windows(fams, lam: float, lo: float, hi: float, tol: float = MU_TOL) -> list:
+    """spectrum_window of each family over one shared window, widened until no
+    endpoint is an eigenvalue of any of them."""
     shift = 0.0
     for _ in range(60):
         try:
-            return spectrum_window(fam, lam, lo - shift, hi + shift, tol)
-        except ValueError as err:
-            if "shift the window" not in str(err):
-                raise
-            shift += 0.0137
+            return [spectrum_window(fam, lam, lo - shift, hi + shift, tol) for fam in fams]
+        except EigenvalueAtWindowEdge:
+            shift += _EDGE_NUDGE
     raise RuntimeError(f"could not find an eigenvalue-free window boundary at lambda={lam}")
 
 
@@ -394,7 +405,7 @@ def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):
     def spec_at(lam):
         got = spectra.get(lam)
         if got is None:
-            got = _clean_window(fam, lam, -_SF_WINDOW, _SF_WINDOW, tol)
+            (got,) = _clean_windows((fam,), lam, -_SF_WINDOW, _SF_WINDOW, tol)
             spectra[lam] = got
         return got
 
@@ -459,28 +470,6 @@ def spectral_flow(
     return SpectralFlowResult(value, partition, epsilons, data)
 
 
-class _ShiftedFamily:
-    """The family A + delta I realized by shifting the detector argument."""
-
-    def __init__(self, base: BoundaryValueFamily, delta: float):
-        self.base = base
-        self.delta = float(delta)
-        self.n = base.n
-        self.gamma1 = base.gamma1
-        self.gamma2 = base.gamma2
-
-    @property
-    def s_norm(self):
-        return self.base.s_norm
-
-    def breakpoint_hints(self):
-        return self.base.breakpoint_hints()
-
-    def detector_batch(self, lam, mus):
-        mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        return self.base.detector_batch(lam, mus - self.delta)
-
-
 def spectral_flow_shifted(
     fam: BoundaryValueFamily,
     delta: float,
@@ -490,7 +479,8 @@ def spectral_flow_shifted(
     max_depth: int = MAX_DEPTH,
     check: bool = True,
 ) -> int:
-    """Spectral flow of A + delta I; equals spectral_flow(fam) for small delta >= 0.
+    """Spectral flow of A + delta I, the operator with S + delta I in place of
+    S; equals spectral_flow(fam) for small delta >= 0.
 
     Raises if some partition node has an eigenvalue inside [-delta, 0), in
     which case the shift may drag a crossing over the threshold.
@@ -498,11 +488,11 @@ def spectral_flow_shifted(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     result = spectral_flow(
-        _ShiftedFamily(fam, delta), base_grid, tol=tol, max_depth=max_depth, check=check
+        fam.shifted(delta), base_grid, tol=tol, max_depth=max_depth, check=check
     )
     if delta > 0:
         for lam in result.partition:
-            window = _clean_window(fam, lam, -delta - 0.05, 0.05, tol)
+            (window,) = _clean_windows((fam,), lam, -delta - 0.05, 0.05, tol)
             for mu, mult in window.eigenvalues:
                 if -delta <= mu < -_ZERO_TOL:
                     raise ValueError(
@@ -545,26 +535,14 @@ def conjugation_spectrum_check(
         raise ValueError("|delta0| must be below pi/4")
     if lam_grid is None:
         lam_grid = np.linspace(0.0, 1.0, 11)
-    fam_shift = _ShiftedFamily(BoundaryValueFamily(gamma1, gamma2), delta0)
+    fam_shift = BoundaryValueFamily(gamma1, gamma2).shifted(delta0)
     fam_rot = BoundaryValueFamily(gamma1, RotatedPath(gamma2, -delta0))
 
     detail = []
     worst = 0.0
     ok = True
     for lam in lam_grid:
-        shift = 0.0
-        wa = wb = None
-        for _ in range(60):
-            try:
-                wa = spectrum_window(fam_shift, lam, -window - shift, window + shift, MU_TOL)
-                wb = spectrum_window(fam_rot, lam, -window - shift, window + shift, MU_TOL)
-                break
-            except ValueError as err:
-                if "shift the window" not in str(err):
-                    raise
-                shift += 0.0137
-        if wa is None or wb is None:
-            raise RuntimeError(f"no clean comparison window at lambda={lam}")
+        wa, wb = _clean_windows((fam_shift, fam_rot), lam, -window, window)
         va, vb = wa.values(), wb.values()
         if va.size != vb.size:
             ok = False

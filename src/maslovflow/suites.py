@@ -9,7 +9,6 @@ the seed.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .families import SymmetricFamily
 from .hamiltonian import (
@@ -31,15 +30,16 @@ from .paths import (
     UnitaryDiagonalPath,
     gamma_nor,
     gamma_nor_prime,
+    polynomial_action,
 )
 from .reports import VerificationReport
 from .specflow import (
     BoundaryValueFamily,
+    _clean_windows,
     conjugation_spectrum_check,
     spectral_flow,
     spectral_flow_shifted,
     spectrum_window,
-    _clean_window,
 )
 from .symplectic import (
     LagrangianFrame,
@@ -50,7 +50,6 @@ from .symplectic import (
     l0_frame,
     l1_frame,
     rotation_matrix,
-    standard_J,
 )
 
 
@@ -67,17 +66,11 @@ def random_lagrangian_frame(rng, n: int) -> LagrangianFrame:
     return LagrangianFrame(n, np.vstack([Q.real, Q.imag]))
 
 
-def random_symplectic_path_fn(rng, n: int, scale: float = 0.8, degree: int = 2):
-    """lambda -> expm(J G(lambda)) for a random polynomial symmetric G."""
-    J = standard_J(n)
-    Gs = [random_symmetric(rng, 2 * n, scale) for _ in range(degree + 1)]
-    Gs[0] = np.zeros((2 * n, 2 * n))  # identity at lambda = 0
-
-    def fn(lam):
-        G = sum(Gs[k] * lam**k for k in range(len(Gs)))
-        return scipy.linalg.expm(J @ G)
-
-    return fn
+def random_action(rng, n: int):
+    """lambda -> expm(J G(lambda)) for a random quadratic symmetric G."""
+    gens = [random_symmetric(rng, 2 * n, 0.8) for _ in range(3)]
+    gens[0] = np.zeros((2 * n, 2 * n))  # identity at lambda = 0
+    return polynomial_action(gens)
 
 
 def random_path(rng, n: int, kind: int | None = None) -> LagrangianPath:
@@ -94,8 +87,7 @@ def random_path(rng, n: int, kind: int | None = None) -> LagrangianPath:
             for _ in range(n)
         ]
         return UnitaryDiagonalPath(phases)
-    fn = random_symplectic_path_fn(rng, n)
-    return SymplecticActionPath(fn, random_lagrangian_frame(rng, n))
+    return SymplecticActionPath(random_action(rng, n), random_lagrangian_frame(rng, n))
 
 
 def random_pair(rng, n: int, force_nonadmissible: bool = False):
@@ -104,9 +96,7 @@ def random_pair(rng, n: int, force_nonadmissible: bool = False):
         g1 = random_path(rng, n)
         if force_nonadmissible:
             # second path starts exactly at gamma_1's start (action is I at 0)
-            fn = random_symplectic_path_fn(rng, n)
-            g2 = SymplecticActionPath(fn, g1.frame(0.0))
-            return g1, g2
+            return g1, SymplecticActionPath(random_action(rng, n), g1.frame(0.0))
         g2 = random_path(rng, n)
         if (
             intersection_dimension(g1.frame(0.0), g2.frame(0.0)) == 0
@@ -278,10 +268,8 @@ def _transversal_pair(rng, n: int):
 def _concat_quadruple(rng, n: int):
     for _ in range(60):
         g1, g2 = random_pair(rng, n)
-        fn3 = random_symplectic_path_fn(rng, n)
-        fn4 = random_symplectic_path_fn(rng, n)
-        g3 = SymplecticActionPath(fn3, g1.frame(1.0))
-        g4 = SymplecticActionPath(fn4, g2.frame(1.0))
+        g3 = SymplecticActionPath(random_action(rng, n), g1.frame(1.0))
+        g4 = SymplecticActionPath(random_action(rng, n), g2.frame(1.0))
         ok = (
             intersection_dimension(g1.frame(1.0), g2.frame(1.0)) == 0
             and intersection_dimension(g3.frame(1.0), g4.frame(1.0)) == 0
@@ -339,7 +327,7 @@ def axiom_suite(count: int = 50, seed: int = 5, n_max: int = 2) -> VerificationR
             maslov_pair(ReparametrizedPath(g1, phi), ReparametrizedPath(g2, phi)) == base
         )
         checks["antisymmetry"].append(maslov_pair(g2, g1) == -base)
-        psi = random_symplectic_path_fn(rng, n)
+        psi = random_action(rng, n)
         checks["symplectic-invariance"].append(
             maslov_pair(SymplecticActionPath(psi, g1), SymplecticActionPath(psi, g2)) == base
         )
@@ -408,13 +396,10 @@ def gap_suite(count: int = 100, seed: int = 6) -> VerificationReport:
     shift_ok = True
     worst_shift = 0.0
     for delta in (0.1, 0.01):
+        fam_delta = fam.shifted(delta)
         for lam in (0.0, 0.3, 0.7):
-            base = _clean_window(fam, lam, -1.2, 1.2)
-            from .specflow import _ShiftedFamily
-
-            shifted = spectrum_window(
-                _ShiftedFamily(fam, delta), lam, base.mu_min + delta, base.mu_max + delta
-            )
+            (base,) = _clean_windows((fam,), lam, -1.2, 1.2)
+            shifted = spectrum_window(fam_delta, lam, base.mu_min + delta, base.mu_max + delta)
             va = base.values() + delta
             vb = shifted.values()
             if va.size != vb.size:

@@ -223,6 +223,10 @@ def test_cli_verify_configured_identities(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["command"] == "clm-hamiltonian" and rep["passed"]
 
+    assert main(["verify", "three-term", "--config", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["command"] == "three-term" and rep["passed"]
+
     assert main(["verify", "alpha-beta", "--config", path]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["command"] == "alpha-beta" and rep["passed"]

@@ -28,7 +28,9 @@ from maslovflow import (
     perturbation_theta,
     souriau,
     spectral_flow,
+    UnresolvedCrossing,
 )
+from maslovflow import maslov
 from maslovflow.paths import LagrangianPath
 from maslovflow.suites import random_lagrangian_frame, random_pair
 
@@ -127,6 +129,29 @@ def test_crossing_sum_matches_index_randomized():
         records = crossing_list(g1, g2)
         assert sum(r.sign * r.multiplicity for r in records) == maslov_pair(g1, g2)
         assert all(1 <= r.multiplicity <= n for r in records)
+
+
+def test_maslov_pair_propagates_errors_other_than_unresolved_crossing(monkeypatch):
+    # only an exhausted bisection depth may fall back to a rotated pair; any
+    # other RuntimeError inside the counter is a bug and must surface
+    def broken_count(self, a, b, depth=0):
+        raise RuntimeError("bug inside the counter")
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("perturbation_theta must not be called")
+
+    monkeypatch.setattr(maslov._PairCounter, "count", broken_count)
+    monkeypatch.setattr(maslov, "perturbation_theta", no_fallback)
+    with pytest.raises(RuntimeError, match="bug inside the counter"):
+        maslov_pair(gamma_nor(1), ConstantPath(l1_frame(1)))
+
+
+def test_depth_exhaustion_raises_unresolved_crossing():
+    # on [0, 1/2] the relative unitary of (gamma_nor, l1) moves from 1 to -1,
+    # far beyond one resolvable segment, so depth 0 cannot settle it
+    counter = maslov._PairCounter(gamma_nor(1), ConstantPath(l1_frame(1)), max_depth=0)
+    with pytest.raises(UnresolvedCrossing, match="unresolved crossing"):
+        counter.count(0.0, 0.5)
 
 
 def test_perturbation_theta_admissible_pair():

@@ -12,6 +12,7 @@ import pytest
 from maslovflow import (
     BoundaryValueFamily,
     ConstantPath,
+    EigenvalueAtWindowEdge,
     SymmetricFamily,
     conjugation_spectrum_check,
     discretized_gap_diagnostic,
@@ -28,6 +29,7 @@ from maslovflow import (
     standard_J,
     transfer_matrix,
 )
+from maslovflow.specflow import _clean_windows
 from maslovflow.suites import random_pair, random_symmetric_family
 
 
@@ -134,7 +136,7 @@ def test_spectrum_window_closed_form_families(kind, n):
 
 def test_spectrum_window_endpoint_collision():
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
-    with pytest.raises(ValueError, match="shift the window"):
+    with pytest.raises(EigenvalueAtWindowEdge, match="shift the window"):
         spectrum_window(fam, 0.0, -np.pi / 2, 1.0)
 
 
@@ -204,16 +206,30 @@ def test_spectral_flow_shifted_too_large():
 
 
 def test_spectrum_shift_law():
-    from maslovflow.specflow import _ShiftedFamily, _clean_window
-
-    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
-    delta = 0.1
-    for lam in (0.0, 0.3, 0.7):
-        base = _clean_window(fam, lam, -1.2, 1.2)
-        shifted = spectrum_window(
-            _ShiftedFamily(fam, delta), lam, base.mu_min + delta, base.mu_max + delta
+    # sigma(A + delta) = sigma(A) + delta, with A + delta I built as the
+    # operator with S + delta I: S = 0 (closed form against the expm branch),
+    # t-independent S (expm on both sides) and t-dependent S (RK4 shooting)
+    t_const = SymmetricFamily(np.array([[[[0.4, 0.1], [0.1, -0.3]]], [[[0.6, 0.0], [0.0, 0.6]]]]))
+    t_dep = SymmetricFamily(
+        np.array(
+            [
+                [[[0.3, 0.1], [0.1, -0.2]], [[0.0, 0.4], [0.4, 0.2]]],
+                [[[0.5, 0.0], [0.0, 0.5]], [[-0.3, 0.2], [0.2, 0.1]]],
+            ]
         )
-        assert np.allclose(base.values() + delta, shifted.values(), atol=1e-8)
+    )
+    delta = 0.1
+    for S in (None, t_const, t_dep):
+        fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)), S)
+        fam_delta = fam.shifted(delta)
+        found = 0
+        for lam in (0.0, 0.3, 0.7):
+            (base,) = _clean_windows((fam,), lam, -1.2, 1.2)
+            shifted = spectrum_window(fam_delta, lam, base.mu_min + delta, base.mu_max + delta)
+            assert shifted.values().shape == base.values().shape
+            assert np.allclose(base.values() + delta, shifted.values(), atol=1e-8)
+            found += base.values().size
+        assert found > 0
 
 
 def test_conjugation_check_zero_delta():
