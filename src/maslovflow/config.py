@@ -28,7 +28,7 @@ from .paths import (
     gamma_nor_prime,
     polynomial_action,
 )
-from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame
+from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame, norm2
 
 
 class ConfigError(Exception):
@@ -110,7 +110,7 @@ def build_path(desc, n: int, where: str = "path") -> LagrangianPath:
             f"{where}.generator",
             f"expected a list of {2 * n} x {2 * n} symmetric matrices",
         )
-        sym_err = max(np.linalg.norm(G - G.T, 2) for G in gens)
+        sym_err = max(norm2(G - G.T) for G in gens)
         _expect(sym_err <= 1e-12, f"{where}.generator", "matrices must be symmetric")
         base_desc = desc.get("base")
         if isinstance(base_desc, dict):

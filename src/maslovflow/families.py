@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .symplectic import norm2
+
 MAX_DEGREE = 4
 
 
@@ -70,7 +72,7 @@ class SymmetricFamily:
             best = 0.0
             for lam in grid:
                 mats = self(lam, grid)
-                best = max(best, max(np.linalg.norm(M, 2) for M in mats))
+                best = max(best, max(norm2(M) for M in mats))
             self._sup = float(best)
         return self._sup
 

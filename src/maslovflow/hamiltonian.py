@@ -26,7 +26,7 @@ from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActi
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
 from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS
-from .symplectic import LagrangianFrame, l1_frame, standard_J
+from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
 
@@ -100,7 +100,7 @@ def fundamental_solution(S: SymmetricFamily, lam: float, steps: int = DEFAULT_ST
     mids = J @ S(lam, ts[:-1] + 0.5 * h)
     mats[1:] = prefix_products(rk4_step_propagators(nodes, mids, h))
     drift = max(
-        np.linalg.norm(mats[i].T @ J @ mats[i] - J, 2) for i in (steps // 2, steps)
+        norm2(mats[i].T @ J @ mats[i] - J) for i in (steps // 2, steps)
     )
     if drift > _DRIFT_ATOL:
         raise ValueError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import ConstantPath, LagrangianPath, RotatedPath
-from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, rotate
+from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, norm2, rotate
 
 PHASE_TOL = 1e-9
 _DC_CAP = 0.15
@@ -98,7 +98,7 @@ class _PairCounter:
         return best_w, best_margin
 
     def count(self, a: float, b: float, depth: int = 0) -> int:
-        dC = np.linalg.norm(self.relative_unitary(b) - self.relative_unitary(a), 2)
+        dC = norm2(self.relative_unitary(b) - self.relative_unitary(a))
         if dC <= _DC_CAP:
             # bound on how far any eigenphase can move inside the segment
             z = _MOTION_FACTOR * dC + 10 * PHASE_TOL

@@ -17,9 +17,11 @@ from .symplectic import (
     gap_distance,
     l0_frame,
     nearest_lagrangian_frame,
+    norm2,
     rotation_matrix,
     souriau,
     standard_J,
+    within,
 )
 
 GRID_GAP = 0.1
@@ -201,10 +203,10 @@ class SymplecticActionPath(LagrangianPath):
 
     def _frame_at(self, lam):
         A = np.asarray(self.matfun(lam), dtype=float)
-        err = np.linalg.norm(A.T @ self._J @ A - self._J, 2)
-        if err > _ACTION_ATOL:
+        dev = A.T @ self._J @ A - self._J
+        if not within(dev, _ACTION_ATOL):
             raise ValueError(
-                f"action matrix at lambda={lam:.6g} is not symplectic (deviation {err:.3e})"
+                f"action matrix at lambda={lam:.6g} is not symplectic (deviation {norm2(dev):.3e})"
             )
         return nearest_lagrangian_frame(_orthonormal_columns(A @ self.base.frame(lam).F))
 

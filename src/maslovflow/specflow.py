@@ -32,7 +32,7 @@ import scipy.optimize
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import ordered_product, rk4_step_propagators
-from .symplectic import gap_distance, standard_J, subspace_frame
+from .symplectic import gap_distance, norm2, standard_J, subspace_frame
 
 MU_TOL = 1e-10
 MULT_RTOL = 1e-6
@@ -110,7 +110,7 @@ class BoundaryValueFamily:
             for lam in (0.0, 0.5, 1.0):
                 for t in (0.0, 0.33, 1.0):
                     M = self.S(lam, t)
-                    if np.linalg.norm(M - M.T, 2) > 1e-12:
+                    if norm2(M - M.T) > 1e-12:
                         raise ValueError(f"S is not symmetric at (lambda, t)=({lam}, {t})")
 
     def shifted(self, delta: float) -> "BoundaryValueFamily":
@@ -259,13 +259,17 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
         return any(lo - 1e-12 <= r <= hi + 1e-12 for r in list(roots) + list(extra))
 
     def polish_dip(lo, hi):
+        # minimise g^2, which is smooth at an even-order root where g has a
+        # corner, over the offset from the dip's scan point (the midpoint):
+        # the stopping rule sqrt(eps)|x| + xatol/3 is then not dominated by |mu|
+        c = 0.5 * (lo + hi)
         res = scipy.optimize.minimize_scalar(
-            lambda mu: float(fam.detector_batch(lam, [mu])[0][0, -1]),
-            bounds=(lo, hi),
+            lambda d: float(fam.detector_batch(lam, [c + d])[0][0, -1]) ** 2,
+            bounds=(lo - c, hi - c),
             method="bounded",
             options={"xatol": tol},
         )
-        return float(res.x)
+        return c + float(res.x)
 
     # sign changes of the smooth determinant: odd-order roots; the two padded
     # intervals lie outside the window and are not bisected

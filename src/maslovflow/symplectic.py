@@ -8,6 +8,8 @@ derived on demand.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +22,40 @@ RANK_TOL = 1e-8
 
 
 def standard_J(n: int) -> np.ndarray:
-    """The 2n x 2n block matrix [[0, -I], [I, 0]].
+    """The 2n x 2n block matrix [[0, -I], [I, 0]], one read-only array per n.
 
     Satisfies J^2 = -I, J^T = -J and ||J||_2 = 1; it encodes the standard
     symplectic form omega(x, y) = <Jx, y>.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"half-dimension n must be a positive integer, got {n!r}")
+    return _standard_J(int(n))
+
+
+@functools.cache
+def _standard_J(n: int) -> np.ndarray:
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
+    J.setflags(write=False)
     return J
+
+
+def norm2(M: np.ndarray) -> float:
+    """Spectral norm of a 2-D matrix: bit for bit np.linalg.norm(M, 2)."""
+    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def within(M: np.ndarray, tol: float) -> bool:
+    """norm2(M) <= tol, decided by the Frobenius norm when that suffices.
+
+    ||M||_2 <= ||M||_F, so a Frobenius norm clearly below tol accepts without
+    an SVD; the 1e-12 relative margin covers the rounding of both norms, so
+    the decision is always that of the exact spectral-norm test.
+    """
+    if math.sqrt(np.vdot(M, M).real) <= tol * (1.0 - 1e-12):
+        return True
+    return norm2(M) <= tol
 
 
 def _orthonormal_columns(B: np.ndarray) -> np.ndarray:
@@ -70,12 +95,12 @@ class LagrangianFrame:
         F = np.array(self.F, dtype=float)
         if F.shape != (2 * self.n, self.n):
             raise ValueError(f"frame must be {2 * self.n} x {self.n}, got {F.shape}")
-        gram_err = np.linalg.norm(F.T @ F - np.eye(self.n), 2)
-        if gram_err > FRAME_ATOL:
-            raise ValueError(f"columns not orthonormal: ||F^T F - I|| = {gram_err:.3e}")
-        iso_err = np.linalg.norm(F.T @ standard_J(self.n) @ F, 2)
-        if iso_err > FRAME_ATOL:
-            raise ValueError(f"span is not isotropic: ||F^T J F|| = {iso_err:.3e}")
+        gram = F.T @ F - np.eye(self.n)
+        if not within(gram, FRAME_ATOL):
+            raise ValueError(f"columns not orthonormal: ||F^T F - I|| = {norm2(gram):.3e}")
+        iso = F.T @ standard_J(self.n) @ F
+        if not within(iso, FRAME_ATOL):
+            raise ValueError(f"span is not isotropic: ||F^T J F|| = {norm2(iso):.3e}")
         F.setflags(write=False)
         object.__setattr__(self, "F", F)
 
@@ -96,9 +121,9 @@ class SymplecticMatrix:
         if A.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"matrix must be {2 * self.n} x {2 * self.n}, got {A.shape}")
         J = standard_J(self.n)
-        err = np.linalg.norm(A.T @ J @ A - J, 2)
-        if err > SYMPLECTIC_ATOL:
-            raise ValueError(f"matrix is not symplectic: ||A^T J A - J|| = {err:.3e}")
+        dev = A.T @ J @ A - J
+        if not within(dev, SYMPLECTIC_ATOL):
+            raise ValueError(f"matrix is not symplectic: ||A^T J A - J|| = {norm2(dev):.3e}")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
 
@@ -114,12 +139,12 @@ class SouriauMatrix:
         W = np.array(self.W, dtype=complex)
         if W.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n} x {self.n}, got {W.shape}")
-        uni_err = np.linalg.norm(W.conj().T @ W - np.eye(self.n), 2)
-        if uni_err > SOURIAU_ATOL:
-            raise ValueError(f"matrix is not unitary: deviation {uni_err:.3e}")
-        sym_err = np.linalg.norm(W - W.T, 2)
-        if sym_err > SOURIAU_ATOL:
-            raise ValueError(f"matrix is not symmetric: ||W - W^T|| = {sym_err:.3e}")
+        uni = W.conj().T @ W - np.eye(self.n)
+        if not within(uni, SOURIAU_ATOL):
+            raise ValueError(f"matrix is not unitary: deviation {norm2(uni):.3e}")
+        asym = W - W.T
+        if not within(asym, SOURIAU_ATOL):
+            raise ValueError(f"matrix is not symmetric: ||W - W^T|| = {norm2(asym):.3e}")
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
@@ -136,9 +161,9 @@ def frame_from_basis(B: np.ndarray) -> LagrangianFrame:
     if B.shape[1] != n:
         raise ValueError(f"expected {n} columns for a Lagrangian basis, got {B.shape[1]}")
     Q = subspace_frame(B)
-    iso_err = np.linalg.norm(Q.T @ standard_J(n) @ Q, 2)
-    if iso_err > FRAME_ATOL:
-        raise ValueError(f"span is not isotropic: ||F^T J F|| = {iso_err:.3e}")
+    iso = Q.T @ standard_J(n) @ Q
+    if not within(iso, FRAME_ATOL):
+        raise ValueError(f"span is not isotropic: ||F^T J F|| = {norm2(iso):.3e}")
     return LagrangianFrame(n, Q)
 
 
@@ -175,9 +200,9 @@ def unitary_representative(L: LagrangianFrame) -> np.ndarray:
     it is determined by L up to a right orthogonal factor.
     """
     U = L.F[: L.n, :] + 1j * L.F[L.n :, :]
-    err = np.linalg.norm(U.conj().T @ U - np.eye(L.n), 2)
-    if err > SOURIAU_ATOL:
-        raise ValueError(f"frame does not yield a unitary representative: {err:.3e}")
+    dev = U.conj().T @ U - np.eye(L.n)
+    if not within(dev, SOURIAU_ATOL):
+        raise ValueError(f"frame does not yield a unitary representative: {norm2(dev):.3e}")
     return U
 
 
@@ -200,14 +225,17 @@ def intersection_dimension(L1: LagrangianFrame, L2: LagrangianFrame, tol: float 
 
 
 def _frame_matrix(L) -> np.ndarray:
-    """Accept a LagrangianFrame or a plain orthonormal-column matrix."""
-    Q = L.F if isinstance(L, LagrangianFrame) else np.asarray(L, dtype=float)
+    """Accept a LagrangianFrame (validated at construction) or a plain
+    orthonormal-column matrix (checked here)."""
+    if isinstance(L, LagrangianFrame):
+        return L.F
+    Q = np.asarray(L, dtype=float)
     if Q.ndim != 2:
         raise ValueError("subspace frame must be a matrix")
     if Q.shape[1] > 0:
-        err = np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]), 2)
-        if err > 1e-8:
-            raise ValueError(f"frame columns are not orthonormal: deviation {err:.3e}")
+        dev = Q.T @ Q - np.eye(Q.shape[1])
+        if not within(dev, 1e-8):
+            raise ValueError(f"frame columns are not orthonormal: deviation {norm2(dev):.3e}")
     return Q
 
 
@@ -222,7 +250,7 @@ def gap_distance(L1, L2) -> float:
         raise ValueError(f"ambient dimension mismatch: {Q1.shape[0]} vs {Q2.shape[0]}")
     P1 = Q1 @ Q1.T
     P2 = Q2 @ Q2.T
-    return float(np.linalg.norm(P1 - P2, 2))
+    return norm2(P1 - P2)
 
 
 def directed_gap(L1, L2) -> float:
@@ -234,7 +262,7 @@ def directed_gap(L1, L2) -> float:
         raise ValueError(f"ambient dimension mismatch: {Q1.shape[0]} vs {Q2.shape[0]}")
     P1 = Q1 @ Q1.T
     P2 = Q2 @ Q2.T
-    return float(np.linalg.norm((np.eye(Q1.shape[0]) - P2) @ P1, 2))
+    return norm2((np.eye(Q1.shape[0]) - P2) @ P1)
 
 
 @dataclass(frozen=True)
@@ -260,12 +288,12 @@ def kato_projection_identity_check(P: np.ndarray, Q: np.ndarray, atol: float = 1
     for name, R in (("P", P), ("Q", Q)):
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError(f"{name} must be a square matrix")
-        if np.linalg.norm(R @ R - R, 2) > 1e-10 or np.linalg.norm(R - R.T, 2) > 1e-10:
+        if not (within(R @ R - R, 1e-10) and within(R - R.T, 1e-10)):
             raise ValueError(f"{name} is not an orthogonal projection")
     I = np.eye(P.shape[0])
-    a = float(np.linalg.norm((I - P) @ Q, 2))
-    b = float(np.linalg.norm((I - Q) @ P, 2))
-    c = float(np.linalg.norm(P - Q, 2))
+    a = norm2((I - P) @ Q)
+    b = norm2((I - Q) @ P)
+    c = norm2(P - Q)
     hypothesis = a < 1.0 and b < 1.0
     disc = max(abs(a - b), abs(a - c), abs(b - c))
     if hypothesis and disc > atol:
@@ -296,7 +324,7 @@ def apply_symplectic(A, L: LagrangianFrame) -> LagrangianFrame:
         if M.shape != (2 * L.n, 2 * L.n):
             raise ValueError(f"matrix must be {2 * L.n} x {2 * L.n}, got {M.shape}")
         J = standard_J(L.n)
-        err = np.linalg.norm(M.T @ J @ M - J, 2)
-        if err > SYMPLECTIC_ATOL:
-            raise ValueError(f"matrix is not symplectic: ||A^T J A - J|| = {err:.3e}")
+        dev = M.T @ J @ M - J
+        if not within(dev, SYMPLECTIC_ATOL):
+            raise ValueError(f"matrix is not symplectic: ||A^T J A - J|| = {norm2(dev):.3e}")
     return LagrangianFrame(L.n, _orthonormal_columns(M @ L.F))

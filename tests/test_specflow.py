@@ -163,6 +163,28 @@ def test_spectrum_window_double_eigenvalue_near_edge_expm_branch():
     assert abs(window.eigenvalues[-1][0] - (5.0 + 2.0 * np.pi)) < 1e-6
 
 
+def test_double_eigenvalues_polished_to_absolute_tolerance():
+    # the bounded minimiser stops on sqrt(eps)|x| + xatol/3, which over mu
+    # itself allows |mu| * 1.5e-8 at the double eigenvalues k pi (+ 5 lambda);
+    # both walls families are exact here (S = 0 in closed form, S = 5 lambda I
+    # through expm), so the error left is the polish error alone
+    n = 2
+    wall = ConstantPath(l1_frame(n))
+    window = spectrum_window(BoundaryValueFamily(wall, wall), 0.0, -7.3, 7.3)
+    assert [m for _, m in window.eigenvalues] == [2] * 5
+    for mu, k in zip(window.values()[::2], range(-2, 3)):
+        assert abs(mu - k * np.pi) <= 1e-9
+    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
+    coeffs[1, 0] = 5.0 * np.eye(2 * n)
+    fam = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+    for lam in np.linspace(0.0, 1.0, 21):
+        window = spectrum_window(fam, float(lam), -11.3, 11.3)
+        assert window.eigenvalues and all(m == 2 for _, m in window.eigenvalues)
+        for mu, _ in window.eigenvalues:
+            k = np.round((mu - 5.0 * lam) / np.pi)
+            assert abs(mu - 5.0 * lam - k * np.pi) <= 1e-9
+
+
 def test_kernel_dimension_matches_intersection():
     rng = np.random.default_rng(8)
     for _ in range(10):

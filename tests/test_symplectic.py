@@ -1,5 +1,9 @@
 """Tests for frames, representatives, intersections and the gap metric."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,9 @@ from maslovflow import (
     subspace_frame,
     unitary_representative,
 )
+from maslovflow.paths import SymplecticActionPath
 from maslovflow.suites import random_lagrangian_frame, random_symmetric
+from maslovflow.symplectic import SouriauMatrix, norm2, within
 
 import scipy.linalg
 
@@ -278,3 +284,117 @@ def test_subspace_frame_general():
     Q = subspace_frame(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))
     assert Q.shape == (4, 2)
     assert np.linalg.norm(Q.T @ Q - np.eye(2), 2) < 1e-12
+
+
+def _random_matrix(rng, rows, cols, complex_):
+    M = rng.standard_normal((rows, cols))
+    if complex_:
+        M = M + 1j * rng.standard_normal((rows, cols))
+    return M * 10.0 ** rng.uniform(-12, 1)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_norm2_is_bitwise_numpy_spectral_norm(complex_):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        M = _random_matrix(rng, rng.integers(2, 7), rng.integers(2, 7), complex_)
+        assert norm2(M) == np.linalg.norm(M, 2)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_within_matches_spectral_norm_test_on_random_matrices(complex_):
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        M = _random_matrix(rng, rng.integers(2, 7), rng.integers(2, 7), complex_)
+        ref = np.linalg.norm(M, 2)
+        for tol in (ref, ref * (1 + 1e-13), ref * (1 - 1e-13), 10.0 ** rng.uniform(-12, 1)):
+            assert within(M, tol) == (ref <= tol)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-8, 1e-6, 1.0])
+@pytest.mark.parametrize("rel", [-1e-6, -1e-13, 0.0, 1e-13, 1e-6])
+def test_within_on_rank_one_edge(complex_, tol, rel):
+    # a rank-one matrix has ||M||_F = ||M||_2, the case where the Frobenius
+    # shortcut is tightest
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        size = rng.integers(2, 7)
+        u = _random_matrix(rng, size, 1, complex_)
+        v = _random_matrix(rng, size, 1, complex_)
+        M = u @ v.conj().T
+        M = M * (tol * (1 + rel) / np.linalg.norm(M, 2))
+        assert within(M, tol) == (np.linalg.norm(M, 2) <= tol)
+
+
+def _reported(err) -> float:
+    return float(re.findall(r"\d\.\d{3}e[+-]\d+", str(err.value))[-1])
+
+
+def test_validation_errors_report_the_spectral_norm():
+    # every deviation below has ||.||_F > ||.||_2, so the message must carry
+    # the 2-norm, not the Frobenius norm of the shortcut
+    F = np.zeros((4, 2))
+    F[0, 0] = F[1, 1] = 1.5
+    with pytest.raises(ValueError, match="orthonormal") as err:
+        LagrangianFrame(2, F)
+    assert _reported(err) == float(f"{np.linalg.norm(F.T @ F - np.eye(2), 2):.3e}") == 1.25
+
+    F = np.zeros((4, 2))
+    F[0, 0] = F[2, 1] = 1.0
+    with pytest.raises(ValueError, match="isotropic") as err:
+        LagrangianFrame(2, F)
+    assert _reported(err) == 1.0
+
+    with pytest.raises(ValueError, match="unitary") as err:
+        SouriauMatrix(2, 1.5 * np.eye(2))
+    assert _reported(err) == 1.25
+    with pytest.raises(ValueError, match="symmetric") as err:
+        SouriauMatrix(2, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert _reported(err) == 2.0
+
+    for build in (
+        lambda: SymplecticMatrix(2, 2.0 * np.eye(4)),
+        lambda: apply_symplectic(2.0 * np.eye(4), l0_frame(2)),
+        lambda: SymplecticActionPath(lambda lam: 2.0 * np.eye(4), l0_frame(2)).frame(0.5),
+    ):
+        with pytest.raises(ValueError, match="not symplectic") as err:
+            build()
+        # A^T J A - J = 3 J: 2-norm 3, Frobenius norm 6
+        assert _reported(err) == 3.0
+
+
+def test_standard_j_is_one_read_only_array_per_n():
+    for n in (1, 2, 3):
+        J = standard_J(n)
+        assert J is standard_J(n) is standard_J(np.int64(n))
+        assert not J.flags.writeable
+        with pytest.raises(ValueError):
+            J[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        standard_J(2.0)
+
+
+def _spectral_norm_calls(tree):
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr != "norm" or ast.unparse(node.func.value) not in ("np.linalg", "numpy.linalg"):
+            continue
+        ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+            yield node.lineno
+
+
+def test_no_numpy_spectral_norm_in_library():
+    # one spectral-norm idiom (norm2, and within for invariant checks), so the
+    # Frobenius shortcut cannot be bypassed unnoticed
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "maslovflow"
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _spectral_norm_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_spectral_norm_calls(ast.parse("np.linalg.norm(M - M.T, 2)"))) == [1]
+    assert list(_spectral_norm_calls(ast.parse("numpy.linalg.norm(M, ord=2)"))) == [1]
