@@ -127,7 +127,7 @@ def cmd_maslov(cfg: ProblemConfig, args) -> int:
 def cmd_sflow(cfg: ProblemConfig, args) -> int:
     t0 = time.perf_counter()
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
-    result = spectral_flow(fam, max_depth=cfg.solver.max_depth)
+    result = spectral_flow(fam, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
     report = VerificationReport(
         command="sflow",
         inputs=cfg.to_dict(),
@@ -156,7 +156,7 @@ def cmd_spectra(cfg: ProblemConfig, args) -> int:
     lo, hi = cfg.solver.mu_window
     rows = []
     for lam in np.linspace(0.0, 1.0, cfg.lambda_grid):
-        window = spectrum_window(fam, float(lam), lo, hi)
+        window = spectrum_window(fam, float(lam), lo, hi, tol=cfg.solver.tol)
         for mu, mult in window.eigenvalues:
             rows.append((float(lam), mu, mult))
     rows.sort()
@@ -192,14 +192,15 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
     if which == "clm":
         if configured:
             g1, g2 = cfg.path1(), cfg.path2()
-            m = maslov_pair(g1, g2, tol=cfg.solver.tol)
-            s = spectral_flow(BoundaryValueFamily(g1, g2, steps=steps)).value
+            m = maslov_pair(g1, g2, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
+            fam = BoundaryValueFamily(g1, g2, steps=steps)
+            s = spectral_flow(fam, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth).value
             report = VerificationReport(
                 command="verify-clm",
                 inputs=cfg.to_dict(),
                 values={"maslov": m, "sfl": s},
                 passed=m == s,
-                tolerances={"integer_equality": 0},
+                tolerances={"integer_equality": 0, "tol": cfg.solver.tol},
             )
         else:
             report = theorem_suite(count=count or 25, seed=seed)

@@ -1,17 +1,21 @@
 """Spectra and spectral flow of Ju' + S_lambda(t)u under Lagrangian boundary conditions.
 
-Eigenvalues are located by transfer-matrix shooting: mu is in the spectrum of
-A_lambda exactly when the propagated subspace Phi_{lambda,mu}(1) gamma_1(lambda)
-meets gamma_2(lambda), detected through the smallest singular value of the
-concatenated frame matrix.  For S identically zero the transfer matrix is the
-closed-form rotation exp(-mu J), and for t-independent S it is one matrix
-exponential per mu, so those spectra carry no RK4 error.  Otherwise Phi(1) is
-the ordered product of the RK4 one-step propagators (see propagator.py): all
-steps are built at once for a small chunk of mu values and multiplied pairwise
-in log depth, the same arithmetic as stepping, reassociated.
-Detector evaluations are batched over mu, and roots are pinned by vectorized
-bisection on a smooth determinant that changes sign at odd-order crossings,
-with dip polishing for even-order ones.
+Eigenvalues are counted, then located, by transfer-matrix shooting: mu is in
+the spectrum of A_lambda exactly when the propagated subspace
+Phi_{lambda,mu}(1) gamma_1(lambda) meets gamma_2(lambda).  For S identically
+zero the transfer matrix is the closed-form rotation exp(-mu J), and for
+t-independent S it is one matrix exponential per mu, so those spectra carry no
+RK4 error.  Otherwise Phi(1) is the ordered product of the RK4 one-step
+propagators (see propagator.py): all steps are built at once for a small chunk
+of mu values and multiplied pairwise in log depth, the same arithmetic as
+stepping, reassociated.
+The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
+eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
+grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
+taken in [0, 2pi) jumps by 2pi per eigenvalue.  Detector evaluations are
+batched over mu; every scan interval that holds eigenvalues is bisected on the
+count, and the count's parity is checked against the sign changes of a smooth
+determinant that vanishes on the spectrum.
 
 The spectral flow follows the partition definition: on each parameter
 subinterval an eigenvalue-free threshold epsilon is chosen and the counts of
@@ -27,16 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import ordered_product, rk4_step_propagators
-from .symplectic import gap_distance, norm2, standard_J, subspace_frame
+from .symplectic import gap_distance, norm2, souriau, standard_J, subspace_frame
 
 MU_TOL = 1e-10
-MULT_RTOL = 1e-6
-_DIP_CUT = 0.35
 _SF_WINDOW = 1.45
 _SF_CORE = 1.0
 _EPS_MAX = np.pi / 4
@@ -54,6 +55,25 @@ _EDGE_NUDGE = 0.0137
 
 class EigenvalueAtWindowEdge(ValueError):
     """An endpoint of a requested mu-window is an eigenvalue."""
+
+
+class EigenvalueCountMismatch(RuntimeError):
+    """The eigenphase count of a mu-window contradicts the detector's sign
+    changes, or cannot be made exact by refining the scan."""
+
+
+@dataclass(frozen=True)
+class _Slice:
+    """Everything the detector needs at one lambda, built once per lambda.
+
+    coeff is None for S = 0, the generator J S(lambda, 0) for t-independent
+    S, and the RK4 coefficient samples (nodes, mids, h) otherwise.
+    """
+
+    F1: np.ndarray
+    F2: np.ndarray
+    W2_conj: np.ndarray  # conj of the Souriau matrix W = U U^T of gamma_2
+    coeff: object
 
 
 def _rk4_transfer_batch(nodes, mids, mus, J, h):
@@ -103,9 +123,8 @@ class BoundaryValueFamily:
         self.S = None if (S is None or S.is_zero()) else S
         self.steps = steps
         self._J = standard_J(self.n)
-        self._stages: dict[float, tuple] = {}
+        self._slices: dict[float, _Slice] = {}
         self._t_const = self.S is not None and getattr(self.S, "t_independent", lambda: False)()
-        self._gen: dict[float, np.ndarray] = {}
         if self.S is not None:
             for lam in (0.0, 0.5, 1.0):
                 for t in (0.0, 0.33, 1.0):
@@ -127,32 +146,31 @@ class BoundaryValueFamily:
             sorted(set(self.gamma1.breakpoint_hints()) | set(self.gamma2.breakpoint_hints()))
         )
 
-    def _stage_data(self, lam: float):
-        got = self._stages.get(lam)
+    def _slice(self, lam: float) -> _Slice:
+        got = self._slices.get(lam)
         if got is None:
-            h = 1.0 / self.steps
-            ts = np.linspace(0.0, 1.0, self.steps + 1)
-            nodes = self._J @ self.S(lam, ts)
-            mids = self._J @ self.S(lam, ts[:-1] + 0.5 * h)
-            got = (nodes, mids, h)
-            self._stages[lam] = got
-        return got
-
-    def _generator(self, lam: float) -> np.ndarray:
-        got = self._gen.get(lam)
-        if got is None:
-            got = self._J @ self.S(lam, 0.0)
-            self._gen[lam] = got
+            if self.S is None:
+                coeff = None
+            elif self._t_const:
+                coeff = self._J @ self.S(lam, 0.0)
+            else:
+                h = 1.0 / self.steps
+                ts = np.linspace(0.0, 1.0, self.steps + 1)
+                coeff = (self._J @ self.S(lam, ts), self._J @ self.S(lam, ts[:-1] + 0.5 * h), h)
+            L2 = self.gamma2.frame(lam)
+            got = _Slice(self.gamma1.frame(lam).F, L2.F, souriau(L2).W.conj(), coeff)
+            self._slices[lam] = got
         return got
 
     def _transfer_batch(self, lam: float, mus: np.ndarray) -> np.ndarray:
         if self.S is None:
             eye = np.eye(2 * self.n)
             return np.cos(mus)[:, None, None] * eye - np.sin(mus)[:, None, None] * self._J
+        coeff = self._slice(lam).coeff
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
-            return scipy.linalg.expm(self._generator(lam) - mus[:, None, None] * self._J)
-        nodes, mids, h = self._stage_data(lam)
+            return scipy.linalg.expm(coeff - mus[:, None, None] * self._J)
+        nodes, mids, h = coeff
         return _rk4_transfer_batch(nodes, mids, mus, self._J, h)
 
     def transfer(self, lam: float, mu: float) -> np.ndarray:
@@ -161,25 +179,28 @@ class BoundaryValueFamily:
     def detector_batch(self, lam: float, mus):
         """Detector data at one lambda for a batch of mu values.
 
-        Returns (svals, dets): the singular values of
-        [frame(Phi gamma_1) | frame(gamma_2)] per mu, and the signed
-        determinant det(Q^T J F2) vanishing exactly on the spectrum.
+        Returns (svals, dets, phase_sums): the singular values of
+        [frame(Phi gamma_1) | frame(gamma_2)] per mu, the signed determinant
+        det(Q^T J F2) vanishing exactly on the spectrum, and the sum of the
+        eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in [0, 2pi).
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        sl = self._slice(lam)
         Phi = self._transfer_batch(lam, mus)
-        B = Phi @ self.gamma1.frame(lam).F
-        U, _, Vt = np.linalg.svd(B, full_matrices=False)
-        Q = U @ Vt  # orthonormal polar factor, a continuous function of B
-        F2 = self.gamma2.frame(lam).F
-        M = np.concatenate([Q, np.broadcast_to(F2, Q.shape)], axis=2)
+        U, _, Vt = np.linalg.svd(Phi @ sl.F1, full_matrices=False)
+        Q = U @ Vt  # orthonormal polar factor, a continuous function of Phi F1
+        M = np.concatenate([Q, np.broadcast_to(sl.F2, Q.shape)], axis=2)
         svals = np.linalg.svd(M, compute_uv=False)
-        dets = np.linalg.det(np.swapaxes(Q, 1, 2) @ self._J @ F2)
-        return svals, dets
+        dets = np.linalg.det(np.swapaxes(Q, 1, 2) @ self._J @ sl.F2)
+        UQ = Q[:, : self.n] + 1j * Q[:, self.n :]
+        C = UQ @ np.swapaxes(UQ, 1, 2) @ sl.W2_conj
+        phase_sums = np.sum(np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi), axis=1)
+        return svals, dets, phase_sums
 
 
 def eigen_detector(fam, lam: float, mu: float) -> float:
     """Smallest singular value of the shooting detector; zero on the spectrum."""
-    svals, _ = fam.detector_batch(lam, [mu])
+    svals = fam.detector_batch(lam, [mu])[0]
     return float(svals[0, -1])
 
 
@@ -203,135 +224,105 @@ class SpectrumWindow:
         return int(sum(m for mu, m in self.eigenvalues if lo <= mu <= hi))
 
 
-def _bisect_roots(fam, lam: float, los, his, dlos, tol: float):
-    """Vectorized bisection of sign-change brackets of the determinant."""
-    los = np.asarray(los, dtype=float)
-    his = np.asarray(his, dtype=float)
-    signs = np.sign(dlos)
-    iters = int(np.ceil(np.log2(max(np.max(his - los), tol) / tol))) + 1
-    for _ in range(iters):
-        mids = 0.5 * (los + his)
-        _, dm = fam.detector_batch(lam, mids)
-        left = np.sign(dm) == signs
-        los = np.where(left, mids, los)
-        his = np.where(left, his, mids)
-    return 0.5 * (los + his)
+def _count(sum_a, sum_b):
+    """Eigenvalues in [a, b] from the eigenphase sums at its ends, and the
+    wrapped change of arg det C over it: the count is exact when that change
+    is negative, i.e. when the true change lies in (-pi, 0)."""
+    turns = np.rint((sum_b - sum_a) / (2.0 * np.pi))
+    return turns.astype(int), sum_b - sum_a - 2.0 * np.pi * turns
 
 
 def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = MU_TOL) -> SpectrumWindow:
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
 
-    Scanning at a step tied to the a-priori pi-spacing of the branch families
-    (shrunk with the size of S), sign changes of the smooth determinant are
-    bisected to tol and detector dips are polished by bounded minimization; a
-    finer rescan around each root guards against close pairs.  Window
-    endpoints must not be eigenvalues.
+    The window is scanned at a step tied to the a-priori pi-spacing of the
+    branch families, capped at pi/(4n) and shrunk with the size of S, so that
+    arg det C changes by less than pi per scan interval; an interval whose
+    wrapped change is not negative is halved.  The number of eigenvalues in
+    each interval is the winding of the eigenphase sum.  Every interval that
+    holds eigenvalues is bisected on that count to width tol, splitting
+    wherever both halves hold eigenvalues; each final midpoint is reported
+    with its count as multiplicity, and points closer than 1e-7 are merged.
+    Between scan points that are not eigenvalues, the parity of the count must
+    match the sign change of the smooth determinant, or
+    EigenvalueCountMismatch is raised.  Window endpoints must not be
+    eigenvalues (EigenvalueAtWindowEdge).
     """
     if not mu_min < mu_max:
         raise ValueError("empty mu-window")
-    step = (np.pi / 8.0) / (1.0 + min(fam.s_norm, 3.0))
+    step = min(np.pi / 8.0, np.pi / (4.0 * fam.n)) / (1.0 + min(fam.s_norm, 3.0))
     npts = max(9, int(np.ceil((mu_max - mu_min) / step)) + 1)
     grid = np.linspace(mu_min, mu_max, npts)
-    # one scan point past each edge, so the edge points get the dip test too
-    pad = grid[1] - grid[0]
-    grid = np.concatenate([[mu_min - pad], grid, [mu_max + pad]])
-    svals, dets = fam.detector_batch(lam, grid)
+    svals, dets, sums = fam.detector_batch(lam, grid)
     g = svals[:, -1]
 
-    for idx in (1, -2):
+    for idx in (0, -1):
         if g[idx] <= 10 * tol:
             raise EigenvalueAtWindowEdge(
                 f"window endpoint mu={grid[idx]:.12g} is an eigenvalue at lambda={lam:.6g}; "
                 "shift the window"
             )
 
-    roots: list[float] = []
+    def mismatch(a, b, why):
+        return EigenvalueCountMismatch(f"{why} at lambda={lam:.6g} on mu in [{a:.12g}, {b:.12g}]")
 
-    def add_roots(cands):
-        added = []
-        for mu in np.atleast_1d(cands):
-            if mu_min < mu < mu_max and all(abs(mu - r) >= 1e-7 for r in roots):
-                roots.append(float(mu))
-                added.append(float(mu))
-        return added
+    while True:
+        counts, wrapped = _count(sums[:-1], sums[1:])
+        bad = np.nonzero((wrapped >= 0) | (counts < 0))[0]
+        if not bad.size:
+            break
+        narrow = bad[grid[bad + 1] - grid[bad] <= tol]
+        if narrow.size:
+            k = narrow[0]
+            raise mismatch(grid[k], grid[k + 1], "arg det C does not decrease")
+        mids = 0.5 * (grid[bad] + grid[bad + 1])
+        sv, dm, sm = fam.detector_batch(lam, mids)
+        grid, g = np.insert(grid, bad + 1, mids), np.insert(g, bad + 1, sv[:, -1])
+        dets, sums = np.insert(dets, bad + 1, dm), np.insert(sums, bad + 1, sm)
 
-    def known_root_within(lo, hi, extra=()):
-        return any(lo - 1e-12 <= r <= hi + 1e-12 for r in list(roots) + list(extra))
+    # certificate: between scan points off the spectrum, an odd count and a
+    # sign change of the determinant go together
+    clean = np.nonzero(g > 10 * tol)[0]
+    total = np.concatenate([[0], np.cumsum(counts)])
+    odd = (total[clean[1:]] - total[clean[:-1]]) % 2 == 1
+    flips = dets[clean[1:]] * dets[clean[:-1]] < 0
+    wrong = np.nonzero(odd != flips)[0]
+    if wrong.size:
+        i, j = clean[wrong[0]], clean[wrong[0] + 1]
+        raise mismatch(grid[i], grid[j], "eigenvalue count parity contradicts the determinant")
 
-    def polish_dip(lo, hi):
-        # minimise g^2, which is smooth at an even-order root where g has a
-        # corner, over the offset from the dip's scan point (the midpoint):
-        # the stopping rule sqrt(eps)|x| + xatol/3 is then not dominated by |mu|
-        c = 0.5 * (lo + hi)
-        res = scipy.optimize.minimize_scalar(
-            lambda d: float(fam.detector_batch(lam, [c + d])[0][0, -1]) ** 2,
-            bounds=(lo - c, hi - c),
-            method="bounded",
-            options={"xatol": tol},
-        )
-        return c + float(res.x)
-
-    # sign changes of the smooth determinant: odd-order roots; the two padded
-    # intervals lie outside the window and are not bisected
-    changes = dets[:-1] * dets[1:] < 0
-    inside = np.nonzero(changes[1:-1])[0] + 1
-    if inside.size:
-        add_roots(_bisect_roots(fam, lam, grid[inside], grid[inside + 1], dets[inside], tol))
-
-    # dips without a sign change: even-order roots (higher multiplicities); a
-    # sign change beside a dip is an odd-order root, bisected above if inside
-    for i in range(1, len(grid) - 1):
-        if g[i] < _DIP_CUT and g[i] <= g[i - 1] and g[i] <= g[i + 1]:
-            if changes[i - 1] or changes[i] or known_root_within(grid[i - 1], grid[i + 1]):
-                continue
-            add_roots([polish_dip(grid[i - 1], grid[i + 1])])
-
-    # local rescan around every root (including newly found ones): a close
-    # neighbour of any order may have been masked by the coarse grid
-    pending = list(roots)
-    visited = set()
-    while pending:
-        r = pending.pop()
-        key = round(r, 8)
-        if key in visited:
-            continue
-        visited.add(key)
-        lo = max(mu_min, r - step)
-        hi = min(mu_max, r + step)
-        fine = np.linspace(lo, hi, 33)
-        fstep = fine[1] - fine[0]
-        svf, dfine = fam.detector_batch(lam, fine)
-        gf = svf[:, -1]
-        keep = [
-            j
-            for j in range(32)
-            if not known_root_within(fine[j], fine[j + 1]) and dfine[j] * dfine[j + 1] < 0
-        ]
-        if keep:
-            pending.extend(
-                add_roots(
-                    _bisect_roots(fam, lam, fine[keep], fine[np.array(keep) + 1], dfine[keep], tol)
-                )
+    # each level halves every bracket, so all end no wider than tol
+    live = counts > 0
+    lo, hi, cnt, s_lo = grid[:-1][live], grid[1:][live], counts[live], sums[:-1][live]
+    levels = int(np.ceil(np.log2(max(np.max(hi - lo, initial=0.0), tol) / tol)))
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        s_mid = fam.detector_batch(lam, mid)[2]
+        left = _count(s_lo, s_mid)[0]
+        right = cnt - left
+        bad = (left < 0) | (right < 0)
+        if bad.any():
+            k = np.argmax(bad)
+            raise mismatch(lo[k], hi[k], "halves do not add up to the count")
+        split = (left > 0) & (right > 0)
+        if split.any():  # a copy of each split bracket takes its right half
+            lo, hi, s_lo, mid, s_mid, right = (
+                np.append(x, x[split]) for x in (lo, hi, s_lo, mid, s_mid, right)
             )
-        dip_cut = max(10.0 * fstep, 0.02)
-        for j in range(1, 32):
-            if gf[j] < dip_cut and gf[j] <= gf[j - 1] and gf[j] <= gf[j + 1]:
-                if known_root_within(fine[j - 1], fine[j + 1]):
-                    continue
-                cand = polish_dip(fine[j - 1], fine[j + 1])
-                # non-roots are dropped by the multiplicity filter below, but
-                # only candidates that are actual minima are worth keeping
-                if float(fam.detector_batch(lam, [cand])[0][0, -1]) < 1e-5:
-                    pending.extend(add_roots([cand]))
+            left = np.append(left, np.zeros(np.count_nonzero(split), dtype=int))
+        go_left = left > 0
+        lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
+        s_lo, cnt = np.where(go_left, s_lo, s_mid), np.where(go_left, left, right)
 
-    roots = sorted(r for r in roots if mu_min < r < mu_max)
+    order = np.argsort(lo)
     eigenvalues = []
-    if roots:
-        rs, _ = fam.detector_batch(lam, roots)
-        for r, sv in zip(roots, rs):
-            mult = int(np.sum(sv < MULT_RTOL * sv[0]))
-            if mult >= 1:
-                eigenvalues.append((float(r), mult))
+    last = -np.inf
+    for mu, mult in zip(0.5 * (lo[order] + hi[order]), cnt[order]):
+        if mu - last < 1e-7:
+            eigenvalues[-1] = (eigenvalues[-1][0], eigenvalues[-1][1] + int(mult))
+        else:
+            eigenvalues.append((float(mu), int(mult)))
+        last = mu
     return SpectrumWindow(float(lam), float(mu_min), float(mu_max), tuple(eigenvalues))
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import maslovflow.cli as cli
 from maslovflow.cli import _VERIFY_CHOICES, main
 from maslovflow.config import ConfigError, parse_config
 
@@ -234,6 +235,33 @@ def test_cli_verify_configured_identities(tmp_path, capsys):
     assert main(["verify", "morse", "--config", path]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["command"] == "morse-index" and rep["passed"]
+
+
+def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append((fn.__name__, kwargs.get("tol"), kwargs.get("max_depth")))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("maslov_pair", "spectral_flow", "spectrum_window"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
+    expected = {
+        "sflow": {("spectral_flow", 1e-9, 30)},
+        "spectra": {("spectrum_window", 1e-9, None)},
+        "verify": {("maslov_pair", 1e-9, 30), ("spectral_flow", 1e-9, 30)},
+    }
+    for argv in (["sflow"], ["spectra"], ["verify", "clm"]):
+        calls.clear()
+        out = str(tmp_path / "r.json")
+        assert main(argv + ["--config", cfg, "--tol", "1e-9", "--max-depth", "30", "--out", out]) == 0
+        assert set(calls) == expected[argv[0]]
+        assert json.load(open(out))["tolerances"]["tol"] == 1e-9
+    capsys.readouterr()
 
 
 def test_cli_window_and_depth_overrides(tmp_path, capsys):

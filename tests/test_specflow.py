@@ -13,7 +13,10 @@ from maslovflow import (
     BoundaryValueFamily,
     ConstantPath,
     EigenvalueAtWindowEdge,
+    EigenvalueCountMismatch,
+    PiecewiseLinear,
     SymmetricFamily,
+    UnitaryDiagonalPath,
     conjugation_spectrum_check,
     discretized_gap_diagnostic,
     eigen_detector,
@@ -121,8 +124,13 @@ def test_spectrum_window_prime_quarter():
     assert_spectrum_matches(w, [(np.pi / 4, 1)])
 
 
-@pytest.mark.parametrize("kind,n", [("nor", 1), ("nor", 2), ("nor", 3), ("prime", 1), ("prime", 2)])
+@pytest.mark.parametrize(
+    "kind,n",
+    [("nor", 1), ("nor", 2), ("nor", 3), ("nor", 4), ("nor", 5), ("nor", 6), ("prime", 1), ("prime", 2)],
+)
 def test_spectrum_window_closed_form_families(kind, n):
+    # n >= 4 needs the scan step cap pi/(4n): at S = 0 arg det C turns by
+    # 2n per unit mu, and at pi/8 it would turn by n pi/4 >= pi per interval
     if kind == "nor":
         fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)))
     else:
@@ -132,6 +140,57 @@ def test_spectrum_window_closed_form_families(kind, n):
         assert_spectrum_matches(
             spectrum_window(fam, lam, lo, hi), reference_spectrum(kind, n, lam, lo, hi)
         )
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-5, 1e-6])
+def test_spectrum_window_separates_a_close_pair(d):
+    # S = 0, W1 = diag(e^{0.6i}, e^{(0.6 + 2d)i}), gamma_2 = R^2 x {0}: the
+    # eigenvalues are 0.3 and 0.3 + d (+ k pi), both simple and inside one
+    # scan interval, with no sign change of the determinant between them
+    g1 = UnitaryDiagonalPath([PiecewiseLinear.constant(0.3), PiecewiseLinear.constant(0.3 + d)])
+    window = spectrum_window(BoundaryValueFamily(g1, ConstantPath(l0_frame(2))), 0.5, -1.3, 1.4)
+    assert [m for _, m in window.eigenvalues] == [1, 1]
+    assert abs(window.eigenvalues[0][0] - 0.3) <= 1e-9
+    assert abs(window.eigenvalues[1][0] - (0.3 + d)) <= 1e-9
+
+
+def test_spectrum_window_matches_eigenphase_oracle_at_zero_potential():
+    # S = 0: Phi_mu(1) gamma_1 has W = e^{-2 i mu} W1, so the spectrum is
+    # phi/2 + k pi over the eigenphases phi of W1 conj(W2), with multiplicity
+    def souriau(F, n):
+        U = F[:n] + 1j * F[n:]
+        return U @ U.T
+
+    rng = np.random.default_rng(12)
+    for i in range(20):
+        n = 1 + i % 3
+        g1, g2 = random_pair(rng, n, force_nonadmissible=(i % 5 == 4))
+        lam = float(rng.uniform(0.0, 1.0))
+        (window,) = _clean_windows((BoundaryValueFamily(g1, g2),), lam, -2.03, 2.11)
+        C = souriau(g1.frame(lam).F, n) @ souriau(g2.frame(lam).F, n).conj()
+        half = np.angle(np.linalg.eigvals(C)) / 2.0
+        expected = np.sort(
+            [mu for p in half for mu in p + np.pi * np.arange(-3, 4) if window.mu_min < mu < window.mu_max]
+        )
+        got = window.values()
+        assert got.shape == expected.shape, (i, window.eigenvalues, expected)
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-9
+
+
+def test_spectrum_window_count_certificate_rejects_a_flipped_determinant():
+    # n = 1, S = 0, window (-1, 1): the scan points are -1, -0.75, ..., 1;
+    # flipping the determinant's sign at mu = 0.5 makes two runs disagree
+    # with the parity of the eigenphase count
+    class Flipped(BoundaryValueFamily):
+        def detector_batch(self, lam, mus):
+            svals, dets, sums = super().detector_batch(lam, mus)
+            at = np.isclose(np.atleast_1d(mus), 0.5, rtol=0.0, atol=1e-12)
+            return svals, np.where(at, -dets, dets), sums
+
+    fam = Flipped(gamma_nor(1), ConstantPath(l1_frame(1)))
+    assert spectrum_window(BoundaryValueFamily(fam.gamma1, fam.gamma2), 0.3, -1.0, 1.0).eigenvalues
+    with pytest.raises(EigenvalueCountMismatch, match=r"lambda=0\.3 on mu in \["):
+        spectrum_window(fam, 0.3, -1.0, 1.0)
 
 
 def test_spectrum_window_endpoint_collision():
@@ -164,10 +223,11 @@ def test_spectrum_window_double_eigenvalue_near_edge_expm_branch():
 
 
 def test_double_eigenvalues_polished_to_absolute_tolerance():
-    # the bounded minimiser stops on sqrt(eps)|x| + xatol/3, which over mu
-    # itself allows |mu| * 1.5e-8 at the double eigenvalues k pi (+ 5 lambda);
-    # both walls families are exact here (S = 0 in closed form, S = 5 lambda I
-    # through expm), so the error left is the polish error alone
+    # double eigenvalues k pi (+ 5 lambda) give the determinant no sign change;
+    # they are bisected on the eigenphase count, which steps by 2 across them,
+    # to an absolute width tol; both walls families are exact here (S = 0 in
+    # closed form, S = 5 lambda I through expm), so the error left is the
+    # locator's alone
     n = 2
     wall = ConstantPath(l1_frame(n))
     window = spectrum_window(BoundaryValueFamily(wall, wall), 0.0, -7.3, 7.3)
