@@ -189,12 +189,13 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
     steps = cfg.solver.steps
     configured = cfg.gamma1_desc is not None and cfg.gamma2_desc is not None
     family = cfg.family if cfg.family is not None else SymmetricFamily.zero(cfg.n)
+    solver = {"tol": cfg.solver.tol, "max_depth": cfg.solver.max_depth}
     if which == "clm":
         if configured:
             g1, g2 = cfg.path1(), cfg.path2()
-            m = maslov_pair(g1, g2, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
+            m = maslov_pair(g1, g2, **solver)
             fam = BoundaryValueFamily(g1, g2, steps=steps)
-            s = spectral_flow(fam, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth).value
+            s = spectral_flow(fam, **solver).value
             report = VerificationReport(
                 command="verify-clm",
                 inputs=cfg.to_dict(),
@@ -206,27 +207,27 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
             report = theorem_suite(count=count or 25, seed=seed)
     elif which == "hamiltonian":
         if configured:
-            report = clm_hamiltonian(family, cfg.path1(), cfg.path2(), steps=steps)
+            report = clm_hamiltonian(family, cfg.path1(), cfg.path2(), steps=steps, **solver)
             report.inputs = cfg.to_dict()
         else:
             report = hamiltonian_suite(count=count or 25, seed=seed, steps=steps)
     elif which == "three-term":
         if configured:
-            report = three_term_identity(family, cfg.path1(), cfg.path2(), steps=steps)
+            report = three_term_identity(family, cfg.path1(), cfg.path2(), steps=steps, **solver)
             report.inputs = cfg.to_dict()
         else:
             report = three_term_suite(count=count or 25, seed=seed, steps=steps)
     elif which == "alpha-beta":
         if configured and cfg.alpha is not None and cfg.beta is not None:
             report = alpha_beta_identity(
-                family, cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, steps=steps
+                family, cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, steps=steps, **solver
             )
             report.inputs = cfg.to_dict()
         else:
             report = alpha_beta_suite(count=count or 25, seed=seed, steps=steps)
     elif which == "morse":
         if cfg.family is not None:
-            report = morse_index_formula(cfg.family, steps=steps)
+            report = morse_index_formula(cfg.family, steps=steps, **solver)
             report.inputs = cfg.to_dict()
         else:
             report = morse_suite(count=count or 5, seed=seed, steps=steps)

@@ -25,7 +25,7 @@ from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
-from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS
+from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH
 from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
@@ -125,6 +125,11 @@ def frozen_time_path(S: SymmetricFamily, lam: float, base: LagrangianFrame, step
     return SymplecticActionPath(sol.at, base)
 
 
+def _solver_kwargs(tol: float | None, max_depth: int) -> dict:
+    """Keywords for spectral_flow and maslov_pair; tol None keeps each one's default."""
+    return {"max_depth": max_depth} if tol is None else {"tol": tol, "max_depth": max_depth}
+
+
 def _symplectic_inverse(A: np.ndarray) -> np.ndarray:
     n = A.shape[0] // 2
     J = standard_J(n)
@@ -138,12 +143,17 @@ def clm_hamiltonian(
     steps: int = DEFAULT_STEPS,
     base_grid=None,
     check: bool = True,
+    tol: float | None = None,
+    max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Spectral flow of Ju' + S_lambda u with boundary (gamma_1, gamma_2) versus
-    the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported."""
+    the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported.
+    Here and in the other identity checkers, tol and max_depth reach
+    spectral_flow and every maslov_pair."""
+    opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check).value
-    rhs = maslov_pair(transported_path(S, gamma1, steps), gamma2)
+    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
+    rhs = maslov_pair(transported_path(S, gamma1, steps), gamma2, **opts)
     return VerificationReport(
         command="clm-hamiltonian",
         inputs={"n": gamma1.n, "steps": steps},
@@ -160,16 +170,19 @@ def three_term_identity(
     steps: int = DEFAULT_STEPS,
     base_grid=None,
     check: bool = True,
+    tol: float | None = None,
+    max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """sfl(A) against mu(Psi_1(.)g1(1), g2(1)) + mu(g1, g2) - mu(Psi_0(.)g1(0), g2(0))."""
+    opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check).value
+    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
     term_end = maslov_pair(
-        frozen_time_path(S, 1.0, gamma1.frame(1.0), steps), ConstantPath(gamma2.frame(1.0))
+        frozen_time_path(S, 1.0, gamma1.frame(1.0), steps), ConstantPath(gamma2.frame(1.0)), **opts
     )
-    term_mid = maslov_pair(gamma1, gamma2)
+    term_mid = maslov_pair(gamma1, gamma2, **opts)
     term_start = maslov_pair(
-        frozen_time_path(S, 0.0, gamma1.frame(0.0), steps), ConstantPath(gamma2.frame(0.0))
+        frozen_time_path(S, 0.0, gamma1.frame(0.0), steps), ConstantPath(gamma2.frame(0.0)), **opts
     )
     rhs = term_end + term_mid - term_start
     return VerificationReport(
@@ -214,6 +227,8 @@ def alpha_beta_identity(
     steps: int = DEFAULT_STEPS,
     base_grid=None,
     check: bool = True,
+    tol: float | None = None,
+    max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """The reparametrized three-term identity with beta(lambda) = alpha(lambda) + lambda.
 
@@ -221,8 +236,9 @@ def alpha_beta_identity(
              - mu(Psi_1(alpha) g1(1), Psi_1(beta) Psi_1(1)^{-1} g2(1)).
     """
     _validate_alpha_beta(alpha, beta)
+    opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check).value
+    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
 
     def reparam_term(i: float) -> int:
         sol = fundamental_solution(S, i, steps)
@@ -237,10 +253,10 @@ def alpha_beta_identity(
             gamma2.frame(i),
             hints=beta.breakpoints(),
         )
-        return maslov_pair(first, second)
+        return maslov_pair(first, second, **opts)
 
     term0 = reparam_term(0.0)
-    term_mid = maslov_pair(gamma1, gamma2)
+    term_mid = maslov_pair(gamma1, gamma2, **opts)
     term1 = reparam_term(1.0)
     rhs = term0 + term_mid - term1
     return VerificationReport(
@@ -265,15 +281,23 @@ def alpha_beta_identity(
     )
 
 
-def morse_index_formula(S: SymmetricFamily, steps: int = DEFAULT_STEPS, base_grid=None, check: bool = True) -> VerificationReport:
+def morse_index_formula(
+    S: SymmetricFamily,
+    steps: int = DEFAULT_STEPS,
+    base_grid=None,
+    check: bool = True,
+    tol: float | None = None,
+    max_depth: int = MAX_DEPTH,
+) -> VerificationReport:
     """Dirichlet-type boundary {0} x R^n at both ends: spectral flow versus the
     Maslov index of lambda -> Psi_lambda(1)({0} x R^n) against {0} x R^n."""
     n = S.n
     L1 = l1_frame(n)
     wall = ConstantPath(L1)
+    opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(wall, wall, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check).value
-    rhs = maslov_pair(transported_path(S, wall, steps), wall)
+    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
+    rhs = maslov_pair(transported_path(S, wall, steps), wall, **opts)
     return VerificationReport(
         command="morse-index",
         inputs={"n": n, "steps": steps},

@@ -5,12 +5,17 @@ C(lambda) = W1(lambda) conj(W2(lambda)) of the two Souriau matrices:
 crossings of an eigenphase through 0 (eigenvalue 1 of C) are exactly the
 nontrivial intersections gamma_1(lambda) cap gamma_2(lambda), and the signed
 count of those crossings (+1 for an eigenphase increasing through 0) is the
-index.  Counting is done with arc counts over adaptively bisected parameter
-segments: on each segment a window [0, w) around phase 0 is chosen wide
-enough that no eigenphase can cross +-w inside the segment, so the
-difference of the endpoint arc counts equals the net signed crossings.
-Phases exactly at 0 belong to the arc, mirroring the half-closed windows
-used on the spectral-flow side.
+index.  The count is the winding of the eigenphase sum Sigma(lambda), each
+eigenphase taken in [-PHASE_TOL, 2pi - PHASE_TOL), so a phase at 0 has
+already crossed: the half-closed convention of the spectral-flow side, which
+counts the same way (Arnold, "Sturm theorems and symplectic geometry", 1985).
+An eigenphase increasing through 0 makes Sigma jump by -2pi, so a parameter
+segment [a, b] holds -round((Sigma(b) - Sigma(a)) / 2pi) net crossings while
+the eigenphases together move by less than pi inside it.  Segments are
+bisected until ||C(b) - C(a)|| <= min(0.15, 3/n), at which the endpoint
+spectra match closely enough (Bhatia & Davis 1984) for that to hold.  The
+winding of det W along a loop is the same count plus the change of Sigma
+from end to end.
 
 Non-admissible pairs (endpoint intersections nontrivial) are rotated:
 the index is that of (gamma_1, exp(-Theta J) gamma_2) for a small stable
@@ -24,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import ConstantPath, LagrangianPath, RotatedPath
-from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, norm2, rotate
+from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, l0_frame, norm2, rotate
 
 PHASE_TOL = 1e-9
 _DC_CAP = 0.15
-_MOTION_FACTOR = 1.5
-_W_MAX = np.pi / 2
 _LOC_TOL = 1e-9
 DEFAULT_TOL = 1e-8
 MAX_DEPTH = 40
@@ -49,8 +52,8 @@ class CrossingRecord:
 
 
 def _eigenphases(C: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalue phases of a unitary matrix, in (-pi, pi]."""
-    return np.sort(np.angle(np.linalg.eigvals(C)))
+    """Eigenvalue phases of a unitary matrix, in (-pi, pi]."""
+    return np.angle(np.linalg.eigvals(C))
 
 
 class _PairCounter:
@@ -62,8 +65,11 @@ class _PairCounter:
         self.g1 = g1
         self.g2 = g2
         self.max_depth = max_depth
+        # the end spectra of an accepted segment match within 2 arcsin(cap / 2)
+        # per eigenphase (Bhatia & Davis), n of which stay below pi
+        self.cap = min(_DC_CAP, 3.0 / g1.n)
         self._C: dict[float, np.ndarray] = {}
-        self._phases: dict[float, np.ndarray] = {}
+        self._sums: dict[float, float] = {}
 
     def relative_unitary(self, lam: float) -> np.ndarray:
         got = self._C.get(lam)
@@ -72,43 +78,19 @@ class _PairCounter:
             self._C[lam] = got
         return got
 
-    def phases(self, lam: float) -> np.ndarray:
-        got = self._phases.get(lam)
+    def phase_sum(self, lam: float) -> float:
+        """Sum of the eigenphases of C(lambda), each in [-PHASE_TOL, 2pi - PHASE_TOL)."""
+        got = self._sums.get(lam)
         if got is None:
-            got = _eigenphases(self.relative_unitary(lam))
-            self._phases[lam] = got
+            p = _eigenphases(self.relative_unitary(lam))
+            got = float(np.sum(np.where(p < -PHASE_TOL, p + 2.0 * np.pi, p)))
+            self._sums[lam] = got
         return got
 
-    @staticmethod
-    def _arc_count(phases: np.ndarray, w: float) -> int:
-        return int(np.sum((phases >= -PHASE_TOL) & (phases < w)))
-
-    @staticmethod
-    def _choose_window(qs: np.ndarray):
-        """Arc boundary in (0, pi/2] with the largest clearance from all phases."""
-        walls = np.concatenate([[0.0], np.sort(qs), [np.pi]])
-        best_w, best_margin = None, 0.0
-        for a, b in zip(walls[:-1], walls[1:]):
-            w = min(0.5 * (a + b), _W_MAX)
-            if w <= a:
-                continue
-            margin = min(w - a, b - w)
-            if margin > best_margin:
-                best_w, best_margin = w, margin
-        return best_w, best_margin
-
     def count(self, a: float, b: float, depth: int = 0) -> int:
-        dC = norm2(self.relative_unitary(b) - self.relative_unitary(a))
-        if dC <= _DC_CAP:
-            # bound on how far any eigenphase can move inside the segment
-            z = _MOTION_FACTOR * dC + 10 * PHASE_TOL
-            pa, pb = self.phases(a), self.phases(b)
-            qs = np.abs(np.concatenate([pa, pb]))
-            w, margin = self._choose_window(qs)
-            # no eigenphase can reach +-w, so the arc count [0, w) changes
-            # only through crossings of zero
-            if w is not None and margin > z:
-                return self._arc_count(pb, w) - self._arc_count(pa, w)
+        """Net signed crossings of eigenphases through 0 on [a, b]."""
+        if norm2(self.relative_unitary(b) - self.relative_unitary(a)) <= self.cap:
+            return -int(np.rint((self.phase_sum(b) - self.phase_sum(a)) / (2.0 * np.pi)))
         if depth >= self.max_depth:
             raise UnresolvedCrossing(
                 f"unresolved crossing near lambda in [{a:.12g}, {b:.12g}] "
@@ -126,13 +108,6 @@ class _PairCounter:
         return int(sum(self.count(a, b) for a, b in zip(nodes[:-1], nodes[1:])))
 
 
-def _is_admissible(g1: LagrangianPath, g2: LagrangianPath, tol: float) -> bool:
-    return (
-        intersection_dimension(g1.frame(0.0), g2.frame(0.0), tol) == 0
-        and intersection_dimension(g1.frame(1.0), g2.frame(1.0), tol) == 0
-    )
-
-
 def perturbation_theta(
     g1: LagrangianPath,
     g2: LagrangianPath,
@@ -148,12 +123,17 @@ def perturbation_theta(
     angles is verified, and Theta is accepted only if the pair index computed
     at Theta and Theta/2 agree; otherwise Theta shrinks until 1e-6.
     """
+    return _regularized(g1, g2, theta_max, tol, max_depth)[0]
+
+
+def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: float, max_depth: int):
+    """Theta as documented at perturbation_theta, and the counter of
+    (gamma_1, exp(-Theta J) gamma_2) that verified it, its caches filled."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
-    counter = _PairCounter(g1, g2, max_depth)
     nonzero = []
     for e in (0.0, 1.0):
-        p = counter.phases(e)
+        p = _eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj())
         nonzero.extend(abs(t) for t in p if abs(t) > 100 * PHASE_TOL)
     theta = min(theta_max, 0.49 * min(nonzero)) if nonzero else theta_max
 
@@ -165,12 +145,19 @@ def perturbation_theta(
                 if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk), tol) != 0:
                     ladder_ok = False
         if ladder_ok:
-            v1 = _PairCounter(g1, RotatedPath(g2, -theta), max_depth).total()
-            v2 = _PairCounter(g1, RotatedPath(g2, -theta / 2), max_depth).total()
-            if v1 == v2:
-                return float(theta)
+            counter = _PairCounter(g1, RotatedPath(g2, -theta), max_depth)
+            if counter.total() == _PairCounter(g1, RotatedPath(g2, -theta / 2), max_depth).total():
+                return float(theta), counter
         theta /= 4.0
     raise RuntimeError("no stable regularization angle found down to 1e-6")
+
+
+def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int) -> _PairCounter:
+    """The counter of the pair, rotated by the stable Theta if an endpoint
+    intersection is nontrivial."""
+    if all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0)):
+        return _PairCounter(g1, g2, max_depth)
+    return _regularized(g1, g2, np.pi / 8, tol, max_depth)[1]
 
 
 def maslov_pair(
@@ -184,16 +171,12 @@ def maslov_pair(
     Admissible pairs are counted directly; otherwise the second path is
     rotated by the stable angle from perturbation_theta first.
     """
-    if not _is_admissible(g1, g2, tol):
-        theta = perturbation_theta(g1, g2, tol=tol, max_depth=max_depth)
-        return maslov_pair(g1, RotatedPath(g2, -theta), tol, max_depth)
-    counter = _PairCounter(g1, g2, max_depth)
+    counter = _pair_counter(g1, g2, tol, max_depth)
     try:
         return counter.total()
     except UnresolvedCrossing:
         # degenerate crossing cluster: retry through a small stable rotation
-        theta = perturbation_theta(g1, g2, theta_max=1e-3, tol=tol, max_depth=max_depth)
-        return maslov_pair(g1, RotatedPath(g2, -theta), tol, max_depth)
+        return _regularized(g1, g2, 1e-3, tol, max_depth)[1].total()
 
 
 def maslov_rel(g: LagrangianPath, L0: LagrangianFrame, tol: float = DEFAULT_TOL) -> int:
@@ -204,38 +187,14 @@ def maslov_rel(g: LagrangianPath, L0: LagrangianFrame, tol: float = DEFAULT_TOL)
 def maslov_loop(g: LagrangianPath, max_depth: int = MAX_DEPTH) -> int:
     """Winding number of det W(lambda) around the unit circle for a closed path.
 
-    Phase increments are accumulated along an adaptively refined grid with
-    every increment below pi/2.
+    With W(R^n x {0}) = I, the continuous change of the eigenphase sum of W
+    is 2pi times the crossings through 0 plus the change of the wrapped sum.
     """
     closure = gap_distance(g.frame(0.0), g.frame(1.0))
     if closure > 1e-9:
         raise ValueError(f"path is not closed: endpoint gap {closure:.3e}")
-    dets: dict[float, complex] = {}
-
-    def det_at(lam):
-        got = dets.get(lam)
-        if got is None:
-            got = complex(np.linalg.det(g.souriau_matrix(lam)))
-            dets[lam] = got
-        return got
-
-    nodes = list(np.asarray(g.sample_grid))
-    for _ in range(max_depth):
-        refined, dirty = [nodes[0]], False
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            if abs(np.angle(det_at(b) / det_at(a))) >= np.pi / 2:
-                refined.append(0.5 * (a + b))
-                dirty = True
-            refined.append(b)
-        nodes = refined
-        if not dirty:
-            break
-    else:
-        raise RuntimeError(f"grid too coarse after {max_depth} refinement passes")
-    total = sum(
-        np.angle(det_at(b) / det_at(a)) for a, b in zip(nodes[:-1], nodes[1:])
-    )
-    winding = total / (2 * np.pi)
+    counter = _PairCounter(g, ConstantPath(l0_frame(g.n)), max_depth)
+    winding = counter.total() + (counter.phase_sum(1.0) - counter.phase_sum(0.0)) / (2.0 * np.pi)
     if abs(winding - round(winding)) > 1e-3:
         raise RuntimeError(f"winding number {winding:.6f} is not an integer")
     return int(round(winding))
@@ -254,10 +213,7 @@ def crossing_list(
     whose net contribution is zero are not emitted.  Non-admissible pairs are
     regularized exactly as in maslov_pair before localization.
     """
-    if not _is_admissible(g1, g2, tol):
-        theta = perturbation_theta(g1, g2, tol=tol, max_depth=max_depth)
-        return crossing_list(g1, RotatedPath(g2, -theta), tol, max_depth)
-    counter = _PairCounter(g1, g2, max_depth)
+    counter = _pair_counter(g1, g2, tol, max_depth)
     records = []
 
     def localize(a, b, net):

@@ -42,6 +42,9 @@ _SF_WINDOW = 1.45
 _SF_CORE = 1.0
 _EPS_MAX = np.pi / 4
 _MOTION_CAP = np.pi / 8
+# a threshold's margin must beat the branch motion by this much, far above the
+# locator error (below 5e-9 at tol 1e-8), so rounding never decides a refinement
+_EPS_SLACK = 1e-6
 _ZERO_TOL = 1e-9
 DEFAULT_STEPS = 256
 MAX_DEPTH = 40
@@ -179,7 +182,7 @@ class BoundaryValueFamily:
     def detector_batch(self, lam: float, mus):
         """Detector data at one lambda for a batch of mu values.
 
-        Returns (svals, dets, phase_sums): the singular values of
+        Returns (g, dets, phase_sums): the smallest singular value of
         [frame(Phi gamma_1) | frame(gamma_2)] per mu, the signed determinant
         det(Q^T J F2) vanishing exactly on the spectrum, and the sum of the
         eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in [0, 2pi).
@@ -189,19 +192,20 @@ class BoundaryValueFamily:
         Phi = self._transfer_batch(lam, mus)
         U, _, Vt = np.linalg.svd(Phi @ sl.F1, full_matrices=False)
         Q = U @ Vt  # orthonormal polar factor, a continuous function of Phi F1
-        M = np.concatenate([Q, np.broadcast_to(sl.F2, Q.shape)], axis=2)
-        svals = np.linalg.svd(M, compute_uv=False)
         dets = np.linalg.det(np.swapaxes(Q, 1, 2) @ self._J @ sl.F2)
         UQ = Q[:, : self.n] + 1j * Q[:, self.n :]
         C = UQ @ np.swapaxes(UQ, 1, 2) @ sl.W2_conj
-        phase_sums = np.sum(np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi), axis=1)
-        return svals, dets, phase_sums
+        phases = np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi)
+        # an eigenphase phi of C is twice a principal angle psi between the two
+        # subspaces, up to sign mod 2pi, and [Q | F2] has singular values
+        # sqrt(1 -+ cos psi); the smallest is sqrt(2) sin(psi / 2)
+        psi = np.min(np.minimum(phases / 2.0, np.pi - phases / 2.0), axis=1)
+        return np.sqrt(2.0) * np.sin(psi / 2.0), dets, np.sum(phases, axis=1)
 
 
 def eigen_detector(fam, lam: float, mu: float) -> float:
     """Smallest singular value of the shooting detector; zero on the spectrum."""
-    svals = fam.detector_batch(lam, [mu])[0]
-    return float(svals[0, -1])
+    return float(fam.detector_batch(lam, [mu])[0][0])
 
 
 @dataclass(frozen=True)
@@ -253,8 +257,7 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     step = min(np.pi / 8.0, np.pi / (4.0 * fam.n)) / (1.0 + min(fam.s_norm, 3.0))
     npts = max(9, int(np.ceil((mu_max - mu_min) / step)) + 1)
     grid = np.linspace(mu_min, mu_max, npts)
-    svals, dets, sums = fam.detector_batch(lam, grid)
-    g = svals[:, -1]
+    g, dets, sums = fam.detector_batch(lam, grid)
 
     for idx in (0, -1):
         if g[idx] <= 10 * tol:
@@ -276,8 +279,8 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
             k = narrow[0]
             raise mismatch(grid[k], grid[k + 1], "arg det C does not decrease")
         mids = 0.5 * (grid[bad] + grid[bad + 1])
-        sv, dm, sm = fam.detector_batch(lam, mids)
-        grid, g = np.insert(grid, bad + 1, mids), np.insert(g, bad + 1, sv[:, -1])
+        gm, dm, sm = fam.detector_batch(lam, mids)
+        grid, g = np.insert(grid, bad + 1, mids), np.insert(g, bad + 1, gm)
         dets, sums = np.insert(dets, bad + 1, dm), np.insert(sums, bad + 1, sm)
 
     # certificate: between scan points off the spectrum, an odd count and a
@@ -349,7 +352,8 @@ class SpectralFlowResult:
 
 
 def _choose_epsilon(values_a: np.ndarray, values_b: np.ndarray, motion: float):
-    """An eigenvalue-free threshold in (0, pi/4] with margin above the motion.
+    """An eigenvalue-free threshold in (0, pi/4] with margin above the motion
+    by more than _EPS_SLACK.
 
     Walls are the absolute eigenvalue positions up to pi/4 plus the reach of
     one admissible step, so a branch just outside the window cannot sneak
@@ -367,7 +371,7 @@ def _choose_epsilon(values_a: np.ndarray, values_b: np.ndarray, motion: float):
         margin = min(eps - a, b - eps)
         if best is None or margin > best[1]:
             best = (eps, margin)
-    if best is None or best[1] <= max(motion, 1e-3):
+    if best is None or best[1] <= max(motion + _EPS_SLACK, 1e-3):
         return None
     return best
 

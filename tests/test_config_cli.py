@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import maslovflow.cli as cli
+import maslovflow.hamiltonian as hamiltonian
 from maslovflow.cli import _VERIFY_CHOICES, main
 from maslovflow.config import ConfigError, parse_config
 
@@ -16,6 +17,18 @@ GAMMA_NOR_CFG = {
     "solver": {"steps": 256, "tol": 1e-8, "max_depth": 40, "mu_window": [-3.04, 3.04]},
     "seed": 0,
     "lambda_grid": 21,
+}
+
+IDENTITY_CFG = {
+    **GAMMA_NOR_CFG,
+    "family": {
+        "coefficients": [
+            [[[0.4, 0.1], [0.1, -0.3]]],
+            [[[0.6, 0.0], [0.0, 0.6]]],
+        ]
+    },
+    "alpha": [[0.0, 0.5], [1.0, 0.0]],
+    "beta": [[0.0, 0.5], [1.0, 1.0]],
 }
 
 PRIME_CFG = {
@@ -209,16 +222,7 @@ def test_cli_verify_clm_with_config(tmp_path, capsys):
 
 
 def test_cli_verify_configured_identities(tmp_path, capsys):
-    cfg = dict(GAMMA_NOR_CFG)
-    cfg["family"] = {
-        "coefficients": [
-            [[[0.4, 0.1], [0.1, -0.3]]],
-            [[[0.6, 0.0], [0.0, 0.6]]],
-        ]
-    }
-    cfg["alpha"] = [[0.0, 0.5], [1.0, 0.0]]
-    cfg["beta"] = [[0.0, 0.5], [1.0, 1.0]]
-    path = _write(tmp_path, "inst.json", cfg)
+    path = _write(tmp_path, "inst.json", IDENTITY_CFG)
 
     assert main(["verify", "hamiltonian", "--config", path]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -249,18 +253,25 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
 
     for name in ("maslov_pair", "spectral_flow", "spectrum_window"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    for name in ("maslov_pair", "spectral_flow"):
+        monkeypatch.setattr(hamiltonian, name, spy(getattr(hamiltonian, name)))
     cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
-    expected = {
-        "sflow": {("spectral_flow", 1e-9, 30)},
-        "spectra": {("spectrum_window", 1e-9, None)},
-        "verify": {("maslov_pair", 1e-9, 30), ("spectral_flow", 1e-9, 30)},
-    }
-    for argv in (["sflow"], ["spectra"], ["verify", "clm"]):
+    identity = _write(tmp_path, "b.json", IDENTITY_CFG)
+    both = {("maslov_pair", 1e-9, 30), ("spectral_flow", 1e-9, 30)}
+    cases = [
+        (["sflow"], cfg, {("spectral_flow", 1e-9, 30)}),
+        (["spectra"], cfg, {("spectrum_window", 1e-9, None)}),
+        (["verify", "clm"], cfg, both),
+    ] + [(["verify", which], identity, both) for which in ("hamiltonian", "three-term", "alpha-beta", "morse")]
+    for argv, path, expected in cases:
         calls.clear()
         out = str(tmp_path / "r.json")
-        assert main(argv + ["--config", cfg, "--tol", "1e-9", "--max-depth", "30", "--out", out]) == 0
-        assert set(calls) == expected[argv[0]]
-        assert json.load(open(out))["tolerances"]["tol"] == 1e-9
+        assert main(argv + ["--config", path, "--tol", "1e-9", "--max-depth", "30", "--out", out]) == 0
+        assert set(calls) == expected, argv
+        report = json.load(open(out))
+        assert report["inputs"]["solver"]["tol"] == 1e-9
+        if path == cfg:
+            assert report["tolerances"]["tol"] == 1e-9
     capsys.readouterr()
 
 

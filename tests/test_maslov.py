@@ -28,6 +28,7 @@ from maslovflow import (
     perturbation_theta,
     souriau,
     spectral_flow,
+    UnitaryDiagonalPath,
     UnresolvedCrossing,
 )
 from maslovflow import maslov
@@ -131,6 +132,55 @@ def test_crossing_sum_matches_index_randomized():
         assert all(1 <= r.multiplicity <= n for r in records)
 
 
+def _exact_crossings(phases):
+    """(lambda*, sign) of every pass of a piecewise-linear phase through a
+    multiple of pi: the crossings of diag(e^{i theta}) R^n x {0} with R^n x {0}."""
+    out = []
+    for p in phases:
+        for x0, x1, y0, y1 in zip(p.xs[:-1], p.xs[1:], p.ys[:-1], p.ys[1:]):
+            ks = np.arange(np.floor(min(y0, y1) / np.pi) + 1, np.floor(max(y0, y1) / np.pi) + 1)
+            for k in ks:
+                out.append((x0 + (k * np.pi - y0) / (y1 - y0) * (x1 - x0), 1 if y1 > y0 else -1))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unitary_diagonal_pair_index_closed_form(n):
+    # oracle: the eigenphases of C = W(gamma) are 2 theta_j, so the index is
+    # sum_j floor(theta_j(1)/pi) - floor(theta_j(0)/pi); equal phases give
+    # n-fold simultaneous crossings
+    rng = np.random.default_rng(100 + n)
+    L0 = ConstantPath(l0_frame(n))
+    for equal in (False, False, True):
+        phases = []
+        for j in range(n):
+            if equal and j > 0:
+                phases.append(phases[0])
+                continue
+            xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]])
+            phases.append(PiecewiseLinear(xs, rng.uniform(-2.5 * np.pi, 2.5 * np.pi, xs.size)))
+        g = UnitaryDiagonalPath(phases)
+        expected = sum(int(np.floor(p(1.0) / np.pi) - np.floor(p(0.0) / np.pi)) for p in phases)
+        records = crossing_list(g, L0)
+        assert maslov_pair(g, L0) == expected
+        assert sum(r.sign * r.multiplicity for r in records) == expected
+        # clusters of opposite crossings that cancel are not emitted; every
+        # record sits at an exact crossing of its sign
+        exact = _exact_crossings(phases)
+        assert records
+        for rec in records:
+            assert any(abs(rec.lambda_star - lam) <= 1e-6 and rec.sign == sign for lam, sign in exact)
+            assert (rec.multiplicity == n) if equal else (1 <= rec.multiplicity <= n)
+
+
+def test_unitary_diagonal_pair_index_many_phases_moving_together():
+    # 40 eigenphases moving the same way: the segment cap shrinks with n so
+    # that their joint motion stays below pi and the winding stays exact
+    n = 40
+    phases = [PiecewiseLinear.linear(0.3 + 1e-3 * j, 0.3 + 1e-3 * j + 7 * np.pi) for j in range(n)]
+    assert maslov_pair(UnitaryDiagonalPath(phases), ConstantPath(l0_frame(n))) == 7 * n
+
+
 def test_maslov_pair_propagates_errors_other_than_unresolved_crossing(monkeypatch):
     # only an exhausted bisection depth may fall back to a rotated pair; any
     # other RuntimeError inside the counter is a bug and must surface
@@ -138,10 +188,10 @@ def test_maslov_pair_propagates_errors_other_than_unresolved_crossing(monkeypatc
         raise RuntimeError("bug inside the counter")
 
     def no_fallback(*args, **kwargs):
-        raise AssertionError("perturbation_theta must not be called")
+        raise AssertionError("the regularization fallback must not be called")
 
     monkeypatch.setattr(maslov._PairCounter, "count", broken_count)
-    monkeypatch.setattr(maslov, "perturbation_theta", no_fallback)
+    monkeypatch.setattr(maslov, "_regularized", no_fallback)
     with pytest.raises(RuntimeError, match="bug inside the counter"):
         maslov_pair(gamma_nor(1), ConstantPath(l1_frame(1)))
 

@@ -108,6 +108,25 @@ def test_eigen_detector_transversal_constant_pair():
     assert eigen_detector(fam, 0.37, 0.0) > 0.1
 
 
+def test_detector_matches_smallest_singular_value_of_the_stacked_frames():
+    # oracle: the SVD of [orthonormal basis of Phi gamma_1 | frame of gamma_2]
+    rng = np.random.default_rng(8)
+    for i in range(12):
+        n = 1 + i % 3
+        g1, g2 = random_pair(rng, n)
+        S = None if i % 2 == 0 else random_symmetric_family(rng, n, 2, 1 + i % 3 // 2, 1.5)
+        fam = BoundaryValueFamily(g1, g2, S, steps=64)
+        lam = float(rng.uniform(0.0, 1.0))
+        mus = np.linspace(-4.0, 4.0, 40)
+        g = fam.detector_batch(lam, mus)[0]
+        assert g.shape == mus.shape
+        F1, F2 = g1.frame(lam).F, g2.frame(lam).F
+        for mu, got in zip(mus, g):
+            Q = np.linalg.qr(fam.transfer(lam, mu) @ F1)[0]
+            expected = np.linalg.svd(np.hstack([Q, F2]), compute_uv=False)[-1]
+            assert abs(got - expected) <= 1e-14
+
+
 def test_spectrum_window_reference_n1():
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     w = spectrum_window(fam, 0.0, -np.pi + 1e-3, np.pi - 1e-3)
@@ -183,9 +202,9 @@ def test_spectrum_window_count_certificate_rejects_a_flipped_determinant():
     # with the parity of the eigenphase count
     class Flipped(BoundaryValueFamily):
         def detector_batch(self, lam, mus):
-            svals, dets, sums = super().detector_batch(lam, mus)
+            g, dets, sums = super().detector_batch(lam, mus)
             at = np.isclose(np.atleast_1d(mus), 0.5, rtol=0.0, atol=1e-12)
-            return svals, np.where(at, -dets, dets), sums
+            return g, np.where(at, -dets, dets), sums
 
     fam = Flipped(gamma_nor(1), ConstantPath(l1_frame(1)))
     assert spectrum_window(BoundaryValueFamily(fam.gamma1, fam.gamma2), 0.3, -1.0, 1.0).eigenvalues
@@ -270,6 +289,20 @@ def test_spectral_flow_partition_independence():
     assert coarse.value == fine.value == 1
     assert coarse.partition[0] == 0.0 and coarse.partition[-1] == 1.0
     assert all(e > 0 for e in coarse.epsilons)
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (gamma_nor(1), ConstantPath(l1_frame(1))),
+    (ConstantPath(l0_frame(1)), gamma_nor_prime(1)),
+])
+def test_spectral_flow_partition_does_not_depend_on_rounding(g1, g2):
+    # on these pairs a subinterval has margin equal to motion (pi/16) exactly,
+    # so without a slack eigenvalue errors of 1e-11 decide its refinement
+    fam = BoundaryValueFamily(g1, g2)
+    coarse = spectral_flow(fam, tol=1e-8)
+    fine = spectral_flow(fam, tol=1e-10)
+    assert coarse.partition == fine.partition
+    assert coarse.epsilons == pytest.approx(fine.epsilons, abs=1e-7)
 
 
 def test_spectral_flow_shifted_reference():
