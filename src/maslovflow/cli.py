@@ -209,12 +209,14 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
         if configured:
             report = clm_hamiltonian(family, cfg.path1(), cfg.path2(), steps=steps, **solver)
             report.inputs = cfg.to_dict()
+            report.tolerances["tol"] = cfg.solver.tol
         else:
             report = hamiltonian_suite(count=count or 25, seed=seed, steps=steps)
     elif which == "three-term":
         if configured:
             report = three_term_identity(family, cfg.path1(), cfg.path2(), steps=steps, **solver)
             report.inputs = cfg.to_dict()
+            report.tolerances["tol"] = cfg.solver.tol
         else:
             report = three_term_suite(count=count or 25, seed=seed, steps=steps)
     elif which == "alpha-beta":
@@ -223,12 +225,14 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
                 family, cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, steps=steps, **solver
             )
             report.inputs = cfg.to_dict()
+            report.tolerances["tol"] = cfg.solver.tol
         else:
             report = alpha_beta_suite(count=count or 25, seed=seed, steps=steps)
     elif which == "morse":
         if cfg.family is not None:
             report = morse_index_formula(cfg.family, steps=steps, **solver)
             report.inputs = cfg.to_dict()
+            report.tolerances["tol"] = cfg.solver.tol
         else:
             report = morse_suite(count=count or 5, seed=seed, steps=steps)
     elif which == "axioms":

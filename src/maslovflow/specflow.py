@@ -6,16 +6,18 @@ Phi_{lambda,mu}(1) gamma_1(lambda) meets gamma_2(lambda).  For S identically
 zero the transfer matrix is the closed-form rotation exp(-mu J), and for
 t-independent S it is one matrix exponential per mu, so those spectra carry no
 RK4 error.  Otherwise Phi(1) is the ordered product of the RK4 one-step
-propagators (see propagator.py): all steps are built at once for a small chunk
-of mu values and multiplied pairwise in log depth, the same arithmetic as
-stepping, reassociated.
+propagators (see propagator.py).  Each is a polynomial of degree 4 in mu whose
+coefficients are built once per lambda; the steps for a chunk of mu values are
+one matrix product with the mu-powers, multiplied pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
 taken in [0, 2pi) jumps by 2pi per eigenvalue.  Detector evaluations are
-batched over mu; every scan interval that holds eigenvalues is bisected on the
-count, and the count's parity is checked against the sign changes of a smooth
-determinant that vanishes on the spectrum.
+batched over mu.  Every scan interval that holds eigenvalues is narrowed with
+the count as bracket invariant: by Illinois secant steps (Dowell & Jarratt
+1971) on a smooth determinant that vanishes on the spectrum where an interval
+holds one eigenvalue and the determinant changes sign, by halving otherwise.
+The count's parity is checked against that determinant's sign changes.
 
 The spectral flow follows the partition definition: on each parameter
 subinterval an eigenvalue-free threshold epsilon is chosen and the counts of
@@ -34,7 +36,7 @@ import scipy.linalg
 
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
-from .propagator import ordered_product, rk4_step_propagators
+from .propagator import ordered_product, rk4_step_coefficients, rk4_steps_at
 from .symplectic import gap_distance, norm2, souriau, standard_J, subspace_frame
 
 MU_TOL = 1e-10
@@ -48,10 +50,18 @@ _EPS_SLACK = 1e-6
 _ZERO_TOL = 1e-9
 DEFAULT_STEPS = 256
 MAX_DEPTH = 40
-# mu values propagated together: at 256 steps and n = 2, chunks of 4 beat 2, 8
-# and 16 for batches of 8-250 mu (2-vCPU Xeon, 4 MB L2, one BLAS thread: 250 mu
-# in 24 ms against 30-42 ms); 4 mu keep the step arrays near 1 MB in total
-_MU_CHUNK = 4
+# mu values propagated together: with the steps built as one matrix product
+# from the coefficients, chunks of 16 matched or beat 4, 8, 32 and the whole
+# batch for batches of 2-250 mu at 256 steps, n = 1 and 2 (2-vCPU Xeon, 4 MB
+# L2, one BLAS thread: 250 mu at n = 2 in 3.2 ms against 7.6 ms for chunks of
+# 4 and 4.4 ms for the whole batch); 16 mu keep the steps near 0.5 MB at n = 2
+_MU_CHUNK = 16
+# rows of the bracket table of the eigenvalue locator in spectrum_window, one
+# column per bracket: its ends, its eigenvalue count, the eigenphase sum at
+# lo, the (Illinois-scaled) determinant at both ends, the end the last secant
+# step kept (-1 lo, 1 hi, 0 neither), and 1 once two probes tol apart caught
+# its eigenvalue
+_LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT = range(8)
 # equal widening of both window edges per retry in _clean_windows
 _EDGE_NUDGE = 0.0137
 
@@ -70,7 +80,8 @@ class _Slice:
     """Everything the detector needs at one lambda, built once per lambda.
 
     coeff is None for S = 0, the generator J S(lambda, 0) for t-independent
-    S, and the RK4 coefficient samples (nodes, mids, h) otherwise.
+    S, and otherwise the coefficients (5, steps, 2n, 2n) of the RK4 step
+    propagators as polynomials in mu (see rk4_step_coefficients).
     """
 
     F1: np.ndarray
@@ -79,13 +90,13 @@ class _Slice:
     coeff: object
 
 
-def _rk4_transfer_batch(nodes, mids, mus, J, h):
-    """Propagate Phi' = (JS(t) - mu J) Phi from identity, batched over mu."""
+def _rk4_transfer_batch(C, mus):
+    """Propagate Phi' = (JS(t) - mu J) Phi from identity, batched over mu, from
+    the coefficients C of the RK4 step propagators as polynomials in mu."""
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out = np.empty((len(mus),) + J.shape)
+    out = np.empty((len(mus),) + C.shape[-2:])
     for s in range(0, len(mus), _MU_CHUNK):
-        muJ = mus[s : s + _MU_CHUNK, None, None, None] * J
-        out[s : s + _MU_CHUNK] = ordered_product(rk4_step_propagators(nodes - muJ, mids - muJ, h))
+        out[s : s + _MU_CHUNK] = ordered_product(rk4_steps_at(C, mus[s : s + _MU_CHUNK]))
     return out
 
 
@@ -104,7 +115,7 @@ def transfer_matrix(S_of_t, n: int, mu: float, steps: int = DEFAULT_STEPS) -> np
     ts = np.linspace(0.0, 1.0, steps + 1)
     nodes = np.array([J @ S_of_t(t) for t in ts])
     mids = np.array([J @ S_of_t(t + 0.5 * h) for t in ts[:-1]])
-    return _rk4_transfer_batch(nodes, mids, [mu], J, h)[0]
+    return _rk4_transfer_batch(rk4_step_coefficients(nodes, mids, h, -J), [mu])[0]
 
 
 class BoundaryValueFamily:
@@ -126,7 +137,11 @@ class BoundaryValueFamily:
         self.S = None if (S is None or S.is_zero()) else S
         self.steps = steps
         self._J = standard_J(self.n)
-        self._slices: dict[float, _Slice] = {}
+        # only the latest lambda's slice is kept: the detector is called for
+        # one lambda at a time (a window), spectral_flow caches the windows,
+        # and a slice holds the five RK4 coefficient arrays (164 KB at 256
+        # steps and n = 2), too much to keep for every lambda ever seen
+        self._last: tuple | None = None
         self._t_const = self.S is not None and getattr(self.S, "t_independent", lambda: False)()
         if self.S is not None:
             for lam in (0.0, 0.5, 1.0):
@@ -150,8 +165,7 @@ class BoundaryValueFamily:
         )
 
     def _slice(self, lam: float) -> _Slice:
-        got = self._slices.get(lam)
-        if got is None:
+        if self._last is None or self._last[0] != lam:
             if self.S is None:
                 coeff = None
             elif self._t_const:
@@ -159,11 +173,11 @@ class BoundaryValueFamily:
             else:
                 h = 1.0 / self.steps
                 ts = np.linspace(0.0, 1.0, self.steps + 1)
-                coeff = (self._J @ self.S(lam, ts), self._J @ self.S(lam, ts[:-1] + 0.5 * h), h)
+                nodes, mids = self._J @ self.S(lam, ts), self._J @ self.S(lam, ts[:-1] + 0.5 * h)
+                coeff = rk4_step_coefficients(nodes, mids, h, -self._J)
             L2 = self.gamma2.frame(lam)
-            got = _Slice(self.gamma1.frame(lam).F, L2.F, souriau(L2).W.conj(), coeff)
-            self._slices[lam] = got
-        return got
+            self._last = (lam, _Slice(self.gamma1.frame(lam).F, L2.F, souriau(L2).W.conj(), coeff))
+        return self._last[1]
 
     def _transfer_batch(self, lam: float, mus: np.ndarray) -> np.ndarray:
         if self.S is None:
@@ -173,8 +187,7 @@ class BoundaryValueFamily:
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
             return scipy.linalg.expm(coeff - mus[:, None, None] * self._J)
-        nodes, mids, h = coeff
-        return _rk4_transfer_batch(nodes, mids, mus, self._J, h)
+        return _rk4_transfer_batch(coeff, mus)
 
     def transfer(self, lam: float, mu: float) -> np.ndarray:
         return self._transfer_batch(lam, np.atleast_1d(float(mu)))[0]
@@ -244,9 +257,14 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     arg det C changes by less than pi per scan interval; an interval whose
     wrapped change is not negative is halved.  The number of eigenvalues in
     each interval is the winding of the eigenphase sum.  Every interval that
-    holds eigenvalues is bisected on that count to width tol, splitting
-    wherever both halves hold eigenvalues; each final midpoint is reported
-    with its count as multiplicity, and points closer than 1e-7 are merged.
+    holds eigenvalues is narrowed to width tol with that count deciding each
+    new bracket: one that holds a single eigenvalue across a sign change of
+    the determinant takes Illinois secant steps on the determinant, probed at
+    x -+ tol/2, while the iterations left still let plain halving finish;
+    every other bracket is halved, splitting wherever both halves hold
+    eigenvalues.  No window takes more than twice the levels of plain
+    bisection.  Each final midpoint is reported with its count as
+    multiplicity, and points closer than 1e-7 are merged.
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
     EigenvalueCountMismatch is raised.  Window endpoints must not be
@@ -294,29 +312,56 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
         i, j = clean[wrong[0]], clean[wrong[0] + 1]
         raise mismatch(grid[i], grid[j], "eigenvalue count parity contradicts the determinant")
 
-    # each level halves every bracket, so all end no wider than tol
+    # Each iteration cuts every bracket wider than tol and keeps the parts
+    # that hold eigenvalues: a secant bracket into lower, inner and upper
+    # parts at the probes p = x - tol/2 and q = x + tol/2, any other at its
+    # midpoint p = q.  An end kept by two secant steps in a row has its f
+    # halved (Illinois).  A secant step is taken only while the iterations
+    # left after it would still let halving alone reach tol.
     live = counts > 0
-    lo, hi, cnt, s_lo = grid[:-1][live], grid[1:][live], counts[live], sums[:-1][live]
-    levels = int(np.ceil(np.log2(max(np.max(hi - lo, initial=0.0), tol) / tol)))
-    for _ in range(levels):
-        mid = 0.5 * (lo + hi)
-        s_mid = fam.detector_batch(lam, mid)[2]
-        left = _count(s_lo, s_mid)[0]
-        right = cnt - left
-        bad = (left < 0) | (right < 0)
+    b = np.zeros((8, np.count_nonzero(live)))
+    b[_LO], b[_HI], b[_CNT], b[_S_LO] = grid[:-1][live], grid[1:][live], counts[live], sums[:-1][live]
+    b[_F_LO], b[_F_HI] = dets[:-1][live], dets[1:][live]
+    levels = int(np.ceil(np.log2(max(np.max(b[_HI] - b[_LO], initial=0.0), tol) / tol)))
+    finished = []
+    for it in range(2 * levels):
+        width = b[_HI] - b[_LO]
+        over = (b[_CAUGHT] > 0) | (width <= tol)
+        finished.append(b[:, over])
+        b, width = b[:, ~over], width[~over]
+        if not b.shape[1]:
+            break
+        lo, hi, f_lo, f_hi = b[_LO], b[_HI], b[_F_LO], b[_F_HI]
+        halvings = np.ceil(np.log2(width / tol))
+        sec = (b[_CNT] == 1) & (f_lo * f_hi < 0) & (width > 4.0 * tol) & (halvings < 2 * levels - it)
+        x = 0.5 * (lo + hi)
+        x[sec] = np.clip(
+            lo[sec] + width[sec] * f_lo[sec] / (f_lo[sec] - f_hi[sec]), lo[sec] + tol, hi[sec] - tol
+        )
+        p, q = np.where(sec, x - 0.5 * tol, x), np.where(sec, x + 0.5 * tol, x)
+        _, d, s = fam.detector_batch(lam, np.concatenate([p, q[sec]]))
+        d_p, s_p = d[: p.size], s[: p.size]
+        d_q, s_q = d_p.copy(), s_p.copy()
+        d_q[sec], s_q[sec] = d[p.size :], s[p.size :]
+        n1, n2 = _count(b[_S_LO], s_p)[0], _count(s_p, s_q)[0]
+        n3 = b[_CNT] - n1 - n2
+        bad = (n1 < 0) | (n2 < 0) | (n3 < 0)
         if bad.any():
             k = np.argmax(bad)
-            raise mismatch(lo[k], hi[k], "halves do not add up to the count")
-        split = (left > 0) & (right > 0)
-        if split.any():  # a copy of each split bracket takes its right half
-            lo, hi, s_lo, mid, s_mid, right = (
-                np.append(x, x[split]) for x in (lo, hi, s_lo, mid, s_mid, right)
-            )
-            left = np.append(left, np.zeros(np.count_nonzero(split), dtype=int))
-        go_left = left > 0
-        lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
-        s_lo, cnt = np.where(go_left, s_lo, s_mid), np.where(go_left, left, right)
+            raise mismatch(lo[k], hi[k], "parts do not add up to the count")
+        parts = np.repeat(b[:, None], 3, axis=1)
+        lower, inner, upper = parts[:, 0], parts[:, 1], parts[:, 2]
+        lower[_HI], lower[_CNT], lower[_F_HI] = p, n1, d_p
+        lower[_F_LO] *= np.where(sec & (b[_KEPT] == -1), 0.5, 1.0)
+        lower[_KEPT] = np.where(sec, -1.0, 0.0)
+        inner[_LO], inner[_HI], inner[_CNT], inner[_S_LO] = p, q, n2, s_p
+        inner[_F_LO], inner[_F_HI], inner[_KEPT], inner[_CAUGHT] = d_p, d_q, 0.0, 1.0
+        upper[_LO], upper[_CNT], upper[_S_LO], upper[_F_LO] = q, n3, s_q, d_q
+        upper[_F_HI] *= np.where(sec & (b[_KEPT] == 1), 0.5, 1.0)
+        upper[_KEPT] = np.where(sec, 1.0, 0.0)
+        b = parts[:, np.array([n1, n2, n3]) > 0]
 
+    lo, hi, cnt = np.concatenate(finished + [b], axis=1)[[_LO, _HI, _CNT]]
     order = np.argsort(lo)
     eigenvalues = []
     last = -np.inf

@@ -270,8 +270,7 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
         assert set(calls) == expected, argv
         report = json.load(open(out))
         assert report["inputs"]["solver"]["tol"] == 1e-9
-        if path == cfg:
-            assert report["tolerances"]["tol"] == 1e-9
+        assert report["tolerances"]["tol"] == 1e-9
     capsys.readouterr()
 
 

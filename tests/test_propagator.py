@@ -2,9 +2,11 @@
 
 Shooting (transfer_matrix, BoundaryValueFamily) and the Maslov side of the
 Hamiltonian identities (fundamental_solution, FundamentalSolution.at) build
-their solutions from the same one-step propagators, so those are checked
-against code that is not maslovflow: scipy's DOP853 integrator and a plain
-RK4 loop that lives only in this file.
+their solutions from the same RK4 stage formulas: shooting from the
+propagators' coefficients as polynomials in mu, fundamental solutions from the
+propagators themselves.  Both are checked against code that is not
+maslovflow: scipy's DOP853 integrator and a plain RK4 loop that lives only in
+this file.
 """
 
 import numpy as np
@@ -22,7 +24,13 @@ from maslovflow import (
     standard_J,
     transfer_matrix,
 )
-from maslovflow.propagator import ordered_product, prefix_products
+from maslovflow.propagator import (
+    ordered_product,
+    prefix_products,
+    rk4_step_coefficients,
+    rk4_step_propagators,
+    rk4_steps_at,
+)
 
 
 def _family(n: int, seed: int) -> SymmetricFamily:
@@ -82,6 +90,40 @@ def test_transfer_matrix_against_solve_ivp_and_loop(n, steps):
         Phi = transfer_matrix(lambda t: S(lam, t), n, mu, steps=steps)
         exact = _solve_ivp_flow(K, 2 * n, [1.0])[-1]
         assert _rel(Phi, exact) < _rk4_bound(steps)
+        assert _rel(Phi, _loop_rk4(K, 2 * n, steps)[-1]) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [100, 257])
+def test_step_coefficients_match_step_propagators(n, steps):
+    # P_k(mu) = sum_j C_kj mu^j is the RK4 propagator of K(t) - mu J
+    S = _family(n, seed=40 + n)
+    J = standard_J(n)
+    h = 1.0 / steps
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    nodes, mids = J @ S(0.45, ts), J @ S(0.45, ts[:-1] + 0.5 * h)
+    C = rk4_step_coefficients(nodes, mids, h, -J)
+    assert C.shape == (5, steps, 2 * n, 2 * n)
+    assert np.array_equal(C[0], rk4_step_propagators(nodes, mids, h))
+    assert _rel(C[4], np.broadcast_to(h**4 / 24.0 * np.eye(2 * n), C[4].shape)) < 1e-15
+    mus = np.random.default_rng(steps + n).uniform(-12.0, 12.0, size=7)
+    for mu, P in zip(mus, rk4_steps_at(C, mus)):
+        assert _rel(P, rk4_step_propagators(nodes - mu * J, mids - mu * J, h)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [100, 257])
+def test_shooting_batch_against_solve_ivp(n, steps):
+    # BoundaryValueFamily shoots from the coefficients of its lambda slice;
+    # |mu| stays in the range the error bound was set for
+    S = _family(n, seed=50 + n)
+    J = standard_J(n)
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S, steps=steps)
+    lam = 0.25
+    mus = np.array([-2.9, -0.3, 1.1, 2.7])
+    for mu, Phi in zip(mus, fam._transfer_batch(lam, mus)):
+        K = lambda t: J @ S(lam, t) - mu * J  # noqa: E731
+        assert _rel(Phi, _solve_ivp_flow(K, 2 * n, [1.0])[-1]) < _rk4_bound(steps)
         assert _rel(Phi, _loop_rk4(K, 2 * n, steps)[-1]) < 1e-13
 
 

@@ -196,6 +196,76 @@ def test_spectrum_window_matches_eigenphase_oracle_at_zero_potential():
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-9
 
 
+def _t_dependent_family(n: int, seed: int) -> SymmetricFamily:
+    rng = np.random.default_rng(seed)
+    return SymmetricFamily(rng.normal(size=(2, 4, 2 * n, 2 * n)) * 0.6)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("potential", [False, True])
+def test_spectrum_window_locates_simple_eigenvalues_in_few_detector_calls(n, potential, monkeypatch):
+    # simple eigenvalues take secant steps: a window costs a dozen batched
+    # detector calls at most, where bisection on the count alone needs one
+    # scan and about 30 levels to reach tol = 1e-10 from a scan interval
+    calls = []
+    batch = BoundaryValueFamily.detector_batch
+
+    def spy(self, lam, mus):
+        calls.append(np.size(mus))
+        return batch(self, lam, mus)
+
+    monkeypatch.setattr(BoundaryValueFamily, "detector_batch", spy)
+    S = _t_dependent_family(n, seed=5) if potential else None
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S)
+    found = 0
+    for lam in np.linspace(0.05, 0.95, 7):
+        calls.clear()
+        window = spectrum_window(fam, float(lam), -1.45, 1.45)
+        assert len(calls) <= 12, (lam, calls)
+        assert all(m == 1 for _, m in window.eigenvalues)
+        found += len(window.eigenvalues)
+        if not potential:  # the branch pi lam - pi/2 alone lies in the window
+            assert len(window.eigenvalues) == 1
+            assert abs(window.eigenvalues[0][0] - (np.pi * lam - np.pi / 2)) <= 1e-10
+        for mu, _ in window.eigenvalues:
+            assert eigen_detector(fam, float(lam), mu) < 1e-8
+    assert found >= 6
+
+
+class _Synthetic:
+    """Detector data of a made-up operator with n = 1: one eigenphase
+    phi(mu) = (r - mu) mod 2pi, so the eigenvalues are r + 2 pi k, each simple,
+    and the signed determinant f(mu) given by the caller."""
+
+    n = 1
+    s_norm = 0.0
+
+    def __init__(self, r, f):
+        self.r, self.f, self.calls = r, f, 0
+
+    def detector_batch(self, lam, mus):
+        self.calls += 1
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        phi = (self.r - mus) % (2.0 * np.pi)
+        psi = np.minimum(phi / 2.0, np.pi - phi / 2.0)
+        return np.sqrt(2.0) * np.sin(psi / 2.0), self.f(mus), phi
+
+
+def test_spectrum_window_secant_stall_still_ends_within_tol():
+    # a flat simple root (f ~ (mu - r)^9) next to a steep one: regula falsi
+    # creeps towards the flat root from one side, so the locator must fall
+    # back to halving and still end within tol, in at most twice the levels
+    # of plain bisection (scan intervals 0.386 wide: 32 levels to 1e-10)
+    r = 0.3
+    steep = r + 2.0 * np.pi
+    fam = _Synthetic(r, lambda mu: (mu - r) ** 9 * np.tanh(50.0 * (mu - steep)))
+    window = spectrum_window(fam, 0.0, -1.0, 7.5)
+    assert [m for _, m in window.eigenvalues] == [1, 1]
+    assert abs(window.eigenvalues[0][0] - r) <= 1e-10
+    assert abs(window.eigenvalues[1][0] - steep) <= 1e-10
+    assert 12 < fam.calls <= 1 + 2 * 32
+
+
 def test_spectrum_window_count_certificate_rejects_a_flipped_determinant():
     # n = 1, S = 0, window (-1, 1): the scan points are -1, -0.75, ..., 1;
     # flipping the determinant's sign at mu = 0.5 makes two runs disagree
