@@ -1,14 +1,17 @@
-"""Command line interface: maslovflow <command> --config <file> [options].
+"""Command line interface: maslovflow <command> [--config <file>] [options].
 
 Commands
     maslov   pair index and crossing list for the configured paths
     sflow    spectral flow of the configured boundary-value family
     spectra  CSV sweep of eigenvalue branches over the lambda grid
-    verify   randomized identity suites (clm, hamiltonian, three-term,
-             alpha-beta, morse, axioms, gap)
+    verify   the configured instance of an identity, or a seeded randomized
+             suite (clm, hamiltonian, three-term, alpha-beta, morse, axioms,
+             gap)
 
-Exit status: 0 when all assertions pass, 1 on an assertion failure, 2 on a
-configuration error.
+Each command accepts only the flags it reads (see README).  Exit status: 0
+when all assertions pass, 1 on an assertion failure, 2 on a configuration
+error, which includes an invalid solver setting and a verify flag that the
+selected check does not read.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, ProblemConfig, parse_config
+from .config import ConfigError, ProblemConfig, SolverSettings, parse_config
 from .families import SymmetricFamily
 from .hamiltonian import (
     alpha_beta_identity,
@@ -39,53 +44,6 @@ from .suites import (
     theorem_suite,
     three_term_suite,
 )
-
-_VERIFY_CHOICES = ("clm", "hamiltonian", "three-term", "alpha-beta", "morse", "axioms", "gap")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="maslovflow",
-        description="Maslov indices and spectral flow of Lagrangian boundary-value problems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON problem configuration")
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--csv", help="write branch data CSV here")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--steps", type=int, help="override solver steps")
-        p.add_argument("--tol", type=float, help="override solver tolerance")
-        p.add_argument("--max-depth", type=int, dest="max_depth",
-                       help="override the refinement depth cap")
-        p.add_argument("--window", type=float, nargs=2, metavar=("MU_MIN", "MU_MAX"),
-                       help="override the eigenvalue window")
-
-    common(sub.add_parser("maslov", help="Maslov index of the configured pair"))
-    common(sub.add_parser("sflow", help="spectral flow of the configured family"))
-    common(sub.add_parser("spectra", help="eigenvalue branches as CSV"))
-    verify = sub.add_parser("verify", help="randomized verification suites")
-    verify.add_argument("which", choices=_VERIFY_CHOICES)
-    verify.add_argument("--count", type=int, help="override the suite instance count")
-    common(verify, config_required=False)
-    return parser
-
-
-def _effective(cfg: ProblemConfig, args) -> ProblemConfig:
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.steps is not None:
-        cfg.solver.steps = args.steps
-    if args.tol is not None:
-        cfg.solver.tol = args.tol
-    if args.max_depth is not None:
-        cfg.solver.max_depth = args.max_depth
-    if args.window is not None:
-        if not args.window[0] < args.window[1]:
-            raise ConfigError("--window: expected MU_MIN < MU_MAX")
-        cfg.solver.mu_window = (args.window[0], args.window[1])
-    return cfg
 
 
 def _emit(report: VerificationReport, args) -> int:
@@ -180,83 +138,145 @@ def cmd_spectra(cfg: ProblemConfig, args) -> int:
     return 0
 
 
+def _family(cfg: ProblemConfig) -> SymmetricFamily:
+    return cfg.family if cfg.family is not None else SymmetricFamily.zero(cfg.n)
+
+
+def _verify_clm(cfg: ProblemConfig, steps: int, tol: float, max_depth: int) -> VerificationReport:
+    g1, g2 = cfg.path1(), cfg.path2()
+    m = maslov_pair(g1, g2, tol=tol, max_depth=max_depth)
+    s = spectral_flow(BoundaryValueFamily(g1, g2, steps=steps), tol=tol, max_depth=max_depth).value
+    return VerificationReport(
+        command="verify-clm", inputs={}, values={"maslov": m, "sfl": s}, passed=m == s,
+        tolerances={"integer_equality": 0},
+    )
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One verify choice.  With a config that sets every field in `needs`,
+    `instance(cfg, **solver)` checks the configured instance and reads
+    --steps, --tol and --max-depth; otherwise the seeded `suite` runs, reads
+    the flags in `suite_reads`, and has `count` instances unless --count or
+    the config's suite.count says otherwise."""
+
+    instance: Callable | None
+    needs: tuple
+    suite: Callable
+    count: int
+    suite_reads: tuple
+
+
+_PATHS = ("gamma1_desc", "gamma2_desc")
+_INSTANCE_READS = ("steps", "tol", "max_depth")
+_VERIFY = {
+    "clm": _Check(_verify_clm, _PATHS, theorem_suite, 25, ("count", "seed")),
+    "hamiltonian": _Check(
+        lambda cfg, **kw: clm_hamiltonian(_family(cfg), cfg.path1(), cfg.path2(), **kw),
+        _PATHS, hamiltonian_suite, 25, ("count", "seed", "steps"),
+    ),
+    "three-term": _Check(
+        lambda cfg, **kw: three_term_identity(_family(cfg), cfg.path1(), cfg.path2(), **kw),
+        _PATHS, three_term_suite, 25, ("count", "seed", "steps"),
+    ),
+    "alpha-beta": _Check(
+        lambda cfg, **kw: alpha_beta_identity(
+            _family(cfg), cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, **kw
+        ),
+        _PATHS + ("alpha", "beta"), alpha_beta_suite, 25, ("count", "seed", "steps"),
+    ),
+    "morse": _Check(
+        lambda cfg, **kw: morse_index_formula(cfg.family, **kw),
+        ("family",), morse_suite, 5, ("count", "seed", "steps"),
+    ),
+    "axioms": _Check(None, (), axiom_suite, 50, ("count", "seed")),
+    "gap": _Check(None, (), gap_suite, 100, ("count", "seed")),
+}
+_VERIFY_CHOICES = tuple(_VERIFY)
+
+
 def cmd_verify(cfg: ProblemConfig, args) -> int:
-    """Dispatch to a configured single instance when paths are given,
-    otherwise to the seeded randomized suite."""
-    which = args.which
-    seed = cfg.seed
-    count = args.count or cfg.suite.get("count")
-    steps = cfg.solver.steps
-    configured = cfg.gamma1_desc is not None and cfg.gamma2_desc is not None
-    family = cfg.family if cfg.family is not None else SymmetricFamily.zero(cfg.n)
-    solver = {"tol": cfg.solver.tol, "max_depth": cfg.solver.max_depth}
-    if which == "clm":
-        if configured:
-            g1, g2 = cfg.path1(), cfg.path2()
-            m = maslov_pair(g1, g2, **solver)
-            fam = BoundaryValueFamily(g1, g2, steps=steps)
-            s = spectral_flow(fam, **solver).value
-            report = VerificationReport(
-                command="verify-clm",
-                inputs=cfg.to_dict(),
-                values={"maslov": m, "sfl": s},
-                passed=m == s,
-                tolerances={"integer_equality": 0, "tol": cfg.solver.tol},
-            )
-        else:
-            report = theorem_suite(count=count or 25, seed=seed)
-    elif which == "hamiltonian":
-        if configured:
-            report = clm_hamiltonian(family, cfg.path1(), cfg.path2(), steps=steps, **solver)
-            report.inputs = cfg.to_dict()
-            report.tolerances["tol"] = cfg.solver.tol
-        else:
-            report = hamiltonian_suite(count=count or 25, seed=seed, steps=steps)
-    elif which == "three-term":
-        if configured:
-            report = three_term_identity(family, cfg.path1(), cfg.path2(), steps=steps, **solver)
-            report.inputs = cfg.to_dict()
-            report.tolerances["tol"] = cfg.solver.tol
-        else:
-            report = three_term_suite(count=count or 25, seed=seed, steps=steps)
-    elif which == "alpha-beta":
-        if configured and cfg.alpha is not None and cfg.beta is not None:
-            report = alpha_beta_identity(
-                family, cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, steps=steps, **solver
-            )
-            report.inputs = cfg.to_dict()
-            report.tolerances["tol"] = cfg.solver.tol
-        else:
-            report = alpha_beta_suite(count=count or 25, seed=seed, steps=steps)
-    elif which == "morse":
-        if cfg.family is not None:
-            report = morse_index_formula(cfg.family, steps=steps, **solver)
-            report.inputs = cfg.to_dict()
-            report.tolerances["tol"] = cfg.solver.tol
-        else:
-            report = morse_suite(count=count or 5, seed=seed, steps=steps)
-    elif which == "axioms":
-        report = axiom_suite(count=count or 50, seed=seed)
-    else:
-        report = gap_suite(count=count or 100, seed=seed)
+    """Check the configured instance when the config carries one, otherwise
+    run the seeded randomized suite; a flag the chosen check does not read is
+    a configuration error."""
+    check = _VERIFY[args.which]
+    configured = check.instance is not None and all(getattr(cfg, f) is not None for f in check.needs)
+    reads = _INSTANCE_READS if configured else check.suite_reads
+    for dest in ("count", "seed", "steps", "tol", "max_depth"):
+        if getattr(args, dest) is not None and dest not in reads:
+            mode = "the configured instance" if configured else "the seeded suite"
+            raise ConfigError(f"--{dest.replace('_', '-')}: not read by {mode} of verify {args.which}")
+    settings = {
+        "count": args.count or cfg.suite.get("count") or check.count,
+        "seed": cfg.seed,
+        "steps": cfg.solver.steps,
+        "tol": cfg.solver.tol,
+        "max_depth": cfg.solver.max_depth,
+    }
+    kwargs = {k: settings[k] for k in reads}
+    if not configured:
+        return _emit(check.suite(**kwargs), args)
+    report = check.instance(cfg, **kwargs)
+    report.inputs = cfg.to_dict()
+    report.tolerances["tol"] = cfg.solver.tol
     return _emit(report, args)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="maslovflow",
+        description="Maslov indices and spectral flow of Lagrangian boundary-value problems",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    flags = {  # the dest of a solver override is its SolverSettings field
+        "--config": dict(help="JSON problem configuration"),
+        "--out": dict(help="write the JSON report here"),
+        "--csv": dict(help="write branch data CSV here"),
+        "--count": dict(type=int, help="override the suite instance count"),
+        "--seed": dict(type=int, help="override the config seed"),
+        "--steps": dict(type=int, help="override solver steps"),
+        "--tol": dict(type=float, help="override solver tolerance"),
+        "--max-depth": dict(type=int, help="override the refinement depth cap"),
+        "--window": dict(type=float, nargs=2, metavar=("MU_MIN", "MU_MAX"), dest="mu_window",
+                         help="override the eigenvalue window"),
+    }
+    commands = (
+        ("maslov", cmd_maslov, "Maslov index of the configured pair",
+         ("--config", "--out", "--tol", "--max-depth")),
+        ("sflow", cmd_sflow, "spectral flow of the configured family",
+         ("--config", "--out", "--csv", "--steps", "--tol", "--max-depth")),
+        ("spectra", cmd_spectra, "eigenvalue branches as CSV",
+         ("--config", "--out", "--csv", "--steps", "--tol", "--window")),
+        ("verify", cmd_verify, "randomized verification suites",
+         ("--config", "--out", "--count", "--seed", "--steps", "--tol", "--max-depth")),
+    )
+    for name, run, help_text, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        if name == "verify":
+            p.add_argument("which", choices=_VERIFY_CHOICES)
+        for flag in options:
+            p.add_argument(flag, required=flag == "--config" and name != "verify", **flags[flag])
+    return parser
+
+
+def _effective(cfg: ProblemConfig, args) -> ProblemConfig:
+    """The config with the CLI overrides applied; solver overrides pass the
+    same check as the config file."""
+    solver = {f.name: getattr(args, f.name, None) for f in fields(SolverSettings)}
+    solver = {k: v for k, v in solver.items() if v is not None}
+    if solver:
+        cfg.solver = replace(cfg.solver, **solver)
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = args.seed
+    return cfg
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = parse_config(args.config)
-        else:
-            cfg = ProblemConfig(n=1)
-        cfg = _effective(cfg, args)
-        if args.command == "maslov":
-            return cmd_maslov(cfg, args)
-        if args.command == "sflow":
-            return cmd_sflow(cfg, args)
-        if args.command == "spectra":
-            return cmd_spectra(cfg, args)
-        return cmd_verify(cfg, args)
+        cfg = parse_config(args.config) if args.config else ProblemConfig(n=1)
+        return args.run(_effective(cfg, args), args)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return 2

@@ -7,12 +7,14 @@ mirror the path classes; see README for the schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .families import SymmetricFamily
+from .maslov import DEFAULT_TOL
 from .paths import (
     ConcatPath,
     ConstantPath,
@@ -28,6 +30,7 @@ from .paths import (
     gamma_nor_prime,
     polynomial_action,
 )
+from .specflow import DEFAULT_STEPS, MAX_DEPTH
 from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame, norm2
 
 
@@ -35,25 +38,54 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass
+def _expect(cond, where, msg):
+    if not cond:
+        raise ConfigError(f"{where}: {msg}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
+@dataclass(frozen=True)
 class SolverSettings:
-    steps: int = 256
-    tol: float = 1e-8
-    max_depth: int = 40
+    """Solver settings of a problem; every way of setting them (the library
+    defaults, a config file, a CLI override through dataclasses.replace)
+    passes the same check, which raises ConfigError naming the field."""
+
+    steps: int = DEFAULT_STEPS
+    tol: float = DEFAULT_TOL
+    max_depth: int = MAX_DEPTH
     mu_window: tuple = (-np.pi + 0.1, np.pi - 0.1)
+
+    def __post_init__(self):
+        _expect(_is_int(self.steps) and self.steps >= 16, "solver.steps",
+                f"must be an integer >= 16, got {self.steps!r}")
+        _expect(_is_real(self.tol) and self.tol > 0, "solver.tol",
+                f"must be a positive number, got {self.tol!r}")
+        _expect(_is_int(self.max_depth) and self.max_depth >= 0, "solver.max_depth",
+                f"must be an integer >= 0, got {self.max_depth!r}")
+        window = self.mu_window
+        _expect(
+            isinstance(window, (list, tuple)) and len(window) == 2
+            and all(_is_real(x) for x in window) and window[0] < window[1],
+            "solver.mu_window",
+            f"must be [mu_min, mu_max] with mu_min < mu_max, got {window!r}",
+        )
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "mu_window", (float(window[0]), float(window[1])))
 
     def to_dict(self):
         return {
             "steps": self.steps,
             "tol": self.tol,
             "max_depth": self.max_depth,
-            "mu_window": [float(self.mu_window[0]), float(self.mu_window[1])],
+            "mu_window": list(self.mu_window),
         }
-
-
-def _expect(cond, where, msg):
-    if not cond:
-        raise ConfigError(f"{where}: {msg}")
 
 
 def _parse_frame(spec, n: int, where: str) -> LagrangianFrame:
@@ -208,22 +240,10 @@ def parse_config(data) -> ProblemConfig:
     n = data.get("n")
     _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
 
-    solver_in = SolverSettings().to_dict()
-    solver_in.update(data.get("solver", {}))
-    _expect(isinstance(solver_in["steps"], int) and solver_in["steps"] >= 16, "solver.steps",
-            "must be an integer >= 16")
-    window = solver_in["mu_window"]
-    _expect(
-        isinstance(window, (list, tuple)) and len(window) == 2 and window[0] < window[1],
-        "solver.mu_window",
-        "must be [mu_min, mu_max] with mu_min < mu_max",
-    )
-    solver = SolverSettings(
-        steps=int(solver_in["steps"]),
-        tol=float(solver_in["tol"]),
-        max_depth=int(solver_in["max_depth"]),
-        mu_window=(float(window[0]), float(window[1])),
-    )
+    solver_in = data.get("solver", {})
+    _expect(isinstance(solver_in, dict), "solver", "must be an object")
+    solver = SolverSettings(**{f.name: solver_in[f.name] for f in fields(SolverSettings)
+                               if f.name in solver_in})
 
     family = None
     if "family" in data and data["family"] is not None:

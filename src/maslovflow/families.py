@@ -60,15 +60,10 @@ class SymmetricFamily:
         t_pows = t[..., None] ** np.arange(self.coeffs.shape[1])
         return np.tensordot(t_pows, ct, axes=(-1, 0))
 
-    def coeffs_at(self, lam: float) -> np.ndarray:
-        """t-polynomial coefficients at frozen lambda, shape (dt+1, 2n, 2n)."""
-        lam_pows = float(lam) ** np.arange(self.coeffs.shape[0])
-        return np.tensordot(lam_pows, self.coeffs, axes=(0, 0))
-
-    def sup_norm(self, samples: int = 17) -> float:
-        """Sampled sup over (lambda, t) of the spectral norm."""
+    def sup_norm(self) -> float:
+        """Sup over a 17 x 17 grid of (lambda, t) of the spectral norm."""
         if self._sup is None:
-            grid = np.linspace(0.0, 1.0, samples)
+            grid = np.linspace(0.0, 1.0, 17)
             best = 0.0
             for lam in grid:
                 mats = self(lam, grid)

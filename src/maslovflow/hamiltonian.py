@@ -141,18 +141,18 @@ def clm_hamiltonian(
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
-    base_grid=None,
-    check: bool = True,
     tol: float | None = None,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Spectral flow of Ju' + S_lambda u with boundary (gamma_1, gamma_2) versus
     the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported.
-    Here and in the other identity checkers, tol and max_depth reach
-    spectral_flow and every maslov_pair."""
+    Here and in the other identity checkers, steps sets both the shooting and
+    the fundamental solutions, tol and max_depth reach spectral_flow (on its
+    default base grid, rechecked at doubled resolution) and every
+    maslov_pair, and tol None keeps each one's default."""
     opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
+    lhs = spectral_flow(fam, **opts).value
     rhs = maslov_pair(transported_path(S, gamma1, steps), gamma2, **opts)
     return VerificationReport(
         command="clm-hamiltonian",
@@ -168,15 +168,13 @@ def three_term_identity(
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
-    base_grid=None,
-    check: bool = True,
     tol: float | None = None,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """sfl(A) against mu(Psi_1(.)g1(1), g2(1)) + mu(g1, g2) - mu(Psi_0(.)g1(0), g2(0))."""
     opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
+    lhs = spectral_flow(fam, **opts).value
     term_end = maslov_pair(
         frozen_time_path(S, 1.0, gamma1.frame(1.0), steps), ConstantPath(gamma2.frame(1.0)), **opts
     )
@@ -225,8 +223,6 @@ def alpha_beta_identity(
     alpha: PiecewiseLinear,
     beta: PiecewiseLinear,
     steps: int = DEFAULT_STEPS,
-    base_grid=None,
-    check: bool = True,
     tol: float | None = None,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
@@ -238,7 +234,7 @@ def alpha_beta_identity(
     _validate_alpha_beta(alpha, beta)
     opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
+    lhs = spectral_flow(fam, **opts).value
 
     def reparam_term(i: float) -> int:
         sol = fundamental_solution(S, i, steps)
@@ -284,8 +280,6 @@ def alpha_beta_identity(
 def morse_index_formula(
     S: SymmetricFamily,
     steps: int = DEFAULT_STEPS,
-    base_grid=None,
-    check: bool = True,
     tol: float | None = None,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
@@ -296,7 +290,7 @@ def morse_index_formula(
     wall = ConstantPath(L1)
     opts = _solver_kwargs(tol, max_depth)
     fam = BoundaryValueFamily(wall, wall, S, steps)
-    lhs = spectral_flow(fam, base_grid, check=check, **opts).value
+    lhs = spectral_flow(fam, **opts).value
     rhs = maslov_pair(transported_path(S, wall, steps), wall, **opts)
     return VerificationReport(
         command="morse-index",

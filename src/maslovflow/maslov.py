@@ -108,22 +108,17 @@ class _PairCounter:
         return int(sum(self.count(a, b) for a, b in zip(nodes[:-1], nodes[1:])))
 
 
-def perturbation_theta(
-    g1: LagrangianPath,
-    g2: LagrangianPath,
-    theta_max: float = np.pi / 8,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = MAX_DEPTH,
-) -> float:
+def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
     """A stable rotation angle Theta > 0 regularizing the endpoint intersections.
 
-    Theta is chosen below half the smallest nonzero relative eigenphase at
-    either endpoint, so gamma_1(e) and exp(-Theta' J) gamma_2(e) are
-    transversal for every 0 < |Theta'| <= Theta.  A geometric ladder of test
-    angles is verified, and Theta is accepted only if the pair index computed
-    at Theta and Theta/2 agree; otherwise Theta shrinks until 1e-6.
+    Theta is at most pi/8 and below half the smallest nonzero relative
+    eigenphase at either endpoint, so gamma_1(e) and exp(-Theta' J) gamma_2(e)
+    are transversal for every 0 < |Theta'| <= Theta.  A geometric ladder of
+    test angles is verified (intersection rank at DEFAULT_TOL), and Theta is
+    accepted only if the pair index computed at Theta and Theta/2 agree;
+    otherwise Theta shrinks until 1e-6.
     """
-    return _regularized(g1, g2, theta_max, tol, max_depth)[0]
+    return _regularized(g1, g2, np.pi / 8, DEFAULT_TOL, MAX_DEPTH)[0]
 
 
 def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: float, max_depth: int):
@@ -179,12 +174,12 @@ def maslov_pair(
         return _regularized(g1, g2, 1e-3, tol, max_depth)[1].total()
 
 
-def maslov_rel(g: LagrangianPath, L0: LagrangianFrame, tol: float = DEFAULT_TOL) -> int:
+def maslov_rel(g: LagrangianPath, L0: LagrangianFrame) -> int:
     """Maslov index of a path relative to a fixed Lagrangian subspace."""
-    return maslov_pair(g, ConstantPath(L0), tol)
+    return maslov_pair(g, ConstantPath(L0))
 
 
-def maslov_loop(g: LagrangianPath, max_depth: int = MAX_DEPTH) -> int:
+def maslov_loop(g: LagrangianPath) -> int:
     """Winding number of det W(lambda) around the unit circle for a closed path.
 
     With W(R^n x {0}) = I, the continuous change of the eigenphase sum of W
@@ -193,7 +188,7 @@ def maslov_loop(g: LagrangianPath, max_depth: int = MAX_DEPTH) -> int:
     closure = gap_distance(g.frame(0.0), g.frame(1.0))
     if closure > 1e-9:
         raise ValueError(f"path is not closed: endpoint gap {closure:.3e}")
-    counter = _PairCounter(g, ConstantPath(l0_frame(g.n)), max_depth)
+    counter = _PairCounter(g, ConstantPath(l0_frame(g.n)))
     winding = counter.total() + (counter.phase_sum(1.0) - counter.phase_sum(0.0)) / (2.0 * np.pi)
     if abs(winding - round(winding)) > 1e-3:
         raise RuntimeError(f"winding number {winding:.6f} is not an integer")

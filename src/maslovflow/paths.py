@@ -15,7 +15,6 @@ from .symplectic import (
     LagrangianFrame,
     _orthonormal_columns,
     gap_distance,
-    l0_frame,
     nearest_lagrangian_frame,
     norm2,
     rotation_matrix,
@@ -354,17 +353,3 @@ def gamma_nor_prime(n: int) -> LagrangianPath:
     phases = [PiecewiseLinear.linear(-np.pi / 2, np.pi / 2)]
     phases += [PiecewiseLinear.constant(np.pi / 2) for _ in range(n - 1)]
     return UnitaryDiagonalPath(phases)
-
-
-def constant_path(frame_or_n, which: str | None = None) -> ConstantPath:
-    """Convenience constructor; accepts a frame, or (n, 'l0'/'l1')."""
-    if isinstance(frame_or_n, LagrangianFrame):
-        return ConstantPath(frame_or_n)
-    n = int(frame_or_n)
-    if which == "l0":
-        return ConstantPath(l0_frame(n))
-    if which == "l1":
-        from .symplectic import l1_frame
-
-        return ConstantPath(l1_frame(n))
-    raise ValueError("expected a LagrangianFrame or (n, 'l0'/'l1')")

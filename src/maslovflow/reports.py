@@ -42,18 +42,16 @@ class VerificationReport:
     details: list = field(default_factory=list)
     timing_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "command": self.command,
             "inputs": jsonable(self.inputs),
             "values": jsonable(self.values),
             "passed": bool(self.passed),
             "tolerances": jsonable(self.tolerances),
             "details": jsonable(self.details),
+            "timing_s": float(self.timing_s),
         }
-        if include_timing:
-            d["timing_s"] = float(self.timing_s)
-        return d
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

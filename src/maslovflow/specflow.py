@@ -100,33 +100,20 @@ def _rk4_transfer_batch(C, mus):
     return out
 
 
-def transfer_matrix(S_of_t, n: int, mu: float, steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Phi_mu(1) for Ju' + S(t)u = mu u, i.e. Phi' = -J(mu I - S(t)) Phi.
-
-    S_of_t is a callable t -> symmetric 2n x 2n matrix, or None for S = 0, in
-    which case the closed form exp(-mu J) = cos(mu) I - sin(mu) J is returned.
-    """
-    if steps < 16:
-        raise ValueError(f"steps must be at least 16, got {steps}")
-    J = standard_J(n)
-    if S_of_t is None:
-        return np.cos(mu) * np.eye(2 * n) - np.sin(mu) * J
-    h = 1.0 / steps
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    nodes = np.array([J @ S_of_t(t) for t in ts])
-    mids = np.array([J @ S_of_t(t + 0.5 * h) for t in ts[:-1]])
-    return _rk4_transfer_batch(rk4_step_coefficients(nodes, mids, h, -J), [mu])[0]
-
-
 class BoundaryValueFamily:
     """The operators A_lambda u = Ju' + S_lambda(t)u with u(0) in gamma_1(lambda),
     u(1) in gamma_2(lambda).
 
-    S is any object mapping (lambda, t) to symmetric 2n x 2n matrices with a
-    sup_norm() method (see SymmetricFamily), or None for the zero family.
+    S is a SymmetricFamily, or None for the zero family.
     """
 
-    def __init__(self, gamma1: LagrangianPath, gamma2: LagrangianPath, S=None, steps: int = DEFAULT_STEPS):
+    def __init__(
+        self,
+        gamma1: LagrangianPath,
+        gamma2: LagrangianPath,
+        S: SymmetricFamily | None = None,
+        steps: int = DEFAULT_STEPS,
+    ):
         if gamma1.n != gamma2.n:
             raise ValueError(f"half-dimension mismatch: {gamma1.n} vs {gamma2.n}")
         if steps < 16:
@@ -142,7 +129,7 @@ class BoundaryValueFamily:
         # and a slice holds the five RK4 coefficient arrays (164 KB at 256
         # steps and n = 2), too much to keep for every lambda ever seen
         self._last: tuple | None = None
-        self._t_const = self.S is not None and getattr(self.S, "t_independent", lambda: False)()
+        self._t_const = self.S is not None and self.S.t_independent()
         if self.S is not None:
             for lam in (0.0, 0.5, 1.0):
                 for t in (0.0, 0.33, 1.0):
@@ -272,6 +259,8 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     """
     if not mu_min < mu_max:
         raise ValueError("empty mu-window")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     step = min(np.pi / 8.0, np.pi / (4.0 * fam.n)) / (1.0 + min(fam.s_norm, 3.0))
     npts = max(9, int(np.ceil((mu_max - mu_min) / step)) + 1)
     grid = np.linspace(mu_min, mu_max, npts)
@@ -478,8 +467,8 @@ def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):
     return value, partition, epsilons, branch_data
 
 
-def _default_base_nodes(fam, resolution: int = 17):
-    hints = set(np.linspace(0.0, 1.0, resolution)) | set(fam.breakpoint_hints())
+def _default_base_nodes(fam):
+    hints = set(np.linspace(0.0, 1.0, 17)) | set(fam.breakpoint_hints())
     return np.array(sorted(hints))
 
 
@@ -493,8 +482,11 @@ def spectral_flow(
 ) -> SpectralFlowResult:
     """Spectral flow of the family A_lambda by the partition definition.
 
-    With check=True the integer is recomputed at doubled base-grid resolution
-    and a mismatch raises.
+    The partition refines base_grid (by default 17 equal steps plus the
+    boundary paths' breakpoints) until every subinterval has a threshold;
+    tol is the eigenvalue locator's tolerance and max_depth caps the
+    refinement.  With check=True the integer is recomputed at doubled
+    base-grid resolution and a mismatch raises.
     """
     if base_grid is None:
         nodes = _default_base_nodes(fam)
@@ -514,15 +506,7 @@ def spectral_flow(
     return SpectralFlowResult(value, partition, epsilons, data)
 
 
-def spectral_flow_shifted(
-    fam: BoundaryValueFamily,
-    delta: float,
-    base_grid=None,
-    *,
-    tol: float = MU_TOL,
-    max_depth: int = MAX_DEPTH,
-    check: bool = True,
-) -> int:
+def spectral_flow_shifted(fam: BoundaryValueFamily, delta: float) -> int:
     """Spectral flow of A + delta I, the operator with S + delta I in place of
     S; equals spectral_flow(fam) for small delta >= 0.
 
@@ -531,12 +515,10 @@ def spectral_flow_shifted(
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    result = spectral_flow(
-        fam.shifted(delta), base_grid, tol=tol, max_depth=max_depth, check=check
-    )
+    result = spectral_flow(fam.shifted(delta))
     if delta > 0:
         for lam in result.partition:
-            (window,) = _clean_windows((fam,), lam, -delta - 0.05, 0.05, tol)
+            (window,) = _clean_windows((fam,), lam, -delta - 0.05, 0.05)
             for mu, mult in window.eigenvalues:
                 if -delta <= mu < -_ZERO_TOL:
                     raise ValueError(
@@ -561,24 +543,19 @@ class ConjugationReport:
 
 
 def conjugation_spectrum_check(
-    gamma1: LagrangianPath,
-    gamma2: LagrangianPath,
-    delta0: float,
-    lam_grid=None,
-    window: float = 1.45,
-    tol: float = 1e-7,
+    gamma1: LagrangianPath, gamma2: LagrangianPath, delta0: float
 ) -> ConjugationReport:
     """Check that A^{delta0} with boundary (g1, g2) and A^0 with boundary
     (g1, exp(-delta0 J) g2) have identical spectra and equal spectral flows.
 
     The conjugating multiplication by exp(delta0 J t) is orthogonal, so the
-    spectra agree exactly; numerically they must match within tol window by
-    window.
+    spectra agree exactly; numerically they must match within 1e-7 in the
+    window (-1.45, 1.45) that spectral_flow scans, at 11 equally spaced
+    lambdas.
     """
     if abs(delta0) >= np.pi / 4:
         raise ValueError("|delta0| must be below pi/4")
-    if lam_grid is None:
-        lam_grid = np.linspace(0.0, 1.0, 11)
+    lam_grid = np.linspace(0.0, 1.0, 11)
     fam_shift = BoundaryValueFamily(gamma1, gamma2).shifted(delta0)
     fam_rot = BoundaryValueFamily(gamma1, RotatedPath(gamma2, -delta0))
 
@@ -586,7 +563,7 @@ def conjugation_spectrum_check(
     worst = 0.0
     ok = True
     for lam in lam_grid:
-        wa, wb = _clean_windows((fam_shift, fam_rot), lam, -window, window)
+        wa, wb = _clean_windows((fam_shift, fam_rot), lam, -_SF_WINDOW, _SF_WINDOW)
         va, vb = wa.values(), wb.values()
         if va.size != vb.size:
             ok = False
@@ -594,7 +571,7 @@ def conjugation_spectrum_check(
         else:
             dev = float(np.max(np.abs(va - vb))) if va.size else 0.0
             worst = max(worst, dev)
-            if dev > tol:
+            if dev > 1e-7:
                 ok = False
         detail.append(
             {"lambda": float(lam), "shifted": va.tolist(), "rotated": vb.tolist(), "deviation": dev}
@@ -639,15 +616,14 @@ def discretized_gap_diagnostic(
     lam0: float,
     lam_list,
     N: int = 48,
-    ratio_bound: float = 100.0,
 ) -> GapDiagnosticReport:
     """Finite-dimensional surrogate of the gap continuity of the operator family.
 
     The operator is discretized on an N-point grid (forward differences, the
     boundary conditions imposed through the projections onto gamma_1(lambda)
     and gamma_2(lambda)); graph subspaces are compared in the gap metric and
-    the ratio to the boundary-projection distance is reported.  lam_list is
-    expected ordered with decreasing distance to lam0.
+    the ratio to the boundary-projection distance is reported and must stay
+    below 100.  lam_list is expected ordered with decreasing distance to lam0.
     """
     if N < 32:
         raise ValueError(f"grid size must be at least 32, got {N}")
@@ -693,7 +669,7 @@ def discretized_gap_diagnostic(
         ratio = gap / bdry if informative else np.inf
         entries.append(GapDiagnosticEntry(float(lam), float(gap), float(bdry), float(ratio), informative))
 
-    ratios_bounded = all(e.ratio <= ratio_bound for e in entries if e.informative)
+    ratios_bounded = all(e.ratio <= 100.0 for e in entries if e.informative)
     gaps = [e.graph_gap for e in entries]
     gaps_decreasing = all(a > b for a, b in zip(gaps[:-1], gaps[1:]))
     return GapDiagnosticReport(

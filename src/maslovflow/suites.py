@@ -34,6 +34,7 @@ from .paths import (
 )
 from .reports import VerificationReport
 from .specflow import (
+    DEFAULT_STEPS,
     BoundaryValueFamily,
     _clean_windows,
     conjugation_spectrum_check,
@@ -150,7 +151,7 @@ def theorem_suite(count: int = 50, seed: int = 0, n_max: int = 2) -> Verificatio
 
 
 def hamiltonian_suite(
-    count: int = 25, seed: int = 1, n_max: int = 2, sup_norm: float = 3.0, steps: int = 256
+    count: int = 25, seed: int = 1, n_max: int = 2, sup_norm: float = 3.0, steps: int = DEFAULT_STEPS
 ) -> VerificationReport:
     """The Hamiltonian spectral-flow formula on randomized polynomial families."""
     rng = np.random.default_rng(seed)
@@ -168,7 +169,7 @@ def hamiltonian_suite(
     )
 
 
-def three_term_suite(count: int = 25, seed: int = 2, steps: int = 256) -> VerificationReport:
+def three_term_suite(count: int = 25, seed: int = 2, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The endpoint-correction identity, plus its closed-endpoint collapse."""
     rng = np.random.default_rng(seed)
     details = []
@@ -209,7 +210,7 @@ def _random_alpha_beta(rng):
     return PiecewiseLinear(xs, alpha_ys), PiecewiseLinear(xs, beta_ys)
 
 
-def alpha_beta_suite(count: int = 25, seed: int = 3, steps: int = 256) -> VerificationReport:
+def alpha_beta_suite(count: int = 25, seed: int = 3, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The reparametrized identity with beta(lambda) = alpha(lambda) + lambda."""
     rng = np.random.default_rng(seed)
     details = []
@@ -223,7 +224,7 @@ def alpha_beta_suite(count: int = 25, seed: int = 3, steps: int = 256) -> Verifi
     return _suite_report("verify-alpha-beta", details, {"count": count, "seed": seed})
 
 
-def morse_suite(cs=(5.0, 15.0, 30.0), count: int = 5, seed: int = 4, steps: int = 256) -> VerificationReport:
+def morse_suite(cs=(5.0, 15.0, 30.0), count: int = 5, seed: int = 4, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """Dirichlet-type boundary conditions: the ramp family plus random instances."""
     rng = np.random.default_rng(seed)
     details = []

@@ -66,13 +66,14 @@ def _orthonormal_columns(B: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(Q[:, : B.shape[1]])
 
 
-def subspace_frame(B: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal frame of span(B) for a general full-rank basis matrix."""
+def subspace_frame(B: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of span(B) for a general full-rank basis matrix
+    (singular values above RANK_TOL relative to the largest)."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] == 0:
         raise ValueError("basis must be a matrix with at least one column")
     s = np.linalg.svd(B, compute_uv=False)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     if rank < B.shape[1]:
         raise ValueError(
             f"basis is rank deficient: numerical rank {rank} < {B.shape[1]} columns"
@@ -276,11 +277,11 @@ class KatoProjectionReport:
     max_discrepancy: float
 
 
-def kato_projection_identity_check(P: np.ndarray, Q: np.ndarray, atol: float = 1e-10) -> KatoProjectionReport:
+def kato_projection_identity_check(P: np.ndarray, Q: np.ndarray) -> KatoProjectionReport:
     """Check ||(I-P)Q|| = ||(I-Q)P|| = ||P - Q|| for orthogonal projections.
 
     The identity holds whenever both one-sided norms are < 1; in that case a
-    discrepancy above atol raises.  Otherwise the report flags the hypothesis
+    discrepancy above 1e-10 raises.  Otherwise the report flags the hypothesis
     as not met and carries the norms unchanged.
     """
     P = np.asarray(P, dtype=float)
@@ -296,7 +297,7 @@ def kato_projection_identity_check(P: np.ndarray, Q: np.ndarray, atol: float = 1
     c = norm2(P - Q)
     hypothesis = a < 1.0 and b < 1.0
     disc = max(abs(a - b), abs(a - c), abs(b - c))
-    if hypothesis and disc > atol:
+    if hypothesis and disc > 1e-10:
         raise ArithmeticError(
             f"projection-norm identity violated: norms ({a:.12e}, {b:.12e}, {c:.12e})"
         )

@@ -1,6 +1,10 @@
 """Tests for the JSON configuration schema and the command line interface."""
 
+import argparse
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import pytest
 import maslovflow.cli as cli
 import maslovflow.hamiltonian as hamiltonian
 from maslovflow.cli import _VERIFY_CHOICES, main
-from maslovflow.config import ConfigError, parse_config
+from maslovflow.config import ConfigError, SolverSettings, parse_config
 
 GAMMA_NOR_CFG = {
     "n": 1,
@@ -258,15 +262,17 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
     cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
     identity = _write(tmp_path, "b.json", IDENTITY_CFG)
     both = {("maslov_pair", 1e-9, 30), ("spectral_flow", 1e-9, 30)}
+    depth = ["--max-depth", "30"]
     cases = [
-        (["sflow"], cfg, {("spectral_flow", 1e-9, 30)}),
+        (["sflow"] + depth, cfg, {("spectral_flow", 1e-9, 30)}),
         (["spectra"], cfg, {("spectrum_window", 1e-9, None)}),
-        (["verify", "clm"], cfg, both),
-    ] + [(["verify", which], identity, both) for which in ("hamiltonian", "three-term", "alpha-beta", "morse")]
+        (["verify", "clm"] + depth, cfg, both),
+    ] + [(["verify", which] + depth, identity, both)
+         for which in ("hamiltonian", "three-term", "alpha-beta", "morse")]
     for argv, path, expected in cases:
         calls.clear()
         out = str(tmp_path / "r.json")
-        assert main(argv + ["--config", path, "--tol", "1e-9", "--max-depth", "30", "--out", out]) == 0
+        assert main(argv + ["--config", path, "--tol", "1e-9", "--out", out]) == 0
         assert set(calls) == expected, argv
         report = json.load(open(out))
         assert report["inputs"]["solver"]["tol"] == 1e-9
@@ -277,8 +283,121 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
 def test_cli_window_and_depth_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
     csv = str(tmp_path / "w.csv")
-    assert main(["spectra", "--config", cfg, "--window", "-1.0", "1.0", "--csv", csv,
-                 "--max-depth", "30"]) == 0
+    assert main(["spectra", "--config", cfg, "--window", "-1.0", "1.0", "--csv", csv]) == 0
     mus = [float(r.split(",")[1]) for r in open(csv).read().strip().splitlines()[1:]]
     assert mus and all(-1.0 < m < 1.0 for m in mus)
     capsys.readouterr()
+
+
+_CONFIGURED_COMMAND = {
+    "clm": "verify-clm",
+    "hamiltonian": "clm-hamiltonian",
+    "three-term": "three-term",
+    "alpha-beta": "alpha-beta",
+    "morse": "morse-index",
+    "axioms": "verify-axioms",
+    "gap": "verify-gap",
+}
+
+
+@pytest.mark.parametrize("which", _VERIFY_CHOICES)
+def test_cli_verify_every_choice_with_config(which, tmp_path, capsys):
+    # the suites that take no instance from a config read its seed and
+    # suite.count; the count keeps them small here
+    path = _write(tmp_path, "inst.json", {**IDENTITY_CFG, "suite": {"count": 2}})
+    assert main(["verify", which, "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == _CONFIGURED_COMMAND[which]
+    assert report["passed"]
+
+
+def _exit_code(argv):
+    """main's exit status, also when argparse rejects the command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (command, flag) pairs the parser no longer accepts, and flags a verify
+# mode does not read; CFG and IDENTITY stand for the two configs below
+_UNREAD_FLAGS = [
+    ["maslov", "--config", "CFG", "--csv", "x.csv"],
+    ["maslov", "--config", "CFG", "--seed", "3"],
+    ["maslov", "--config", "CFG", "--steps", "64"],
+    ["maslov", "--config", "CFG", "--window", "-1", "1"],
+    ["sflow", "--config", "CFG", "--seed", "3"],
+    ["sflow", "--config", "CFG", "--window", "-1", "1"],
+    ["spectra", "--config", "CFG", "--seed", "3"],
+    ["spectra", "--config", "CFG", "--max-depth", "30"],
+    ["verify", "clm", "--config", "CFG", "--csv", "x.csv"],
+    ["verify", "clm", "--config", "CFG", "--window", "-1", "1"],
+    ["verify", "axioms", "--count", "1", "--steps", "64"],
+    ["verify", "gap", "--count", "1", "--tol", "1e-9"],
+    ["verify", "clm", "--count", "1", "--tol", "1e-9"],
+    ["verify", "clm", "--count", "1", "--max-depth", "30"],
+    ["verify", "clm", "--count", "1", "--steps", "64"],
+    ["verify", "clm", "--config", "CFG", "--seed", "3"],
+    ["verify", "hamiltonian", "--config", "IDENTITY", "--count", "2"],
+    ["verify", "morse", "--config", "IDENTITY", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_FLAGS, ids=" ".join)
+def test_cli_rejects_flags_the_check_does_not_read(argv, tmp_path, capsys):
+    paths = {"CFG": _write(tmp_path, "a.json", GAMMA_NOR_CFG), "IDENTITY": _write(tmp_path, "b.json", IDENTITY_CFG)}
+    flag = [a for a in argv if a.startswith("--") and a != "--config"][-1]
+    assert _exit_code([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "solver, field",
+    [({"steps": 7}, "steps"), ({"steps": 64.0}, "steps"), ({"tol": 0}, "tol"), ({"tol": -1e-8}, "tol"),
+     ({"max_depth": -1}, "max_depth"), ({"mu_window": [1.0, -1.0]}, "mu_window")],
+)
+def test_parse_rejects_invalid_solver_settings(solver, field):
+    with pytest.raises(ConfigError, match=f"solver.{field}"):
+        parse_config({**GAMMA_NOR_CFG, "solver": solver})
+    with pytest.raises(ConfigError, match=f"solver.{field}"):
+        replace(SolverSettings(), **solver)
+
+
+@pytest.mark.parametrize(
+    "argv, config_tol, field",
+    [
+        (["sflow", "--tol", "-1"], 1e-8, "tol"),
+        (["sflow", "--steps", "7"], 1e-8, "steps"),
+        (["sflow", "--max-depth", "-1"], 1e-8, "max_depth"),
+        (["spectra", "--window", "1", "-1"], 1e-8, "mu_window"),
+        (["verify", "clm", "--tol", "0"], 1e-8, "tol"),
+        (["sflow"], 0, "tol"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_cli_invalid_solver_settings_exit_2(argv, config_tol, field, tmp_path, capsys):
+    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": dict(GAMMA_NOR_CFG["solver"], tol=config_tol)})
+    assert _exit_code(argv + ["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"solver.{field}" in captured.err
+    assert captured.out == ""
+
+
+def _readme_flag_table() -> dict:
+    """{command: [flags]} from the rows of the README's command-line table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|\s*$", section, flags=re.M)
+    return {cmd: re.findall(r"`(--[\w-]+)`", cells) for cmd, cells in rows}
+
+
+def test_readme_flag_table_matches_the_parser():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert _readme_flag_table() == parsed
+    assert sum(len(flags) for flags in parsed.values()) == 23

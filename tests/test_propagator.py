@@ -1,10 +1,10 @@
 """Tests of the RK4 step propagators shared by shooting and fundamental solutions.
 
-Shooting (transfer_matrix, BoundaryValueFamily) and the Maslov side of the
-Hamiltonian identities (fundamental_solution, FundamentalSolution.at) build
-their solutions from the same RK4 stage formulas: shooting from the
-propagators' coefficients as polynomials in mu, fundamental solutions from the
-propagators themselves.  Both are checked against code that is not
+Shooting (BoundaryValueFamily.transfer and its batches) and the Maslov side
+of the Hamiltonian identities (fundamental_solution, FundamentalSolution.at)
+build their solutions from the same RK4 stage formulas: shooting from the
+propagators' coefficients as polynomials in mu, fundamental solutions from
+the propagators themselves.  Both are checked against code that is not
 maslovflow: scipy's DOP853 integrator and a plain RK4 loop that lives only in
 this file.
 """
@@ -22,7 +22,6 @@ from maslovflow import (
     gamma_nor,
     l1_frame,
     standard_J,
-    transfer_matrix,
 )
 from maslovflow.propagator import (
     ordered_product,
@@ -84,10 +83,11 @@ def _rel(a, b) -> float:
 def test_transfer_matrix_against_solve_ivp_and_loop(n, steps):
     S = _family(n, seed=10 + n)
     J = standard_J(n)
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S, steps=steps)
     lam = 0.7
     for mu in (-3.1, 0.4, 2.5):
         K = lambda t: J @ S(lam, t) - mu * J  # noqa: E731
-        Phi = transfer_matrix(lambda t: S(lam, t), n, mu, steps=steps)
+        Phi = fam.transfer(lam, mu)
         exact = _solve_ivp_flow(K, 2 * n, [1.0])[-1]
         assert _rel(Phi, exact) < _rk4_bound(steps)
         assert _rel(Phi, _loop_rk4(K, 2 * n, steps)[-1]) < 1e-13

@@ -30,7 +30,6 @@ from maslovflow import (
     spectral_flow_shifted,
     spectrum_window,
     standard_J,
-    transfer_matrix,
 )
 from maslovflow.specflow import _clean_windows
 from maslovflow.suites import random_pair, random_symmetric_family
@@ -69,32 +68,34 @@ def assert_spectrum_matches(window, expected, tol=1e-7):
 def test_transfer_matrix_closed_form():
     n = 2
     J = standard_J(n)
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)))
     for mu in (0.0, 0.3, -1.2, np.pi / 2):
-        Phi = transfer_matrix(None, n, mu)
+        Phi = fam.transfer(0.4, mu)
         assert np.allclose(Phi, np.cos(mu) * np.eye(2 * n) - np.sin(mu) * J, atol=1e-15)
-    assert np.allclose(transfer_matrix(None, n, 0.0), np.eye(2 * n), atol=1e-15)
+    assert np.allclose(fam.transfer(0.4, 0.0), np.eye(2 * n), atol=1e-15)
 
 
 def test_transfer_matrix_symplectic_and_converged():
     # oracle: step-halving; the coefficient is J-Hamiltonian so Phi must be
-    # symplectic up to integration error
+    # symplectic up to integration error.  S(t) = [[0.4 + 0.3 t, -0.2 t^2],
+    # [-0.2 t^2, -0.1 + 0.5 t]], as coefficients of t^0, t^1, t^2
     n = 1
     J = standard_J(n)
-
-    def S_of_t(t):
-        a = 0.4 + 0.3 * t
-        b = -0.2 * t * t
-        return np.array([[a, b], [b, -0.1 + 0.5 * t]])
-
-    Phi1 = transfer_matrix(S_of_t, n, 0.7, steps=128)
-    Phi2 = transfer_matrix(S_of_t, n, 0.7, steps=256)
+    S = SymmetricFamily([[
+        [[0.4, 0.0], [0.0, -0.1]],
+        [[0.3, 0.0], [0.0, 0.5]],
+        [[0.0, -0.2], [-0.2, 0.0]],
+    ]])
+    g1, g2 = gamma_nor(n), ConstantPath(l1_frame(n))
+    Phi1 = BoundaryValueFamily(g1, g2, S, steps=128).transfer(0.5, 0.7)
+    Phi2 = BoundaryValueFamily(g1, g2, S, steps=256).transfer(0.5, 0.7)
     assert np.linalg.norm(Phi1 - Phi2, 2) < 1e-9
     assert np.linalg.norm(Phi2.T @ J @ Phi2 - J, 2) < 1e-8
 
 
 def test_transfer_matrix_rejects_few_steps():
     with pytest.raises(ValueError, match="steps"):
-        transfer_matrix(None, 1, 0.0, steps=8)
+        BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)), steps=8)
 
 
 def test_eigen_detector_reference_values():
@@ -286,6 +287,14 @@ def test_spectrum_window_endpoint_collision():
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     with pytest.raises(EigenvalueAtWindowEdge, match="shift the window"):
         spectrum_window(fam, 0.0, -np.pi / 2, 1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_spectrum_window_rejects_a_tolerance_that_is_not_positive(tol):
+    # the window holds an eigenvalue, so a bracket would be narrowed to tol
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spectrum_window(fam, 0.3, -1.4, 1.4, tol=tol)
 
 
 def test_spectrum_window_double_eigenvalue_in_last_scan_interval():
