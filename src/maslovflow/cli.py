@@ -143,6 +143,11 @@ def _family(cfg: ProblemConfig) -> SymmetricFamily:
 
 
 def _verify_clm(cfg: ProblemConfig, steps: int, tol: float, max_depth: int) -> VerificationReport:
+    if cfg.family is not None:
+        raise ConfigError(
+            "family: verify clm checks the theorem for S = 0; "
+            "use verify hamiltonian for a configured family"
+        )
     g1, g2 = cfg.path1(), cfg.path2()
     m = maslov_pair(g1, g2, tol=tol, max_depth=max_depth)
     s = spectral_flow(BoundaryValueFamily(g1, g2, steps=steps), tol=tol, max_depth=max_depth).value

@@ -20,6 +20,7 @@ from .paths import (
     ConstantPath,
     LagrangianPath,
     PiecewiseLinear,
+    PolynomialAction,
     ReparametrizedPath,
     ReversedPath,
     RotatedPath,
@@ -28,7 +29,6 @@ from .paths import (
     UnitaryDiagonalPath,
     gamma_nor,
     gamma_nor_prime,
-    polynomial_action,
 )
 from .specflow import DEFAULT_STEPS, MAX_DEPTH
 from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame, norm2
@@ -152,7 +152,7 @@ def build_path(desc, n: int, where: str = "path") -> LagrangianPath:
             base = _parse_frame(base_desc, n, f"{where}.base")
             base_payload = base.F.tolist()
         payload = {"type": "symplectic_action", "generator": gens.tolist(), "base": base_payload}
-        return SymplecticActionPath(polynomial_action(gens), base, payload=payload)
+        return SymplecticActionPath(PolynomialAction(gens), base, payload=payload)
     if kind == "concat":
         pieces = desc.get("pieces")
         _expect(isinstance(pieces, list) and pieces, f"{where}.pieces", "expected a nonempty list")

@@ -14,8 +14,10 @@ segment [a, b] holds -round((Sigma(b) - Sigma(a)) / 2pi) net crossings while
 the eigenphases together move by less than pi inside it.  Segments are
 bisected until ||C(b) - C(a)|| <= min(0.15, 3/n), at which the endpoint
 spectra match closely enough (Bhatia & Davis 1984) for that to hold.  The
-winding of det W along a loop is the same count plus the change of Sigma
-from end to end.
+count goes level by level: all segments still open at one bisection depth
+are halved together, and C and Sigma at all their midpoints come from one
+batch of Souriau matrices per path.  The winding of det W along a loop is
+the same count plus the change of Sigma from end to end.
 
 Non-admissible pairs (endpoint intersections nontrivial) are rotated:
 the index is that of (gamma_1, exp(-Theta J) gamma_2) for a small stable
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import ConstantPath, LagrangianPath, RotatedPath
-from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, l0_frame, norm2, rotate
+from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, l0_frame, rotate, within_each
 
 PHASE_TOL = 1e-9
 _DC_CAP = 0.15
@@ -52,8 +54,13 @@ class CrossingRecord:
 
 
 def _eigenphases(C: np.ndarray) -> np.ndarray:
-    """Eigenvalue phases of a unitary matrix, in (-pi, pi]."""
+    """Eigenvalue phases of a unitary matrix, or of each of a stack, in (-pi, pi]."""
     return np.angle(np.linalg.eigvals(C))
+
+
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0], y[0], x[1], y[1], ... along the first axis."""
+    return np.stack([x, y], axis=1).reshape(-1, *x.shape[1:])
 
 
 class _PairCounter:
@@ -68,44 +75,57 @@ class _PairCounter:
         # the end spectra of an accepted segment match within 2 arcsin(cap / 2)
         # per eigenphase (Bhatia & Davis), n of which stay below pi
         self.cap = min(_DC_CAP, 3.0 / g1.n)
-        self._C: dict[float, np.ndarray] = {}
-        self._sums: dict[float, float] = {}
+        self._total = None
 
-    def relative_unitary(self, lam: float) -> np.ndarray:
-        got = self._C.get(lam)
-        if got is None:
-            got = self.g1.souriau_matrix(lam) @ self.g2.souriau_matrix(lam).conj()
-            self._C[lam] = got
-        return got
+    def unitaries(self, lams: np.ndarray):
+        """C(lambda) = W1 conj(W2) at each lambda, stacked, and the sums of
+        their eigenphases, each taken in [-PHASE_TOL, 2pi - PHASE_TOL)."""
+        C = self.g1.souriau_matrices(lams) @ self.g2.souriau_matrices(lams).conj()
+        p = _eigenphases(C)
+        return C, np.sum(np.where(p < -PHASE_TOL, p + 2.0 * np.pi, p), axis=1)
 
-    def phase_sum(self, lam: float) -> float:
-        """Sum of the eigenphases of C(lambda), each in [-PHASE_TOL, 2pi - PHASE_TOL)."""
-        got = self._sums.get(lam)
-        if got is None:
-            p = _eigenphases(self.relative_unitary(lam))
-            got = float(np.sum(np.where(p < -PHASE_TOL, p + 2.0 * np.pi, p)))
-            self._sums[lam] = got
-        return got
+    def counts(self, a, b) -> np.ndarray:
+        """Net signed crossings of eigenphases through 0 on each [a[i], b[i]].
 
-    def count(self, a: float, b: float, depth: int = 0) -> int:
-        """Net signed crossings of eigenphases through 0 on [a, b]."""
-        if norm2(self.relative_unitary(b) - self.relative_unitary(a)) <= self.cap:
-            return -int(np.rint((self.phase_sum(b) - self.phase_sum(a)) / (2.0 * np.pi)))
-        if depth >= self.max_depth:
-            raise UnresolvedCrossing(
-                f"unresolved crossing near lambda in [{a:.12g}, {b:.12g}] "
-                f"after {self.max_depth} bisections"
-            )
-        m = 0.5 * (a + b)
-        return self.count(a, m, depth + 1) + self.count(m, b, depth + 1)
+        A segment is accepted once ||C(b) - C(a)|| <= cap; the others are
+        halved, all of one depth together, until max_depth, where the first
+        open segment raises UnresolvedCrossing.
+        """
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        lams, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+        C, sums = self.unitaries(lams)
+        Ca, Cb, Sa, Sb = C[inv[: a.size]], C[inv[a.size :]], sums[inv[: a.size]], sums[inv[a.size :]]
+        owner = np.arange(a.size)
+        out = np.zeros(a.size, dtype=int)
+        depth = 0
+        while True:
+            ok = within_each(Cb - Ca, self.cap)
+            np.add.at(out, owner[ok], -np.rint((Sb[ok] - Sa[ok]) / (2.0 * np.pi)).astype(int))
+            if ok.all():
+                return out
+            if depth == self.max_depth:
+                k = int(np.argmin(ok))
+                raise UnresolvedCrossing(
+                    f"unresolved crossing near lambda in [{a[k]:.12g}, {b[k]:.12g}] "
+                    f"after {self.max_depth} bisections"
+                )
+            a, b, Ca, Cb, Sa, Sb, owner = (x[~ok] for x in (a, b, Ca, Cb, Sa, Sb, owner))
+            m = 0.5 * (a + b)
+            Cm, Sm = self.unitaries(m)
+            # each open segment becomes [a, m] and [m, b], in order
+            a, b, owner = _interleave(a, m), _interleave(m, b), np.repeat(owner, 2)
+            Ca, Cb, Sa, Sb = _interleave(Ca, Cm), _interleave(Cm, Cb), _interleave(Sa, Sm), _interleave(Sm, Sb)
+            depth += 1
 
     def initial_nodes(self) -> np.ndarray:
-        nodes = set(np.asarray(self.g1.sample_grid)) | set(np.asarray(self.g2.sample_grid))
-        return np.array(sorted(nodes))
+        return np.union1d(self.g1.sample_grid, self.g2.sample_grid)
 
     def total(self) -> int:
-        nodes = self.initial_nodes()
-        return int(sum(self.count(a, b) for a, b in zip(nodes[:-1], nodes[1:])))
+        if self._total is None:
+            nodes = self.initial_nodes()
+            self._total = int(self.counts(nodes[:-1], nodes[1:]).sum())
+        return self._total
 
 
 def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
@@ -123,7 +143,7 @@ def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
 
 def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: float, max_depth: int):
     """Theta as documented at perturbation_theta, and the counter of
-    (gamma_1, exp(-Theta J) gamma_2) that verified it, its caches filled."""
+    (gamma_1, exp(-Theta J) gamma_2) that verified it, its total known."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
     nonzero = []
@@ -189,7 +209,8 @@ def maslov_loop(g: LagrangianPath) -> int:
     if closure > 1e-9:
         raise ValueError(f"path is not closed: endpoint gap {closure:.3e}")
     counter = _PairCounter(g, ConstantPath(l0_frame(g.n)))
-    winding = counter.total() + (counter.phase_sum(1.0) - counter.phase_sum(0.0)) / (2.0 * np.pi)
+    _, ends = counter.unitaries(np.array([0.0, 1.0]))
+    winding = counter.total() + (ends[1] - ends[0]) / (2.0 * np.pi)
     if abs(winding - round(winding)) > 1e-3:
         raise RuntimeError(f"winding number {winding:.6f} is not an integer")
     return int(round(winding))
@@ -210,19 +231,22 @@ def crossing_list(
     """
     counter = _pair_counter(g1, g2, tol, max_depth)
     records = []
-
-    def localize(a, b, net):
-        if net == 0:
-            return
-        if b - a <= _LOC_TOL:
-            sign = 1 if net > 0 else -1
-            records.append(CrossingRecord(0.5 * (a + b), sign, abs(net)))
-            return
-        m = 0.5 * (a + b)
-        localize(a, m, counter.count(a, m))
-        localize(m, b, counter.count(m, b))
-
     nodes = counter.initial_nodes()
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        localize(a, b, counter.count(a, b))
-    return sorted(records, key=lambda r: r.lambda_star)
+    a, b = nodes[:-1], nodes[1:]
+    net = counter.counts(a, b)
+    while True:
+        # segments with a nonzero net count are halved, one level at a time,
+        # until they are at most _LOC_TOL wide
+        keep = net != 0
+        a, b, net = a[keep], b[keep], net[keep]
+        done = b - a <= _LOC_TOL
+        records += [
+            CrossingRecord(0.5 * (x + y), 1 if k > 0 else -1, abs(k))
+            for x, y, k in zip(a[done].tolist(), b[done].tolist(), net[done].tolist())
+        ]
+        a, b = a[~done], b[~done]
+        if a.size == 0:
+            return sorted(records, key=lambda r: r.lambda_star)
+        m = 0.5 * (a + b)
+        a, b = _interleave(a, m), _interleave(m, b)
+        net = counter.counts(a, b)

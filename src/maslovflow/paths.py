@@ -2,8 +2,16 @@
 
 Every path maps the parameter interval [0, 1] to Lagrangian frames and can
 be evaluated at arbitrary parameter values, which is what the adaptive
-crossing and eigenvalue machinery needs.  Frames and Souriau matrices are
-cached per parameter value; paths are immutable once built.
+crossing and eigenvalue machinery needs.  Each class has one evaluator,
+`_frames_at`, that turns an array of parameter values into a checked stack
+of frames: rotation and unitary-diagonal paths in closed form,
+`PolynomialAction` with one `expm` call on the stack, and rotated,
+reversed, reparametrized, concatenated and acted-on paths by mapping the
+array onto the paths inside them.  `frames(lams)` evaluates the values it
+has not seen in one such call and keeps every frame in the path's one
+cache, keyed by parameter value; `frame(lam)` is the same for one value.
+The adaptive sample grid refines level by level, one batch per level.
+Paths are immutable once built.
 """
 
 from __future__ import annotations
@@ -13,14 +21,15 @@ import scipy.linalg
 
 from .symplectic import (
     LagrangianFrame,
-    _orthonormal_columns,
     gap_distance,
-    nearest_lagrangian_frame,
+    lagrangian_frames,
+    nearest_lagrangian_frames,
     norm2,
     rotation_matrix,
     souriau,
+    souriau_stack,
     standard_J,
-    within,
+    within_each,
 )
 
 GRID_GAP = 0.1
@@ -64,33 +73,49 @@ class PiecewiseLinear:
 
 
 class LagrangianPath:
-    """Base class: a continuous family lambda -> L(lambda) of Lagrangian subspaces."""
+    """Base class: a continuous family lambda -> L(lambda) of Lagrangian subspaces.
+
+    A subclass defines `_frames_at`, or `_frame_at` for one value at a time.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self._frames: dict[float, LagrangianFrame] = {}
-        self._souriau: dict[float, np.ndarray] = {}
+        self._frames: dict[float, np.ndarray] = {}
         self._grid = None
 
     def _frame_at(self, lam: float) -> LagrangianFrame:
         raise NotImplementedError
 
+    def _frames_at(self, lams: np.ndarray) -> np.ndarray:
+        """Checked frames at distinct new lambdas, stacked (m, 2n, n)."""
+        return np.stack([self._frame_at(lam).F for lam in lams.tolist()])
+
+    def frames(self, lams) -> np.ndarray:
+        """The frames at each lambda, stacked (m, 2n, n); the lambdas not
+        seen before are evaluated together, in one call of _frames_at."""
+        keys = np.asarray(lams, dtype=float).ravel().tolist()
+        new = [lam for lam in dict.fromkeys(keys) if lam not in self._frames]
+        if new:
+            got = self._frames_at(np.array(new))
+            got.setflags(write=False)
+            self._frames.update(zip(new, got))
+            if len(new) == len(keys):
+                return got
+        return np.stack([self._frames[lam] for lam in keys])
+
     def frame(self, lam: float) -> LagrangianFrame:
         lam = float(lam)
-        got = self._frames.get(lam)
-        if got is None:
-            got = self._frame_at(lam)
-            self._frames[lam] = got
-        return got
+        if lam not in self._frames:
+            self.frames([lam])
+        return LagrangianFrame._checked(self.n, self._frames[lam])
 
     def souriau_matrix(self, lam: float) -> np.ndarray:
         """The Souriau matrix W(lambda) as a plain complex array."""
-        lam = float(lam)
-        got = self._souriau.get(lam)
-        if got is None:
-            got = souriau(self.frame(lam)).W
-            self._souriau[lam] = got
-        return got
+        return souriau(self.frame(lam)).W
+
+    def souriau_matrices(self, lams) -> np.ndarray:
+        """The Souriau matrices at each lambda, stacked (m, n, n)."""
+        return souriau_stack(self.frames(lams))
 
     def breakpoint_hints(self) -> tuple:
         """Parameter values where the descriptor may lose smoothness."""
@@ -98,22 +123,29 @@ class LagrangianPath:
 
     @property
     def sample_grid(self) -> np.ndarray:
-        """Adaptive grid on [0, 1] with consecutive gap distances <= 0.1."""
+        """Adaptive grid on [0, 1] with consecutive gap distances <= 0.1.
+
+        Every interval above the bound is halved, all of one level together:
+        one batch of frames and one of gap distances per level.
+        """
         if self._grid is None:
-            nodes = sorted(set(np.linspace(0.0, 1.0, 9)) | set(self.breakpoint_hints()))
+            nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 9)) | set(self.breakpoint_hints())))
+            F = self.frames(nodes)
+            wide = gap_distance(F[:-1], F[1:]) > GRID_GAP
             for _ in range(_GRID_DEPTH):
-                refined, dirty = [nodes[0]], False
-                for a, b in zip(nodes[:-1], nodes[1:]):
-                    if gap_distance(self.frame(a), self.frame(b)) > GRID_GAP:
-                        refined.append(0.5 * (a + b))
-                        dirty = True
-                    refined.append(b)
-                nodes = refined
-                if not dirty:
+                i = np.flatnonzero(wide)
+                if i.size == 0:
                     break
+                mids = 0.5 * (nodes[i] + nodes[i + 1])
+                nodes = np.insert(nodes, i + 1, mids)
+                F = np.insert(F, i + 1, self.frames(mids), axis=0)
+                left = i + np.arange(i.size)  # where the first half of interval i[j] now is
+                halves = np.concatenate([left, left + 1])
+                wide = np.insert(wide, i + 1, False)
+                wide[halves] = gap_distance(F[halves], F[halves + 1]) > GRID_GAP
             else:
                 raise RuntimeError("sample grid did not reach the gap bound 0.1")
-            self._grid = np.asarray(nodes)
+            self._grid = nodes
         return self._grid
 
     def reversed(self) -> "LagrangianPath":
@@ -130,8 +162,8 @@ class ConstantPath(LagrangianPath):
         super().__init__(frame.n)
         self.base = frame
 
-    def _frame_at(self, lam):
-        return self.base
+    def _frames_at(self, lams):
+        return np.broadcast_to(self.base.F, (lams.size, 2 * self.n, self.n))
 
     def descriptor(self):
         return {"type": "constant", "frame": self.base.F.tolist()}
@@ -145,9 +177,8 @@ class RotationPath(LagrangianPath):
         self.base = base
         self.theta = theta
 
-    def _frame_at(self, lam):
-        R = rotation_matrix(self.n, float(self.theta(lam)))
-        return LagrangianFrame(self.n, R @ self.base.F)
+    def _frames_at(self, lams):
+        return lagrangian_frames(rotation_matrix(self.n, self.theta(lams)) @ self.base.F)
 
     def breakpoint_hints(self):
         return self.theta.breakpoints()
@@ -168,10 +199,14 @@ class UnitaryDiagonalPath(LagrangianPath):
         super().__init__(len(phases))
         self.phases = phases
 
-    def _frame_at(self, lam):
-        theta = np.array([float(p(lam)) for p in self.phases])
-        F = np.vstack([np.diag(np.cos(theta)), np.diag(np.sin(theta))])
-        return LagrangianFrame(self.n, F)
+    def _frames_at(self, lams):
+        n = self.n
+        theta = np.stack([p(lams) for p in self.phases], axis=1)
+        F = np.zeros((lams.size, 2 * n, n))
+        j = np.arange(n)
+        F[:, j, j] = np.cos(theta)
+        F[:, n + j, j] = np.sin(theta)
+        return lagrangian_frames(F)
 
     def breakpoint_hints(self):
         pts = set()
@@ -186,8 +221,11 @@ class UnitaryDiagonalPath(LagrangianPath):
 class SymplecticActionPath(LagrangianPath):
     """lambda -> A(lambda) . base(lambda) for a family of symplectic matrices.
 
-    The base may be a fixed frame or another path; A is any callable returning
-    a symplectic 2n x 2n matrix (checked at every evaluation).
+    The base may be a fixed frame or another path.  A is any callable
+    returning a symplectic 2n x 2n matrix, called once per lambda, or a family
+    with a `stack(lams)` method (PolynomialAction) that returns the matrices
+    at all new lambdas of a batch in one call; they are checked at every
+    evaluation.
     """
 
     def __init__(self, matfun, base, hints=(), payload=None):
@@ -200,14 +238,21 @@ class SymplecticActionPath(LagrangianPath):
         self._payload = payload
         self._J = standard_J(self.n)
 
-    def _frame_at(self, lam):
-        A = np.asarray(self.matfun(lam), dtype=float)
-        dev = A.T @ self._J @ A - self._J
-        if not within(dev, _ACTION_ATOL):
+    def _frames_at(self, lams):
+        stack = getattr(self.matfun, "stack", None)
+        if stack is not None:
+            A = stack(lams)
+        else:
+            A = np.stack([np.asarray(self.matfun(lam), dtype=float) for lam in lams.tolist()])
+        dev = np.swapaxes(A, 1, 2) @ self._J @ A - self._J
+        ok = within_each(dev, _ACTION_ATOL)
+        if not ok.all():
+            k = int(np.argmin(ok))
             raise ValueError(
-                f"action matrix at lambda={lam:.6g} is not symplectic (deviation {norm2(dev):.3e})"
+                f"action matrix at lambda={lams[k]:.6g} is not symplectic (deviation {norm2(dev[k]):.3e})"
             )
-        return nearest_lagrangian_frame(_orthonormal_columns(A @ self.base.frame(lam).F))
+        # A F has full rank for symplectic A, so QR without pivoting spans it
+        return nearest_lagrangian_frames(np.linalg.qr(A @ self.base.frames(lams))[0])
 
     def breakpoint_hints(self):
         return tuple(sorted(set(self.base.breakpoint_hints()) | set(self._hints) | {0.0, 1.0}))
@@ -218,16 +263,21 @@ class SymplecticActionPath(LagrangianPath):
         return dict(self._payload)
 
 
-def polynomial_action(gens):
-    """lambda -> expm(J G(lambda)) for the symmetric polynomial
-    G(lambda) = sum_k gens[k] lambda^k, a matrix family for SymplecticActionPath."""
-    J = standard_J(len(gens[0]) // 2)
+class PolynomialAction:
+    """The family lambda -> expm(J G(lambda)) for the symmetric polynomial
+    G(lambda) = sum_k gens[k] lambda^k, an action for SymplecticActionPath.
 
-    def fn(lam):
-        G = sum(gens[k] * lam**k for k in range(len(gens)))
-        return scipy.linalg.expm(J @ G)
+    `stack(lams)` gives the matrices at an array of lambdas with one expm call.
+    """
 
-    return fn
+    def __init__(self, gens):
+        self.gens = gens
+        self._J = standard_J(len(gens[0]) // 2)
+
+    def stack(self, lams: np.ndarray) -> np.ndarray:
+        lams = np.asarray(lams, dtype=float)[:, None, None]
+        G = sum(g * lams**k for k, g in enumerate(self.gens))
+        return scipy.linalg.expm(self._J @ G)
 
 
 class RotatedPath(LagrangianPath):
@@ -239,8 +289,8 @@ class RotatedPath(LagrangianPath):
         self.theta = float(theta)
         self._R = rotation_matrix(path.n, self.theta)
 
-    def _frame_at(self, lam):
-        return LagrangianFrame(self.n, self._R @ self.path.frame(lam).F)
+    def _frames_at(self, lams):
+        return lagrangian_frames(self._R @ self.path.frames(lams))
 
     def breakpoint_hints(self):
         return self.path.breakpoint_hints()
@@ -256,8 +306,8 @@ class ReversedPath(LagrangianPath):
         super().__init__(path.n)
         self.path = path
 
-    def _frame_at(self, lam):
-        return self.path.frame(1.0 - lam)
+    def _frames_at(self, lams):
+        return self.path.frames(1.0 - lams)
 
     def breakpoint_hints(self):
         return tuple(sorted(1.0 - x for x in self.path.breakpoint_hints()))
@@ -278,8 +328,8 @@ class ReparametrizedPath(LagrangianPath):
         self.path = path
         self.phi = phi
 
-    def _frame_at(self, lam):
-        return self.path.frame(float(self.phi(lam)))
+    def _frames_at(self, lams):
+        return self.path.frames(self.phi(lams))
 
     def breakpoint_hints(self):
         inner = np.interp(self.path.breakpoint_hints(), self.phi.ys, self.phi.xs)
@@ -313,14 +363,16 @@ class ConcatPath(LagrangianPath):
         super().__init__(n)
         self.pieces = pieces
 
-    def _locate(self, lam):
+    def _frames_at(self, lams):
         k = len(self.pieces)
-        idx = min(int(np.floor(lam * k)), k - 1)
-        return idx, lam * k - idx
-
-    def _frame_at(self, lam):
-        idx, s = self._locate(lam)
-        return self.pieces[idx].frame(s)
+        idx = np.minimum(np.floor(lams * k).astype(int), k - 1)
+        s = lams * k - idx
+        out = np.empty((lams.size, 2 * self.n, self.n))
+        for i, piece in enumerate(self.pieces):
+            mine = idx == i
+            if mine.any():
+                out[mine] = piece.frames(s[mine])
+        return out
 
     def breakpoint_hints(self):
         k = len(self.pieces)

@@ -23,6 +23,7 @@ from .paths import (
     ConstantPath,
     LagrangianPath,
     PiecewiseLinear,
+    PolynomialAction,
     ReparametrizedPath,
     RotatedPath,
     RotationPath,
@@ -30,7 +31,6 @@ from .paths import (
     UnitaryDiagonalPath,
     gamma_nor,
     gamma_nor_prime,
-    polynomial_action,
 )
 from .reports import VerificationReport
 from .specflow import (
@@ -71,7 +71,7 @@ def random_action(rng, n: int):
     """lambda -> expm(J G(lambda)) for a random quadratic symmetric G."""
     gens = [random_symmetric(rng, 2 * n, 0.8) for _ in range(3)]
     gens[0] = np.zeros((2 * n, 2 * n))  # identity at lambda = 0
-    return polynomial_action(gens)
+    return PolynomialAction(gens)
 
 
 def random_path(rng, n: int, kind: int | None = None) -> LagrangianPath:

@@ -41,9 +41,14 @@ def _standard_J(n: int) -> np.ndarray:
     return J
 
 
-def norm2(M: np.ndarray) -> float:
-    """Spectral norm of a 2-D matrix: bit for bit np.linalg.norm(M, 2)."""
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+def norm2(M: np.ndarray):
+    """Spectral norm of a 2-D matrix: bit for bit np.linalg.norm(M, 2).
+
+    For a stack (m, r, c) of matrices, the array of their m spectral norms,
+    each bit for bit that of the matrix alone.
+    """
+    s = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(s) if s.ndim == 0 else s
 
 
 def within(M: np.ndarray, tol: float) -> bool:
@@ -56,6 +61,28 @@ def within(M: np.ndarray, tol: float) -> bool:
     if math.sqrt(np.vdot(M, M).real) <= tol * (1.0 - 1e-12):
         return True
     return norm2(M) <= tol
+
+
+def within_each(M: np.ndarray, tol: float) -> np.ndarray:
+    """within(M[k], tol) for every matrix of a stack (m, r, c), as a bool array.
+
+    The same decisions: the Frobenius norms of the whole stack accept with
+    the same margin, and the exact 2-norm is taken only where they do not.
+    """
+    fro = np.sqrt(np.einsum("kij,kij->k", M, M.conj()).real)
+    ok = fro <= tol * (1.0 - 1e-12)
+    if not ok.all():
+        ok[~ok] = norm2(M[~ok]) <= tol
+    return ok
+
+
+def _check_each(M: np.ndarray, tol: float, message: str) -> None:
+    """Raise ValueError(message) with the 2-norm of the first matrix of the
+    matrix or stack M that is not within tol."""
+    M = M.reshape(-1, *M.shape[-2:])
+    ok = within_each(M, tol)
+    if not ok.all():
+        raise ValueError(message.format(norm2(M[np.argmin(ok)])))
 
 
 def _orthonormal_columns(B: np.ndarray) -> np.ndarray:
@@ -104,6 +131,14 @@ class LagrangianFrame:
             raise ValueError(f"span is not isotropic: ||F^T J F|| = {norm2(iso):.3e}")
         F.setflags(write=False)
         object.__setattr__(self, "F", F)
+
+    @classmethod
+    def _checked(cls, n: int, F: np.ndarray) -> "LagrangianFrame":
+        """The frame of a read-only F that lagrangian_frames has checked."""
+        L = object.__new__(cls)
+        object.__setattr__(L, "n", n)
+        object.__setattr__(L, "F", F)
+        return L
 
     @property
     def projector(self) -> np.ndarray:
@@ -168,20 +203,31 @@ def frame_from_basis(B: np.ndarray) -> LagrangianFrame:
     return LagrangianFrame(n, Q)
 
 
-def nearest_lagrangian_frame(Q: np.ndarray) -> LagrangianFrame:
-    """Project an orthonormal, nearly isotropic frame onto a Lagrangian frame.
+def lagrangian_frames(F: np.ndarray) -> np.ndarray:
+    """A stack (m, 2n, n) of Lagrangian frames, checked as LagrangianFrame
+    checks one (orthonormal columns and an isotropic span, each within
+    FRAME_ATOL) and made read-only."""
+    n = F.shape[-1]
+    Ft = np.swapaxes(F, 1, 2)
+    _check_each(Ft @ F - np.eye(n), FRAME_ATOL, "columns not orthonormal: ||F^T F - I|| = {:.3e}")
+    _check_each(Ft @ standard_J(n) @ F, FRAME_ATOL, "span is not isotropic: ||F^T J F|| = {:.3e}")
+    F.setflags(write=False)
+    return F
+
+
+def nearest_lagrangian_frames(Q: np.ndarray) -> np.ndarray:
+    """Project a stack (m, 2n, n) of orthonormal, nearly isotropic frames onto
+    Lagrangian frames (checked by lagrangian_frames).
 
     The complexification M = X + iY of the frame blocks satisfies
     M*M = I - i F^T J F, so for a small isotropy defect the nearest unitary
     (polar factor of M) spans a genuinely Lagrangian subspace a comparable
     distance away.  Exactly Lagrangian input is reproduced.
     """
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0] // 2
-    M = Q[:n, :] + 1j * Q[n:, :]
-    U, _, Vt = np.linalg.svd(M)
+    n = Q.shape[-1]
+    U, _, Vt = np.linalg.svd(Q[:, :n] + 1j * Q[:, n:])
     W = U @ Vt
-    return LagrangianFrame(n, np.vstack([W.real, W.imag]))
+    return lagrangian_frames(np.concatenate([W.real, W.imag], axis=1))
 
 
 def l0_frame(n: int) -> LagrangianFrame:
@@ -213,6 +259,22 @@ def souriau(L: LagrangianFrame) -> SouriauMatrix:
     return SouriauMatrix(L.n, U @ U.T)
 
 
+def souriau_stack(F: np.ndarray) -> np.ndarray:
+    """Souriau matrices W = U U^T of a stack (m, 2n, n) of Lagrangian frames,
+    each bit for bit that of souriau, with the same three checks on the
+    whole stack: U unitary, W unitary and W symmetric, within SOURIAU_ATOL."""
+    n = F.shape[-1]
+    U = F[:, :n] + 1j * F[:, n:]
+    eye = np.eye(n)
+    _check_each(np.swapaxes(U.conj(), 1, 2) @ U - eye, SOURIAU_ATOL,
+                "frame does not yield a unitary representative: {:.3e}")
+    W = U @ np.swapaxes(U, 1, 2)
+    Wt = np.swapaxes(W, 1, 2)
+    _check_each(Wt.conj() @ W - eye, SOURIAU_ATOL, "matrix is not unitary: deviation {:.3e}")
+    _check_each(W - Wt, SOURIAU_ATOL, "matrix is not symmetric: ||W - W^T|| = {:.3e}")
+    return W
+
+
 def intersection_dimension(L1: LagrangianFrame, L2: LagrangianFrame, tol: float = RANK_TOL) -> int:
     """dim(L1 cap L2) = 2n - rank([F1 | F2]), rank by singular values.
 
@@ -227,30 +289,30 @@ def intersection_dimension(L1: LagrangianFrame, L2: LagrangianFrame, tol: float 
 
 def _frame_matrix(L) -> np.ndarray:
     """Accept a LagrangianFrame (validated at construction) or a plain
-    orthonormal-column matrix (checked here)."""
+    orthonormal-column matrix or stack of them (checked here)."""
     if isinstance(L, LagrangianFrame):
         return L.F
     Q = np.asarray(L, dtype=float)
-    if Q.ndim != 2:
-        raise ValueError("subspace frame must be a matrix")
-    if Q.shape[1] > 0:
-        dev = Q.T @ Q - np.eye(Q.shape[1])
-        if not within(dev, 1e-8):
-            raise ValueError(f"frame columns are not orthonormal: deviation {norm2(dev):.3e}")
+    if Q.ndim not in (2, 3):
+        raise ValueError("subspace frame must be a matrix or a stack of matrices")
+    if Q.shape[-1] > 0:
+        dev = np.swapaxes(Q, -1, -2) @ Q - np.eye(Q.shape[-1])
+        _check_each(dev, 1e-8, "frame columns are not orthonormal: deviation {:.3e}")
     return Q
 
 
-def gap_distance(L1, L2) -> float:
+def gap_distance(L1, L2):
     """Gap metric ||P1 - P2||_2 between the spans of two orthonormal frames.
 
     Accepts Lagrangian frames or general subspace frames of any ranks in a
-    common ambient space; zero exactly for equal subspaces.
+    common ambient space; zero exactly for equal subspaces.  Given stacks
+    (m, N, k) of frames, the m gaps of corresponding frames, as an array.
     """
     Q1, Q2 = _frame_matrix(L1), _frame_matrix(L2)
-    if Q1.shape[0] != Q2.shape[0]:
-        raise ValueError(f"ambient dimension mismatch: {Q1.shape[0]} vs {Q2.shape[0]}")
-    P1 = Q1 @ Q1.T
-    P2 = Q2 @ Q2.T
+    if Q1.shape[-2] != Q2.shape[-2]:
+        raise ValueError(f"ambient dimension mismatch: {Q1.shape[-2]} vs {Q2.shape[-2]}")
+    P1 = Q1 @ np.swapaxes(Q1, -1, -2)
+    P2 = Q2 @ np.swapaxes(Q2, -1, -2)
     return norm2(P1 - P2)
 
 
@@ -304,8 +366,10 @@ def kato_projection_identity_check(P: np.ndarray, Q: np.ndarray) -> KatoProjecti
     return KatoProjectionReport(a, b, c, hypothesis, disc)
 
 
-def rotation_matrix(n: int, theta: float) -> np.ndarray:
-    """exp(theta J) = cos(theta) I + sin(theta) J, evaluated in closed form."""
+def rotation_matrix(n: int, theta) -> np.ndarray:
+    """exp(theta J) = cos(theta) I + sin(theta) J, evaluated in closed form;
+    for an array of m angles, the stack (m, 2n, 2n)."""
+    theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * np.eye(2 * n) + np.sin(theta) * standard_J(n)
 
 

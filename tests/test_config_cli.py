@@ -305,10 +305,35 @@ def test_cli_verify_every_choice_with_config(which, tmp_path, capsys):
     # the suites that take no instance from a config read its seed and
     # suite.count; the count keeps them small here
     path = _write(tmp_path, "inst.json", {**IDENTITY_CFG, "suite": {"count": 2}})
+    if which == "clm":
+        # IDENTITY_CFG sets a family, which the S = 0 theorem does not read
+        assert main(["verify", which, "--config", path]) == 2
+        assert "verify hamiltonian" in capsys.readouterr().err
+        return
     assert main(["verify", which, "--config", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == _CONFIGURED_COMMAND[which]
     assert report["passed"]
+
+
+def test_cli_verify_clm_rejects_a_configured_family(tmp_path, capsys):
+    # gamma_nor vs l1 with S = 2 pi lambda I: the spectral flow is 3, so
+    # checking the S = 0 theorem (1 = 1) would pass on the wrong instance
+    two_pi = 2.0 * np.pi
+    cfg = {**GAMMA_NOR_CFG, "family": {"coefficients": [
+        [[[0.0, 0.0], [0.0, 0.0]]],
+        [[[two_pi, 0.0], [0.0, two_pi]]],
+    ]}}
+    path = _write(tmp_path, "family.json", cfg)
+    assert main(["sflow", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["spectral_flow"] == 3
+    assert main(["verify", "hamiltonian", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["values"] == {"spectral_flow": 3, "maslov_transported": 3}
+    assert main(["verify", "clm", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: family" in captured.err and "verify hamiltonian" in captured.err
 
 
 def _exit_code(argv):

@@ -8,6 +8,7 @@ path against the (transformed) diagonal.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from maslovflow import (
     BoundaryValueFamily,
@@ -28,12 +29,15 @@ from maslovflow import (
     perturbation_theta,
     souriau,
     spectral_flow,
+    SymplecticActionPath,
     UnitaryDiagonalPath,
     UnresolvedCrossing,
+    intersection_dimension,
 )
-from maslovflow import maslov
+from maslovflow import maslov, paths
 from maslovflow.paths import LagrangianPath
-from maslovflow.suites import random_lagrangian_frame, random_pair
+from maslovflow.suites import random_action, random_lagrangian_frame, random_pair
+from maslovflow.symplectic import norm2
 
 
 def test_normalization_pair_indices():
@@ -184,13 +188,13 @@ def test_unitary_diagonal_pair_index_many_phases_moving_together():
 def test_maslov_pair_propagates_errors_other_than_unresolved_crossing(monkeypatch):
     # only an exhausted bisection depth may fall back to a rotated pair; any
     # other RuntimeError inside the counter is a bug and must surface
-    def broken_count(self, a, b, depth=0):
+    def broken_counts(self, a, b):
         raise RuntimeError("bug inside the counter")
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("the regularization fallback must not be called")
 
-    monkeypatch.setattr(maslov._PairCounter, "count", broken_count)
+    monkeypatch.setattr(maslov._PairCounter, "counts", broken_counts)
     monkeypatch.setattr(maslov, "_regularized", no_fallback)
     with pytest.raises(RuntimeError, match="bug inside the counter"):
         maslov_pair(gamma_nor(1), ConstantPath(l1_frame(1)))
@@ -201,7 +205,7 @@ def test_depth_exhaustion_raises_unresolved_crossing():
     # far beyond one resolvable segment, so depth 0 cannot settle it
     counter = maslov._PairCounter(gamma_nor(1), ConstantPath(l1_frame(1)), max_depth=0)
     with pytest.raises(UnresolvedCrossing, match="unresolved crossing"):
-        counter.count(0.0, 0.5)
+        counter.counts([0.0], [0.5])
 
 
 def test_perturbation_theta_admissible_pair():
@@ -304,3 +308,118 @@ def test_product_diagonal_normalization():
     g1 = gamma_nor(n)
     g2 = ConstantPath(l1_frame(n))
     assert maslov_pair(_ProductPath(g1, g2), ConstantPath(_diagonal_frame(n))) == 1
+
+
+# --- the depth-first counter as the reference of the level-by-level one ------
+
+
+def _dfs_counter(g1, g2, max_depth=maslov.MAX_DEPTH):
+    """The counter maslov_pair used before it counted level by level: a
+    depth-first bisection over scalar Souriau matrices, one lambda at a time.
+    Returns count(a, b) and the eigenphase sum."""
+    cap = min(0.15, 3.0 / g1.n)
+
+    def C(lam):
+        return g1.souriau_matrix(lam) @ g2.souriau_matrix(lam).conj()
+
+    def phase_sum(lam):
+        p = np.angle(np.linalg.eigvals(C(lam)))
+        return float(np.sum(np.where(p < -maslov.PHASE_TOL, p + 2.0 * np.pi, p)))
+
+    def count(a, b, depth=0):
+        if norm2(C(b) - C(a)) <= cap:
+            return -int(np.rint((phase_sum(b) - phase_sum(a)) / (2.0 * np.pi)))
+        if depth >= max_depth:
+            raise UnresolvedCrossing(
+                f"unresolved crossing near lambda in [{a:.12g}, {b:.12g}] after {max_depth} bisections"
+            )
+        m = 0.5 * (a + b)
+        return count(a, m, depth + 1) + count(m, b, depth + 1)
+
+    return count, phase_sum
+
+
+def _dfs_total(g1, g2, max_depth=maslov.MAX_DEPTH):
+    count, _ = _dfs_counter(g1, g2, max_depth)
+    nodes = sorted(set(g1.sample_grid) | set(g2.sample_grid))
+    return sum(count(a, b) for a, b in zip(nodes[:-1], nodes[1:]))
+
+
+def _oracle_pairs():
+    """30 seeded random pairs, n = 1, 2, 3; every third shares its start."""
+    for k in range(30):
+        n = 1 + k % 3
+        g1, g2 = random_pair(np.random.default_rng(100 + k), n, force_nonadmissible=k % 3 == 2)
+        yield k, g1, g2
+
+
+def test_level_by_level_counter_matches_depth_first_recursion():
+    nonadmissible = 0
+    for k, g1, g2 in _oracle_pairs():
+        if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
+            nonadmissible += 1
+            reference = _dfs_total(g1, RotatedPath(g2, -perturbation_theta(g1, g2)))
+        else:
+            reference = _dfs_total(g1, g2)
+        assert maslov_pair(g1, g2) == reference, k
+    assert nonadmissible >= 10
+
+
+def test_crossing_list_sums_to_the_pair_index():
+    for k, g1, g2 in _oracle_pairs():
+        if k % 2:
+            continue
+        records = crossing_list(g1, g2)
+        assert sum(r.sign * r.multiplicity for r in records) == maslov_pair(g1, g2), k
+        assert [r.lambda_star for r in records] == sorted(r.lambda_star for r in records)
+
+
+def test_maslov_loop_matches_depth_first_winding():
+    loops = [gamma_nor(1), gamma_nor(3), gamma_nor_prime(2), gamma_nor(2).reversed()]
+    loops.append(UnitaryDiagonalPath([PiecewiseLinear([0.0, 0.4, 1.0], [0.3, 4.0, 0.3 + 3 * np.pi]),
+                                      PiecewiseLinear.linear(-0.5, -0.5 - 2 * np.pi)]))
+    for g in loops:
+        reference = ConstantPath(l0_frame(g.n))
+        _, phase_sum = _dfs_counter(g, reference)
+        winding = _dfs_total(g, reference) + (phase_sum(1.0) - phase_sum(0.0)) / (2.0 * np.pi)
+        assert maslov_loop(g) == round(winding)
+    assert maslov_loop(loops[-1]) == 1
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 3])
+def test_depth_cap_raises_for_the_segment_the_recursion_names(max_depth):
+    # slow on [0, 0.5] and fast after it, so the first open segment at the
+    # cap is not the first segment of its level
+    g1 = UnitaryDiagonalPath([PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.05, 6.0]), PiecewiseLinear.constant(0.3)])
+    g2 = ConstantPath(l1_frame(2))
+    count, _ = _dfs_counter(g1, g2, max_depth)
+    with pytest.raises(UnresolvedCrossing) as expected:
+        count(0.0, 1.0)
+    counter = maslov._PairCounter(g1, g2, max_depth=max_depth)
+    with pytest.raises(UnresolvedCrossing) as got:
+        counter.counts([0.0], [1.0])
+    assert str(got.value) == str(expected.value)
+
+
+def test_maslov_pair_calls_expm_once_per_level(monkeypatch):
+    # a pair of symplectic actions expm(J G(lambda)) L: the grid of each path
+    # and each level of the counter evaluate all their new lambdas with one
+    # expm call per path, not one call per lambda
+    rng = np.random.default_rng(41)
+    g1 = SymplecticActionPath(random_action(rng, 2), random_lagrangian_frame(rng, 2))
+    g2 = SymplecticActionPath(random_action(rng, 2), random_lagrangian_frame(rng, 2))
+    assert all(intersection_dimension(g1.frame(e), g2.frame(e)) == 0 for e in (0.0, 1.0))
+    g1, g2 = SymplecticActionPath(g1.matfun, g1.base), SymplecticActionPath(g2.matfun, g2.base)
+    expm_sizes, levels = [], []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: expm_sizes.append(len(A)) or expm(A))
+    grid_gap = paths.gap_distance
+    monkeypatch.setattr(paths, "gap_distance", lambda *a: levels.append("grid") or grid_gap(*a))
+    unitaries = maslov._PairCounter.unitaries
+    monkeypatch.setattr(maslov._PairCounter, "unitaries",
+                        lambda self, lams: levels.append("count") or unitaries(self, lams))
+    index = maslov_pair(g1, g2)
+    assert index == _dfs_total(g1, g2)
+    # two scalar endpoint frames per path, then one call per path and level
+    assert len(expm_sizes) <= 4 + levels.count("grid") + 2 * levels.count("count")
+    assert len(expm_sizes) < sum(expm_sizes) / 4

@@ -6,8 +6,10 @@ import pytest
 from maslovflow import (
     ConcatPath,
     ConstantPath,
+    LagrangianFrame,
     PiecewiseLinear,
     ReparametrizedPath,
+    RotatedPath,
     RotationPath,
     SymplecticActionPath,
     UnitaryDiagonalPath,
@@ -18,8 +20,11 @@ from maslovflow import (
     intersection_dimension,
     l0_frame,
     l1_frame,
+    rotate,
     rotation_matrix,
 )
+from maslovflow.paths import LagrangianPath
+from maslovflow.suites import random_action, random_lagrangian_frame
 
 
 def test_piecewise_linear_validation():
@@ -125,3 +130,106 @@ def test_rotation_path_matches_matrix_action():
     lam = 0.6
     R = rotation_matrix(2, 1.1 * lam)
     assert np.linalg.norm(g.frame(lam).F - R @ l0_frame(2).F, 2) < 1e-12
+
+
+class _OneAtATime(LagrangianPath):
+    """A subclass that evaluates only single lambdas, through _frame_at."""
+
+    def __init__(self, base):
+        super().__init__(base.n)
+        self.base = base
+
+    def _frame_at(self, lam):
+        return rotate(self.base, 0.8 * lam - 0.3)
+
+
+def _path_of_each_class():
+    """One path of every class, built afresh (with empty caches) on each call."""
+    rng = np.random.default_rng(31)
+    n = 2
+    L = random_lagrangian_frame(rng, n)
+    rotation = RotationPath(L, PiecewiseLinear([0.0, 0.4, 1.0], [0.1, -1.3, 2.0]))
+    diagonal = UnitaryDiagonalPath([
+        PiecewiseLinear([0.0, 0.5, 1.0], [0.2, 2.9, -0.4]),
+        PiecewiseLinear.linear(-0.7, 1.6),
+    ])
+    action = SymplecticActionPath(random_action(rng, n), L)
+    return {
+        "constant": ConstantPath(L),
+        "rotation": rotation,
+        "unitary_diagonal": diagonal,
+        "action_on_frame": action,
+        "action_on_path": SymplecticActionPath(random_action(rng, n), rotation),
+        "action_per_lambda": SymplecticActionPath(lambda lam: rotation_matrix(n, 0.3 + lam), diagonal),
+        "rotated": RotatedPath(action, 0.7),
+        "reversed": diagonal.reversed(),
+        "reparametrized": ReparametrizedPath(action, PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])),
+        "concat": ConcatPath([rotation, SymplecticActionPath(random_action(rng, n), rotation.frame(1.0))]),
+        "frame_at_only": _OneAtATime(L),
+    }
+
+
+# lambda = 0.5 is the junction of the concatenation; 0.5 and 0.25 repeat
+_LAMS = np.array([0.0, 0.25, 0.5, 1.0, 0.1234567, 1.0 / 3.0, 0.5, 0.25, 0.9999, 0.7316])
+
+
+@pytest.mark.parametrize("name", sorted(_path_of_each_class()))
+def test_batched_frames_match_scalar_frames(name):
+    # frames(lams) on one copy against frame(lam) lambda by lambda on a fresh
+    # copy, so no value comes from a cache the other filled.  Each class has
+    # one evaluator, so the two agree bit for bit wherever numpy's array
+    # sin/cos give the scalar results; 1e-15 allows a last-bit difference
+    batched, scalar = _path_of_each_class()[name], _path_of_each_class()[name]
+    F = batched.frames(_LAMS)
+    W = batched.souriau_matrices(_LAMS)
+    assert F.shape == (_LAMS.size, 4, 2) and W.shape == (_LAMS.size, 2, 2)
+    F1 = np.array([scalar.frame(lam).F for lam in _LAMS])
+    W1 = np.array([scalar.souriau_matrix(lam) for lam in _LAMS])
+    np.testing.assert_allclose(F, F1, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(W, W1, rtol=0, atol=1e-15)
+    for Fk in F:
+        LagrangianFrame(2, Fk)  # checks orthonormality and isotropy
+    # a second batch with old and new lambdas reads the cache for the old ones
+    more = np.concatenate([_LAMS[:3], [0.61, 0.62]])
+    assert np.array_equal(batched.frames(more)[:3], F[:3])
+
+
+def test_concat_frames_at_the_junction_come_from_the_second_piece():
+    paths = _path_of_each_class()
+    g = paths["concat"]
+    second = g.pieces[1]
+    assert np.array_equal(g.frames([0.5, 0.75])[0], second.frame(0.0).F)
+    assert np.array_equal(g.frames([0.75])[0], second.frame(0.5).F)
+    assert np.array_equal(g.frames([0.25])[0], g.pieces[0].frame(0.5).F)
+
+
+def test_batched_action_reports_the_first_non_symplectic_lambda():
+    def fn(lam):
+        return np.eye(4) * (2.0 if lam > 0.5 else 1.0)
+
+    g = SymplecticActionPath(fn, l0_frame(2))
+    with pytest.raises(ValueError, match=r"lambda=0\.6 is not symplectic"):
+        g.frames([0.1, 0.6, 0.7])
+
+
+def _sample_grid_node_by_node(g):
+    """The sample grid as it was refined before batching: every interval of
+    every level, one scalar gap distance at a time."""
+    nodes = sorted(set(np.linspace(0.0, 1.0, 9)) | set(g.breakpoint_hints()))
+    for _ in range(24):
+        refined, dirty = [nodes[0]], False
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            if gap_distance(g.frame(a), g.frame(b)) > 0.1:
+                refined.append(0.5 * (a + b))
+                dirty = True
+            refined.append(b)
+        nodes = refined
+        if not dirty:
+            return np.asarray(nodes)
+    raise RuntimeError("sample grid did not reach the gap bound 0.1")
+
+
+@pytest.mark.parametrize("name", sorted(_path_of_each_class()))
+def test_sample_grid_matches_node_by_node_refinement(name):
+    batched, scalar = _path_of_each_class()[name], _path_of_each_class()[name]
+    assert np.array_equal(batched.sample_grid, _sample_grid_node_by_node(scalar))

@@ -27,7 +27,14 @@ from maslovflow import (
 )
 from maslovflow.paths import SymplecticActionPath
 from maslovflow.suites import random_lagrangian_frame, random_symmetric
-from maslovflow.symplectic import SouriauMatrix, norm2, within
+from maslovflow.symplectic import (
+    SouriauMatrix,
+    lagrangian_frames,
+    norm2,
+    souriau_stack,
+    within,
+    within_each,
+)
 
 import scipy.linalg
 
@@ -398,3 +405,48 @@ def test_no_numpy_spectral_norm_in_library():
     assert found == []
     assert list(_spectral_norm_calls(ast.parse("np.linalg.norm(M - M.T, 2)"))) == [1]
     assert list(_spectral_norm_calls(ast.parse("numpy.linalg.norm(M, ord=2)"))) == [1]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_within_each_matches_within_on_a_stack(complex_):
+    rng = np.random.default_rng(14)
+    tol = 1e-6
+    stack = []
+    # Frobenius norm above tol while the 2-norm is below it, just below it,
+    # and just above it: only the exact 2-norm decides these
+    for s in (0.9, 1 - 1e-13, 1 + 1e-13):
+        Q, _ = np.linalg.qr(_random_matrix(rng, 3, 3, complex_))
+        M = Q @ np.diag([s * tol, s * tol, 0.5 * tol])
+        assert np.sqrt(np.vdot(M, M).real) > tol
+        stack.append(M)
+    stack += [_random_matrix(rng, 3, 3, complex_) for _ in range(200)]
+    stack = np.array(stack)
+    expected = [within(M, tol) for M in stack]
+    assert expected[:3] == [True, True, False]
+    assert within_each(stack, tol).tolist() == expected
+    assert within_each(stack, tol).tolist() == [norm2(M) <= tol for M in stack]
+    assert np.array_equal(norm2(stack), [norm2(M) for M in stack])
+
+
+def test_stack_checks_reject_what_the_scalar_checks_reject():
+    # the second frame of each stack is the bad one; the message carries its
+    # 2-norm, as the scalar check's does
+    good = l0_frame(2).F
+    F = np.zeros((4, 2))
+    F[0, 0] = F[1, 1] = 1.5
+    with pytest.raises(ValueError, match="orthonormal") as err:
+        lagrangian_frames(np.array([good, F]))
+    assert _reported(err) == 1.25
+    F = np.zeros((4, 2))
+    F[0, 0] = F[2, 1] = 1.0
+    with pytest.raises(ValueError, match="isotropic") as err:
+        lagrangian_frames(np.array([good, F]))
+    assert _reported(err) == 1.0
+    with pytest.raises(ValueError, match="not orthonormal") as err:
+        gap_distance(np.array([good, 2.0 * good]), np.array([good, good]))
+    assert _reported(err) == 3.0
+    frames = np.array([good, l1_frame(2).F, random_lagrangian_frame(np.random.default_rng(15), 2).F])
+    W = souriau_stack(frames)
+    assert np.array_equal(W, [souriau(LagrangianFrame(2, F)).W for F in frames])
+    with pytest.raises(ValueError, match="unitary representative"):
+        souriau_stack(np.array([good, 1.5 * good]))
