@@ -27,6 +27,7 @@ import numpy as np
 from .config import ConfigError, ProblemConfig, SolverSettings, parse_config
 from .families import SymmetricFamily
 from .hamiltonian import (
+    MIN_STEPS,
     alpha_beta_identity,
     clm_hamiltonian,
     morse_index_formula,
@@ -113,10 +114,9 @@ def cmd_spectra(cfg: ProblemConfig, args) -> int:
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
     lo, hi = cfg.solver.mu_window
     rows = []
-    for lam in np.linspace(0.0, 1.0, cfg.lambda_grid):
-        window = spectrum_window(fam, float(lam), lo, hi, tol=cfg.solver.tol)
+    for window in spectrum_window(fam, np.linspace(0.0, 1.0, cfg.lambda_grid), lo, hi, tol=cfg.solver.tol):
         for mu, mult in window.eigenvalues:
-            rows.append((float(lam), mu, mult))
+            rows.append((window.lam, mu, mult))
     rows.sort()
     text = _csv_rows(rows)
     if args.csv:
@@ -163,13 +163,15 @@ class _Check:
     `instance(cfg, **solver)` checks the configured instance and reads
     --steps, --tol and --max-depth; otherwise the seeded `suite` runs, reads
     the flags in `suite_reads`, and has `count` instances unless --count or
-    the config's suite.count says otherwise."""
+    the config's suite.count says otherwise.  A check that builds fundamental
+    solutions needs at least `min_steps` steps in either mode."""
 
     instance: Callable | None
     needs: tuple
     suite: Callable
     count: int
     suite_reads: tuple
+    min_steps: int = 0
 
 
 _PATHS = ("gamma1_desc", "gamma2_desc")
@@ -178,21 +180,21 @@ _VERIFY = {
     "clm": _Check(_verify_clm, _PATHS, theorem_suite, 25, ("count", "seed")),
     "hamiltonian": _Check(
         lambda cfg, **kw: clm_hamiltonian(_family(cfg), cfg.path1(), cfg.path2(), **kw),
-        _PATHS, hamiltonian_suite, 25, ("count", "seed", "steps"),
+        _PATHS, hamiltonian_suite, 25, ("count", "seed", "steps"), MIN_STEPS,
     ),
     "three-term": _Check(
         lambda cfg, **kw: three_term_identity(_family(cfg), cfg.path1(), cfg.path2(), **kw),
-        _PATHS, three_term_suite, 25, ("count", "seed", "steps"),
+        _PATHS, three_term_suite, 25, ("count", "seed", "steps"), MIN_STEPS,
     ),
     "alpha-beta": _Check(
         lambda cfg, **kw: alpha_beta_identity(
             _family(cfg), cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, **kw
         ),
-        _PATHS + ("alpha", "beta"), alpha_beta_suite, 25, ("count", "seed", "steps"),
+        _PATHS + ("alpha", "beta"), alpha_beta_suite, 25, ("count", "seed", "steps"), MIN_STEPS,
     ),
     "morse": _Check(
         lambda cfg, **kw: morse_index_formula(cfg.family, **kw),
-        ("family",), morse_suite, 5, ("count", "seed", "steps"),
+        ("family",), morse_suite, 5, ("count", "seed", "steps"), MIN_STEPS,
     ),
     "axioms": _Check(None, (), axiom_suite, 50, ("count", "seed")),
     "gap": _Check(None, (), gap_suite, 100, ("count", "seed")),
@@ -211,6 +213,12 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
         if getattr(args, dest) is not None and dest not in reads:
             mode = "the configured instance" if configured else "the seeded suite"
             raise ConfigError(f"--{dest.replace('_', '-')}: not read by {mode} of verify {args.which}")
+    if cfg.solver.steps < check.min_steps:
+        where = "--steps" if args.steps is not None else "solver.steps"
+        raise ConfigError(
+            f"{where}: verify {args.which} builds fundamental solutions, which take at least "
+            f"{check.min_steps} steps, got {cfg.solver.steps}"
+        )
     settings = {
         "count": args.count or cfg.suite.get("count") or check.count,
         "seed": cfg.seed,

@@ -53,22 +53,29 @@ class SymmetricFamily:
         matrix = np.asarray(matrix, dtype=float)
         return cls(matrix[None, None, :, :])
 
-    def __call__(self, lam: float, t) -> np.ndarray:
-        lam_pows = float(lam) ** np.arange(self.coeffs.shape[0])
-        ct = np.tensordot(lam_pows, self.coeffs, axes=(0, 0))
+    def __call__(self, lam, t) -> np.ndarray:
+        """S_lambda(t), shape t.shape + (2n, 2n) for a scalar lambda and
+        (m,) + t.shape + (2n, 2n) for a 1-D array of m lambdas; each matrix of
+        a lambda array is bit for bit that of its lambda alone."""
         t = np.asarray(t, dtype=float)
         t_pows = t[..., None] ** np.arange(self.coeffs.shape[1])
-        return np.tensordot(t_pows, ct, axes=(-1, 0))
+        if np.ndim(lam) == 0:
+            lam_pows = float(lam) ** np.arange(self.coeffs.shape[0])
+            ct = np.tensordot(lam_pows, self.coeffs, axes=(0, 0))
+            return np.tensordot(t_pows, ct, axes=(-1, 0))
+        # one row of lambda powers per matrix product: the same products as
+        # the vector contraction above, where a multi-row product rounds apart
+        lam_pows = np.asarray(lam, dtype=float)[:, None, None] ** np.arange(self.coeffs.shape[0])
+        ct = lam_pows @ self.coeffs.reshape(self.coeffs.shape[0], -1)
+        ct = ct.reshape((len(lam_pows), self.coeffs.shape[1], -1))
+        out = t_pows.reshape(-1, self.coeffs.shape[1]) @ ct
+        return out.reshape((len(lam_pows),) + t.shape + self.coeffs.shape[2:])
 
     def sup_norm(self) -> float:
         """Sup over a 17 x 17 grid of (lambda, t) of the spectral norm."""
         if self._sup is None:
             grid = np.linspace(0.0, 1.0, 17)
-            best = 0.0
-            for lam in grid:
-                mats = self(lam, grid)
-                best = max(best, max(norm2(M) for M in mats))
-            self._sup = float(best)
+            self._sup = float(np.max(norm2(self(grid, grid).reshape((-1,) + self.coeffs.shape[2:]))))
         return self._sup
 
     def is_zero(self) -> bool:

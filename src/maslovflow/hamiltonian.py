@@ -29,6 +29,9 @@ from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEP
 from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
+# fewest RK4 steps of a fundamental solution; the CLI holds every verify
+# check that builds one to the same bound
+MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,8 @@ def fundamental_solution(S: SymmetricFamily, lam: float, steps: int = DEFAULT_ST
 
     Raises when the symplecticity drift exceeds 1e-6, suggesting more steps.
     """
-    if steps < 64:
-        raise ValueError(f"steps must be at least 64, got {steps}")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
     n = S.n
     J = standard_J(n)
     h = 1.0 / steps

@@ -7,24 +7,30 @@ zero the transfer matrix is the closed-form rotation exp(-mu J), and for
 t-independent S it is one matrix exponential per mu, so those spectra carry no
 RK4 error.  Otherwise Phi(1) is the ordered product of the RK4 one-step
 propagators (see propagator.py).  Each is a polynomial of degree 4 in mu whose
-coefficients are built once per lambda; the steps for a chunk of mu values are
-one matrix product with the mu-powers, multiplied pairwise in log depth.
+coefficients are built once per lambda; the steps for a chunk of (mu, lambda)
+pairs are one matrix product with the mu-powers per lambda in the chunk,
+multiplied pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
 taken in [0, 2pi) jumps by 2pi per eigenvalue.  Detector evaluations are
-batched over mu.  Every scan interval that holds eigenvalues is narrowed with
-the count as bracket invariant: by Illinois secant steps (Dowell & Jarratt
-1971) on a smooth determinant that vanishes on the spectrum where an interval
-holds one eigenvalue and the determinant changes sign, by halving otherwise.
+batched over mu, and over lambda too when spectrum_window is given an array of
+lambdas: the windows at all of them are scanned and narrowed together, each
+exactly as it would be alone.  Every scan interval that holds eigenvalues is
+narrowed with the count as bracket invariant: by Illinois secant steps (Dowell
+& Jarratt 1971) on a smooth determinant that vanishes on the spectrum where an
+interval holds one eigenvalue and the determinant changes sign, by halving
+otherwise.
 The count's parity is checked against that determinant's sign changes.
 
 The spectral flow follows the partition definition: on each parameter
 subinterval an eigenvalue-free threshold epsilon is chosen and the counts of
 eigenvalues in [0, epsilon] at the two ends are differenced.  Subintervals are
-bisected until branch motion is small against the epsilon margins, and the
-whole computation is repeated at doubled grid resolution as a consistency
-check.
+bisected until branch motion is small against the epsilon margins, level by
+level: the windows at every new node of a level come from one stacked
+spectrum_window call, so the detector calls of a level are shared by all its
+nodes.  The whole computation is repeated at doubled grid resolution as a
+consistency check.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import scipy.linalg
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import ordered_product, rk4_step_coefficients, rk4_steps_at
-from .symplectic import gap_distance, norm2, souriau, standard_J, subspace_frame
+from .symplectic import gap_distance, norm2, souriau_stack, standard_J, subspace_frame
 
 MU_TOL = 1e-10
 _SF_WINDOW = 1.45
@@ -50,24 +56,33 @@ _EPS_SLACK = 1e-6
 _ZERO_TOL = 1e-9
 DEFAULT_STEPS = 256
 MAX_DEPTH = 40
-# mu values propagated together: with the steps built as one matrix product
-# from the coefficients, chunks of 16 matched or beat 4, 8, 32 and the whole
-# batch for batches of 2-250 mu at 256 steps, n = 1 and 2 (2-vCPU Xeon, 4 MB
-# L2, one BLAS thread: 250 mu at n = 2 in 3.2 ms against 7.6 ms for chunks of
-# 4 and 4.4 ms for the whole batch); 16 mu keep the steps near 0.5 MB at n = 2
+# (mu, lambda) pairs propagated together: with the steps built as one matrix
+# product from the coefficients, chunks of 16 matched or beat 4, 8, 32 and the
+# whole batch for batches of 2-250 mu at one lambda, 256 steps, n = 1 and 2
+# (2-vCPU Xeon, 4 MB L2, one BLAS thread: 250 mu at n = 2 in 3.2 ms against
+# 7.6 ms for chunks of 4 and 4.4 ms for the whole batch); 16 pairs keep the
+# steps near 0.5 MB at n = 2.  Pairs of several lambdas are sorted by lambda
+# and chunked the same way, each chunk's steps built from one matrix product
+# per lambda in it
 _MU_CHUNK = 16
 # rows of the bracket table of the eigenvalue locator in spectrum_window, one
 # column per bracket: its ends, its eigenvalue count, the eigenphase sum at
 # lo, the (Illinois-scaled) determinant at both ends, the end the last secant
-# step kept (-1 lo, 1 hi, 0 neither), and 1 once two probes tol apart caught
-# its eigenvalue
-_LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT = range(8)
+# step kept (-1 lo, 1 hi, 0 neither), 1 once two probes tol apart caught its
+# eigenvalue, the position of its window in the stack of lambdas, and the
+# iterations its window allows
+_LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN, _ITERS = range(10)
 # equal widening of both window edges per retry in _clean_windows
 _EDGE_NUDGE = 0.0137
 
 
 class EigenvalueAtWindowEdge(ValueError):
-    """An endpoint of a requested mu-window is an eigenvalue."""
+    """An endpoint of a requested mu-window is an eigenvalue; windows holds
+    the positions of all such windows in the stack of lambdas (0 for one)."""
+
+    def __init__(self, message: str, windows: tuple = (0,)):
+        super().__init__(message)
+        self.windows = windows
 
 
 class EigenvalueCountMismatch(RuntimeError):
@@ -76,27 +91,45 @@ class EigenvalueCountMismatch(RuntimeError):
 
 
 @dataclass(frozen=True)
-class _Slice:
-    """Everything the detector needs at one lambda, built once per lambda.
+class _Slices:
+    """Everything the detector needs at a set of lambdas, stacked along the
+    first axis, built once per set.
 
-    coeff is None for S = 0, the generator J S(lambda, 0) for t-independent
+    coeff is None for S = 0, the generators J S(lambda, 0) for t-independent
     S, and otherwise the coefficients (5, steps, 2n, 2n) of the RK4 step
-    propagators as polynomials in mu (see rk4_step_coefficients).
+    propagators as polynomials in mu (see rk4_step_coefficients), per lambda.
     """
 
     F1: np.ndarray
     F2: np.ndarray
-    W2_conj: np.ndarray  # conj of the Souriau matrix W = U U^T of gamma_2
+    W2_conj: np.ndarray  # conj of the Souriau matrices W = U U^T of gamma_2
     coeff: object
 
 
-def _rk4_transfer_batch(C, mus):
+def _rk4_transfer_batch(C, mus, at=None):
     """Propagate Phi' = (JS(t) - mu J) Phi from identity, batched over mu, from
-    the coefficients C of the RK4 step propagators as polynomials in mu."""
+    the coefficients C of the RK4 step propagators as polynomials in mu.
+
+    C holds one lambda's coefficients, or with at the stacked coefficients of
+    several, at[i] being the position of mu[i]'s lambda; the pairs are then
+    taken in order of lambda, so that a chunk builds its steps from a few
+    runs of one lambda each.
+    """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     out = np.empty((len(mus),) + C.shape[-2:])
+    if at is None:
+        for s in range(0, len(mus), _MU_CHUNK):
+            out[s : s + _MU_CHUNK] = ordered_product(rk4_steps_at(C, mus[s : s + _MU_CHUNK]))
+        return out
+    order = np.argsort(at, kind="stable")
     for s in range(0, len(mus), _MU_CHUNK):
-        out[s : s + _MU_CHUNK] = ordered_product(rk4_steps_at(C, mus[s : s + _MU_CHUNK]))
+        rows = order[s : s + _MU_CHUNK]
+        ats = at[rows]
+        cuts = np.concatenate([[0], np.flatnonzero(ats[1:] != ats[:-1]) + 1, [len(rows)]]).tolist()
+        steps = np.empty((len(rows),) + C.shape[-3:])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            steps[a:b] = rk4_steps_at(C[ats[a]], mus[rows[a:b]])
+        out[rows] = ordered_product(steps)
     return out
 
 
@@ -124,10 +157,11 @@ class BoundaryValueFamily:
         self.S = None if (S is None or S.is_zero()) else S
         self.steps = steps
         self._J = standard_J(self.n)
-        # only the latest lambda's slice is kept: the detector is called for
-        # one lambda at a time (a window), spectral_flow caches the windows,
-        # and a slice holds the five RK4 coefficient arrays (164 KB at 256
-        # steps and n = 2), too much to keep for every lambda ever seen
+        # only the latest lambda set's slices are kept, with each lambda's
+        # position among them: the detector is called for the lambdas of one
+        # stack of windows at a time, spectral_flow caches the windows, and a
+        # slice holds the five RK4 coefficient arrays (164 KB at 256 steps and
+        # n = 2), too much to keep for every lambda ever seen
         self._last: tuple | None = None
         self._t_const = self.S is not None and self.S.t_independent()
         if self.S is not None:
@@ -151,36 +185,62 @@ class BoundaryValueFamily:
             sorted(set(self.gamma1.breakpoint_hints()) | set(self.gamma2.breakpoint_hints()))
         )
 
-    def _slice(self, lam: float) -> _Slice:
-        if self._last is None or self._last[0] != lam:
-            if self.S is None:
-                coeff = None
-            elif self._t_const:
-                coeff = self._J @ self.S(lam, 0.0)
-            else:
-                h = 1.0 / self.steps
-                ts = np.linspace(0.0, 1.0, self.steps + 1)
-                nodes, mids = self._J @ self.S(lam, ts), self._J @ self.S(lam, ts[:-1] + 0.5 * h)
-                coeff = rk4_step_coefficients(nodes, mids, h, -self._J)
-            L2 = self.gamma2.frame(lam)
-            self._last = (lam, _Slice(self.gamma1.frame(lam).F, L2.F, souriau(L2).W.conj(), coeff))
-        return self._last[1]
-
-    def _transfer_batch(self, lam: float, mus: np.ndarray) -> np.ndarray:
+    def _build(self, lams: np.ndarray) -> _Slices:
+        F2 = self.gamma2.frames(lams)
         if self.S is None:
+            coeff = None
+        elif self._t_const:
+            coeff = self._J @ self.S(lams, 0.0)
+        else:
+            h = 1.0 / self.steps
+            ts = np.linspace(0.0, 1.0, self.steps + 1)
+            # one lambda at a time, so the samples of S live only for one
+            coeff = np.empty((len(lams), 5, self.steps, 2 * self.n, 2 * self.n))
+            for k, lam in enumerate(lams.tolist()):
+                nodes, mids = self._J @ self.S(lam, ts), self._J @ self.S(lam, ts[:-1] + 0.5 * h)
+                coeff[k] = rk4_step_coefficients(nodes, mids, h, -self._J)
+        return _Slices(self.gamma1.frames(lams), F2, souriau_stack(F2).conj(), coeff)
+
+    def _slices(self, lam):
+        """The slices of the latest lambda set that holds lam, and the position
+        of lam in it: an int for a scalar lam, an int array for an array."""
+        if np.ndim(lam) == 0:
+            lam = float(lam)
+            i = None if self._last is None else self._last[0].get(lam)
+            if i is None:
+                self._last = ({lam: 0}, self._build(np.array([lam])))
+                i = 0
+            return self._last[1], i
+        keys, at = np.unique(np.asarray(lam, dtype=float), return_inverse=True)
+        keys = keys.tolist()
+        if self._last is None or not all(k in self._last[0] for k in keys):
+            self._last = None  # free the old set before building the new
+            self._last = (dict(zip(keys, range(len(keys)))), self._build(np.array(keys)))
+            return self._last[1], at
+        pos = self._last[0]
+        return self._last[1], np.array([pos[k] for k in keys])[at]
+
+    def _transfer_batch(self, lam, mus: np.ndarray) -> np.ndarray:
+        """Phi(1) at each mu, at one lambda or at one lambda per mu."""
+        return self._transfer_at(*self._slices(lam), mus)
+
+    def _transfer_at(self, sl: _Slices, at, mus: np.ndarray) -> np.ndarray:
+        if sl.coeff is None:
             eye = np.eye(2 * self.n)
             return np.cos(mus)[:, None, None] * eye - np.sin(mus)[:, None, None] * self._J
-        coeff = self._slice(lam).coeff
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
-            return scipy.linalg.expm(coeff - mus[:, None, None] * self._J)
-        return _rk4_transfer_batch(coeff, mus)
+            return scipy.linalg.expm(sl.coeff[at] - mus[:, None, None] * self._J)
+        if np.ndim(at) == 0:
+            return _rk4_transfer_batch(sl.coeff[at], mus)
+        return _rk4_transfer_batch(sl.coeff, mus, at)
 
     def transfer(self, lam: float, mu: float) -> np.ndarray:
         return self._transfer_batch(lam, np.atleast_1d(float(mu)))[0]
 
-    def detector_batch(self, lam: float, mus):
-        """Detector data at one lambda for a batch of mu values.
+    def detector_batch(self, lam, mus):
+        """Detector data for a batch of mu values, at one lambda or, with lam
+        an array shaped like mus, at one lambda per mu.
 
         Returns (g, dets, phase_sums): the smallest singular value of
         [frame(Phi gamma_1) | frame(gamma_2)] per mu, the signed determinant
@@ -188,13 +248,13 @@ class BoundaryValueFamily:
         eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in [0, 2pi).
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        sl = self._slice(lam)
-        Phi = self._transfer_batch(lam, mus)
-        U, _, Vt = np.linalg.svd(Phi @ sl.F1, full_matrices=False)
+        sl, at = self._slices(lam)
+        Phi = self._transfer_at(sl, at, mus)
+        U, _, Vt = np.linalg.svd(Phi @ sl.F1[at], full_matrices=False)
         Q = U @ Vt  # orthonormal polar factor, a continuous function of Phi F1
-        dets = np.linalg.det(np.swapaxes(Q, 1, 2) @ self._J @ sl.F2)
+        dets = np.linalg.det(np.swapaxes(Q, 1, 2) @ self._J @ sl.F2[at])
         UQ = Q[:, : self.n] + 1j * Q[:, self.n :]
-        C = UQ @ np.swapaxes(UQ, 1, 2) @ sl.W2_conj
+        C = UQ @ np.swapaxes(UQ, 1, 2) @ sl.W2_conj[at]
         phases = np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi)
         # an eigenphase phi of C is twice a principal angle psi between the two
         # subspaces, up to sign mod 2pi, and [Q | F2] has singular values
@@ -236,8 +296,14 @@ def _count(sum_a, sum_b):
     return turns.astype(int), sum_b - sum_a - 2.0 * np.pi * turns
 
 
-def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = MU_TOL) -> SpectrumWindow:
+def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
+
+    For a scalar lam this returns one SpectrumWindow.  For a 1-D array of
+    lambdas it returns a tuple of them, one per lambda, located together:
+    every detector call serves all the windows at once, and mu_min and mu_max
+    may be arrays with one edge per lambda.  Each window is located exactly
+    as it would be alone.
 
     The window is scanned at a step tied to the a-priori pi-spacing of the
     branch families, capped at pi/(4n) and shrunk with the size of S, so that
@@ -255,40 +321,55 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
     EigenvalueCountMismatch is raised.  Window endpoints must not be
-    eigenvalues (EigenvalueAtWindowEdge).
+    eigenvalues (EigenvalueAtWindowEdge, which lists every window with one).
     """
-    if not mu_min < mu_max:
+    stacked = np.ndim(lam) > 0
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    los, his = np.full(lams.shape, mu_min, dtype=float), np.full(lams.shape, mu_max, dtype=float)
+    if not np.all(los < his):
         raise ValueError("empty mu-window")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+
+    def detect(w, mus):  # the detector at the lambdas of windows w
+        return fam.detector_batch(lams[w] if stacked else lam, mus)
+
     step = min(np.pi / 8.0, np.pi / (4.0 * fam.n)) / (1.0 + min(fam.s_norm, 3.0))
-    npts = max(9, int(np.ceil((mu_max - mu_min) / step)) + 1)
-    grid = np.linspace(mu_min, mu_max, npts)
-    g, dets, sums = fam.detector_batch(lam, grid)
+    npts = [max(9, int(np.ceil((b - a) / step)) + 1) for a, b in zip(los.tolist(), his.tolist())]
+    grid = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(los.tolist(), his.tolist(), npts)])
+    win = np.repeat(np.arange(lams.size), npts)  # the window of each scan point
+    g, dets, sums = detect(win, grid)
 
-    for idx in (0, -1):
-        if g[idx] <= 10 * tol:
-            raise EigenvalueAtWindowEdge(
-                f"window endpoint mu={grid[idx]:.12g} is an eigenvalue at lambda={lam:.6g}; "
-                "shift the window"
-            )
+    last = np.cumsum(npts) - 1
+    ends = np.stack([last + 1 - np.array(npts), last], axis=1)  # each window's first and last point
+    edge = g[ends] <= 10 * tol
+    if edge.any():
+        k, side = np.argwhere(edge)[0]
+        raise EigenvalueAtWindowEdge(
+            f"window endpoint mu={grid[ends[k, side]]:.12g} is an eigenvalue at lambda={lams[k]:.6g}; "
+            "shift the window",
+            tuple(np.flatnonzero(edge.any(axis=1)).tolist()),
+        )
 
-    def mismatch(a, b, why):
-        return EigenvalueCountMismatch(f"{why} at lambda={lam:.6g} on mu in [{a:.12g}, {b:.12g}]")
+    def mismatch(a, b, k, why):
+        return EigenvalueCountMismatch(f"{why} at lambda={lams[k]:.6g} on mu in [{a:.12g}, {b:.12g}]")
 
     while True:
         counts, wrapped = _count(sums[:-1], sums[1:])
-        bad = np.nonzero((wrapped >= 0) | (counts < 0))[0]
+        across = win[:-1] != win[1:]  # pairs of scan points of two windows
+        counts[across] = 0
+        bad = np.nonzero(~across & ((wrapped >= 0) | (counts < 0)))[0]
         if not bad.size:
             break
         narrow = bad[grid[bad + 1] - grid[bad] <= tol]
         if narrow.size:
             k = narrow[0]
-            raise mismatch(grid[k], grid[k + 1], "arg det C does not decrease")
+            raise mismatch(grid[k], grid[k + 1], win[k], "arg det C does not decrease")
         mids = 0.5 * (grid[bad] + grid[bad + 1])
-        gm, dm, sm = fam.detector_batch(lam, mids)
+        gm, dm, sm = detect(win[bad], mids)
         grid, g = np.insert(grid, bad + 1, mids), np.insert(g, bad + 1, gm)
         dets, sums = np.insert(dets, bad + 1, dm), np.insert(sums, bad + 1, sm)
+        win = np.insert(win, bad + 1, win[bad])
 
     # certificate: between scan points off the spectrum, an odd count and a
     # sign change of the determinant go together
@@ -296,39 +377,45 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
     total = np.concatenate([[0], np.cumsum(counts)])
     odd = (total[clean[1:]] - total[clean[:-1]]) % 2 == 1
     flips = dets[clean[1:]] * dets[clean[:-1]] < 0
-    wrong = np.nonzero(odd != flips)[0]
+    wrong = np.nonzero((odd != flips) & (win[clean[1:]] == win[clean[:-1]]))[0]
     if wrong.size:
         i, j = clean[wrong[0]], clean[wrong[0] + 1]
-        raise mismatch(grid[i], grid[j], "eigenvalue count parity contradicts the determinant")
+        raise mismatch(grid[i], grid[j], win[i], "eigenvalue count parity contradicts the determinant")
 
     # Each iteration cuts every bracket wider than tol and keeps the parts
     # that hold eigenvalues: a secant bracket into lower, inner and upper
     # parts at the probes p = x - tol/2 and q = x + tol/2, any other at its
     # midpoint p = q.  An end kept by two secant steps in a row has its f
     # halved (Illinois).  A secant step is taken only while the iterations
-    # left after it would still let halving alone reach tol.
+    # left after it would still let halving alone reach tol.  Each window
+    # has its own iteration budget, twice the levels of plain bisection from
+    # its widest bracket; a bracket is finished when its window's is spent.
     live = counts > 0
-    b = np.zeros((8, np.count_nonzero(live)))
+    b = np.zeros((10, np.count_nonzero(live)))
     b[_LO], b[_HI], b[_CNT], b[_S_LO] = grid[:-1][live], grid[1:][live], counts[live], sums[:-1][live]
-    b[_F_LO], b[_F_HI] = dets[:-1][live], dets[1:][live]
-    levels = int(np.ceil(np.log2(max(np.max(b[_HI] - b[_LO], initial=0.0), tol) / tol)))
+    b[_F_LO], b[_F_HI], b[_WIN] = dets[:-1][live], dets[1:][live], win[:-1][live]
+    widest = np.zeros(lams.size)
+    np.maximum.at(widest, win[:-1][live], b[_HI] - b[_LO])
+    budget = 2 * np.ceil(np.log2(np.maximum(widest, tol) / tol))
+    b[_ITERS] = budget[win[:-1][live]]
     finished = []
-    for it in range(2 * levels):
+    for it in range(int(np.max(budget))):
         width = b[_HI] - b[_LO]
-        over = (b[_CAUGHT] > 0) | (width <= tol)
+        over = (b[_CAUGHT] > 0) | (width <= tol) | (b[_ITERS] <= it)
         finished.append(b[:, over])
         b, width = b[:, ~over], width[~over]
         if not b.shape[1]:
             break
         lo, hi, f_lo, f_hi = b[_LO], b[_HI], b[_F_LO], b[_F_HI]
         halvings = np.ceil(np.log2(width / tol))
-        sec = (b[_CNT] == 1) & (f_lo * f_hi < 0) & (width > 4.0 * tol) & (halvings < 2 * levels - it)
+        sec = (b[_CNT] == 1) & (f_lo * f_hi < 0) & (width > 4.0 * tol) & (halvings < b[_ITERS] - it)
         x = 0.5 * (lo + hi)
         x[sec] = np.clip(
             lo[sec] + width[sec] * f_lo[sec] / (f_lo[sec] - f_hi[sec]), lo[sec] + tol, hi[sec] - tol
         )
         p, q = np.where(sec, x - 0.5 * tol, x), np.where(sec, x + 0.5 * tol, x)
-        _, d, s = fam.detector_batch(lam, np.concatenate([p, q[sec]]))
+        w = b[_WIN].astype(int)
+        _, d, s = detect(np.concatenate([w, w[sec]]), np.concatenate([p, q[sec]]))
         d_p, s_p = d[: p.size], s[: p.size]
         d_q, s_q = d_p.copy(), s_p.copy()
         d_q[sec], s_q[sec] = d[p.size :], s[p.size :]
@@ -337,7 +424,7 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
         bad = (n1 < 0) | (n2 < 0) | (n3 < 0)
         if bad.any():
             k = np.argmax(bad)
-            raise mismatch(lo[k], hi[k], "parts do not add up to the count")
+            raise mismatch(lo[k], hi[k], w[k], "parts do not add up to the count")
         parts = np.repeat(b[:, None], 3, axis=1)
         lower, inner, upper = parts[:, 0], parts[:, 1], parts[:, 2]
         lower[_HI], lower[_CNT], lower[_F_HI] = p, n1, d_p
@@ -350,29 +437,39 @@ def spectrum_window(fam, lam: float, mu_min: float, mu_max: float, tol: float = 
         upper[_KEPT] = np.where(sec, 1.0, 0.0)
         b = parts[:, np.array([n1, n2, n3]) > 0]
 
-    lo, hi, cnt = np.concatenate(finished + [b], axis=1)[[_LO, _HI, _CNT]]
-    order = np.argsort(lo)
-    eigenvalues = []
-    last = -np.inf
-    for mu, mult in zip(0.5 * (lo[order] + hi[order]), cnt[order]):
-        if mu - last < 1e-7:
+    lo, hi, cnt, w = np.concatenate(finished + [b], axis=1)[[_LO, _HI, _CNT, _WIN]]
+    order = np.lexsort((lo, w))
+    found = [[] for _ in range(lams.size)]
+    prev, last_mu = -1, -np.inf
+    for mu, mult, k in zip(0.5 * (lo[order] + hi[order]), cnt[order], w[order].astype(int).tolist()):
+        eigenvalues = found[k]
+        if k == prev and mu - last_mu < 1e-7:
             eigenvalues[-1] = (eigenvalues[-1][0], eigenvalues[-1][1] + int(mult))
         else:
             eigenvalues.append((float(mu), int(mult)))
-        last = mu
-    return SpectrumWindow(float(lam), float(mu_min), float(mu_max), tuple(eigenvalues))
+        prev, last_mu = k, mu
+    windows = tuple(
+        SpectrumWindow(float(x), float(a), float(c), tuple(ev))
+        for x, a, c, ev in zip(lams, los, his, found)
+    )
+    return windows if stacked else windows[0]
 
 
-def _clean_windows(fams, lam: float, lo: float, hi: float, tol: float = MU_TOL) -> list:
-    """spectrum_window of each family over one shared window, widened until no
-    endpoint is an eigenvalue of any of them."""
-    shift = 0.0
+def _clean_windows(fams, lam, lo: float, hi: float, tol: float = MU_TOL) -> list:
+    """spectrum_window of each family over shared windows at lam, a scalar or
+    a 1-D array of lambdas, widened until no endpoint is an eigenvalue of any
+    of them; only the windows of the lambdas whose edge failed are widened."""
+    shift = np.zeros(np.size(lam))
     for _ in range(60):
+        widen = shift.reshape(np.shape(lam))
         try:
-            return [spectrum_window(fam, lam, lo - shift, hi + shift, tol) for fam in fams]
-        except EigenvalueAtWindowEdge:
-            shift += _EDGE_NUDGE
-    raise RuntimeError(f"could not find an eigenvalue-free window boundary at lambda={lam}")
+            return [spectrum_window(fam, lam, lo - widen, hi + widen, tol) for fam in fams]
+        except EigenvalueAtWindowEdge as err:
+            failed = list(err.windows)
+            shift[failed] += _EDGE_NUDGE
+    raise RuntimeError(
+        f"could not find an eigenvalue-free window boundary at lambda={np.atleast_1d(lam)[failed[0]]}"
+    )
 
 
 @dataclass
@@ -435,31 +532,31 @@ def _interval_contribution(Ea: SpectrumWindow, Eb: SpectrumWindow):
 
 
 def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):
-    def spec_at(lam):
-        got = spectra.get(lam)
-        if got is None:
-            (got,) = _clean_windows((fam,), lam, -_SF_WINDOW, _SF_WINDOW, tol)
-            spectra[lam] = got
-        return got
-
+    """Refine the subintervals of base_nodes level by level: the windows at
+    every new node of a level are located in one stacked spectrum_window
+    call, then each open subinterval either gets its threshold or is halved."""
     segments = []
+    pending = list(zip(base_nodes[:-1], base_nodes[1:]))
+    for depth in range(max_depth + 1):
+        new = [lam for lam in dict.fromkeys(x for seg in pending for x in seg) if lam not in spectra]
+        if new:
+            (windows,) = _clean_windows((fam,), np.array(new), -_SF_WINDOW, _SF_WINDOW, tol)
+            spectra.update(zip(new, windows))
+        refine = []
+        for a, b in pending:
+            r = _interval_contribution(spectra[a], spectra[b])
+            if r is None:
+                refine.append((a, b))
+            else:
+                segments.append((a, b, r[0], r[1]))
+        if not refine:
+            break
+        if depth >= max_depth:
+            a, b = refine[0]
+            raise RuntimeError(f"failed to separate eigenvalue branches on [{a:.12g}, {b:.12g}]")
+        pending = [half for a, b in refine for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
 
-    def visit(a, b, depth):
-        r = _interval_contribution(spec_at(a), spec_at(b))
-        if r is None:
-            if depth >= max_depth:
-                raise RuntimeError(
-                    f"failed to separate eigenvalue branches on [{a:.12g}, {b:.12g}]"
-                )
-            m = 0.5 * (a + b)
-            visit(a, m, depth + 1)
-            visit(m, b, depth + 1)
-        else:
-            segments.append((a, b, r[0], r[1]))
-
-    for a, b in zip(base_nodes[:-1], base_nodes[1:]):
-        visit(a, b, 0)
-
+    segments.sort(key=lambda s: s[0])
     value = int(sum(s[2] for s in segments))
     partition = [segments[0][0]] + [s[1] for s in segments]
     epsilons = [s[3] for s in segments]
@@ -517,8 +614,8 @@ def spectral_flow_shifted(fam: BoundaryValueFamily, delta: float) -> int:
         raise ValueError("delta must be nonnegative")
     result = spectral_flow(fam.shifted(delta))
     if delta > 0:
-        for lam in result.partition:
-            (window,) = _clean_windows((fam,), lam, -delta - 0.05, 0.05)
+        (windows,) = _clean_windows((fam,), np.array(result.partition), -delta - 0.05, 0.05)
+        for lam, window in zip(result.partition, windows):
             for mu, mult in window.eigenvalues:
                 if -delta <= mu < -_ZERO_TOL:
                     raise ValueError(
@@ -562,8 +659,8 @@ def conjugation_spectrum_check(
     detail = []
     worst = 0.0
     ok = True
-    for lam in lam_grid:
-        wa, wb = _clean_windows((fam_shift, fam_rot), lam, -_SF_WINDOW, _SF_WINDOW)
+    windows = _clean_windows((fam_shift, fam_rot), lam_grid, -_SF_WINDOW, _SF_WINDOW)
+    for lam, wa, wb in zip(lam_grid, *windows):
         va, vb = wa.values(), wb.values()
         if va.size != vb.size:
             ok = False

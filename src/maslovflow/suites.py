@@ -396,11 +396,14 @@ def gap_suite(count: int = 100, seed: int = 6) -> VerificationReport:
     fam = BoundaryValueFamily(g1, g2)
     shift_ok = True
     worst_shift = 0.0
+    lams = np.array([0.0, 0.3, 0.7])
+    (bases,) = _clean_windows((fam,), lams, -1.2, 1.2)
     for delta in (0.1, 0.01):
-        fam_delta = fam.shifted(delta)
-        for lam in (0.0, 0.3, 0.7):
-            (base,) = _clean_windows((fam,), lam, -1.2, 1.2)
-            shifted = spectrum_window(fam_delta, lam, base.mu_min + delta, base.mu_max + delta)
+        shifts = spectrum_window(
+            fam.shifted(delta), lams,
+            [w.mu_min + delta for w in bases], [w.mu_max + delta for w in bases],
+        )
+        for base, shifted in zip(bases, shifts):
             va = base.values() + delta
             vb = shifted.values()
             if va.size != vb.size:

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -426,3 +429,46 @@ def test_readme_flag_table_matches_the_parser():
     }
     assert _readme_flag_table() == parsed
     assert sum(len(flags) for flags in parsed.values()) == 23
+
+
+# every verify check that builds fundamental solutions, in suite mode and
+# with a configured instance; the bound is that of fundamental_solution
+_TOO_FEW_STEPS = [
+    ["verify", "hamiltonian", "--count", "1", "--steps", "32"],
+    ["verify", "three-term", "--count", "1", "--steps", "32"],
+    ["verify", "alpha-beta", "--count", "1", "--steps", "63"],
+    ["verify", "morse", "--count", "1", "--steps", "32"],
+    ["verify", "hamiltonian", "--config", "IDENTITY", "--steps", "32"],
+    ["verify", "three-term", "--config", "IDENTITY", "--steps", "32"],
+    ["verify", "alpha-beta", "--config", "IDENTITY", "--steps", "32"],
+    ["verify", "morse", "--config", "IDENTITY", "--steps", "32"],
+]
+
+
+@pytest.mark.parametrize("argv", _TOO_FEW_STEPS, ids=" ".join)
+def test_cli_rejects_too_few_steps_for_fundamental_solutions(argv, tmp_path, capsys):
+    path = _write(tmp_path, "b.json", IDENTITY_CFG)
+    assert _exit_code([path if a == "IDENTITY" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"--steps: verify {argv[1]} builds fundamental solutions" in captured.err
+    assert f"at least {hamiltonian.MIN_STEPS} steps, got {argv[-1]}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_names_configured_steps_below_the_fundamental_solution_bound(tmp_path, capsys):
+    cfg = {**IDENTITY_CFG, "solver": dict(IDENTITY_CFG["solver"], steps=32)}
+    assert main(["verify", "hamiltonian", "--config", _write(tmp_path, "b.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: solver.steps: verify hamiltonian" in captured.err
+    with pytest.raises(ValueError, match=f"at least {hamiltonian.MIN_STEPS}"):
+        hamiltonian.fundamental_solution(parse_config(cfg).family, 0.5, hamiltonian.MIN_STEPS - 1)
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "maslovflow", "--help"], capture_output=True, text=True, env=env, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: maslovflow")

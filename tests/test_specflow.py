@@ -6,6 +6,8 @@ stationary branches at pi/2 + k pi have multiplicity n - 1, and the families
 merge at the endpoints.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -506,3 +508,116 @@ def test_transfer_symplecticity_with_family():
     for lam, mu in ((0.2, 0.6), (0.8, -1.1)):
         Phi = fam.transfer(lam, mu)
         assert np.linalg.norm(Phi.T @ J @ Phi - J, 2) < 1e-8
+
+
+def _families(n: int):
+    """S = 0, t-independent S and t-dependent S on one random pair."""
+    rng = np.random.default_rng(60 + n)
+    g1, g2 = random_pair(rng, n)
+    t_const = SymmetricFamily(rng.normal(size=(3, 1, 2 * n, 2 * n)) * 0.5)
+    return [BoundaryValueFamily(g1, g2, S) for S in (None, t_const, _t_dependent_family(n, seed=n))]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["zero", "t-independent", "t-dependent"])
+def test_stacked_windows_equal_one_at_a_time(n, kind):
+    # a stack shares every detector call, yet each window is located exactly
+    # as alone, edges given per lambda included
+    lams = np.linspace(0.0, 1.0, 7)
+    lo, hi = -1.45 - 0.01 * np.arange(7), 1.45
+    stacked = spectrum_window(_families(n)[kind], lams, lo, hi)
+    alone = _families(n)[kind]
+    assert isinstance(stacked, tuple) and len(stacked) == 7
+    found = 0
+    for lam, a, window in zip(lams, lo, stacked):
+        one = spectrum_window(alone, float(lam), float(a), hi)
+        assert window.eigenvalues == one.eigenvalues
+        assert (window.lam, window.mu_min, window.mu_max) == (one.lam, one.mu_min, one.mu_max)
+        found += len(one.eigenvalues)
+    assert found > 0
+
+
+def test_clean_windows_widens_only_the_window_whose_edge_failed():
+    # gamma_nor(1) against l1: at lambda = 0 the edge -pi/2 is an eigenvalue,
+    # at 0.3 and 0.6 neither edge is
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    lams = np.array([0.3, 0.0, 0.6])
+    with pytest.raises(EigenvalueAtWindowEdge, match=r"lambda=0;") as err:
+        spectrum_window(fam, lams, -np.pi / 2, 1.0)
+    assert err.value.windows == (1,)
+    (windows,) = _clean_windows((fam,), lams, -np.pi / 2, 1.0)
+    assert [w.mu_min for w in windows] == [-np.pi / 2, -np.pi / 2 - 0.0137, -np.pi / 2]
+    assert [w.mu_max for w in windows] == [1.0, 1.0 + 0.0137, 1.0]
+    for lam, window in zip(lams, windows):
+        assert window.eigenvalues == _clean_windows((fam,), float(lam), -np.pi / 2, 1.0)[0].eigenvalues
+
+
+def test_spectral_flow_locates_each_level_in_one_detector_stream(monkeypatch):
+    # level by level: fewer detector calls than windows, and the same
+    # (lambda, mu) probes, with multiplicity, as one window per lambda
+    probes = []
+    batch = BoundaryValueFamily.detector_batch
+
+    def spy(self, lam, mus):
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        probes.append(list(zip(np.broadcast_to(lam, mus.shape).tolist(), mus.tolist())))
+        return batch(self, lam, mus)
+
+    monkeypatch.setattr(BoundaryValueFamily, "detector_batch", spy)
+    rng = np.random.default_rng(12)
+    g1, g2 = random_pair(rng, 2)
+    S = random_symmetric_family(rng, 2, 2, 2, 1.5)
+    result = spectral_flow(BoundaryValueFamily(g1, g2, S))
+    stacked = [p for call in probes for p in call]
+    lams = sorted({lam for lam, _ in stacked})
+    assert len(probes) < len(lams)
+    assert set(result.partition) <= set(lams)
+
+    probes.clear()
+    fam = BoundaryValueFamily(g1, g2, S)
+    for lam in lams:
+        _clean_windows((fam,), lam, -1.45, 1.45)
+    alone = [p for call in probes for p in call]
+    assert len(probes) > len(lams)
+    assert Counter(stacked) == Counter(alone)
+
+
+@pytest.mark.parametrize(
+    "base_grid, max_depth, where",
+    [
+        (None, 0, r"\[0\.3125, 0\.375\]"),
+        ([0.0, 0.5, 1.0], 0, r"\[0, 0\.5\]"),
+        ([0.0, 0.5, 1.0], 2, r"\[0\.125, 0\.25\]"),
+    ],
+)
+def test_spectral_flow_depth_cap_names_the_leftmost_open_segment(base_grid, max_depth, where):
+    # the branch pi lambda - pi/2 of gamma_nor(1) against l1 needs refinement
+    # on the default grid near lambda = 1/3 only, and on the halves of [0, 1]
+    # for several levels; of the segments still open at the cap, the error
+    # names the leftmost, the one a depth-first refinement meets first
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    with pytest.raises(RuntimeError, match="failed to separate eigenvalue branches on " + where):
+        spectral_flow(fam, base_grid=base_grid, max_depth=max_depth, check=False)
+    assert spectral_flow(fam, base_grid=base_grid, max_depth=4).value == 1
+
+
+def test_family_on_a_lambda_array_is_bitwise_per_lambda():
+    rng = np.random.default_rng(31)
+    lams = np.concatenate([np.linspace(0.0, 1.0, 5), rng.uniform(size=4)])
+    for i in range(12):
+        n = 1 + i % 2
+        S = random_symmetric_family(rng, n, 1 + i % 4, 1 + i % 3, 0.5 + 0.3 * i)
+        for t in (0.0, 0.37, np.linspace(0.0, 1.0, 33), np.array([[0.1, 0.2], [0.3, 0.4]])):
+            got = S(lams, t)
+            assert got.shape == (lams.size,) + np.shape(t) + (2 * n, 2 * n)
+            assert np.array_equal(got, np.stack([S(lam, t) for lam in lams]))
+
+
+def test_sup_norm_is_the_largest_norm_of_the_grid_matrices():
+    rng = np.random.default_rng(32)
+    grid = np.linspace(0.0, 1.0, 17)
+    for i in range(8):
+        n = 1 + i % 2
+        S = random_symmetric_family(rng, n, 1 + i % 3, 1 + i % 4 // 2, 0.5 + 0.4 * i)
+        expected = max(np.linalg.norm(M, 2) for lam in grid for M in S(float(lam), grid))
+        assert S.sup_norm() == expected
