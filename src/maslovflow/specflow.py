@@ -15,8 +15,8 @@ eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
 taken in [0, 2pi) jumps by 2pi per eigenvalue.  Detector evaluations are
 batched over mu, and over lambda too when spectrum_window is given an array of
-lambdas: the windows at all of them are scanned and narrowed together, each
-exactly as it would be alone.  Every scan interval that holds eigenvalues is
+lambdas: the windows at up to 32 of them are scanned and narrowed together,
+each exactly as it would be alone.  Every scan interval that holds eigenvalues is
 narrowed with the count as bracket invariant: by Illinois secant steps (Dowell
 & Jarratt 1971) on a smooth determinant that vanishes on the spectrum where an
 interval holds one eigenvalue and the determinant changes sign, by halving
@@ -65,6 +65,12 @@ MAX_DEPTH = 40
 # and chunked the same way, each chunk's steps built from one matrix product
 # per lambda in it
 _MU_CHUNK = 16
+# lambdas whose windows spectrum_window locates together: the family builds
+# the slices of a whole stack at once, and at 256 steps and n = 2 each holds
+# 164 KB of RK4 coefficients (1.5 MB at 1024 steps and n = 3), so a longer
+# lambda grid is located in stacks of this many; 32 covers the first level
+# of a spectral flow on the default grid of 17 steps
+_STACK = 32
 # rows of the bracket table of the eigenvalue locator in spectrum_window, one
 # column per bracket: its ends, its eigenvalue count, the eigenphase sum at
 # lo, the (Illinois-scaled) determinant at both ends, the end the last secant
@@ -106,30 +112,22 @@ class _Slices:
     coeff: object
 
 
-def _rk4_transfer_batch(C, mus, at=None):
+def _rk4_transfer_batch(C, mus, at):
     """Propagate Phi' = (JS(t) - mu J) Phi from identity, batched over mu, from
-    the coefficients C of the RK4 step propagators as polynomials in mu.
+    the stacked coefficients C of the RK4 step propagators as polynomials in
+    mu of several lambdas, at[i] being the position of mu[i]'s lambda.
 
-    C holds one lambda's coefficients, or with at the stacked coefficients of
-    several, at[i] being the position of mu[i]'s lambda; the pairs are then
-    taken in order of lambda, so that a chunk builds its steps from a few
-    runs of one lambda each.
+    The pairs are taken in order of lambda, so that a chunk builds its steps
+    from one matrix product per run of one lambda in it.
     """
-    mus = np.atleast_1d(np.asarray(mus, dtype=float))
-    out = np.empty((len(mus),) + C.shape[-2:])
-    if at is None:
-        for s in range(0, len(mus), _MU_CHUNK):
-            out[s : s + _MU_CHUNK] = ordered_product(rk4_steps_at(C, mus[s : s + _MU_CHUNK]))
-        return out
     order = np.argsort(at, kind="stable")
+    mus, at = mus[order], at[order].tolist()
+    out = np.empty((len(mus),) + C.shape[-2:])
     for s in range(0, len(mus), _MU_CHUNK):
-        rows = order[s : s + _MU_CHUNK]
-        ats = at[rows]
-        cuts = np.concatenate([[0], np.flatnonzero(ats[1:] != ats[:-1]) + 1, [len(rows)]]).tolist()
-        steps = np.empty((len(rows),) + C.shape[-3:])
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            steps[a:b] = rk4_steps_at(C[ats[a]], mus[rows[a:b]])
-        out[rows] = ordered_product(steps)
+        e = min(s + _MU_CHUNK, len(mus))
+        cuts = [s, *(i for i in range(s + 1, e) if at[i] != at[i - 1]), e]
+        steps = [rk4_steps_at(C[at[a]], mus[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        out[order[s:e]] = ordered_product(steps[0] if len(steps) == 1 else np.concatenate(steps))
     return out
 
 
@@ -159,9 +157,9 @@ class BoundaryValueFamily:
         self._J = standard_J(self.n)
         # only the latest lambda set's slices are kept, with each lambda's
         # position among them: the detector is called for the lambdas of one
-        # stack of windows at a time, spectral_flow caches the windows, and a
-        # slice holds the five RK4 coefficient arrays (164 KB at 256 steps and
-        # n = 2), too much to keep for every lambda ever seen
+        # stack of at most _STACK windows at a time, spectral_flow caches the
+        # windows, and a slice holds the five RK4 coefficient arrays (164 KB
+        # at 256 steps and n = 2), too much to keep for every lambda ever seen
         self._last: tuple | None = None
         self._t_const = self.S is not None and self.S.t_independent()
         if self.S is not None:
@@ -231,9 +229,7 @@ class BoundaryValueFamily:
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
             return scipy.linalg.expm(sl.coeff[at] - mus[:, None, None] * self._J)
-        if np.ndim(at) == 0:
-            return _rk4_transfer_batch(sl.coeff[at], mus)
-        return _rk4_transfer_batch(sl.coeff, mus, at)
+        return _rk4_transfer_batch(sl.coeff, mus, np.full(mus.shape, at))
 
     def transfer(self, lam: float, mu: float) -> np.ndarray:
         return self._transfer_batch(lam, np.atleast_1d(float(mu)))[0]
@@ -300,10 +296,10 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
 
     For a scalar lam this returns one SpectrumWindow.  For a 1-D array of
-    lambdas it returns a tuple of them, one per lambda, located together:
-    every detector call serves all the windows at once, and mu_min and mu_max
-    may be arrays with one edge per lambda.  Each window is located exactly
-    as it would be alone.
+    lambdas it returns a tuple of them, one per lambda, located together in
+    stacks of at most _STACK lambdas: every detector call serves all the
+    windows of a stack at once, and mu_min and mu_max may be arrays with one
+    edge per lambda.  Each window is located exactly as it would be alone.
 
     The window is scanned at a step tied to the a-priori pi-spacing of the
     branch families, capped at pi/(4n) and shrunk with the size of S, so that
@@ -330,6 +326,23 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
         raise ValueError("empty mu-window")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    windows, edges = [], []
+    for s in range(0, lams.size, _STACK):
+        part = slice(s, s + _STACK)
+        try:
+            windows.extend(_locate(fam, lams[part] if stacked else lam, los[part], his[part], tol))
+        except EigenvalueAtWindowEdge as err:
+            edges.append((err, [s + k for k in err.windows]))
+    if edges:
+        raise EigenvalueAtWindowEdge(str(edges[0][0]), tuple(k for _, ks in edges for k in ks))
+    return tuple(windows) if stacked else windows[0]
+
+
+def _locate(fam, lam, los, his, tol):
+    """The windows of spectrum_window at lam, a scalar or a stack of at most
+    _STACK lambdas, with edges los and his, as a tuple."""
+    stacked = np.ndim(lam) > 0
+    lams = np.atleast_1d(lam)
 
     def detect(w, mus):  # the detector at the lambdas of windows w
         return fam.detector_batch(lams[w] if stacked else lam, mus)
@@ -448,11 +461,10 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
         else:
             eigenvalues.append((float(mu), int(mult)))
         prev, last_mu = k, mu
-    windows = tuple(
+    return tuple(
         SpectrumWindow(float(x), float(a), float(c), tuple(ev))
         for x, a, c, ev in zip(lams, los, his, found)
     )
-    return windows if stacked else windows[0]
 
 
 def _clean_windows(fams, lam, lo: float, hi: float, tol: float = MU_TOL) -> list:

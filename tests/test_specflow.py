@@ -33,7 +33,7 @@ from maslovflow import (
     spectrum_window,
     standard_J,
 )
-from maslovflow.specflow import _clean_windows
+from maslovflow.specflow import _STACK, _clean_windows
 from maslovflow.suites import random_pair, random_symmetric_family
 
 
@@ -580,6 +580,36 @@ def test_spectral_flow_locates_each_level_in_one_detector_stream(monkeypatch):
     alone = [p for call in probes for p in call]
     assert len(probes) > len(lams)
     assert Counter(stacked) == Counter(alone)
+
+
+def test_long_lambda_grids_are_located_in_bounded_stacks(monkeypatch):
+    # the family builds the slices of at most _STACK lambdas at once, however
+    # long the grid, and every window still equals its one-at-a-time call
+    sizes = []
+    build = BoundaryValueFamily._build
+
+    def spy(self, lams):
+        sizes.append(len(lams))
+        return build(self, lams)
+
+    monkeypatch.setattr(BoundaryValueFamily, "_build", spy)
+    lams = np.linspace(0.0, 1.0, 2 * _STACK + 3)
+    stacked = spectrum_window(_families(1)[2], lams, -1.45, 1.45)
+    assert sizes == [_STACK, _STACK, 3]
+    alone = _families(1)[2]
+    assert [w.eigenvalues for w in stacked] == [
+        spectrum_window(alone, float(lam), -1.45, 1.45).eigenvalues for lam in lams
+    ]
+
+
+def test_edge_eigenvalues_are_listed_across_stacks():
+    # gamma_nor(1) against l1 has -pi/2 in its spectrum at lambda = 0 and 1,
+    # the first and the last window, in the first and the last stack
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    lams = np.linspace(0.0, 1.0, 2 * _STACK + 3)
+    with pytest.raises(EigenvalueAtWindowEdge, match=r"lambda=0;") as err:
+        spectrum_window(fam, lams, -np.pi / 2, 1.0)
+    assert err.value.windows == (0, lams.size - 1)
 
 
 @pytest.mark.parametrize(
