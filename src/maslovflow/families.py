@@ -14,12 +14,6 @@ from .symplectic import norm2
 MAX_DEGREE = 4
 
 
-def _exact_symmetric(A: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle; the result is bitwise symmetric."""
-    U = np.triu(A)
-    return U + np.triu(A, 1).T
-
-
 class SymmetricFamily:
     """Polynomial map (lambda, t) -> symmetric 2n x 2n matrix.
 
@@ -35,10 +29,8 @@ class SymmetricFamily:
             raise ValueError("matrix dimension must be even")
         if coeffs.shape[0] > MAX_DEGREE + 1 or coeffs.shape[1] > MAX_DEGREE + 1:
             raise ValueError(f"polynomial degree exceeds {MAX_DEGREE}")
-        sym = np.empty_like(coeffs)
-        for j in range(coeffs.shape[0]):
-            for k in range(coeffs.shape[1]):
-                sym[j, k] = _exact_symmetric(coeffs[j, k])
+        # mirror each upper triangle: every coefficient is bitwise symmetric
+        sym = np.triu(coeffs) + np.swapaxes(np.triu(coeffs, 1), -1, -2)
         sym.setflags(write=False)
         self.coeffs = sym
         self.n = coeffs.shape[2] // 2

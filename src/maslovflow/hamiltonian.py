@@ -15,7 +15,7 @@ independent integrator, and basic linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -287,18 +287,7 @@ def morse_index_formula(
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Dirichlet-type boundary {0} x R^n at both ends: spectral flow versus the
-    Maslov index of lambda -> Psi_lambda(1)({0} x R^n) against {0} x R^n."""
-    n = S.n
-    L1 = l1_frame(n)
-    wall = ConstantPath(L1)
-    opts = _solver_kwargs(tol, max_depth)
-    fam = BoundaryValueFamily(wall, wall, S, steps)
-    lhs = spectral_flow(fam, **opts).value
-    rhs = maslov_pair(transported_path(S, wall, steps), wall, **opts)
-    return VerificationReport(
-        command="morse-index",
-        inputs={"n": n, "steps": steps},
-        values={"spectral_flow": lhs, "maslov_transported": rhs},
-        passed=lhs == rhs,
-        tolerances={"integer_equality": 0},
-    )
+    Maslov index of lambda -> Psi_lambda(1)({0} x R^n) against {0} x R^n, that
+    is clm_hamiltonian with the wall as both boundary paths."""
+    wall = ConstantPath(l1_frame(S.n))
+    return replace(clm_hamiltonian(S, wall, wall, steps, tol, max_depth), command="morse-index")

@@ -75,7 +75,7 @@ class PiecewiseLinear:
 class LagrangianPath:
     """Base class: a continuous family lambda -> L(lambda) of Lagrangian subspaces.
 
-    A subclass defines `_frames_at`, or `_frame_at` for one value at a time.
+    A subclass defines `_frames_at`.
     """
 
     def __init__(self, n: int):
@@ -83,12 +83,9 @@ class LagrangianPath:
         self._frames: dict[float, np.ndarray] = {}
         self._grid = None
 
-    def _frame_at(self, lam: float) -> LagrangianFrame:
-        raise NotImplementedError
-
     def _frames_at(self, lams: np.ndarray) -> np.ndarray:
         """Checked frames at distinct new lambdas, stacked (m, 2n, n)."""
-        return np.stack([self._frame_at(lam).F for lam in lams.tolist()])
+        raise NotImplementedError
 
     def frames(self, lams) -> np.ndarray:
         """The frames at each lambda, stacked (m, 2n, n); the lambdas not

@@ -720,6 +720,26 @@ class GapDiagnosticReport:
     passed: bool
 
 
+def _graph_matrix(fam: BoundaryValueFamily, lam: float, N: int) -> np.ndarray:
+    """Basis [B; T B] of the graph of the operator discretized on an N-point
+    grid: B maps the interior values and the boundary coordinates in
+    gamma_1(lambda) and gamma_2(lambda) to the grid, and T is the forward
+    difference J/h D plus the block diagonal of S_lambda at the nodes."""
+    dim = 2 * fam.n
+    h = 1.0 / (N - 1)
+    B = scipy.linalg.block_diag(fam.gamma1.frame(lam).F, np.eye(dim * (N - 2)), fam.gamma2.frame(lam).F)
+    # forward differences; the last row repeats the one before it
+    D = np.eye(N, k=1) - np.eye(N)
+    D[-1, -2:] = (-1.0, 1.0)
+    # S one t at a time: an array of t may round differently
+    S = [np.zeros((dim, dim)) if fam.S is None else fam.S(lam, t) for t in np.linspace(0.0, 1.0, N)]
+    T = np.kron(D, standard_J(fam.n) / h) + scipy.linalg.block_diag(*S)
+    G = np.vstack([B, T @ B])
+    if not np.all(np.isfinite(G)):
+        raise RuntimeError("singular discretization")
+    return G
+
+
 def discretized_gap_diagnostic(
     fam: BoundaryValueFamily,
     lam0: float,
@@ -736,33 +756,9 @@ def discretized_gap_diagnostic(
     """
     if N < 32:
         raise ValueError(f"grid size must be at least 32, got {N}")
-    n = fam.n
-    dim = 2 * n
-    h = 1.0 / (N - 1)
-    ts = np.linspace(0.0, 1.0, N)
-    J = standard_J(n)
 
     def graph_frame(lam):
-        F1 = fam.gamma1.frame(lam).F
-        F2 = fam.gamma2.frame(lam).F
-        ncols = dim * (N - 2) + 2 * n
-        B = np.zeros((dim * N, ncols))
-        B[:dim, :n] = F1
-        for k in range(1, N - 1):
-            B[k * dim : (k + 1) * dim, n + (k - 1) * dim : n + k * dim] = np.eye(dim)
-        B[(N - 1) * dim :, n + (N - 2) * dim :] = F2
-        T = np.zeros((dim * N, dim * N))
-        for k in range(N - 1):
-            Sk = fam.S(lam, ts[k]) if fam.S is not None else 0.0
-            T[k * dim : (k + 1) * dim, k * dim : (k + 1) * dim] = -J / h + Sk
-            T[k * dim : (k + 1) * dim, (k + 1) * dim : (k + 2) * dim] = J / h
-        Send = fam.S(lam, ts[-1]) if fam.S is not None else 0.0
-        T[(N - 1) * dim :, (N - 2) * dim : (N - 1) * dim] = -J / h
-        T[(N - 1) * dim :, (N - 1) * dim :] = J / h + Send
-        G = np.vstack([B, T @ B])
-        if not np.all(np.isfinite(G)):
-            raise RuntimeError("singular discretization")
-        return subspace_frame(G)
+        return subspace_frame(_graph_matrix(fam, lam, N))
 
     def boundary_distance(lam):
         d1 = gap_distance(fam.gamma1.frame(lam), fam.gamma1.frame(lam0))

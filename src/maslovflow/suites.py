@@ -134,7 +134,7 @@ def _suite_report(command: str, details: list, inputs: dict) -> VerificationRepo
     )
 
 
-def theorem_suite(count: int = 50, seed: int = 0, n_max: int = 2) -> VerificationReport:
+def theorem_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
     """Spectral flow equals the pair index for S = 0 on randomized pairs."""
     rng = np.random.default_rng(seed)
     details = []
@@ -151,7 +151,7 @@ def theorem_suite(count: int = 50, seed: int = 0, n_max: int = 2) -> Verificatio
 
 
 def hamiltonian_suite(
-    count: int = 25, seed: int = 1, n_max: int = 2, sup_norm: float = 3.0, steps: int = DEFAULT_STEPS
+    count: int, seed: int, n_max: int = 2, sup_norm: float = 3.0, steps: int = DEFAULT_STEPS
 ) -> VerificationReport:
     """The Hamiltonian spectral-flow formula on randomized polynomial families."""
     rng = np.random.default_rng(seed)
@@ -169,7 +169,7 @@ def hamiltonian_suite(
     )
 
 
-def three_term_suite(count: int = 25, seed: int = 2, steps: int = DEFAULT_STEPS) -> VerificationReport:
+def three_term_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The endpoint-correction identity, plus its closed-endpoint collapse."""
     rng = np.random.default_rng(seed)
     details = []
@@ -210,7 +210,7 @@ def _random_alpha_beta(rng):
     return PiecewiseLinear(xs, alpha_ys), PiecewiseLinear(xs, beta_ys)
 
 
-def alpha_beta_suite(count: int = 25, seed: int = 3, steps: int = DEFAULT_STEPS) -> VerificationReport:
+def alpha_beta_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The reparametrized identity with beta(lambda) = alpha(lambda) + lambda."""
     rng = np.random.default_rng(seed)
     details = []
@@ -224,7 +224,7 @@ def alpha_beta_suite(count: int = 25, seed: int = 3, steps: int = DEFAULT_STEPS)
     return _suite_report("verify-alpha-beta", details, {"count": count, "seed": seed})
 
 
-def morse_suite(cs=(5.0, 15.0, 30.0), count: int = 5, seed: int = 4, steps: int = DEFAULT_STEPS) -> VerificationReport:
+def morse_suite(count: int, seed: int, cs=(5.0, 15.0, 30.0), steps: int = DEFAULT_STEPS) -> VerificationReport:
     """Dirichlet-type boundary conditions: the ramp family plus random instances."""
     rng = np.random.default_rng(seed)
     details = []
@@ -288,7 +288,7 @@ def _monotone_reparam(rng):
     return PiecewiseLinear(xs, ys)
 
 
-def axiom_suite(count: int = 50, seed: int = 5, n_max: int = 2) -> VerificationReport:
+def axiom_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
     """The pair-index axioms and symmetries on randomized inputs, exact integers."""
     rng = np.random.default_rng(seed)
     details = []
@@ -346,7 +346,7 @@ def axiom_suite(count: int = 50, seed: int = 5, n_max: int = 2) -> VerificationR
     return _suite_report("verify-axioms", details, {"count": count, "seed": seed, "n_max": n_max})
 
 
-def gap_suite(count: int = 100, seed: int = 6) -> VerificationReport:
+def gap_suite(count: int, seed: int) -> VerificationReport:
     """Gap-metric identities, the Kato projection identity, the spectrum shift
     law, and the conjugation consistency check."""
     rng = np.random.default_rng(seed)

@@ -3,7 +3,10 @@
 Lagrangian frames in R^(2n), their unitary and Souriau representatives,
 intersection dimensions, and the gap metric between subspaces.  Frames are
 the primary subspace representation throughout; orthogonal projectors are
-derived on demand.
+derived on demand.  Each Lagrangian, Souriau and symplectic invariant has one
+check, written on stacks (`lagrangian_frames`, `_check_unitary`,
+`_check_souriau`, `_check_each`); the scalar dataclasses validate through
+these stack checkers as stacks of one.
 """
 
 from __future__ import annotations
@@ -85,6 +88,22 @@ def _check_each(M: np.ndarray, tol: float, message: str) -> None:
         raise ValueError(message.format(norm2(M[np.argmin(ok)])))
 
 
+def _check_unitary(U: np.ndarray) -> None:
+    """Check that each matrix of a stack (m, n, n) of frame blocks X + iY is
+    unitary within SOURIAU_ATOL."""
+    _check_each(np.swapaxes(U.conj(), 1, 2) @ U - np.eye(U.shape[-1]), SOURIAU_ATOL,
+                "frame does not yield a unitary representative: {:.3e}")
+
+
+def _check_souriau(W: np.ndarray) -> None:
+    """Check that each matrix of a stack (m, n, n) is unitary and symmetric,
+    each within SOURIAU_ATOL."""
+    Wt = np.swapaxes(W, 1, 2)
+    _check_each(Wt.conj() @ W - np.eye(W.shape[-1]), SOURIAU_ATOL,
+                "matrix is not unitary: deviation {:.3e}")
+    _check_each(W - Wt, SOURIAU_ATOL, "matrix is not symmetric: ||W - W^T|| = {:.3e}")
+
+
 def _orthonormal_columns(B: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(B), column-pivoted QR plus a second pass."""
     B = np.asarray(B, dtype=float)
@@ -123,14 +142,7 @@ class LagrangianFrame:
         F = np.array(self.F, dtype=float)
         if F.shape != (2 * self.n, self.n):
             raise ValueError(f"frame must be {2 * self.n} x {self.n}, got {F.shape}")
-        gram = F.T @ F - np.eye(self.n)
-        if not within(gram, FRAME_ATOL):
-            raise ValueError(f"columns not orthonormal: ||F^T F - I|| = {norm2(gram):.3e}")
-        iso = F.T @ standard_J(self.n) @ F
-        if not within(iso, FRAME_ATOL):
-            raise ValueError(f"span is not isotropic: ||F^T J F|| = {norm2(iso):.3e}")
-        F.setflags(write=False)
-        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "F", lagrangian_frames(F[None])[0])
 
     @classmethod
     def _checked(cls, n: int, F: np.ndarray) -> "LagrangianFrame":
@@ -157,9 +169,7 @@ class SymplecticMatrix:
         if A.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"matrix must be {2 * self.n} x {2 * self.n}, got {A.shape}")
         J = standard_J(self.n)
-        dev = A.T @ J @ A - J
-        if not within(dev, SYMPLECTIC_ATOL):
-            raise ValueError(f"matrix is not symplectic: ||A^T J A - J|| = {norm2(dev):.3e}")
+        _check_each(A.T @ J @ A - J, SYMPLECTIC_ATOL, "matrix is not symplectic: ||A^T J A - J|| = {:.3e}")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
 
@@ -175,12 +185,7 @@ class SouriauMatrix:
         W = np.array(self.W, dtype=complex)
         if W.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n} x {self.n}, got {W.shape}")
-        uni = W.conj().T @ W - np.eye(self.n)
-        if not within(uni, SOURIAU_ATOL):
-            raise ValueError(f"matrix is not unitary: deviation {norm2(uni):.3e}")
-        asym = W - W.T
-        if not within(asym, SOURIAU_ATOL):
-            raise ValueError(f"matrix is not symmetric: ||W - W^T|| = {norm2(asym):.3e}")
+        _check_souriau(W[None])
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
@@ -196,17 +201,13 @@ def frame_from_basis(B: np.ndarray) -> LagrangianFrame:
     n = B.shape[0] // 2
     if B.shape[1] != n:
         raise ValueError(f"expected {n} columns for a Lagrangian basis, got {B.shape[1]}")
-    Q = subspace_frame(B)
-    iso = Q.T @ standard_J(n) @ Q
-    if not within(iso, FRAME_ATOL):
-        raise ValueError(f"span is not isotropic: ||F^T J F|| = {norm2(iso):.3e}")
-    return LagrangianFrame(n, Q)
+    return LagrangianFrame(n, subspace_frame(B))
 
 
 def lagrangian_frames(F: np.ndarray) -> np.ndarray:
-    """A stack (m, 2n, n) of Lagrangian frames, checked as LagrangianFrame
-    checks one (orthonormal columns and an isotropic span, each within
-    FRAME_ATOL) and made read-only."""
+    """A stack (m, 2n, n) of Lagrangian frames, checked (orthonormal columns
+    and an isotropic span, each within FRAME_ATOL) and made read-only;
+    LagrangianFrame checks one frame here as a stack of one."""
     n = F.shape[-1]
     Ft = np.swapaxes(F, 1, 2)
     _check_each(Ft @ F - np.eye(n), FRAME_ATOL, "columns not orthonormal: ||F^T F - I|| = {:.3e}")
@@ -247,9 +248,7 @@ def unitary_representative(L: LagrangianFrame) -> np.ndarray:
     it is determined by L up to a right orthogonal factor.
     """
     U = L.F[: L.n, :] + 1j * L.F[L.n :, :]
-    dev = U.conj().T @ U - np.eye(L.n)
-    if not within(dev, SOURIAU_ATOL):
-        raise ValueError(f"frame does not yield a unitary representative: {norm2(dev):.3e}")
+    _check_unitary(U[None])
     return U
 
 
@@ -265,13 +264,9 @@ def souriau_stack(F: np.ndarray) -> np.ndarray:
     whole stack: U unitary, W unitary and W symmetric, within SOURIAU_ATOL."""
     n = F.shape[-1]
     U = F[:, :n] + 1j * F[:, n:]
-    eye = np.eye(n)
-    _check_each(np.swapaxes(U.conj(), 1, 2) @ U - eye, SOURIAU_ATOL,
-                "frame does not yield a unitary representative: {:.3e}")
+    _check_unitary(U)
     W = U @ np.swapaxes(U, 1, 2)
-    Wt = np.swapaxes(W, 1, 2)
-    _check_each(Wt.conj() @ W - eye, SOURIAU_ATOL, "matrix is not unitary: deviation {:.3e}")
-    _check_each(W - Wt, SOURIAU_ATOL, "matrix is not symmetric: ||W - W^T|| = {:.3e}")
+    _check_souriau(W)
     return W
 
 
@@ -380,16 +375,8 @@ def rotate(L: LagrangianFrame, theta: float) -> LagrangianFrame:
 
 def apply_symplectic(A, L: LagrangianFrame) -> LagrangianFrame:
     """Orthonormalized frame of A . span(F) for a symplectic matrix A."""
-    if isinstance(A, SymplecticMatrix):
-        if A.n != L.n:
-            raise ValueError(f"half-dimension mismatch: {A.n} vs {L.n}")
-        M = A.A
-    else:
-        M = np.asarray(A, dtype=float)
-        if M.shape != (2 * L.n, 2 * L.n):
-            raise ValueError(f"matrix must be {2 * L.n} x {2 * L.n}, got {M.shape}")
-        J = standard_J(L.n)
-        dev = M.T @ J @ M - J
-        if not within(dev, SYMPLECTIC_ATOL):
-            raise ValueError(f"matrix is not symplectic: ||A^T J A - J|| = {norm2(dev):.3e}")
-    return LagrangianFrame(L.n, _orthonormal_columns(M @ L.F))
+    if not isinstance(A, SymplecticMatrix):
+        A = SymplecticMatrix(L.n, A)
+    elif A.n != L.n:
+        raise ValueError(f"half-dimension mismatch: {A.n} vs {L.n}")
+    return LagrangianFrame(L.n, _orthonormal_columns(A.A @ L.F))

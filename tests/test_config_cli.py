@@ -218,6 +218,8 @@ def test_cli_verify_every_suite_without_config(which, capsys):
     assert main(["verify", which, "--count", "1"]) in (0, 1)
     report = json.loads(capsys.readouterr().out)
     assert report["values"]["instances"] >= 1
+    # the suites have no default seed of their own: without a config it is 0
+    assert report["inputs"]["seed"] == 0
 
 
 def test_cli_verify_clm_with_config(tmp_path, capsys):

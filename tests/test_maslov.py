@@ -268,10 +268,13 @@ class _ProductPath(LagrangianPath):
         self.g1 = g1
         self.g2 = g2
 
-    def _frame_at(self, lam):
+    def _frames_at(self, lams):
+        return np.stack([
+            self._product(F1, F2).F for F1, F2 in zip(self.g1.frames(lams), self.g2.frames(lams))
+        ])
+
+    def _product(self, F1, F2):
         n = self.g1.n
-        F1 = self.g1.frame(lam).F
-        F2 = self.g2.frame(lam).F
         cols = []
         for j in range(n):
             u = F1[:, j]

@@ -133,14 +133,14 @@ def test_rotation_path_matches_matrix_action():
 
 
 class _OneAtATime(LagrangianPath):
-    """A subclass that evaluates only single lambdas, through _frame_at."""
+    """A subclass whose _frames_at stacks frames built one lambda at a time."""
 
     def __init__(self, base):
         super().__init__(base.n)
         self.base = base
 
-    def _frame_at(self, lam):
-        return rotate(self.base, 0.8 * lam - 0.3)
+    def _frames_at(self, lams):
+        return np.stack([rotate(self.base, 0.8 * lam - 0.3).F for lam in lams.tolist()])
 
 
 def _path_of_each_class():
@@ -165,7 +165,7 @@ def _path_of_each_class():
         "reversed": diagonal.reversed(),
         "reparametrized": ReparametrizedPath(action, PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])),
         "concat": ConcatPath([rotation, SymplecticActionPath(random_action(rng, n), rotation.frame(1.0))]),
-        "frame_at_only": _OneAtATime(L),
+        "one_at_a_time": _OneAtATime(L),
     }
 
 

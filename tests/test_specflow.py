@@ -33,7 +33,7 @@ from maslovflow import (
     spectrum_window,
     standard_J,
 )
-from maslovflow.specflow import _STACK, _clean_windows
+from maslovflow.specflow import _STACK, _clean_windows, _graph_matrix
 from maslovflow.suites import random_pair, random_symmetric_family
 
 
@@ -484,6 +484,42 @@ def test_gap_diagnostic_constant_paths_varying_s():
     assert all(not e.informative for e in rep.entries)
     gaps = [e.graph_gap for e in rep.entries]
     assert gaps[0] > gaps[1] > gaps[2] > 0
+
+
+def _graph_matrix_by_blocks(fam, lam, N):
+    """The gap diagnostic's graph basis [B; T B] assembled block by block,
+    the reference of the one-call assembly."""
+    n = fam.n
+    dim = 2 * n
+    h = 1.0 / (N - 1)
+    ts = np.linspace(0.0, 1.0, N)
+    J = standard_J(n)
+    B = np.zeros((dim * N, dim * (N - 2) + 2 * n))
+    B[:dim, :n] = fam.gamma1.frame(lam).F
+    for k in range(1, N - 1):
+        B[k * dim : (k + 1) * dim, n + (k - 1) * dim : n + k * dim] = np.eye(dim)
+    B[(N - 1) * dim :, n + (N - 2) * dim :] = fam.gamma2.frame(lam).F
+    T = np.zeros((dim * N, dim * N))
+    for k in range(N - 1):
+        Sk = fam.S(lam, ts[k]) if fam.S is not None else 0.0
+        T[k * dim : (k + 1) * dim, k * dim : (k + 1) * dim] = -J / h + Sk
+        T[k * dim : (k + 1) * dim, (k + 1) * dim : (k + 2) * dim] = J / h
+    Send = fam.S(lam, ts[-1]) if fam.S is not None else 0.0
+    T[(N - 1) * dim :, (N - 2) * dim : (N - 1) * dim] = -J / h
+    T[(N - 1) * dim :, (N - 1) * dim :] = J / h + Send
+    return np.vstack([B, T @ B])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("potential", [False, True])
+def test_graph_matrix_matches_block_assembly(n, potential):
+    rng = np.random.default_rng(23 + n)
+    g1, g2 = random_pair(rng, n)
+    S = random_symmetric_family(rng, n, 2, 1, 1.5) if potential else None
+    fam = BoundaryValueFamily(g1, g2, S)
+    for N in (32, 48):
+        for lam in (0.0, 0.37):
+            assert np.array_equal(_graph_matrix(fam, lam, N), _graph_matrix_by_blocks(fam, lam, N))
 
 
 def test_gap_diagnostic_rejects_small_grid():

@@ -407,6 +407,21 @@ def test_no_numpy_spectral_norm_in_library():
     assert list(_spectral_norm_calls(ast.parse("numpy.linalg.norm(M, ord=2)"))) == [1]
 
 
+@pytest.mark.parametrize("message", [
+    "columns not orthonormal",
+    "span is not isotropic",
+    "frame does not yield a unitary representative",
+    "matrix is not unitary",
+    "matrix is not symmetric",
+    "matrix is not symplectic",
+])
+def test_each_invariant_check_is_written_once(message):
+    # the scalar dataclasses validate through the stack checkers, so each
+    # invariant has one check and one message
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "maslovflow"
+    assert sum(path.read_text().count(message) for path in src.glob("*.py")) == 1
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_within_each_matches_within_on_a_stack(complex_):
     rng = np.random.default_rng(14)
