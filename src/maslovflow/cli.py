@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, ProblemConfig, SolverSettings, parse_config
+from .config import ConfigError, ProblemConfig, SolverSettings, check_int, parse_config
 from .families import SymmetricFamily
 from .hamiltonian import (
     MIN_STEPS,
@@ -220,7 +220,7 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
             f"{check.min_steps} steps, got {cfg.solver.steps}"
         )
     settings = {
-        "count": args.count or cfg.suite.get("count") or check.count,
+        "count": cfg.suite.get("count", check.count) if args.count is None else args.count,
         "seed": cfg.seed,
         "steps": cfg.solver.steps,
         "tol": cfg.solver.tol,
@@ -274,14 +274,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective(cfg: ProblemConfig, args) -> ProblemConfig:
-    """The config with the CLI overrides applied; solver overrides pass the
-    same check as the config file."""
+    """The config with the CLI overrides applied; solver, seed and count
+    overrides pass the same checks as the config file."""
     solver = {f.name: getattr(args, f.name, None) for f in fields(SolverSettings)}
     solver = {k: v for k, v in solver.items() if v is not None}
     if solver:
         cfg.solver = replace(cfg.solver, **solver)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_int(args.seed, "--seed", 0)
+    if getattr(args, "count", None) is not None:
+        check_int(args.count, "--count", 1)
     return cfg
 
 

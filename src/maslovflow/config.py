@@ -51,6 +51,12 @@ def _is_real(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
 
 
+def check_int(x, where: str, lo: int) -> int:
+    """An integer setting >= lo, from a flag or a config file."""
+    _expect(_is_int(x) and x >= lo, where, f"must be an integer >= {lo}, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Solver settings of a problem; every way of setting them (the library
@@ -63,12 +69,10 @@ class SolverSettings:
     mu_window: tuple = (-np.pi + 0.1, np.pi - 0.1)
 
     def __post_init__(self):
-        _expect(_is_int(self.steps) and self.steps >= 16, "solver.steps",
-                f"must be an integer >= 16, got {self.steps!r}")
+        check_int(self.steps, "solver.steps", 16)
         _expect(_is_real(self.tol) and self.tol > 0, "solver.tol",
                 f"must be a positive number, got {self.tol!r}")
-        _expect(_is_int(self.max_depth) and self.max_depth >= 0, "solver.max_depth",
-                f"must be an integer >= 0, got {self.max_depth!r}")
+        check_int(self.max_depth, "solver.max_depth", 0)
         window = self.mu_window
         _expect(
             isinstance(window, (list, tuple)) and len(window) == 2
@@ -256,6 +260,11 @@ def parse_config(data) -> ProblemConfig:
     alpha = _parse_pl(data["alpha"], "alpha") if data.get("alpha") is not None else None
     beta = _parse_pl(data["beta"], "beta") if data.get("beta") is not None else None
 
+    suite = data.get("suite", {})
+    _expect(isinstance(suite, dict), "suite", "must be an object")
+    if "count" in suite:
+        check_int(suite["count"], "suite.count", 1)
+
     lambda_grid = data.get("lambda_grid", 101)
     _expect(isinstance(lambda_grid, int) and lambda_grid >= 2, "lambda_grid",
             "must be an integer >= 2")
@@ -268,9 +277,9 @@ def parse_config(data) -> ProblemConfig:
         alpha=alpha,
         beta=beta,
         solver=solver,
-        seed=int(data.get("seed", 0)),
+        seed=check_int(data.get("seed", 0), "seed", 0),
         lambda_grid=lambda_grid,
-        suite=dict(data.get("suite", {})),
+        suite=dict(suite),
     )
     # descriptors are validated eagerly so config errors surface before compute
     if cfg.gamma1_desc is not None:

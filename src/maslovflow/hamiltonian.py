@@ -6,11 +6,17 @@ Psi(t) = exp(delta J t)).  It is fixed-step RK4 written as products of the
 one-step propagators P_k (see propagator.py): every grid node Psi(t_k) =
 P_{k-1} ... P_0 comes out of one inclusive prefix scan, doubling the offset
 each round, so a whole trajectory costs log2(steps) batched products rather
-than a loop over the steps.  The identity checkers compare the spectral flow of
-the boundary-value family, computed by shooting, against Maslov indices of
-paths transported by Psi, computed by eigenphase winding; the two sides share
-nothing beyond the RK4 step propagators, which the tests check against an
-independent integrator, and basic linear algebra.
+than a loop over the steps.  A 1-D array of lambdas is solved the same way
+with a leading lambda axis, each solution bit for bit that of its lambda
+alone, and `FundamentalSolution.at` takes an array of times.  So every path
+built here is a SymplecticActionPath whose action maps a lambda array to a
+stack of matrices: the transported path Psi_lambda(1) gamma_1(lambda) solves
+stacks of at most 16 lambdas, and the frozen-time and alpha/beta paths read
+arrays of times off one solution.  The identity checkers compare the
+spectral flow of the boundary-value family, computed by shooting, against
+Maslov indices of paths transported by Psi, computed by eigenphase winding;
+the two sides share nothing beyond the RK4 step propagators, which the tests
+check against an independent integrator, and basic linear algebra.
 """
 
 from __future__ import annotations
@@ -32,94 +38,114 @@ _DRIFT_ATOL = 1e-6
 # fewest RK4 steps of a fundamental solution; the CLI holds every verify
 # check that builds one to the same bound
 MIN_STEPS = 64
+# lambdas per stacked fundamental solution of a transported path: the stack
+# holds every grid node of every lambda, and peak memory grows with it
+_STACK = 16
 
 
 @dataclass(frozen=True)
 class FundamentalSolution:
-    """Psi_lambda sampled on a uniform t-grid, with Psi(0) = I exactly."""
+    """Psi_lambda sampled on a uniform t-grid, with Psi(0) = I exactly; for a
+    1-D array of lambdas, the stacked solutions of every lambda."""
 
-    lam: float
+    lam: float | np.ndarray
     ts: np.ndarray
-    mats: np.ndarray  # (steps + 1, 2n, 2n)
+    mats: np.ndarray  # (steps + 1, 2n, 2n), or (m, steps + 1, 2n, 2n)
     coeff_fn: object  # t -> J S_lambda(t), exact coefficient of the flow
     generator: object = None  # constant J S_lambda when t-independent
 
     @property
     def n(self) -> int:
-        return self.mats.shape[1] // 2
+        return self.mats.shape[-1] // 2
 
     def end(self) -> np.ndarray:
-        return self.mats[-1]
+        return self.mats[..., -1, :, :]
 
-    def at(self, t: float) -> np.ndarray:
-        """Psi_lambda(t) at an arbitrary time, exact on grid nodes.
+    def at(self, t) -> np.ndarray:
+        """Psi_lambda(t) at a time or an array of times, exact on grid nodes;
+        shape np.shape(t) + (2n, 2n).  Only for the solution of one lambda.
 
         Off-grid values integrate from the nearest lower node with four
         shortened RK4 steps, whose propagators are multiplied onto the node
         value, so evaluation stays deterministic.
         Constant-coefficient families use the matrix exponential directly.
         """
-        t = float(t)
-        if not 0.0 <= t <= 1.0 + 1e-12:
-            raise ValueError(f"time {t} outside [0, 1]")
+        if self.mats.ndim != 3:
+            raise ValueError("at evaluates the fundamental solution of one lambda, not of a stack")
+        t = np.asarray(t, dtype=float)
+        ts = t.reshape(-1)
+        bad = ~((0.0 <= ts) & (ts <= 1.0 + 1e-12))
+        if bad.any():
+            raise ValueError(f"time {ts[np.argmax(bad)]} outside [0, 1]")
         if self.generator is not None:
-            return scipy.linalg.expm(t * self.generator)
+            return scipy.linalg.expm(t[..., None, None] * self.generator)
         h = self.ts[1] - self.ts[0]
-        idx = min(int(np.floor(t / h + 1e-12)), len(self.ts) - 1)
+        idx = np.minimum(np.floor(ts / h + 1e-12).astype(int), len(self.ts) - 1)
         t0 = self.ts[idx]
-        Psi = self.mats[idx]
-        rem = t - t0
-        if rem <= 1e-15:
-            return Psi
-        K = self.coeff_fn
-        sub = rem / 4.0
-        samples = np.array([K(s) for s in t0 + 0.5 * sub * np.arange(9)])
-        return ordered_product(rk4_step_propagators(samples[::2], samples[1::2], sub)) @ Psi
+        out = self.mats[idx]
+        off = ts - t0 > 1e-15
+        if off.any():
+            t0, sub = t0[off], (ts[off] - t0[off]) / 4.0
+            samples = self.coeff_fn(t0[:, None] + (0.5 * sub)[:, None] * np.arange(9))
+            P = rk4_step_propagators(samples[:, ::2], samples[:, 1::2], sub[:, None, None, None])
+            out[off] = ordered_product(P) @ out[off]
+        return out.reshape(t.shape + out.shape[-2:])
 
 
-def fundamental_solution(S: SymmetricFamily, lam: float, steps: int = DEFAULT_STEPS) -> FundamentalSolution:
-    """Solve J Psi' + S_lambda(t) Psi = 0, Psi(0) = I, by fixed-step RK4.
+def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) -> FundamentalSolution:
+    """Solve J Psi' + S_lambda(t) Psi = 0, Psi(0) = I, by fixed-step RK4, at a
+    lambda or at each lambda of a 1-D array (mats then has a leading lambda
+    axis, and each solution is bit for bit that of its lambda alone).
 
     Every node value is a prefix product of the step propagators (for
     t-independent S, of the exact step exp(h J S)), formed by a log-depth scan.
 
-    Raises when the symplecticity drift exceeds 1e-6, suggesting more steps.
+    Raises when the symplecticity drift at t = 1/2 or t = 1 exceeds 1e-6,
+    naming the first lambda where it does and suggesting more steps.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
+    lam = float(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=float)
     n = S.n
     J = standard_J(n)
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
-    mats = np.empty((steps + 1, 2 * n, 2 * n))
-    mats[0] = np.eye(2 * n)
+    mats = np.empty(np.shape(lam) + (steps + 1, 2 * n, 2 * n))
+    mats[..., 0, :, :] = np.eye(2 * n)
     if S.t_independent():
         # constant-coefficient system: exact one-step propagator, no drift
         D = J @ S(lam, 0.0)
-        mats[1:] = prefix_products(np.broadcast_to(scipy.linalg.expm(h * D), (steps, 2 * n, 2 * n)))
+        step = scipy.linalg.expm(h * D)[..., None, :, :]
+        mats[..., 1:, :, :] = prefix_products(np.broadcast_to(step, mats[..., 1:, :, :].shape))
         mats.setflags(write=False)
-        return FundamentalSolution(float(lam), ts, mats, lambda t: D, generator=D)
+        return FundamentalSolution(lam, ts, mats, lambda t: D, generator=D)
     nodes = J @ S(lam, ts)
     mids = J @ S(lam, ts[:-1] + 0.5 * h)
-    mats[1:] = prefix_products(rk4_step_propagators(nodes, mids, h))
-    drift = max(
-        norm2(mats[i].T @ J @ mats[i] - J) for i in (steps // 2, steps)
-    )
-    if drift > _DRIFT_ATOL:
+    mats[..., 1:, :, :] = prefix_products(rk4_step_propagators(nodes, mids, h))
+    M = mats[..., (steps // 2, steps), :, :]
+    drift = np.atleast_1d(norm2(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=-1))
+    bad = drift > _DRIFT_ATOL
+    if bad.any():
+        k = int(np.argmax(bad))
         raise ValueError(
-            f"symplecticity drift {drift:.3e} exceeds {_DRIFT_ATOL}; increase steps"
+            f"symplecticity drift {drift[k]:.3e} at lambda={np.ravel(lam)[k]:.6g} "
+            f"exceeds {_DRIFT_ATOL}; increase steps"
         )
     mats.setflags(write=False)
-    return FundamentalSolution(float(lam), ts, mats, lambda t: J @ S(lam, t))
+    return FundamentalSolution(lam, ts, mats, lambda t: J @ S(lam, t))
 
 
 def transported_path(S: SymmetricFamily, gamma1: LagrangianPath, steps: int = DEFAULT_STEPS) -> LagrangianPath:
-    """The path lambda -> Psi_lambda(1) gamma_1(lambda)."""
-    return SymplecticActionPath(
-        lambda lam: fundamental_solution(S, lam, steps).end(),
-        gamma1,
-        hints=gamma1.breakpoint_hints(),
-    )
+    """The path lambda -> Psi_lambda(1) gamma_1(lambda), its batches of lambdas
+    solved in stacks of at most _STACK."""
+
+    def ends(lams):
+        return np.concatenate([
+            fundamental_solution(S, lams[i : i + _STACK], steps).end()
+            for i in range(0, lams.size, _STACK)
+        ])
+
+    return SymplecticActionPath(ends, gamma1, hints=gamma1.breakpoint_hints())
 
 
 def frozen_time_path(S: SymmetricFamily, lam: float, base: LagrangianFrame, steps: int = DEFAULT_STEPS) -> LagrangianPath:
@@ -243,12 +269,12 @@ def alpha_beta_identity(
         sol = fundamental_solution(S, i, steps)
         inv_end = _symplectic_inverse(sol.end())
         first = SymplecticActionPath(
-            lambda lam: sol.at(float(alpha(lam))),
+            lambda lams: sol.at(alpha(lams)),
             gamma1.frame(i),
             hints=alpha.breakpoints(),
         )
         second = SymplecticActionPath(
-            lambda lam: sol.at(float(beta(lam))) @ inv_end,
+            lambda lams: sol.at(beta(lams)) @ inv_end,
             gamma2.frame(i),
             hints=beta.breakpoints(),
         )

@@ -4,14 +4,17 @@ Every path maps the parameter interval [0, 1] to Lagrangian frames and can
 be evaluated at arbitrary parameter values, which is what the adaptive
 crossing and eigenvalue machinery needs.  Each class has one evaluator,
 `_frames_at`, that turns an array of parameter values into a checked stack
-of frames: rotation and unitary-diagonal paths in closed form,
-`PolynomialAction` with one `expm` call on the stack, and rotated,
-reversed, reparametrized, concatenated and acted-on paths by mapping the
-array onto the paths inside them.  `frames(lams)` evaluates the values it
-has not seen in one such call and keeps every frame in the path's one
-cache, keyed by parameter value; `frame(lam)` is the same for one value.
-The adaptive sample grid refines level by level, one batch per level.
-Paths are immutable once built.
+of frames: rotation and unitary-diagonal paths in closed form, rotated,
+reversed, reparametrized and concatenated paths by mapping the array onto
+the paths inside them, and acted-on paths likewise, with an action that
+maps the whole array to a stack of symplectic matrices in one call
+(`PolynomialAction` with one `expm` call, the transported, frozen-time and
+alpha/beta paths of hamiltonian.py through fundamental solutions on lambda
+or time arrays).  `frames(lams)` evaluates the values it has not seen in
+one such call and keeps every frame in the path's one cache, keyed by
+parameter value; `frame(lam)` is the same for one value.  The adaptive
+sample grid refines level by level, one batch per level.  Paths are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -218,11 +221,9 @@ class UnitaryDiagonalPath(LagrangianPath):
 class SymplecticActionPath(LagrangianPath):
     """lambda -> A(lambda) . base(lambda) for a family of symplectic matrices.
 
-    The base may be a fixed frame or another path.  A is any callable
-    returning a symplectic 2n x 2n matrix, called once per lambda, or a family
-    with a `stack(lams)` method (PolynomialAction) that returns the matrices
-    at all new lambdas of a batch in one call; they are checked at every
-    evaluation.
+    The base may be a fixed frame or another path.  The action A maps a 1-D
+    array of m lambdas to the stack (m, 2n, 2n) of its matrices there; it is
+    called once per batch of new lambdas, and every matrix is checked.
     """
 
     def __init__(self, matfun, base, hints=(), payload=None):
@@ -236,11 +237,12 @@ class SymplecticActionPath(LagrangianPath):
         self._J = standard_J(self.n)
 
     def _frames_at(self, lams):
-        stack = getattr(self.matfun, "stack", None)
-        if stack is not None:
-            A = stack(lams)
-        else:
-            A = np.stack([np.asarray(self.matfun(lam), dtype=float) for lam in lams.tolist()])
+        A = np.asarray(self.matfun(lams), dtype=float)
+        shape = (lams.size, 2 * self.n, 2 * self.n)
+        if A.shape != shape:
+            raise ValueError(
+                f"action must map {lams.size} lambdas to a stack (m, 2n, 2n) = {shape}, got {A.shape}"
+            )
         dev = np.swapaxes(A, 1, 2) @ self._J @ A - self._J
         ok = within_each(dev, _ACTION_ATOL)
         if not ok.all():
@@ -264,14 +266,14 @@ class PolynomialAction:
     """The family lambda -> expm(J G(lambda)) for the symmetric polynomial
     G(lambda) = sum_k gens[k] lambda^k, an action for SymplecticActionPath.
 
-    `stack(lams)` gives the matrices at an array of lambdas with one expm call.
+    Called on an array of lambdas, it gives their matrices with one expm call.
     """
 
     def __init__(self, gens):
         self.gens = gens
         self._J = standard_J(len(gens[0]) // 2)
 
-    def stack(self, lams: np.ndarray) -> np.ndarray:
+    def __call__(self, lams: np.ndarray) -> np.ndarray:
         lams = np.asarray(lams, dtype=float)[:, None, None]
         G = sum(g * lams**k for k, g in enumerate(self.gens))
         return scipy.linalg.expm(self._J @ G)

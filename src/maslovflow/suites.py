@@ -259,11 +259,7 @@ def _transversal_pair(rng, n: int):
     """gamma_2 = exp(s(lambda) J) gamma_1 with s bounded away from pi Z."""
     g1 = random_path(rng, n)
     s = PiecewiseLinear([0.0, 0.5, 1.0], rng.uniform(0.25, np.pi - 0.25, size=3))
-
-    def fn(lam):
-        return rotation_matrix(n, float(s(lam)))
-
-    return g1, SymplecticActionPath(fn, g1, hints=s.breakpoints())
+    return g1, SymplecticActionPath(lambda lams: rotation_matrix(n, s(lams)), g1, hints=s.breakpoints())
 
 
 def _concat_quadruple(rng, n: int):

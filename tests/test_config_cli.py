@@ -415,6 +415,43 @@ def test_cli_invalid_solver_settings_exit_2(argv, config_tol, field, tmp_path, c
     assert captured.out == ""
 
 
+# a suite count is an integer >= 1 and a seed an integer >= 0, whether a
+# flag or the config file sets it; CFG stands for a config that sets the field
+_BAD_COUNT_OR_SEED = [
+    (["verify", "clm", "--count", "-3"], None, "--count"),
+    (["verify", "axioms", "--count", "0"], None, "--count"),
+    (["verify", "axioms", "--config", "CFG"], {"suite": {"count": "abc"}}, "suite.count"),
+    (["verify", "gap", "--config", "CFG"], {"suite": {"count": 0}}, "suite.count"),
+    (["verify", "gap", "--config", "CFG"], {"suite": {"count": 2.0}}, "suite.count"),
+    (["verify", "axioms", "--seed", "-5"], None, "--seed"),
+    (["verify", "axioms", "--config", "CFG"], {"seed": "abc"}, "seed"),
+    (["verify", "gap", "--config", "CFG"], {"seed": -1}, "seed"),
+    (["verify", "gap", "--config", "CFG"], {"seed": 1.5}, "seed"),
+]
+
+
+@pytest.mark.parametrize("argv, fields, name", _BAD_COUNT_OR_SEED,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_cli_rejects_an_invalid_suite_count_or_seed(argv, fields, name, tmp_path, capsys):
+    cfg = _write(tmp_path, "a.json", {**PRIME_CFG, **(fields or {})})
+    assert main([cfg if a == "CFG" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {name}: must be an integer >= ")
+    assert captured.out == ""
+
+
+def test_cli_count_and_seed_reach_the_suite(tmp_path, monkeypatch, capsys):
+    calls = []
+    check = cli._VERIFY["axioms"]
+    monkeypatch.setitem(cli._VERIFY, "axioms", replace(
+        check, suite=lambda **kw: calls.append(kw) or check.suite(**kw)))
+    assert main(["verify", "axioms", "--count", "2", "--seed", "0"]) == 0
+    cfg = _write(tmp_path, "a.json", {**PRIME_CFG, "seed": 4, "suite": {"count": 1}})
+    assert main(["verify", "axioms", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert calls == [{"count": 2, "seed": 0}, {"count": 1, "seed": 4}]
+
+
 def _readme_flag_table() -> dict:
     """{command: [flags]} from the rows of the README's command-line table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

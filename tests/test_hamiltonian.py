@@ -1,5 +1,7 @@
 """Tests for fundamental solutions and the Hamiltonian spectral-flow identities."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,8 @@ from maslovflow import (
     three_term_identity,
     transported_path,
 )
+from maslovflow import hamiltonian
+from maslovflow.propagator import ordered_product, rk4_step_propagators
 from maslovflow.suites import random_pair, random_symmetric, random_symmetric_family
 
 
@@ -94,6 +98,83 @@ def test_fundamental_solution_drift_error():
     coeffs[0, 1] = np.array([[9.0, 4.0], [4.0, -9.0]])
     with pytest.raises(ValueError, match="increase steps"):
         fundamental_solution(SymmetricFamily(coeffs), 0.0, steps=64)
+
+
+def test_fundamental_solution_drift_error_names_the_first_failing_lambda():
+    # S = (1 - lambda) times the family above: at 64 steps the drift passes
+    # the bound at lambda >= 0.7 only, so in a stack it first fails at 0.3
+    coeffs = np.zeros((2, 2, 2, 2))
+    coeffs[0, 0] = 18.0 * np.eye(2)
+    coeffs[0, 1] = np.array([[9.0, 4.0], [4.0, -9.0]])
+    coeffs[1] = -coeffs[0]
+    S = SymmetricFamily(coeffs)
+    assert fundamental_solution(S, np.array([1.0, 0.9, 0.7]), steps=64).mats.shape == (3, 65, 2, 2)
+    with pytest.raises(ValueError, match=r"at lambda=0\.3 exceeds 1e-06; increase steps"):
+        fundamental_solution(S, np.array([1.0, 0.9, 0.3, 0.0]), steps=64)
+    with pytest.raises(ValueError, match=r"at lambda=0 exceeds"):
+        fundamental_solution(S, 0.0, steps=64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("deg_t", [0, 2])
+def test_stacked_fundamental_solution_matches_each_lambda(n, deg_t):
+    # every matrix of the stacked solution is bit for bit that of its lambda
+    # alone, for t-independent (exact exponential step) and t-dependent S
+    rng = np.random.default_rng(10 * n + deg_t)
+    S = random_symmetric_family(rng, n, 2, deg_t, 2.0)
+    lams = np.concatenate([[0.0, 1.0], rng.uniform(size=9)])
+    sol = fundamental_solution(S, lams, steps=128)
+    assert sol.mats.shape == (lams.size, 129, 2 * n, 2 * n) and sol.n == n
+    ends = np.array([fundamental_solution(S, lam, steps=128).end() for lam in lams])
+    assert np.array_equal(sol.end(), ends)
+
+
+@pytest.mark.parametrize("deg_t", [0, 2])
+def test_fundamental_solution_at_an_array_of_times(deg_t):
+    S = random_symmetric_family(np.random.default_rng(7), 2, 2, deg_t, 2.0)
+    sol = fundamental_solution(S, 0.37, steps=128)
+    rng = np.random.default_rng(8)
+    ts = np.concatenate([sol.ts[::9], rng.uniform(size=40), [1.0, 0.0, 0.5 + 0.25 / 128]])
+    got = sol.at(ts)
+    assert got.shape == (ts.size, 4, 4)
+    assert np.array_equal(got, np.stack([sol.at(t) for t in ts]))
+    assert np.array_equal(sol.at(ts.reshape(-1, 2)), got.reshape(-1, 2, 4, 4))
+    if deg_t:  # RK4 grid nodes are read off the grid (t-independent S uses expm)
+        assert np.array_equal(sol.at(sol.ts), sol.mats)
+        # against the loop form, nine scalar samples of S per time: sampling
+        # S on a time array rounds apart by a few ulps at most
+        h = sol.ts[1]
+        for t, Psi in zip(ts, got):
+            k = min(int(np.floor(t / h + 1e-12)), 128)
+            sub = (t - sol.ts[k]) / 4.0
+            samples = np.array([sol.coeff_fn(s) for s in sol.ts[k] + 0.5 * sub * np.arange(9)])
+            ref = ordered_product(rk4_step_propagators(samples[::2], samples[1::2], sub)) @ sol.mats[k]
+            assert np.abs(Psi - ref).max() <= 64 * np.finfo(float).eps * np.abs(ref).max()
+    with pytest.raises(ValueError, match="outside"):
+        sol.at(np.array([0.5, 1.5]))
+
+
+def test_fundamental_solution_at_rejects_a_stacked_solution():
+    sol = fundamental_solution(SymmetricFamily.zero(1), np.array([0.2, 0.4]))
+    with pytest.raises(ValueError, match="one lambda"):
+        sol.at(0.5)
+
+
+def test_transported_path_solves_stacks_of_lambdas(monkeypatch):
+    # one fundamental solution per stack of at most 16 new lambdas, not per
+    # lambda, and the frames do not depend on how the lambdas are stacked
+    S = random_symmetric_family(np.random.default_rng(4), 2, 2, 1, 2.0)
+    sizes = []
+    solve = hamiltonian.fundamental_solution
+    monkeypatch.setattr(hamiltonian, "fundamental_solution",
+                        lambda S, lams, steps: sizes.append(np.size(lams)) or solve(S, lams, steps))
+    g = transported_path(S, gamma_nor(2), steps=64)
+    for m in (1, 16, 17, 40):
+        sizes.clear()
+        lams = np.random.default_rng(m).uniform(size=m)
+        F = g.frames(lams)
+        assert len(sizes) == math.ceil(m / 16) and sum(sizes) == m
+        assert np.array_equal(F, transported_path(S, gamma_nor(2), steps=64).frames(lams[::-1])[::-1])
 
 
 def test_fundamental_solution_rejects_few_steps():

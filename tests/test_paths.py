@@ -85,9 +85,20 @@ def test_unitary_diagonal_path_frames():
 
 
 def test_symplectic_action_path_rejects_non_symplectic():
-    g = SymplecticActionPath(lambda lam: np.eye(4) * 2.0, l0_frame(2))
+    g = SymplecticActionPath(lambda lams: 2.0 * np.eye(4)[None], l0_frame(2))
     with pytest.raises(ValueError, match="symplectic"):
         g.frame(0.5)
+
+
+@pytest.mark.parametrize("action, got", [
+    (lambda lams: np.eye(4), r"\(4, 4\)"),  # the old one-lambda contract
+    (lambda lams: np.broadcast_to(np.eye(4), (2, 4, 4)), r"\(2, 4, 4\)"),
+    (lambda lams: np.broadcast_to(np.eye(2), (lams.size, 2, 2)), r"\(3, 2, 2\)"),
+], ids=["one_matrix", "too_few_matrices", "wrong_dimension"])
+def test_symplectic_action_path_names_the_shape_it_expects(action, got):
+    g = SymplecticActionPath(action, l0_frame(2))
+    with pytest.raises(ValueError, match=r"stack \(m, 2n, 2n\) = \(3, 4, 4\), got " + got):
+        g.frames([0.1, 0.6, 0.7])
 
 
 def test_concat_path_junction_check():
@@ -160,7 +171,7 @@ def _path_of_each_class():
         "unitary_diagonal": diagonal,
         "action_on_frame": action,
         "action_on_path": SymplecticActionPath(random_action(rng, n), rotation),
-        "action_per_lambda": SymplecticActionPath(lambda lam: rotation_matrix(n, 0.3 + lam), diagonal),
+        "action_per_lambda": SymplecticActionPath(lambda lams: rotation_matrix(n, 0.3 + lams), diagonal),
         "rotated": RotatedPath(action, 0.7),
         "reversed": diagonal.reversed(),
         "reparametrized": ReparametrizedPath(action, PiecewiseLinear([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])),
@@ -204,8 +215,8 @@ def test_concat_frames_at_the_junction_come_from_the_second_piece():
 
 
 def test_batched_action_reports_the_first_non_symplectic_lambda():
-    def fn(lam):
-        return np.eye(4) * (2.0 if lam > 0.5 else 1.0)
+    def fn(lams):
+        return np.eye(4) * np.where(lams > 0.5, 2.0, 1.0)[:, None, None]
 
     g = SymplecticActionPath(fn, l0_frame(2))
     with pytest.raises(ValueError, match=r"lambda=0\.6 is not symplectic"):

@@ -363,7 +363,7 @@ def test_validation_errors_report_the_spectral_norm():
     for build in (
         lambda: SymplecticMatrix(2, 2.0 * np.eye(4)),
         lambda: apply_symplectic(2.0 * np.eye(4), l0_frame(2)),
-        lambda: SymplecticActionPath(lambda lam: 2.0 * np.eye(4), l0_frame(2)).frame(0.5),
+        lambda: SymplecticActionPath(lambda lams: 2.0 * np.eye(4)[None], l0_frame(2)).frame(0.5),
     ):
         with pytest.raises(ValueError, match="not symplectic") as err:
             build()
