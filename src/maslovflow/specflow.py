@@ -17,11 +17,12 @@ taken in [0, 2pi) jumps by 2pi per eigenvalue.  Detector evaluations are
 batched over mu, and over lambda too when spectrum_window is given an array of
 lambdas: the windows at up to 32 of them are scanned and narrowed together,
 each exactly as it would be alone.  Every scan interval that holds eigenvalues is
-narrowed with the count as bracket invariant: by Illinois secant steps (Dowell
-& Jarratt 1971) on a smooth determinant that vanishes on the spectrum where an
-interval holds one eigenvalue and the determinant changes sign, by halving
-otherwise.
-The count's parity is checked against that determinant's sign changes.
+narrowed with the count as bracket invariant, by Illinois secant steps (Dowell
+& Jarratt 1971) on the k-th root of |det| for a bracket holding k of them,
+det being a smooth determinant that vanishes on the spectrum, signed + at the
+lower end and - at the upper: near a k-fold eigenvalue det ~ c (mu - mu*)^k,
+so that root is linear through it.  Halving takes over where the secant
+stalls.  The count's parity is checked against det's sign changes.
 
 The spectral flow follows the partition definition: on each parameter
 subinterval an eigenvalue-free threshold epsilon is chosen and the counts of
@@ -307,13 +308,14 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     wrapped change is not negative is halved.  The number of eigenvalues in
     each interval is the winding of the eigenphase sum.  Every interval that
     holds eigenvalues is narrowed to width tol with that count deciding each
-    new bracket: one that holds a single eigenvalue across a sign change of
-    the determinant takes Illinois secant steps on the determinant, probed at
-    x -+ tol/2, while the iterations left still let plain halving finish;
-    every other bracket is halved, splitting wherever both halves hold
-    eigenvalues.  No window takes more than twice the levels of plain
-    bisection.  Each final midpoint is reported with its count as
-    multiplicity, and points closer than 1e-7 are merged.
+    new bracket.  A bracket that holds k eigenvalues takes Illinois secant
+    steps on |det|^(1/k) at its lower end and -|det|^(1/k) at its upper end,
+    det being the detector's determinant, probed at x -+ tol/2, while the
+    iterations left still let plain halving finish; it is halved, keeping
+    each half that holds eigenvalues, once they would not or when det
+    vanishes at both ends.  No window takes more than
+    twice the levels of plain bisection.  Each final midpoint is reported
+    with its count as multiplicity, and points closer than 1e-7 are merged.
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
     EigenvalueCountMismatch is raised.  Window endpoints must not be
@@ -398,11 +400,17 @@ def _locate(fam, lam, los, his, tol):
     # Each iteration cuts every bracket wider than tol and keeps the parts
     # that hold eigenvalues: a secant bracket into lower, inner and upper
     # parts at the probes p = x - tol/2 and q = x + tol/2, any other at its
-    # midpoint p = q.  An end kept by two secant steps in a row has its f
-    # halved (Illinois).  A secant step is taken only while the iterations
-    # left after it would still let halving alone reach tol.  Each window
-    # has its own iteration budget, twice the levels of plain bisection from
-    # its widest bracket; a bracket is finished when its window's is spent.
+    # midpoint p = q.  The count k of a bracket says that all its k
+    # eigenvalues lie above lo and below hi, so the secant runs on
+    # f = |det|^(1/k) at lo and -|det|^(1/k) at hi: every eigenphase crosses
+    # 0 at nonzero speed, so det ~ c (mu - mu*)^k near a k-fold eigenvalue
+    # and f is linear through it.  For k = 1 this is det up to one sign,
+    # which the secant quotient ignores.  An end kept by two secant steps in
+    # a row has its determinant halved (Illinois).  A secant step is taken
+    # only while the iterations left after it would still let halving alone
+    # reach tol.  Each window has its own iteration budget, twice the levels
+    # of plain bisection from its widest bracket; a bracket is finished when
+    # its window's is spent.
     live = counts > 0
     b = np.zeros((10, np.count_nonzero(live)))
     b[_LO], b[_HI], b[_CNT], b[_S_LO] = grid[:-1][live], grid[1:][live], counts[live], sums[:-1][live]
@@ -419,9 +427,11 @@ def _locate(fam, lam, los, his, tol):
         b, width = b[:, ~over], width[~over]
         if not b.shape[1]:
             break
-        lo, hi, f_lo, f_hi = b[_LO], b[_HI], b[_F_LO], b[_F_HI]
+        lo, hi = b[_LO], b[_HI]
+        f_lo, f_hi = np.abs(b[_F_LO]) ** (1.0 / b[_CNT]), -(np.abs(b[_F_HI]) ** (1.0 / b[_CNT]))
         halvings = np.ceil(np.log2(width / tol))
-        sec = (b[_CNT] == 1) & (f_lo * f_hi < 0) & (width > 4.0 * tol) & (halvings < b[_ITERS] - it)
+        # f_lo >= 0 >= f_hi, so f_lo > f_hi unless both ends are eigenvalues
+        sec = (f_lo > f_hi) & (width > 4.0 * tol) & (halvings < b[_ITERS] - it)
         x = 0.5 * (lo + hi)
         x[sec] = np.clip(
             lo[sec] + width[sec] * f_lo[sec] / (f_lo[sec] - f_hi[sec]), lo[sec] + tol, hi[sec] - tol

@@ -236,22 +236,21 @@ def test_spectrum_window_locates_simple_eigenvalues_in_few_detector_calls(n, pot
 
 
 class _Synthetic:
-    """Detector data of a made-up operator with n = 1: one eigenphase
-    phi(mu) = (r - mu) mod 2pi, so the eigenvalues are r + 2 pi k, each simple,
-    and the signed determinant f(mu) given by the caller."""
+    """Detector data of a made-up operator whose n eigenphases all equal
+    phi(mu) = (r - mu) mod 2pi, so the eigenvalues are r + 2 pi k, each of
+    multiplicity n, and the signed determinant f(mu) given by the caller."""
 
-    n = 1
     s_norm = 0.0
 
-    def __init__(self, r, f):
-        self.r, self.f, self.calls = r, f, 0
+    def __init__(self, r, f, n=1):
+        self.r, self.f, self.n, self.calls = r, f, n, 0
 
     def detector_batch(self, lam, mus):
         self.calls += 1
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         phi = (self.r - mus) % (2.0 * np.pi)
         psi = np.minimum(phi / 2.0, np.pi - phi / 2.0)
-        return np.sqrt(2.0) * np.sin(psi / 2.0), self.f(mus), phi
+        return np.sqrt(2.0) * np.sin(psi / 2.0), self.f(mus), self.n * phi
 
 
 def test_spectrum_window_secant_stall_still_ends_within_tol():
@@ -267,6 +266,20 @@ def test_spectrum_window_secant_stall_still_ends_within_tol():
     assert abs(window.eigenvalues[0][0] - r) <= 1e-10
     assert abs(window.eigenvalues[1][0] - steep) <= 1e-10
     assert 12 < fam.calls <= 1 + 2 * 32
+
+
+def test_spectrum_window_flat_double_eigenvalue_still_ends_within_tol():
+    # n = 2 with det ~ (mu - r)^18: the secant runs on |det|^(1/2) = |mu - r|^9,
+    # still flat at the root, so it creeps towards it from one side; the
+    # locator must fall back to halving and still end within tol, in at most
+    # twice the levels of plain bisection (scan intervals 0.3125 wide: 32
+    # levels to 1e-10)
+    r = 0.3
+    fam = _Synthetic(r, lambda mu: (mu - r) ** 18, n=2)
+    window = spectrum_window(fam, 0.0, -1.0, 1.5)
+    assert [m for _, m in window.eigenvalues] == [2]
+    assert abs(window.eigenvalues[0][0] - r) <= 1e-10
+    assert 1 + 32 < fam.calls <= 1 + 2 * 32
 
 
 def test_spectrum_window_count_certificate_rejects_a_flipped_determinant():
@@ -299,24 +312,26 @@ def test_spectrum_window_rejects_a_tolerance_that_is_not_positive(tol):
         spectrum_window(fam, 0.3, -1.4, 1.4, tol=tol)
 
 
+def _walls(n: int, c: float) -> BoundaryValueFamily:
+    """Dirichlet walls {0} x R^n at both ends with S = c lambda I: the
+    eigenvalues are k pi + c lambda, each of multiplicity n."""
+    wall = ConstantPath(l1_frame(n))
+    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
+    coeffs[1, 0] = c * np.eye(2 * n)
+    return BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+
+
 def test_spectrum_window_double_eigenvalue_in_last_scan_interval():
     # Dirichlet walls, S = 0: mu = k pi with multiplicity n; pi lies 0.05
     # inside the edge, within the last scan interval, and gives no sign change
-    n = 2
-    wall = ConstantPath(l1_frame(n))
-    window = spectrum_window(BoundaryValueFamily(wall, wall), 0.0, -1.0, np.pi + 0.05)
+    window = spectrum_window(_walls(2, 0.0), 0.0, -1.0, np.pi + 0.05)
     assert_spectrum_matches(window, [(0.0, 2), (np.pi, 2)], tol=1e-6)
 
 
 def test_spectrum_window_double_eigenvalue_near_edge_expm_branch():
     # walls with S = 5 lambda I: mu = k pi + 5 lambda, multiplicity 2;
     # 5 + 2 pi = 11.283 lies 0.017 inside the edge 11.3
-    n = 2
-    wall = ConstantPath(l1_frame(n))
-    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
-    coeffs[1, 0] = 5.0 * np.eye(2 * n)
-    fam = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
-    window = spectrum_window(fam, 1.0, -11.3, 11.3)
+    window = spectrum_window(_walls(2, 5.0), 1.0, -11.3, 11.3)
     expected = [(5.0 + k * np.pi, 2) for k in range(-5, 3)]
     assert_spectrum_matches(window, expected, tol=1e-6)
     assert abs(window.eigenvalues[-1][0] - (5.0 + 2.0 * np.pi)) < 1e-6
@@ -324,25 +339,50 @@ def test_spectrum_window_double_eigenvalue_near_edge_expm_branch():
 
 def test_double_eigenvalues_polished_to_absolute_tolerance():
     # double eigenvalues k pi (+ 5 lambda) give the determinant no sign change;
-    # they are bisected on the eigenphase count, which steps by 2 across them,
-    # to an absolute width tol; both walls families are exact here (S = 0 in
-    # closed form, S = 5 lambda I through expm), so the error left is the
-    # locator's alone
+    # the eigenphase count steps by 2 across them and keeps them bracketed
+    # while secant steps on the square root of |det|, signed by that count,
+    # narrow each to an absolute width tol; both walls families are exact
+    # here (S = 0 in closed form, S = 5 lambda I through expm), so the error
+    # left is the locator's alone
     n = 2
-    wall = ConstantPath(l1_frame(n))
-    window = spectrum_window(BoundaryValueFamily(wall, wall), 0.0, -7.3, 7.3)
+    window = spectrum_window(_walls(n, 0.0), 0.0, -7.3, 7.3)
     assert [m for _, m in window.eigenvalues] == [2] * 5
     for mu, k in zip(window.values()[::2], range(-2, 3)):
-        assert abs(mu - k * np.pi) <= 1e-9
-    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
-    coeffs[1, 0] = 5.0 * np.eye(2 * n)
-    fam = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+        assert abs(mu - k * np.pi) <= 1e-10
+    fam = _walls(n, 5.0)
     for lam in np.linspace(0.0, 1.0, 21):
         window = spectrum_window(fam, float(lam), -11.3, 11.3)
         assert window.eigenvalues and all(m == 2 for _, m in window.eigenvalues)
         for mu, _ in window.eigenvalues:
             k = np.round((mu - 5.0 * lam) / np.pi)
-            assert abs(mu - 5.0 * lam - k * np.pi) <= 1e-9
+            assert abs(mu - 5.0 * lam - k * np.pi) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalues_of_every_multiplicity_take_secant_steps(n, monkeypatch):
+    # near an n-fold eigenvalue det ~ c (mu - mu*)^n, so the n-th root of |det|,
+    # signed by the count, is linear through it and the secant lands on it:
+    # a window costs a few detector calls, where halving to tol = 1e-10 takes
+    # about 31; with S = 0 and n <= 2 the eigenvalue mu = 0 is a scan point
+    # (59 points), so a bracket end has det = 0
+    calls = []
+    batch = BoundaryValueFamily.detector_batch
+
+    def spy(self, lam, mus):
+        calls.append(np.size(mus))
+        return batch(self, lam, mus)
+
+    monkeypatch.setattr(BoundaryValueFamily, "detector_batch", spy)
+    for c in (0.0, 5.0):
+        fam = _walls(n, c)
+        for lam in np.linspace(0.0, 1.0, 11):
+            calls.clear()
+            window = spectrum_window(fam, float(lam), -11.3, 11.3)
+            assert len(calls) <= 8, (c, lam, calls)
+            expected = [k * np.pi + c * lam for k in range(-8, 9) if abs(k * np.pi + c * lam) < 11.3]
+            assert [m for _, m in window.eigenvalues] == [n] * len(expected)
+            for (mu, _), want in zip(window.eigenvalues, expected):
+                assert abs(mu - want) <= 1e-10, (c, lam, mu)
 
 
 def test_kernel_dimension_matches_intersection():
@@ -547,15 +587,17 @@ def test_transfer_symplecticity_with_family():
 
 
 def _families(n: int):
-    """S = 0, t-independent S and t-dependent S on one random pair."""
+    """S = 0, t-independent S and t-dependent S on one random pair, then
+    the walls with S = 5 lambda I, whose eigenvalues have multiplicity n."""
     rng = np.random.default_rng(60 + n)
     g1, g2 = random_pair(rng, n)
     t_const = SymmetricFamily(rng.normal(size=(3, 1, 2 * n, 2 * n)) * 0.5)
-    return [BoundaryValueFamily(g1, g2, S) for S in (None, t_const, _t_dependent_family(n, seed=n))]
+    families = [BoundaryValueFamily(g1, g2, S) for S in (None, t_const, _t_dependent_family(n, seed=n))]
+    return families + [_walls(n, 5.0)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("kind", [0, 1, 2], ids=["zero", "t-independent", "t-dependent"])
+@pytest.mark.parametrize("kind", [0, 1, 2, 3], ids=["zero", "t-independent", "t-dependent", "walls"])
 def test_stacked_windows_equal_one_at_a_time(n, kind):
     # a stack shares every detector call, yet each window is located exactly
     # as alone, edges given per lambda included
