@@ -22,6 +22,11 @@ the same count plus the change of Sigma from end to end.
 Non-admissible pairs (endpoint intersections nontrivial) are rotated:
 the index is that of (gamma_1, exp(-Theta J) gamma_2) for a small stable
 Theta > 0 supplied by perturbation_theta.
+
+Each path is evaluated only in batches: the sample grids are built before
+any test reads an endpoint frame, and their first batch holds lambda = 0
+and 1, so the admissibility, ladder and closure tests read cached frames.
+A rotated path shares the grid of the path it rotates.
 """
 
 from __future__ import annotations
@@ -146,6 +151,7 @@ def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: 
     (gamma_1, exp(-Theta J) gamma_2) that verified it, its total known."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
+    _build_grids(g1, g2)
     nonzero = []
     for e in (0.0, 1.0):
         p = _eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj())
@@ -167,11 +173,25 @@ def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: 
     raise RuntimeError("no stable regularization angle found down to 1e-6")
 
 
+def _build_grids(*paths: LagrangianPath) -> None:
+    """Build the sample grid of each path.  Its first batch holds lambda = 0
+    and 1, so the endpoint frames read after it are cache hits."""
+    for g in paths:
+        g.sample_grid
+
+
 def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int) -> _PairCounter:
     """The counter of the pair, rotated by the stable Theta if an endpoint
-    intersection is nontrivial."""
+    intersection is nontrivial.
+
+    Both sample grids are built before the admissibility test, which then
+    reads the endpoint frames from their first batch; the counter needs the
+    grids in either branch.
+    """
+    counter = _PairCounter(g1, g2, max_depth)
+    _build_grids(g1, g2)
     if all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0)):
-        return _PairCounter(g1, g2, max_depth)
+        return counter
     return _regularized(g1, g2, np.pi / 8, tol, max_depth)[1]
 
 
@@ -204,7 +224,10 @@ def maslov_loop(g: LagrangianPath) -> int:
 
     With W(R^n x {0}) = I, the continuous change of the eigenphase sum of W
     is 2pi times the crossings through 0 plus the change of the wrapped sum.
+    The closure test reads the endpoint frames from the first batch of the
+    sample grid, which the count needs anyway.
     """
+    _build_grids(g)
     closure = gap_distance(g.frame(0.0), g.frame(1.0))
     if closure > 1e-9:
         raise ValueError(f"path is not closed: endpoint gap {closure:.3e}")

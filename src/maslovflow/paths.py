@@ -280,7 +280,11 @@ class PolynomialAction:
 
 
 class RotatedPath(LagrangianPath):
-    """The pointwise rotation exp(theta J) applied to an existing path."""
+    """The pointwise rotation exp(theta J) applied to an existing path.
+
+    The rotation is orthogonal and keeps every gap distance, so the path
+    shares the sample grid of the path inside it instead of refining its own.
+    """
 
     def __init__(self, path: LagrangianPath, theta: float):
         super().__init__(path.n)
@@ -290,6 +294,10 @@ class RotatedPath(LagrangianPath):
 
     def _frames_at(self, lams):
         return lagrangian_frames(self._R @ self.path.frames(lams))
+
+    @property
+    def sample_grid(self) -> np.ndarray:
+        return self.path.sample_grid
 
     def breakpoint_hints(self):
         return self.path.breakpoint_hints()

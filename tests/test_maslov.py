@@ -423,6 +423,46 @@ def test_maslov_pair_calls_expm_once_per_level(monkeypatch):
                         lambda self, lams: levels.append("count") or unitaries(self, lams))
     index = maslov_pair(g1, g2)
     assert index == _dfs_total(g1, g2)
-    # two scalar endpoint frames per path, then one call per path and level
-    assert len(expm_sizes) <= 4 + levels.count("grid") + 2 * levels.count("count")
+    # one call per path and level: the endpoint frames come from the grids
+    assert len(expm_sizes) <= levels.count("grid") + 2 * levels.count("count")
     assert len(expm_sizes) < sum(expm_sizes) / 4
+
+
+@pytest.mark.parametrize("index", ["maslov_pair", "crossing_list", "perturbation_theta", "maslov_loop"])
+def test_maslov_side_reads_endpoint_frames_from_the_grid_batch(monkeypatch, index):
+    # every new lambda is evaluated in a batch of a grid level or a counter
+    # level; a scalar frame read, the admissibility, ladder and closure
+    # tests included, never evaluates a stack of one
+    if index == "maslov_loop":
+        cases = [(gamma_nor(2),), (gamma_nor_prime(3).reversed(),)]
+    else:
+        cases = [(g1, g2) for _, g1, g2 in _oracle_pairs()]
+    new_in_scalar_reads = []
+    frame = LagrangianPath.frame
+    monkeypatch.setattr(LagrangianPath, "frame",
+                        lambda self, lam: new_in_scalar_reads.append(float(lam) not in self._frames)
+                        or frame(self, lam))
+    for args in cases:
+        getattr(maslov, index)(*args)
+    assert new_in_scalar_reads and not any(new_in_scalar_reads)
+
+
+def test_half_dimension_mismatch_raises_before_any_frame():
+    for index in (maslov_pair, crossing_list, perturbation_theta):
+        g1, g2 = gamma_nor(1), RotatedPath(gamma_nor(2), 0.3)
+        with pytest.raises(ValueError, match="half-dimension mismatch: 1 vs 2"):
+            index(g1, g2)
+        assert g1._frames == {} and g2._frames == {} and g2.path._frames == {}
+        assert g1._grid is None and g2.path._grid is None
+
+
+def test_rotated_path_shares_the_grid_of_its_path():
+    # a rotation keeps every gap distance, so refining the rotated path's own
+    # grid gives the same nodes
+    for k, g1, g2 in _oracle_pairs():
+        theta = perturbation_theta(g1, g2)
+        for g in (g1, g2):
+            for t in (-theta, -theta / 2, np.pi / 8, -np.pi / 8, 1e-3, -1e-3):
+                rotated = RotatedPath(g, t)
+                assert rotated.sample_grid is g.sample_grid
+                assert np.array_equal(LagrangianPath.sample_grid.fget(rotated), g.sample_grid), (k, t)
