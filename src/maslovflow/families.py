@@ -51,17 +51,16 @@ class SymmetricFamily:
         a lambda array is bit for bit that of its lambda alone."""
         t = np.asarray(t, dtype=float)
         t_pows = t[..., None] ** np.arange(self.coeffs.shape[1])
-        if np.ndim(lam) == 0:
-            lam_pows = float(lam) ** np.arange(self.coeffs.shape[0])
-            ct = np.tensordot(lam_pows, self.coeffs, axes=(0, 0))
-            return np.tensordot(t_pows, ct, axes=(-1, 0))
-        # one row of lambda powers per matrix product: the same products as
-        # the vector contraction above, where a multi-row product rounds apart
-        lam_pows = np.asarray(lam, dtype=float)[:, None, None] ** np.arange(self.coeffs.shape[0])
+        # one row of lambda powers per matrix product, so that no lambda's
+        # matrices depend on the others (a multi-row product rounds apart);
+        # a scalar lambda is a stack of one
+        lam = np.asarray(lam, dtype=float)
+        lam_pows = np.atleast_1d(lam)[:, None, None] ** np.arange(self.coeffs.shape[0])
         ct = lam_pows @ self.coeffs.reshape(self.coeffs.shape[0], -1)
         ct = ct.reshape((len(lam_pows), self.coeffs.shape[1], -1))
         out = t_pows.reshape(-1, self.coeffs.shape[1]) @ ct
-        return out.reshape((len(lam_pows),) + t.shape + self.coeffs.shape[2:])
+        out = out.reshape((len(lam_pows),) + t.shape + self.coeffs.shape[2:])
+        return out if lam.ndim else out[0]
 
     def sup_norm(self) -> float:
         """Sup over a 17 x 17 grid of (lambda, t) of the spectral norm."""

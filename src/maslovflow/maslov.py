@@ -74,6 +74,8 @@ class _PairCounter:
     def __init__(self, g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH):
         if g1.n != g2.n:
             raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
+        if max_depth < 0:
+            raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
         self.g1 = g1
         self.g2 = g2
         self.max_depth = max_depth

@@ -13,16 +13,17 @@ multiplied pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
-taken in [0, 2pi) jumps by 2pi per eigenvalue.  Detector evaluations are
-batched over mu, and over lambda too when spectrum_window is given an array of
-lambdas: the windows at up to 32 of them are scanned and narrowed together,
-each exactly as it would be alone.  Every scan interval that holds eigenvalues is
-narrowed with the count as bracket invariant, by Illinois secant steps (Dowell
-& Jarratt 1971) on the k-th root of |det| for a bracket holding k of them,
-det being a smooth determinant that vanishes on the spectrum, signed + at the
-lower end and - at the upper: near a k-fold eigenvalue det ~ c (mu - mu*)^k,
-so that root is linear through it.  Halving takes over where the secant
-stalls.  The count's parity is checked against det's sign changes.
+taken in [0, 2pi) jumps by 2pi per eigenvalue.  spectrum_window scans and
+narrows the windows at up to 32 lambdas together, batching the detector over
+mu and lambda, and each window comes out exactly as it would alone; a scalar
+lambda is a stack of one, and the detector takes one lambda per mu.  Every
+scan interval that holds eigenvalues is narrowed with the count as bracket
+invariant, by Illinois secant steps (Dowell & Jarratt 1971) on the k-th root
+of |det| for a bracket holding k of them, det being a smooth determinant that
+vanishes on the spectrum, signed + at the lower end and - at the upper: near
+a k-fold eigenvalue det ~ c (mu - mu*)^k, so that root is linear through it.
+Halving takes over where the secant stalls.  The count's parity is checked
+against det's sign changes.
 
 The spectral flow follows the partition definition: on each parameter
 subinterval an eigenvalue-free threshold epsilon is chosen and the counts of
@@ -76,9 +77,8 @@ _STACK = 32
 # column per bracket: its ends, its eigenvalue count, the eigenphase sum at
 # lo, the (Illinois-scaled) determinant at both ends, the end the last secant
 # step kept (-1 lo, 1 hi, 0 neither), 1 once two probes tol apart caught its
-# eigenvalue, the position of its window in the stack of lambdas, and the
-# iterations its window allows
-_LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN, _ITERS = range(10)
+# eigenvalue, and the position of its window in the stack of lambdas
+_LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN = range(9)
 # equal widening of both window edges per retry in _clean_windows
 _EDGE_NUDGE = 0.0137
 
@@ -156,11 +156,12 @@ class BoundaryValueFamily:
         self.S = None if (S is None or S.is_zero()) else S
         self.steps = steps
         self._J = standard_J(self.n)
-        # only the latest lambda set's slices are kept, with each lambda's
-        # position among them: the detector is called for the lambdas of one
-        # stack of at most _STACK windows at a time, spectral_flow caches the
-        # windows, and a slice holds the five RK4 coefficient arrays (164 KB
-        # at 256 steps and n = 2), too much to keep for every lambda ever seen
+        # only the latest lambda set's slices are kept, with its sorted
+        # lambdas, one lambda alone being a set of one: the detector is
+        # called for the lambdas of one stack of at most _STACK windows at a
+        # time, spectral_flow caches the windows, and a slice holds the five
+        # RK4 coefficient arrays (164 KB at 256 steps and n = 2), too much to
+        # keep for every lambda ever seen
         self._last: tuple | None = None
         self._t_const = self.S is not None and self.S.t_independent()
         if self.S is not None:
@@ -200,40 +201,31 @@ class BoundaryValueFamily:
                 coeff[k] = rk4_step_coefficients(nodes, mids, h, -self._J)
         return _Slices(self.gamma1.frames(lams), F2, souriau_stack(F2).conj(), coeff)
 
-    def _slices(self, lam):
-        """The slices of the latest lambda set that holds lam, and the position
-        of lam in it: an int for a scalar lam, an int array for an array."""
-        if np.ndim(lam) == 0:
-            lam = float(lam)
-            i = None if self._last is None else self._last[0].get(lam)
-            if i is None:
-                self._last = ({lam: 0}, self._build(np.array([lam])))
-                i = 0
-            return self._last[1], i
-        keys, at = np.unique(np.asarray(lam, dtype=float), return_inverse=True)
-        keys = keys.tolist()
-        if self._last is None or not all(k in self._last[0] for k in keys):
-            self._last = None  # free the old set before building the new
-            self._last = (dict(zip(keys, range(len(keys)))), self._build(np.array(keys)))
-            return self._last[1], at
-        pos = self._last[0]
-        return self._last[1], np.array([pos[k] for k in keys])[at]
+    def _slices(self, lams: np.ndarray):
+        """The slices of the latest lambda set that holds every one of lams,
+        and the position of each of lams in it."""
+        if self._last is not None:
+            keys, sl = self._last
+            at = np.minimum(np.searchsorted(keys, lams), len(keys) - 1)
+            if np.array_equal(keys[at], lams):
+                return sl, at
+        keys, at = np.unique(lams, return_inverse=True)
+        self._last = None  # free the old set before building the new
+        self._last = (keys, self._build(keys))
+        return self._last[1], at
 
-    def _transfer_batch(self, lam, mus: np.ndarray) -> np.ndarray:
-        """Phi(1) at each mu, at one lambda or at one lambda per mu."""
-        return self._transfer_at(*self._slices(lam), mus)
-
-    def _transfer_at(self, sl: _Slices, at, mus: np.ndarray) -> np.ndarray:
+    def _transfer_at(self, sl: _Slices, at: np.ndarray, mus: np.ndarray) -> np.ndarray:
+        """Phi(1) at each mu, mu[i] at the lambda in position at[i] of sl."""
         if sl.coeff is None:
             eye = np.eye(2 * self.n)
             return np.cos(mus)[:, None, None] * eye - np.sin(mus)[:, None, None] * self._J
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
             return scipy.linalg.expm(sl.coeff[at] - mus[:, None, None] * self._J)
-        return _rk4_transfer_batch(sl.coeff, mus, np.full(mus.shape, at))
+        return _rk4_transfer_batch(sl.coeff, mus, at)
 
     def transfer(self, lam: float, mu: float) -> np.ndarray:
-        return self._transfer_batch(lam, np.atleast_1d(float(mu)))[0]
+        return self._transfer_at(*self._slices(np.array([float(lam)])), np.array([float(mu)]))[0]
 
     def detector_batch(self, lam, mus):
         """Detector data for a batch of mu values, at one lambda or, with lam
@@ -245,7 +237,7 @@ class BoundaryValueFamily:
         eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in [0, 2pi).
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        sl, at = self._slices(lam)
+        sl, at = self._slices(np.full(mus.shape, lam, dtype=float))
         Phi = self._transfer_at(sl, at, mus)
         U, _, Vt = np.linalg.svd(Phi @ sl.F1[at], full_matrices=False)
         Q = U @ Vt  # orthonormal polar factor, a continuous function of Phi F1
@@ -296,11 +288,12 @@ def _count(sum_a, sum_b):
 def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
 
-    For a scalar lam this returns one SpectrumWindow.  For a 1-D array of
-    lambdas it returns a tuple of them, one per lambda, located together in
-    stacks of at most _STACK lambdas: every detector call serves all the
-    windows of a stack at once, and mu_min and mu_max may be arrays with one
-    edge per lambda.  Each window is located exactly as it would be alone.
+    For a scalar lam, located as a stack of one, this returns one
+    SpectrumWindow.  For a 1-D array of lambdas it returns a tuple of them,
+    one per lambda, located together in stacks of at most _STACK lambdas:
+    every detector call serves all the windows of a stack at once, and
+    mu_min and mu_max may be arrays with one edge per lambda.  Each window is
+    located exactly as it would be alone.
 
     The window is scanned at a step tied to the a-priori pi-spacing of the
     branch families, capped at pi/(4n) and shrunk with the size of S, so that
@@ -321,8 +314,10 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     EigenvalueCountMismatch is raised.  Window endpoints must not be
     eigenvalues (EigenvalueAtWindowEdge, which lists every window with one).
     """
-    stacked = np.ndim(lam) > 0
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1:
+        raise ValueError(f"lambda must be a scalar or a 1-D array, got shape {lam.shape}")
+    lams = np.atleast_1d(lam)
     los, his = np.full(lams.shape, mu_min, dtype=float), np.full(lams.shape, mu_max, dtype=float)
     if not np.all(los < his):
         raise ValueError("empty mu-window")
@@ -332,22 +327,20 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     for s in range(0, lams.size, _STACK):
         part = slice(s, s + _STACK)
         try:
-            windows.extend(_locate(fam, lams[part] if stacked else lam, los[part], his[part], tol))
+            windows.extend(_locate(fam, lams[part], los[part], his[part], tol))
         except EigenvalueAtWindowEdge as err:
             edges.append((err, [s + k for k in err.windows]))
     if edges:
         raise EigenvalueAtWindowEdge(str(edges[0][0]), tuple(k for _, ks in edges for k in ks))
-    return tuple(windows) if stacked else windows[0]
+    return tuple(windows) if lam.ndim else windows[0]
 
 
-def _locate(fam, lam, los, his, tol):
-    """The windows of spectrum_window at lam, a scalar or a stack of at most
-    _STACK lambdas, with edges los and his, as a tuple."""
-    stacked = np.ndim(lam) > 0
-    lams = np.atleast_1d(lam)
+def _locate(fam, lams, los, his, tol):
+    """The windows of spectrum_window at a stack of at most _STACK lambdas,
+    with edges los and his, as a tuple."""
 
     def detect(w, mus):  # the detector at the lambdas of windows w
-        return fam.detector_batch(lams[w] if stacked else lam, mus)
+        return fam.detector_batch(lams[w], mus)
 
     step = min(np.pi / 8.0, np.pi / (4.0 * fam.n)) / (1.0 + min(fam.s_norm, 3.0))
     npts = [max(9, int(np.ceil((b - a) / step)) + 1) for a, b in zip(los.tolist(), his.tolist())]
@@ -412,32 +405,30 @@ def _locate(fam, lam, los, his, tol):
     # of plain bisection from its widest bracket; a bracket is finished when
     # its window's is spent.
     live = counts > 0
-    b = np.zeros((10, np.count_nonzero(live)))
+    b = np.zeros((9, np.count_nonzero(live)))
     b[_LO], b[_HI], b[_CNT], b[_S_LO] = grid[:-1][live], grid[1:][live], counts[live], sums[:-1][live]
     b[_F_LO], b[_F_HI], b[_WIN] = dets[:-1][live], dets[1:][live], win[:-1][live]
     widest = np.zeros(lams.size)
     np.maximum.at(widest, win[:-1][live], b[_HI] - b[_LO])
     budget = 2 * np.ceil(np.log2(np.maximum(widest, tol) / tol))
-    b[_ITERS] = budget[win[:-1][live]]
     finished = []
     for it in range(int(np.max(budget))):
-        width = b[_HI] - b[_LO]
-        over = (b[_CAUGHT] > 0) | (width <= tol) | (b[_ITERS] <= it)
+        width, w = b[_HI] - b[_LO], b[_WIN].astype(int)
+        over = (b[_CAUGHT] > 0) | (width <= tol) | (budget[w] <= it)
         finished.append(b[:, over])
-        b, width = b[:, ~over], width[~over]
+        b, width, w = b[:, ~over], width[~over], w[~over]
         if not b.shape[1]:
             break
         lo, hi = b[_LO], b[_HI]
         f_lo, f_hi = np.abs(b[_F_LO]) ** (1.0 / b[_CNT]), -(np.abs(b[_F_HI]) ** (1.0 / b[_CNT]))
         halvings = np.ceil(np.log2(width / tol))
         # f_lo >= 0 >= f_hi, so f_lo > f_hi unless both ends are eigenvalues
-        sec = (f_lo > f_hi) & (width > 4.0 * tol) & (halvings < b[_ITERS] - it)
+        sec = (f_lo > f_hi) & (width > 4.0 * tol) & (halvings < budget[w] - it)
         x = 0.5 * (lo + hi)
         x[sec] = np.clip(
             lo[sec] + width[sec] * f_lo[sec] / (f_lo[sec] - f_hi[sec]), lo[sec] + tol, hi[sec] - tol
         )
         p, q = np.where(sec, x - 0.5 * tol, x), np.where(sec, x + 0.5 * tol, x)
-        w = b[_WIN].astype(int)
         _, d, s = detect(np.concatenate([w, w[sec]]), np.concatenate([p, q[sec]]))
         d_p, s_p = d[: p.size], s[: p.size]
         d_q, s_q = d_p.copy(), s_p.copy()
@@ -477,21 +468,18 @@ def _locate(fam, lam, los, his, tol):
     )
 
 
-def _clean_windows(fams, lam, lo: float, hi: float, tol: float = MU_TOL) -> list:
-    """spectrum_window of each family over shared windows at lam, a scalar or
-    a 1-D array of lambdas, widened until no endpoint is an eigenvalue of any
-    of them; only the windows of the lambdas whose edge failed are widened."""
-    shift = np.zeros(np.size(lam))
+def _clean_windows(fams, lams: np.ndarray, lo: float, hi: float, tol: float = MU_TOL) -> list:
+    """spectrum_window of each family over shared windows at a 1-D array of
+    lambdas, widened until no endpoint is an eigenvalue of any of them; only
+    the windows of the lambdas whose edge failed are widened."""
+    shift = np.zeros(len(lams))
     for _ in range(60):
-        widen = shift.reshape(np.shape(lam))
         try:
-            return [spectrum_window(fam, lam, lo - widen, hi + widen, tol) for fam in fams]
+            return [spectrum_window(fam, lams, lo - shift, hi + shift, tol) for fam in fams]
         except EigenvalueAtWindowEdge as err:
             failed = list(err.windows)
             shift[failed] += _EDGE_NUDGE
-    raise RuntimeError(
-        f"could not find an eigenvalue-free window boundary at lambda={np.atleast_1d(lam)[failed[0]]}"
-    )
+    raise RuntimeError(f"could not find an eigenvalue-free window boundary at lambda={lams[failed[0]]}")
 
 
 @dataclass
@@ -607,11 +595,13 @@ def spectral_flow(
     refinement.  With check=True the integer is recomputed at doubled
     base-grid resolution and a mismatch raises.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if base_grid is None:
         nodes = _default_base_nodes(fam)
     else:
         nodes = np.array(sorted(set(float(x) for x in np.asarray(base_grid, dtype=float))))
-        if abs(nodes[0]) > 1e-15 or abs(nodes[-1] - 1.0) > 1e-15:
+        if not nodes.size or abs(nodes[0]) > 1e-15 or abs(nodes[-1] - 1.0) > 1e-15:
             raise ValueError("base grid must start at 0 and end at 1")
     spectra: dict[float, SpectrumWindow] = {}
     value, partition, epsilons, data = _sflow_once(fam, nodes, spectra, tol, max_depth)
@@ -647,6 +637,16 @@ def spectral_flow_shifted(fam: BoundaryValueFamily, delta: float) -> int:
     return result.value
 
 
+def _spectra_deviations(pairs):
+    """max |va - vb| of each pair of spectra listed with multiplicity, inf
+    where their sizes differ; the largest finite one; and whether every pair
+    matches within 1e-7."""
+    devs = [
+        float(np.max(np.abs(va - vb), initial=0.0)) if va.size == vb.size else np.inf for va, vb in pairs
+    ]
+    return devs, max((d for d in devs if d < np.inf), default=0.0), all(d <= 1e-7 for d in devs)
+
+
 @dataclass
 class ConjugationReport:
     """Spectra and flows of A + delta0 versus the rotated-boundary family."""
@@ -678,23 +678,13 @@ def conjugation_spectrum_check(
     fam_shift = BoundaryValueFamily(gamma1, gamma2).shifted(delta0)
     fam_rot = BoundaryValueFamily(gamma1, RotatedPath(gamma2, -delta0))
 
-    detail = []
-    worst = 0.0
-    ok = True
     windows = _clean_windows((fam_shift, fam_rot), lam_grid, -_SF_WINDOW, _SF_WINDOW)
-    for lam, wa, wb in zip(lam_grid, *windows):
-        va, vb = wa.values(), wb.values()
-        if va.size != vb.size:
-            ok = False
-            dev = np.inf
-        else:
-            dev = float(np.max(np.abs(va - vb))) if va.size else 0.0
-            worst = max(worst, dev)
-            if dev > 1e-7:
-                ok = False
-        detail.append(
-            {"lambda": float(lam), "shifted": va.tolist(), "rotated": vb.tolist(), "deviation": dev}
-        )
+    spectra = [(wa.values(), wb.values()) for wa, wb in zip(*windows)]
+    devs, worst, ok = _spectra_deviations(spectra)
+    detail = [
+        {"lambda": float(lam), "shifted": va.tolist(), "rotated": vb.tolist(), "deviation": dev}
+        for lam, (va, vb), dev in zip(lam_grid, spectra, devs)
+    ]
 
     sa = spectral_flow(fam_shift).value
     sb = spectral_flow(fam_rot).value

@@ -37,6 +37,7 @@ from .specflow import (
     DEFAULT_STEPS,
     BoundaryValueFamily,
     _clean_windows,
+    _spectra_deviations,
     conjugation_spectrum_check,
     spectral_flow,
     spectral_flow_shifted,
@@ -390,24 +391,16 @@ def gap_suite(count: int, seed: int) -> VerificationReport:
     g1 = gamma_nor(1)
     g2 = ConstantPath(l1_frame(1))
     fam = BoundaryValueFamily(g1, g2)
-    shift_ok = True
-    worst_shift = 0.0
     lams = np.array([0.0, 0.3, 0.7])
     (bases,) = _clean_windows((fam,), lams, -1.2, 1.2)
+    spectra = []
     for delta in (0.1, 0.01):
         shifts = spectrum_window(
             fam.shifted(delta), lams,
             [w.mu_min + delta for w in bases], [w.mu_max + delta for w in bases],
         )
-        for base, shifted in zip(bases, shifts):
-            va = base.values() + delta
-            vb = shifted.values()
-            if va.size != vb.size:
-                shift_ok = False
-            else:
-                dev = float(np.max(np.abs(va - vb))) if va.size else 0.0
-                worst_shift = max(worst_shift, dev)
-                shift_ok = shift_ok and dev <= 1e-7
+        spectra += [(base.values() + delta, shifted.values()) for base, shifted in zip(bases, shifts)]
+    _, worst_shift, shift_ok = _spectra_deviations(spectra)
     details.append(
         {
             "property": "spectrum-shift",

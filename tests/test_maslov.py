@@ -208,6 +208,16 @@ def test_depth_exhaustion_raises_unresolved_crossing():
         counter.counts([0.0], [0.5])
 
 
+def test_negative_depth_cap_is_rejected():
+    g1, g2 = gamma_nor(1), ConstantPath(l1_frame(1))
+    with pytest.raises(ValueError, match="max_depth"):
+        maslov._PairCounter(g1, g2, max_depth=-1)
+    with pytest.raises(ValueError, match="max_depth"):
+        maslov_pair(g1, g2, max_depth=-1)
+    with pytest.raises(ValueError, match="max_depth"):
+        crossing_list(g1, g2, max_depth=-1)
+
+
 def test_perturbation_theta_admissible_pair():
     g1, g2 = random_pair(np.random.default_rng(4), 2)
     theta = perturbation_theta(g1, g2)

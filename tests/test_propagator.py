@@ -74,6 +74,11 @@ def _rk4_bound(steps: int) -> float:
     return 20.0 / steps**4
 
 
+def _transfer_stack(fam: BoundaryValueFamily, lam: float, mus: np.ndarray) -> np.ndarray:
+    """Phi(1) at each mu through the family's lambda-stack path, at one lambda."""
+    return fam._transfer_at(*fam._slices(np.full(mus.shape, lam)), mus)
+
+
 def _rel(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -121,7 +126,7 @@ def test_shooting_batch_against_solve_ivp(n, steps):
     fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S, steps=steps)
     lam = 0.25
     mus = np.array([-2.9, -0.3, 1.1, 2.7])
-    for mu, Phi in zip(mus, fam._transfer_batch(lam, mus)):
+    for mu, Phi in zip(mus, _transfer_stack(fam, lam, mus)):
         K = lambda t: J @ S(lam, t) - mu * J  # noqa: E731
         assert _rel(Phi, _solve_ivp_flow(K, 2 * n, [1.0])[-1]) < _rk4_bound(steps)
         assert _rel(Phi, _loop_rk4(K, 2 * n, steps)[-1]) < 1e-13
@@ -184,7 +189,7 @@ def test_transfer_batch_independent_of_batch_size():
     n = 2
     fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), _family(n, seed=5))
     mus = np.linspace(-4.0, 4.0, 11)
-    batch = fam._transfer_batch(0.6, mus)
+    batch = _transfer_stack(fam, 0.6, mus)
     for mu, Phi in zip(mus, batch):
         assert _rel(Phi, fam.transfer(0.6, mu)) < 1e-14
 
@@ -198,5 +203,5 @@ def test_transfer_batch_expm_branch_matches_per_mu():
     mus = np.linspace(-11.0, 11.0, 9)
     K0 = standard_J(n) @ fam.S(0.8, 0.0)
     J = standard_J(n)
-    for mu, Phi in zip(mus, fam._transfer_batch(0.8, mus)):
+    for mu, Phi in zip(mus, _transfer_stack(fam, 0.8, mus)):
         assert _rel(Phi, scipy.linalg.expm(K0 - mu * J)) < 1e-14

@@ -188,7 +188,7 @@ def test_spectrum_window_matches_eigenphase_oracle_at_zero_potential():
         n = 1 + i % 3
         g1, g2 = random_pair(rng, n, force_nonadmissible=(i % 5 == 4))
         lam = float(rng.uniform(0.0, 1.0))
-        (window,) = _clean_windows((BoundaryValueFamily(g1, g2),), lam, -2.03, 2.11)
+        ((window,),) = _clean_windows((BoundaryValueFamily(g1, g2),), np.array([lam]), -2.03, 2.11)
         C = souriau(g1.frame(lam).F, n) @ souriau(g2.frame(lam).F, n).conj()
         half = np.angle(np.linalg.eigvals(C)) / 2.0
         expected = np.sort(
@@ -460,7 +460,7 @@ def test_spectrum_shift_law():
         fam_delta = fam.shifted(delta)
         found = 0
         for lam in (0.0, 0.3, 0.7):
-            (base,) = _clean_windows((fam,), lam, -1.2, 1.2)
+            ((base,),) = _clean_windows((fam,), np.array([lam]), -1.2, 1.2)
             shifted = spectrum_window(fam_delta, lam, base.mu_min + delta, base.mu_max + delta)
             assert shifted.values().shape == base.values().shape
             assert np.allclose(base.values() + delta, shifted.values(), atol=1e-8)
@@ -627,7 +627,8 @@ def test_clean_windows_widens_only_the_window_whose_edge_failed():
     assert [w.mu_min for w in windows] == [-np.pi / 2, -np.pi / 2 - 0.0137, -np.pi / 2]
     assert [w.mu_max for w in windows] == [1.0, 1.0 + 0.0137, 1.0]
     for lam, window in zip(lams, windows):
-        assert window.eigenvalues == _clean_windows((fam,), float(lam), -np.pi / 2, 1.0)[0].eigenvalues
+        ((alone,),) = _clean_windows((fam,), np.array([lam]), -np.pi / 2, 1.0)
+        assert window.eigenvalues == alone.eigenvalues
 
 
 def test_spectral_flow_locates_each_level_in_one_detector_stream(monkeypatch):
@@ -654,7 +655,7 @@ def test_spectral_flow_locates_each_level_in_one_detector_stream(monkeypatch):
     probes.clear()
     fam = BoundaryValueFamily(g1, g2, S)
     for lam in lams:
-        _clean_windows((fam,), lam, -1.45, 1.45)
+        _clean_windows((fam,), np.array([lam]), -1.45, 1.45)
     alone = [p for call in probes for p in call]
     assert len(probes) > len(lams)
     assert Counter(stacked) == Counter(alone)
@@ -709,6 +710,50 @@ def test_spectral_flow_depth_cap_names_the_leftmost_open_segment(base_grid, max_
     assert spectral_flow(fam, base_grid=base_grid, max_depth=4).value == 1
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"max_depth": -1}, "max_depth must be nonnegative"), ({"base_grid": []}, "base grid must start at 0")],
+    ids=["negative-depth", "empty-grid"],
+)
+def test_spectral_flow_rejects_a_negative_depth_and_an_empty_grid(kwargs, match):
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    with pytest.raises(ValueError, match=match):
+        spectral_flow(fam, **kwargs)
+
+
+def test_spectrum_window_rejects_a_lambda_array_of_two_dimensions():
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    with pytest.raises(ValueError, match="1-D"):
+        spectrum_window(fam, [[0.1, 0.2], [0.3, 0.4]], -1.4, 1.4)
+
+
+# (seed, n, k, Maslov index) of random pairs at S = 0 whose eigenvalue
+# branches are dense enough to fool the spectral flow's motion test
+_DENSE_BRANCH_DRAWS = [(2006, 6, 3, -2), (2007, 7, 12, -1), (2003, 3, 9, 3), (106, 6, 2, -8)]
+
+
+def _kth_random_pair(seed, n, k):
+    rng = np.random.default_rng(seed)
+    return [random_pair(rng, n) for _ in range(k + 1)][k]
+
+
+@pytest.mark.parametrize("seed, n, k, expected", _DENSE_BRANCH_DRAWS)
+def test_dense_branch_pairs_have_the_known_maslov_index(seed, n, k, expected):
+    assert maslov_pair(*_kth_random_pair(seed, n, k)) == expected
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, RuntimeError),
+    reason="with four or more eigenvalues in the core window, neighbours at the other end of a "
+    "segment hide a branch crossing epsilon from the motion test",
+)
+@pytest.mark.parametrize("seed, n, k", [draw[:3] for draw in _DENSE_BRANCH_DRAWS])
+def test_spectral_flow_equals_maslov_index_on_dense_branches(seed, n, k):
+    g1, g2 = _kth_random_pair(seed, n, k)
+    assert spectral_flow(BoundaryValueFamily(g1, g2)).value == maslov_pair(g1, g2)
+
+
 def test_family_on_a_lambda_array_is_bitwise_per_lambda():
     rng = np.random.default_rng(31)
     lams = np.concatenate([np.linspace(0.0, 1.0, 5), rng.uniform(size=4)])
@@ -719,6 +764,12 @@ def test_family_on_a_lambda_array_is_bitwise_per_lambda():
             got = S(lams, t)
             assert got.shape == (lams.size,) + np.shape(t) + (2 * n, 2 * n)
             assert np.array_equal(got, np.stack([S(lam, t) for lam in lams]))
+            # against the explicit sum of c[j, k] lambda^j t^k
+            C, tt = S.coeffs, np.asarray(t)[..., None, None]
+            ref = np.stack(
+                [sum(C[j, k] * lam**j * tt**k for j in range(C.shape[0]) for k in range(C.shape[1])) for lam in lams]
+            )
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_sup_norm_is_the_largest_norm_of_the_grid_matrices():
