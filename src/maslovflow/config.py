@@ -146,17 +146,15 @@ def build_path(desc, n: int, where: str = "path") -> LagrangianPath:
             f"{where}.generator",
             f"expected a list of {2 * n} x {2 * n} symmetric matrices",
         )
+        _expect(np.isfinite(gens).all(), f"{where}.generator", "entries must be finite numbers")
         sym_err = max(norm2(G - G.T) for G in gens)
         _expect(sym_err <= 1e-12, f"{where}.generator", "matrices must be symmetric")
         base_desc = desc.get("base")
         if isinstance(base_desc, dict):
             base = build_path(base_desc, n, f"{where}.base")
-            base_payload = base_desc
         else:
             base = _parse_frame(base_desc, n, f"{where}.base")
-            base_payload = base.F.tolist()
-        payload = {"type": "symplectic_action", "generator": gens.tolist(), "base": base_payload}
-        return SymplecticActionPath(PolynomialAction(gens), base, payload=payload)
+        return SymplecticActionPath(PolynomialAction(gens), base)
     if kind == "concat":
         pieces = desc.get("pieces")
         _expect(isinstance(pieces, list) and pieces, f"{where}.pieces", "expected a nonempty list")
@@ -170,7 +168,7 @@ def build_path(desc, n: int, where: str = "path") -> LagrangianPath:
         return ReversedPath(build_path(desc.get("path"), n, f"{where}.path"))
     if kind == "rotated":
         angle = desc.get("angle")
-        _expect(isinstance(angle, (int, float)), f"{where}.angle", "expected a number")
+        _expect(_is_real(angle), f"{where}.angle", f"expected a finite number, got {angle!r}")
         return RotatedPath(build_path(desc.get("path"), n, f"{where}.path"), float(angle))
     if kind == "reparametrized":
         phi = _parse_pl(desc.get("phi"), f"{where}.phi")
@@ -241,8 +239,7 @@ def parse_config(data) -> ProblemConfig:
             raise ConfigError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
     _expect(isinstance(data, dict), "config", "top level must be an object")
 
-    n = data.get("n")
-    _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+    n = check_int(data.get("n"), "n", 1)
 
     solver_in = data.get("solver", {})
     _expect(isinstance(solver_in, dict), "solver", "must be an object")
@@ -265,9 +262,7 @@ def parse_config(data) -> ProblemConfig:
     if "count" in suite:
         check_int(suite["count"], "suite.count", 1)
 
-    lambda_grid = data.get("lambda_grid", 101)
-    _expect(isinstance(lambda_grid, int) and lambda_grid >= 2, "lambda_grid",
-            "must be an integer >= 2")
+    lambda_grid = check_int(data.get("lambda_grid", 101), "lambda_grid", 2)
 
     cfg = ProblemConfig(
         n=n,

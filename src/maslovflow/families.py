@@ -29,6 +29,8 @@ class SymmetricFamily:
             raise ValueError("matrix dimension must be even")
         if coeffs.shape[0] > MAX_DEGREE + 1 or coeffs.shape[1] > MAX_DEGREE + 1:
             raise ValueError(f"polynomial degree exceeds {MAX_DEGREE}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite numbers")
         # mirror each upper triangle: every coefficient is bitwise symmetric
         sym = np.triu(coeffs) + np.swapaxes(np.triu(coeffs, 1), -1, -2)
         sym.setflags(write=False)

@@ -145,10 +145,10 @@ def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
     accepted only if the pair index computed at Theta and Theta/2 agree;
     otherwise Theta shrinks until 1e-6.
     """
-    return _regularized(g1, g2, np.pi / 8, DEFAULT_TOL, MAX_DEPTH)[0]
+    return _regularized(g1, g2, DEFAULT_TOL, MAX_DEPTH)[0]
 
 
-def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: float, max_depth: int):
+def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int):
     """Theta as documented at perturbation_theta, and the counter of
     (gamma_1, exp(-Theta J) gamma_2) that verified it, its total known."""
     if g1.n != g2.n:
@@ -158,7 +158,7 @@ def _regularized(g1: LagrangianPath, g2: LagrangianPath, theta_max: float, tol: 
     for e in (0.0, 1.0):
         p = _eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj())
         nonzero.extend(abs(t) for t in p if abs(t) > 100 * PHASE_TOL)
-    theta = min(theta_max, 0.49 * min(nonzero)) if nonzero else theta_max
+    theta = min(np.pi / 8, 0.49 * min(nonzero, default=np.inf))
 
     while theta >= 1e-6:
         ladder_ok = True
@@ -194,7 +194,7 @@ def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth:
     _build_grids(g1, g2)
     if all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0)):
         return counter
-    return _regularized(g1, g2, np.pi / 8, tol, max_depth)[1]
+    return _regularized(g1, g2, tol, max_depth)[1]
 
 
 def maslov_pair(
@@ -206,14 +206,12 @@ def maslov_pair(
     """Maslov index of a pair of Lagrangian paths.
 
     Admissible pairs are counted directly; otherwise the second path is
-    rotated by the stable angle from perturbation_theta first.
+    rotated by the stable angle from perturbation_theta first.  A count that
+    reaches max_depth raises UnresolvedCrossing, as in crossing_list: a
+    rotation exp(-Theta J) of gamma_2 multiplies C by the unit scalar
+    e^{2i Theta}, which keeps every ||C(b) - C(a)|| and so every bisection.
     """
-    counter = _pair_counter(g1, g2, tol, max_depth)
-    try:
-        return counter.total()
-    except UnresolvedCrossing:
-        # degenerate crossing cluster: retry through a small stable rotation
-        return _regularized(g1, g2, 1e-3, tol, max_depth)[1].total()
+    return _pair_counter(g1, g2, tol, max_depth).total()
 
 
 def maslov_rel(g: LagrangianPath, L0: LagrangianFrame) -> int:

@@ -50,6 +50,8 @@ class PiecewiseLinear:
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("breakpoints must be two equal-length 1-d sequences")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("breakpoints must be finite numbers")
         if abs(xs[0]) > 1e-15 or abs(xs[-1] - 1.0) > 1e-15:
             raise ValueError("breakpoint abscissae must start at 0 and end at 1")
         if np.any(np.diff(xs) <= 0):
@@ -151,9 +153,6 @@ class LagrangianPath:
     def reversed(self) -> "LagrangianPath":
         return ReversedPath(self)
 
-    def descriptor(self) -> dict:
-        raise ValueError(f"{type(self).__name__} has no serializable descriptor")
-
 
 class ConstantPath(LagrangianPath):
     """The constant path at a fixed Lagrangian subspace."""
@@ -164,9 +163,6 @@ class ConstantPath(LagrangianPath):
 
     def _frames_at(self, lams):
         return np.broadcast_to(self.base.F, (lams.size, 2 * self.n, self.n))
-
-    def descriptor(self):
-        return {"type": "constant", "frame": self.base.F.tolist()}
 
 
 class RotationPath(LagrangianPath):
@@ -182,13 +178,6 @@ class RotationPath(LagrangianPath):
 
     def breakpoint_hints(self):
         return self.theta.breakpoints()
-
-    def descriptor(self):
-        return {
-            "type": "rotation",
-            "theta": self.theta.serialize(),
-            "frame": self.base.F.tolist(),
-        }
 
 
 class UnitaryDiagonalPath(LagrangianPath):
@@ -214,9 +203,6 @@ class UnitaryDiagonalPath(LagrangianPath):
             pts.update(p.breakpoints())
         return tuple(sorted(pts))
 
-    def descriptor(self):
-        return {"type": "unitary_diagonal", "phases": [p.serialize() for p in self.phases]}
-
 
 class SymplecticActionPath(LagrangianPath):
     """lambda -> A(lambda) . base(lambda) for a family of symplectic matrices.
@@ -226,14 +212,13 @@ class SymplecticActionPath(LagrangianPath):
     called once per batch of new lambdas, and every matrix is checked.
     """
 
-    def __init__(self, matfun, base, hints=(), payload=None):
+    def __init__(self, matfun, base, hints=()):
         if isinstance(base, LagrangianFrame):
             base = ConstantPath(base)
         super().__init__(base.n)
         self.matfun = matfun
         self.base = base
         self._hints = tuple(hints)
-        self._payload = payload
         self._J = standard_J(self.n)
 
     def _frames_at(self, lams):
@@ -255,11 +240,6 @@ class SymplecticActionPath(LagrangianPath):
 
     def breakpoint_hints(self):
         return tuple(sorted(set(self.base.breakpoint_hints()) | set(self._hints) | {0.0, 1.0}))
-
-    def descriptor(self):
-        if self._payload is None:
-            raise ValueError("symplectic action path built from a bare callable; not serializable")
-        return dict(self._payload)
 
 
 class PolynomialAction:
@@ -302,9 +282,6 @@ class RotatedPath(LagrangianPath):
     def breakpoint_hints(self):
         return self.path.breakpoint_hints()
 
-    def descriptor(self):
-        return {"type": "rotated", "angle": self.theta, "path": self.path.descriptor()}
-
 
 class ReversedPath(LagrangianPath):
     """The same subspaces traversed backwards: lambda -> gamma(1 - lambda)."""
@@ -318,9 +295,6 @@ class ReversedPath(LagrangianPath):
 
     def breakpoint_hints(self):
         return tuple(sorted(1.0 - x for x in self.path.breakpoint_hints()))
-
-    def descriptor(self):
-        return {"type": "reversed", "path": self.path.descriptor()}
 
 
 class ReparametrizedPath(LagrangianPath):
@@ -341,13 +315,6 @@ class ReparametrizedPath(LagrangianPath):
     def breakpoint_hints(self):
         inner = np.interp(self.path.breakpoint_hints(), self.phi.ys, self.phi.xs)
         return tuple(sorted(set(self.phi.breakpoints()) | set(np.atleast_1d(inner))))
-
-    def descriptor(self):
-        return {
-            "type": "reparametrized",
-            "phi": self.phi.serialize(),
-            "path": self.path.descriptor(),
-        }
 
 
 class ConcatPath(LagrangianPath):
@@ -389,9 +356,6 @@ class ConcatPath(LagrangianPath):
             pts.add(i / k)
         pts.add(1.0)
         return tuple(sorted(pts))
-
-    def descriptor(self):
-        return {"type": "concat", "pieces": [p.descriptor() for p in self.pieces]}
 
 
 def gamma_nor(n: int) -> LagrangianPath:

@@ -585,15 +585,14 @@ def spectral_flow(
     *,
     tol: float = MU_TOL,
     max_depth: int = MAX_DEPTH,
-    check: bool = True,
 ) -> SpectralFlowResult:
     """Spectral flow of the family A_lambda by the partition definition.
 
     The partition refines base_grid (by default 17 equal steps plus the
     boundary paths' breakpoints) until every subinterval has a threshold;
     tol is the eigenvalue locator's tolerance and max_depth caps the
-    refinement.  With check=True the integer is recomputed at doubled
-    base-grid resolution and a mismatch raises.
+    refinement.  The integer is recomputed at doubled base-grid resolution,
+    and a mismatch raises.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
@@ -605,13 +604,10 @@ def spectral_flow(
             raise ValueError("base grid must start at 0 and end at 1")
     spectra: dict[float, SpectrumWindow] = {}
     value, partition, epsilons, data = _sflow_once(fam, nodes, spectra, tol, max_depth)
-    if check:
-        doubled = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
-        value2, _, _, _ = _sflow_once(fam, doubled, spectra, tol, max_depth)
-        if value2 != value:
-            raise RuntimeError(
-                f"spectral flow is partition dependent: {value} vs {value2} at doubled resolution"
-            )
+    doubled = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+    value2, _, _, _ = _sflow_once(fam, doubled, spectra, tol, max_depth)
+    if value2 != value:
+        raise RuntimeError(f"spectral flow is partition dependent: {value} vs {value2} at doubled resolution")
     return SpectralFlowResult(value, partition, epsilons, data)
 
 

@@ -75,10 +75,9 @@ def random_action(rng, n: int):
     return PolynomialAction(gens)
 
 
-def random_path(rng, n: int, kind: int | None = None) -> LagrangianPath:
-    """A random descriptor path: rotation, unitary-diagonal or symplectic action."""
-    if kind is None:
-        kind = int(rng.integers(0, 3))
+def random_path(rng, n: int) -> LagrangianPath:
+    """A random path: rotation, unitary-diagonal or symplectic action."""
+    kind = int(rng.integers(0, 3))
     if kind == 0:
         xs = [0.0, float(rng.uniform(0.3, 0.7)), 1.0]
         ys = rng.uniform(-2.2, 2.2, size=3)

@@ -12,7 +12,6 @@ these stack checkers as stacks of one.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,22 +54,18 @@ def norm2(M: np.ndarray):
 
 
 def within(M: np.ndarray, tol: float) -> bool:
-    """norm2(M) <= tol, decided by the Frobenius norm when that suffices.
-
-    ||M||_2 <= ||M||_F, so a Frobenius norm clearly below tol accepts without
-    an SVD; the 1e-12 relative margin covers the rounding of both norms, so
-    the decision is always that of the exact spectral-norm test.
-    """
-    if math.sqrt(np.vdot(M, M).real) <= tol * (1.0 - 1e-12):
-        return True
-    return norm2(M) <= tol
+    """norm2(M) <= tol: within_each on a stack of one."""
+    return bool(within_each(M[None], tol)[0])
 
 
 def within_each(M: np.ndarray, tol: float) -> np.ndarray:
-    """within(M[k], tol) for every matrix of a stack (m, r, c), as a bool array.
+    """norm2(M[k]) <= tol for every matrix of a stack (m, r, c), as a bool
+    array, decided by the Frobenius norm where that suffices.
 
-    The same decisions: the Frobenius norms of the whole stack accept with
-    the same margin, and the exact 2-norm is taken only where they do not.
+    ||M||_2 <= ||M||_F, so a Frobenius norm clearly below tol accepts without
+    an SVD; the 1e-12 relative margin covers the rounding of both norms, so
+    each decision is that of the exact spectral-norm test, which is taken
+    only where the Frobenius norm does not accept.
     """
     fro = np.sqrt(np.einsum("kij,kij->k", M, M.conj()).real)
     ok = fro <= tol * (1.0 - 1e-12)

@@ -94,8 +94,6 @@ def test_parse_descriptor_kinds(tmp_path):
     parsed = parse_config(cfg)
     g1, g2 = parsed.path1(), parsed.path2()
     assert g1.n == g2.n == 1
-    rebuilt = parse_config({"n": 1, "gamma1": g1.descriptor(), "gamma2": g2.descriptor()})
-    assert rebuilt.path1().n == 1
 
 
 def test_cli_normalization_values(tmp_path, capsys):
@@ -412,6 +410,34 @@ def test_cli_invalid_solver_settings_exit_2(argv, config_tol, field, tmp_path, c
     assert _exit_code(argv + ["--config", cfg]) == 2
     captured = capsys.readouterr()
     assert f"solver.{field}" in captured.err
+    assert captured.out == ""
+
+
+_ROTATION = {"type": "rotation", "theta": [[0.0, 0.0], [1.0, 1.0]], "frame": "l0"}
+_ACTION = {"type": "symplectic_action", "generator": [[[0.0, 0.0], [0.0, 0.0]], [[0.4, 0.1], [0.1, -0.2]]],
+           "base": "l1"}
+
+
+# a boolean where an integer belongs and a non-finite number anywhere exit 2
+# naming the field, before any computation
+@pytest.mark.parametrize(
+    "command, fields, name",
+    [
+        ("maslov", {"n": True}, "n"),
+        ("maslov", {"gamma1": {**_ROTATION, "theta": [[0.0, 0.0], [1.0, float("nan")]]}}, "gamma1.theta"),
+        ("maslov", {"gamma2": {**_ACTION, "generator": [[[0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.1], [0.1, 0.0]]]}},
+         "gamma2.generator"),
+        ("maslov", {"gamma1": {"type": "rotated", "angle": float("inf"), "path": _ROTATION}}, "gamma1.angle"),
+        ("maslov", {"gamma1": {"type": "rotated", "angle": True, "path": _ROTATION}}, "gamma1.angle"),
+        ("sflow", {"family": {"coefficients": [[[[0.4, float("nan")], [0.1, -0.3]]]]}}, "family"),
+    ],
+    ids=["n-true", "nan-theta", "nan-generator", "infinite-angle", "boolean-angle", "nan-family"],
+)
+def test_cli_rejects_a_boolean_or_non_finite_config_value(command, fields, name, tmp_path, capsys):
+    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, **fields})
+    assert _exit_code([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {name}: ")
     assert captured.out == ""
 
 

@@ -414,6 +414,33 @@ def test_depth_cap_raises_for_the_segment_the_recursion_names(max_depth):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("max_depth", [0, 1, 3])
+def test_maslov_pair_and_crossing_list_raise_at_the_depth_cap(max_depth, monkeypatch):
+    # the phase turns by pi - 0.09 between the nine nodes of the sample grid,
+    # whose lines are then 0.09 apart, so the grid stays coarse and each of
+    # its segments needs six bisections.  Rotating gamma_2 by exp(-Theta J)
+    # multiplies C by the unit scalar e^{2i Theta}, which keeps every
+    # ||C(b) - C(a)|| and so every bisection: an exhausted depth is raised as
+    # the counter raises it, never retried through a rotation
+    g1 = UnitaryDiagonalPath([PiecewiseLinear.linear(0.0, 8 * (np.pi - 0.09))])
+    g2 = ConstantPath(l1_frame(1))
+    with pytest.raises(UnresolvedCrossing) as expected:
+        maslov._PairCounter(g1, g2, max_depth).total()
+    calls = []
+    regularized = maslov._regularized
+
+    def spy(*args):
+        calls.append(args)
+        return regularized(*args)
+
+    monkeypatch.setattr(maslov, "_regularized", spy)
+    for count in (maslov_pair, crossing_list):
+        with pytest.raises(UnresolvedCrossing) as got:
+            count(g1, g2, max_depth=max_depth)
+        assert str(got.value) == str(expected.value)
+    assert calls == []
+
+
 def test_maslov_pair_calls_expm_once_per_level(monkeypatch):
     # a pair of symplectic actions expm(J G(lambda)) L: the grid of each path
     # and each level of the counter evaluate all their new lambdas with one

@@ -405,8 +405,8 @@ def test_spectral_flow_reference_pairs():
 
 def test_spectral_flow_partition_independence():
     fam = BoundaryValueFamily(gamma_nor(2), ConstantPath(l1_frame(2)))
-    coarse = spectral_flow(fam, base_grid=np.linspace(0, 1, 9), check=False)
-    fine = spectral_flow(fam, base_grid=np.linspace(0, 1, 17), check=False)
+    coarse = spectral_flow(fam, base_grid=np.linspace(0, 1, 9))
+    fine = spectral_flow(fam, base_grid=np.linspace(0, 1, 17))
     assert coarse.value == fine.value == 1
     assert coarse.partition[0] == 0.0 and coarse.partition[-1] == 1.0
     assert all(e > 0 for e in coarse.epsilons)
@@ -706,7 +706,7 @@ def test_spectral_flow_depth_cap_names_the_leftmost_open_segment(base_grid, max_
     # names the leftmost, the one a depth-first refinement meets first
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     with pytest.raises(RuntimeError, match="failed to separate eigenvalue branches on " + where):
-        spectral_flow(fam, base_grid=base_grid, max_depth=max_depth, check=False)
+        spectral_flow(fam, base_grid=base_grid, max_depth=max_depth)
     assert spectral_flow(fam, base_grid=base_grid, max_depth=4).value == 1
 
 
