@@ -253,6 +253,11 @@ def parse_config(data) -> ProblemConfig:
         except (ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"family: {err}") from err
         _expect(family.n == n, "family", f"matrix size {2 * family.n} does not match n={n}")
+        # the test the symplectic_action generators pass: SymmetricFamily
+        # mirrors upper triangles, which would hide a wrong lower one
+        coeffs = np.asarray(data["family"]["coefficients"], dtype=float)
+        sym_err = float(np.max(norm2(coeffs - np.swapaxes(coeffs, -1, -2))))
+        _expect(sym_err <= 1e-12, "family.coefficients", "matrices must be symmetric")
 
     alpha = _parse_pl(data["alpha"], "alpha") if data.get("alpha") is not None else None
     beta = _parse_pl(data["beta"], "beta") if data.get("beta") is not None else None

@@ -64,6 +64,14 @@ class SymmetricFamily:
         out = out.reshape((len(lam_pows),) + t.shape + self.coeffs.shape[2:])
         return out if lam.ndim else out[0]
 
+    def lambda_coefficients(self, t) -> np.ndarray:
+        """The coefficients S_i(t) of lambda^i in S_lambda(t) = sum_i lambda^i S_i(t),
+        shape (deg_lambda + 1,) + t.shape + (2n, 2n)."""
+        t = np.asarray(t, dtype=float)
+        t_pows = t.reshape(-1, 1) ** np.arange(self.coeffs.shape[1])
+        out = t_pows @ self.coeffs.reshape(self.coeffs.shape[:2] + (-1,))
+        return out.reshape(self.coeffs.shape[:1] + t.shape + self.coeffs.shape[2:])
+
     def sup_norm(self) -> float:
         """Sup over a 17 x 17 grid of (lambda, t) of the spectral norm."""
         if self._sup is None:

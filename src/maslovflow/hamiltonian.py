@@ -3,16 +3,18 @@
 The fundamental solution solves J Psi' + S_lambda(t) Psi = 0 with Psi(0) = I,
 i.e. Psi' = J S_lambda(t) Psi (the sign is pinned by S = delta I giving
 Psi(t) = exp(delta J t)).  It is fixed-step RK4 written as products of the
-one-step propagators P_k (see propagator.py): every grid node Psi(t_k) =
-P_{k-1} ... P_0 comes out of one inclusive prefix scan, doubling the offset
-each round, so a whole trajectory costs log2(steps) batched products rather
-than a loop over the steps.  A 1-D array of lambdas is solved the same way
-with a leading lambda axis, each solution bit for bit that of its lambda
-alone, and `FundamentalSolution.at` takes an array of times.  So every path
-built here is a SymplecticActionPath whose action maps a lambda array to a
-stack of matrices: the transported path Psi_lambda(1) gamma_1(lambda) solves
-stacks of at most 16 lambdas, and the frozen-time and alpha/beta paths read
-arrays of times off one solution.  The identity checkers compare the
+one-step propagators P_k (see propagator.py), all formed at once.  Psi(1/2)
+and Psi(1) are their ordered products over the two halves of the steps,
+multiplied pairwise in log depth; the trajectory, every grid node Psi(t_k) =
+P_{k-1} ... P_0, comes out of one inclusive prefix scan, doubling the offset
+each round, formed only when a node is first read.  A 1-D array of lambdas
+is solved the same way with a leading lambda axis, each solution bit for bit
+that of its lambda alone, and `FundamentalSolution.at` takes an array of
+times.  So every path built here is a SymplecticActionPath whose action maps
+a lambda array to a stack of matrices: the transported path
+Psi_lambda(1) gamma_1(lambda) solves stacks of at most 16 lambdas and reads
+only the end products, and the frozen-time and alpha/beta paths read arrays
+of times off one trajectory.  The identity checkers compare the
 spectral flow of the boundary-value family, computed by shooting, against
 Maslov indices of paths transported by Psi, computed by eigenphase winding;
 the two sides share nothing beyond the RK4 step propagators, which the tests
@@ -22,6 +24,7 @@ check against an independent integrator, and basic linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -39,27 +42,40 @@ _DRIFT_ATOL = 1e-6
 # check that builds one to the same bound
 MIN_STEPS = 64
 # lambdas per stacked fundamental solution of a transported path: the stack
-# holds every grid node of every lambda, and peak memory grows with it
+# holds every step propagator of every lambda, and peak memory grows with it
 _STACK = 16
 
 
 @dataclass(frozen=True)
 class FundamentalSolution:
-    """Psi_lambda sampled on a uniform t-grid, with Psi(0) = I exactly; for a
-    1-D array of lambdas, the stacked solutions of every lambda."""
+    """Psi_lambda on a uniform t-grid, as the one-step propagators of its steps
+    and the products Psi(1/2) and Psi(1), with Psi(0) = I exactly; for a 1-D
+    array of lambdas, the stacked solutions of every lambda."""
 
     lam: float | np.ndarray
     ts: np.ndarray
-    mats: np.ndarray  # (steps + 1, 2n, 2n), or (m, steps + 1, 2n, 2n)
+    props: np.ndarray  # P_k, (steps, 2n, 2n), or (m, steps, 2n, 2n)
+    ends: np.ndarray  # Psi at t_{steps // 2} and at 1, along axis -3
     coeff_fn: object  # t -> J S_lambda(t), exact coefficient of the flow
     generator: object = None  # constant J S_lambda when t-independent
 
     @property
     def n(self) -> int:
-        return self.mats.shape[-1] // 2
+        return self.ends.shape[-1] // 2
 
     def end(self) -> np.ndarray:
-        return self.mats[..., -1, :, :]
+        return self.ends[..., 1, :, :]
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        """Psi at every grid node, (steps + 1, 2n, 2n) or (m, steps + 1, 2n, 2n),
+        formed by a log-depth prefix scan when first read."""
+        props = self.props
+        mats = np.empty(props.shape[:-3] + (props.shape[-3] + 1,) + props.shape[-2:])
+        mats[..., 0, :, :] = np.eye(props.shape[-1])
+        mats[..., 1:, :, :] = prefix_products(props)
+        mats.setflags(write=False)
+        return mats
 
     def at(self, t) -> np.ndarray:
         """Psi_lambda(t) at a time or an array of times, exact on grid nodes;
@@ -70,7 +86,7 @@ class FundamentalSolution:
         value, so evaluation stays deterministic.
         Constant-coefficient families use the matrix exponential directly.
         """
-        if self.mats.ndim != 3:
+        if self.props.ndim != 3:
             raise ValueError("at evaluates the fundamental solution of one lambda, not of a stack")
         t = np.asarray(t, dtype=float)
         ts = t.reshape(-1)
@@ -92,13 +108,24 @@ class FundamentalSolution:
         return out.reshape(t.shape + out.shape[-2:])
 
 
+def _ends(props: np.ndarray) -> np.ndarray:
+    """Psi(t_k) and Psi(1) for k = steps // 2, along axis -3: the ordered
+    products of the first k step propagators and of the rest."""
+    k = props.shape[-3] // 2
+    half = ordered_product(props[..., :k, :, :])
+    ends = np.stack([half, ordered_product(props[..., k:, :, :]) @ half], axis=-3)
+    ends.setflags(write=False)
+    return ends
+
+
 def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) -> FundamentalSolution:
     """Solve J Psi' + S_lambda(t) Psi = 0, Psi(0) = I, by fixed-step RK4, at a
-    lambda or at each lambda of a 1-D array (mats then has a leading lambda
-    axis, and each solution is bit for bit that of its lambda alone).
+    lambda or at each lambda of a 1-D array (every array then has a leading
+    lambda axis, and each solution is bit for bit that of its lambda alone).
 
-    Every node value is a prefix product of the step propagators (for
-    t-independent S, of the exact step exp(h J S)), formed by a log-depth scan.
+    The step propagators (for t-independent S, the exact step exp(h J S)) are
+    formed at once; Psi(1/2) and Psi(1) are their ordered products, and the
+    node values a prefix scan formed only when read.
 
     Raises when the symplecticity drift at t = 1/2 or t = 1 exceeds 1e-6,
     naming the first lambda where it does and suggesting more steps.
@@ -110,20 +137,18 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     J = standard_J(n)
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
-    mats = np.empty(np.shape(lam) + (steps + 1, 2 * n, 2 * n))
-    mats[..., 0, :, :] = np.eye(2 * n)
     if S.t_independent():
         # constant-coefficient system: exact one-step propagator, no drift
         D = J @ S(lam, 0.0)
         step = scipy.linalg.expm(h * D)[..., None, :, :]
-        mats[..., 1:, :, :] = prefix_products(np.broadcast_to(step, mats[..., 1:, :, :].shape))
-        mats.setflags(write=False)
-        return FundamentalSolution(lam, ts, mats, lambda t: D, generator=D)
+        props = np.broadcast_to(step, step.shape[:-3] + (steps,) + step.shape[-2:])
+        return FundamentalSolution(lam, ts, props, _ends(props), lambda t: D, generator=D)
     nodes = J @ S(lam, ts)
     mids = J @ S(lam, ts[:-1] + 0.5 * h)
-    mats[..., 1:, :, :] = prefix_products(rk4_step_propagators(nodes, mids, h))
-    M = mats[..., (steps // 2, steps), :, :]
-    drift = np.atleast_1d(norm2(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=-1))
+    props = rk4_step_propagators(nodes, mids, h)
+    props.setflags(write=False)
+    ends = _ends(props)
+    drift = np.atleast_1d(norm2(np.swapaxes(ends, -1, -2) @ J @ ends - J).max(axis=-1))
     bad = drift > _DRIFT_ATOL
     if bad.any():
         k = int(np.argmax(bad))
@@ -131,8 +156,7 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
             f"symplecticity drift {drift[k]:.3e} at lambda={np.ravel(lam)[k]:.6g} "
             f"exceeds {_DRIFT_ATOL}; increase steps"
         )
-    mats.setflags(write=False)
-    return FundamentalSolution(lam, ts, mats, lambda t: J @ S(lam, t))
+    return FundamentalSolution(lam, ts, props, ends, lambda t: J @ S(lam, t))
 
 
 def transported_path(S: SymmetricFamily, gamma1: LagrangianPath, steps: int = DEFAULT_STEPS) -> LagrangianPath:

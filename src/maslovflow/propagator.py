@@ -12,16 +12,24 @@ by rounding, so the end matrix is multiplied pairwise in log depth and the
 whole trajectory by a log-depth inclusive prefix scan (Hillis-Steele), in
 place of a sequential loop of tiny matrix products.
 
-Shooting propagates K(t) + mu D for many values of a scalar mu.  Each stage is
-then a matrix polynomial in mu (A and M of degree 1, K2 of degree 2, K3 of 3,
-K4 of 4), so P_k(mu) = sum_j C_kj mu^j with C_k4 = (h^4/24) D^4.  The C_kj are
-built once from the same stage formulas applied to coefficient arrays, and
-the steps for a batch of mu are one matrix product of the mu-powers with C.
+Shooting propagates K(lambda, t) + mu D for many values of the scalars lambda
+and mu.  Each stage is then a matrix polynomial in mu (A and M of degree 1, K2
+of degree 2, K3 of 3, K4 of 4), so P_k(mu) = sum_j C_kj mu^j with
+C_k4 = (h^4/24) D^4.  With K = sum_i lambda^i K_i(t) a polynomial of degree
+L - 1 in lambda, each C_kj is one of degree (4 - j)(L - 1) in lambda.  Its
+coefficients, the table T[j][i], are built once per family from the same
+stage formulas applied to arrays indexed by the powers of mu and lambda; a
+lambda's C_kj is then one product of its lambda-powers with T[j], and the
+steps for a batch of mu one matrix product of the mu-powers with C.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# steps of the coefficient table built together: the stage arrays of one
+# chunk are the build's only temporaries
+_TABLE_CHUNK = 32
 
 
 def rk4_step_propagators(nodes: np.ndarray, mids: np.ndarray, h: float) -> np.ndarray:
@@ -42,37 +50,54 @@ def rk4_step_propagators(nodes: np.ndarray, mids: np.ndarray, h: float) -> np.nd
     return P
 
 
-def rk4_step_coefficients(nodes: np.ndarray, mids: np.ndarray, h: float, D: np.ndarray) -> np.ndarray:
-    """Coefficients C[j] of the RK4 propagators of K(t) + mu D as polynomials in mu.
+def rk4_step_coefficients(nodes: np.ndarray, mids: np.ndarray, h: float, D: np.ndarray) -> tuple:
+    """Coefficients of the RK4 propagators of K(lambda, t) + mu D as polynomials
+    in mu and lambda, the table T with T[j][i] the coefficient of mu^j lambda^i.
 
-    nodes and mids sample K(t) as in rk4_step_propagators, shape (N + 1, d, d)
-    and (N, d, d); D is a constant (d, d) matrix.  Returns shape (5, N, d, d):
-    the propagator of step k at mu is sum_j C[j, k] mu^j.
+    nodes and mids sample the lambda-power coefficients K_i(t) of
+    K = sum_i lambda^i K_i at the step ends and midpoints, shape (L, N + 1, d, d)
+    and (L, N, d, d); D is a constant (d, d) matrix.  Returns five arrays, one
+    per power j of mu: T[j] has shape ((4 - j)(L - 1) + 1, N, d, d), and the
+    propagator of step k at (lambda, mu) is sum_ij T[j][i, k] mu^j lambda^i.
+    For L = 1 (K independent of lambda) T[j][0] is the mu^j coefficient.
+
+    The table is built _TABLE_CHUNK steps at a time into one preallocated
+    array, so the stage arrays stay small.
     """
+    L, N = nodes.shape[0], mids.shape[1]
     eye = np.eye(nodes.shape[-1])
+    sizes = [(4 - j) * (L - 1) + 1 for j in range(5)]
+    T = np.split(np.empty((sum(sizes), N) + mids.shape[2:]), np.cumsum(sizes)[:-1])
 
-    def times(X, c):  # (X + mu D) c, for c stacked in ascending degree
-        out = np.zeros((len(c) + 1,) + mids.shape)
-        out[:-1] = X @ c
-        out[1:] += D @ c
+    def times(X, c):  # (X + mu D) c, for c indexed [mu power, lambda power]
+        out = np.zeros((c.shape[0] + 1, c.shape[1] + L - 1) + c.shape[2:])
+        out[:-1, : c.shape[1]] = X[0] @ c
+        for a in range(1, L):
+            out[:-1, a : a + c.shape[1]] += X[a] @ c
+        out[1:, : c.shape[1]] += D @ c
         return out
 
     def one_plus(s, c):  # I + s c
         c = s * c
-        c[0] += eye
+        c[0, 0] += eye
         return c
 
-    A = np.stack([nodes[:-1], np.broadcast_to(D, mids.shape)])
-    C = np.zeros((5,) + mids.shape)
-    C[:2] = A
-    K = times(mids, one_plus(0.5 * h, A))
-    C[:3] += 2.0 * K
-    K = times(mids, one_plus(0.5 * h, K))
-    C[:4] += 2.0 * K
-    C += times(nodes[1:], one_plus(h, K))
-    C *= h / 6.0
-    C[0] += eye
-    return C
+    for s in range(0, N, _TABLE_CHUNK):
+        nd, md = nodes[:, s : s + _TABLE_CHUNK + 1], mids[:, s : s + _TABLE_CHUNK]
+        A = np.zeros((2,) + md.shape)
+        A[0], A[1, 0] = nd[:, :-1], D
+        C = np.zeros((5, 4 * L - 3) + md.shape[1:])
+        C[:2, :L] = A
+        K = times(md, one_plus(0.5 * h, A))
+        C[:3, : 2 * L - 1] += 2.0 * K
+        K = times(md, one_plus(0.5 * h, K))
+        C[:4, : 3 * L - 2] += 2.0 * K
+        C += times(nd[:, 1:], one_plus(h, K))
+        C *= h / 6.0
+        C[0, 0] += eye
+        for j in range(5):
+            T[j][:, s : s + _TABLE_CHUNK] = C[j, : sizes[j]]
+    return tuple(T)
 
 
 def rk4_steps_at(C: np.ndarray, mus: np.ndarray) -> np.ndarray:

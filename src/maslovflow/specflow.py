@@ -7,9 +7,10 @@ zero the transfer matrix is the closed-form rotation exp(-mu J), and for
 t-independent S it is one matrix exponential per mu, so those spectra carry no
 RK4 error.  Otherwise Phi(1) is the ordered product of the RK4 one-step
 propagators (see propagator.py).  Each is a polynomial of degree 4 in mu whose
-coefficients are built once per lambda; the steps for a chunk of (mu, lambda)
-pairs are one matrix product with the mu-powers per lambda in the chunk,
-multiplied pairwise in log depth.
+coefficients are polynomials in lambda, tabulated once per family; a lambda's
+coefficients are one product of its lambda-powers with that table, and the
+steps for a chunk of (mu, lambda) pairs are one matrix product with the
+mu-powers per lambda in the chunk, multiplied pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
@@ -69,9 +70,10 @@ MAX_DEPTH = 40
 _MU_CHUNK = 16
 # lambdas whose windows spectrum_window locates together: the family builds
 # the slices of a whole stack at once, and at 256 steps and n = 2 each holds
-# 164 KB of RK4 coefficients (1.5 MB at 1024 steps and n = 3), so a longer
-# lambda grid is located in stacks of this many; 32 covers the first level
-# of a spectral flow on the default grid of 17 steps
+# 164 KB of RK4 coefficients (1.5 MB at 1024 steps and n = 3), its lambda's
+# products with the family's table, so a longer lambda grid is located in
+# stacks of this many; 32 covers the first level of a spectral flow on the
+# default grid of 17 steps
 _STACK = 32
 # rows of the bracket table of the eigenvalue locator in spectrum_window, one
 # column per bracket: its ends, its eigenvalue count, the eigenphase sum at
@@ -81,6 +83,10 @@ _STACK = 32
 _LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN = range(9)
 # equal widening of both window edges per retry in _clean_windows
 _EDGE_NUDGE = 0.0137
+# the RK4 coefficient table of the latest (S, steps), as (S, steps, table):
+# one slot for the whole process, since a table kept per family would live as
+# long as its family (0.82 MB at n = 2, d_lambda = 2 and 256 steps)
+_table: tuple | None = None
 
 
 class EigenvalueAtWindowEdge(ValueError):
@@ -104,13 +110,28 @@ class _Slices:
 
     coeff is None for S = 0, the generators J S(lambda, 0) for t-independent
     S, and otherwise the coefficients (5, steps, 2n, 2n) of the RK4 step
-    propagators as polynomials in mu (see rk4_step_coefficients), per lambda.
+    propagators as polynomials in mu, per lambda, from the family's table
+    (see rk4_step_coefficients).
     """
 
     F1: np.ndarray
     F2: np.ndarray
     W2_conj: np.ndarray  # conj of the Souriau matrices W = U U^T of gamma_2
     coeff: object
+
+
+def _coefficient_table(S: SymmetricFamily, steps: int) -> tuple:
+    """The RK4 coefficient table of Phi' = (J S(lambda, t) - mu J) Phi (see
+    rk4_step_coefficients), built once for the latest (S, steps)."""
+    global _table
+    if _table is None or _table[0] is not S or _table[1] != steps:
+        _table = None  # free the old table before building the new
+        h = 1.0 / steps
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        J = standard_J(S.n)
+        K = J @ S.lambda_coefficients(np.concatenate([ts, ts[:-1] + 0.5 * h]))
+        _table = (S, steps, rk4_step_coefficients(K[:, : steps + 1], K[:, steps + 1 :], h, -J))
+    return _table[2]
 
 
 def _rk4_transfer_batch(C, mus, at):
@@ -161,7 +182,8 @@ class BoundaryValueFamily:
         # called for the lambdas of one stack of at most _STACK windows at a
         # time, spectral_flow caches the windows, and a slice holds the five
         # RK4 coefficient arrays (164 KB at 256 steps and n = 2), too much to
-        # keep for every lambda ever seen
+        # keep for every lambda ever seen; the family's table, from which
+        # they are rebuilt by one product per power of mu, is kept apart
         self._last: tuple | None = None
         self._t_const = self.S is not None and self.S.t_independent()
         if self.S is not None:
@@ -192,13 +214,14 @@ class BoundaryValueFamily:
         elif self._t_const:
             coeff = self._J @ self.S(lams, 0.0)
         else:
-            h = 1.0 / self.steps
-            ts = np.linspace(0.0, 1.0, self.steps + 1)
-            # one lambda at a time, so the samples of S live only for one
-            coeff = np.empty((len(lams), 5, self.steps, 2 * self.n, 2 * self.n))
-            for k, lam in enumerate(lams.tolist()):
-                nodes, mids = self._J @ self.S(lam, ts), self._J @ self.S(lam, ts[:-1] + 0.5 * h)
-                coeff[k] = rk4_step_coefficients(nodes, mids, h, -self._J)
+            # one product of a lambda's powers with the table per lambda and
+            # power of mu, one row each, so no lambda's depend on the others
+            T = _coefficient_table(self.S, self.steps)
+            coeff = np.empty((len(lams), 5, T[0][0].size))
+            pows = lams[:, None, None] ** np.arange(len(T[0]))
+            for j, Tj in enumerate(T):
+                np.matmul(pows[..., : len(Tj)], Tj.reshape(len(Tj), -1), out=coeff[:, j, None])
+            coeff = coeff.reshape((len(lams), 5) + T[0].shape[1:])
         return _Slices(self.gamma1.frames(lams), F2, souriau_stack(F2).conj(), coeff)
 
     def _slices(self, lams: np.ndarray):

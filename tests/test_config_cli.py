@@ -441,6 +441,19 @@ def test_cli_rejects_a_boolean_or_non_finite_config_value(command, fields, name,
     assert captured.out == ""
 
 
+def test_cli_rejects_a_family_coefficient_that_is_not_symmetric(tmp_path, capsys):
+    # the family's own mirroring of upper triangles must not hide a wrong
+    # lower triangle; rounding-level asymmetry passes, as for generators
+    bad = {"family": {"coefficients": [[[[0.4, 0.1], [5.0, -0.3]]]]}}
+    assert _exit_code(["sflow", "--config", _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, **bad})]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: family.coefficients: matrices must be symmetric\n"
+    assert captured.out == ""
+    near = {"family": {"coefficients": [[[[0.4, 0.1], [0.1 + 1e-13, -0.3]]]]}}
+    cfg = parse_config({**GAMMA_NOR_CFG, **near})
+    assert cfg.family.coeffs[0, 0, 1, 0] == 0.1
+
+
 # a suite count is an integer >= 1 and a seed an integer >= 0, whether a
 # flag or the config file sets it; CFG stands for a config that sets the field
 _BAD_COUNT_OR_SEED = [

@@ -129,6 +129,23 @@ def test_stacked_fundamental_solution_matches_each_lambda(n, deg_t):
     assert np.array_equal(sol.end(), ends)
 
 
+@pytest.mark.parametrize("steps", [64, 100, 128, 256, 300, 512])
+@pytest.mark.parametrize("deg_t", [0, 2])
+def test_fundamental_solution_end_is_the_last_node_of_the_trajectory(steps, deg_t):
+    # Psi(1/2) and Psi(1) are products of the two halves of the steps, the
+    # trajectory a prefix scan formed only when read; on a power of two the
+    # halves multiply in the scan's own order, so the ends agree bit for bit
+    S = random_symmetric_family(np.random.default_rng(steps), 2, 2, deg_t, 2.0)
+    sol = fundamental_solution(S, np.array([0.0, 0.3, 1.0]), steps)
+    assert "mats" not in vars(sol)
+    half, end = sol.mats[:, steps // 2], sol.mats[:, -1]
+    if steps & (steps - 1) == 0:
+        assert np.array_equal(sol.ends[:, 0], half) and np.array_equal(sol.end(), end)
+    else:
+        assert np.abs(sol.ends[:, 0] - half).max() < 1e-13 * np.abs(half).max()
+        assert np.abs(sol.end() - end).max() < 1e-13 * np.abs(end).max()
+
+
 @pytest.mark.parametrize("deg_t", [0, 2])
 def test_fundamental_solution_at_an_array_of_times(deg_t):
     S = random_symmetric_family(np.random.default_rng(7), 2, 2, deg_t, 2.0)

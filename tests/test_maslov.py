@@ -503,3 +503,31 @@ def test_rotated_path_shares_the_grid_of_its_path():
                 rotated = RotatedPath(g, t)
                 assert rotated.sample_grid is g.sample_grid
                 assert np.array_equal(LagrangianPath.sample_grid.fget(rotated), g.sample_grid), (k, t)
+
+
+def _fast_turning_line(gap: float):
+    """A line of R^2 that turns through 8 (pi - gap) against {0} x R: the
+    turning e^{i theta} line meets it 8 times, each crossing positive."""
+    return UnitaryDiagonalPath([PiecewiseLinear.linear(0.0, 8.0 * (np.pi - gap))]), ConstantPath(l1_frame(1))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the sample grid and the segment test read only segment ends, so a line that turns "
+    "by nearly pi between grid nodes looks like one that moved a little backwards",
+)
+def test_pair_index_of_a_line_turning_by_nearly_pi_per_grid_segment():
+    g1, g2 = _fast_turning_line(0.05)
+    assert spectral_flow(BoundaryValueFamily(g1, g2)).value == 8
+    assert sum(r.sign * r.multiplicity for r in crossing_list(g1, g2)) == 8
+    assert maslov_pair(g1, g2) == 8
+
+
+def test_pair_index_of_a_line_turning_a_little_slower_is_resolved():
+    # the companion of the strict xfail above: at 8 (pi - 0.09) the grid and
+    # the counter resolve every turn, and both pipelines give 8
+    g1, g2 = _fast_turning_line(0.09)
+    assert spectral_flow(BoundaryValueFamily(g1, g2)).value == 8
+    assert sum(r.sign * r.multiplicity for r in crossing_list(g1, g2)) == 8
+    assert maslov_pair(g1, g2) == 8

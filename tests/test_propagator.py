@@ -2,11 +2,11 @@
 
 Shooting (BoundaryValueFamily.transfer and its batches) and the Maslov side
 of the Hamiltonian identities (fundamental_solution, FundamentalSolution.at)
-build their solutions from the same RK4 stage formulas: shooting from the
-propagators' coefficients as polynomials in mu, fundamental solutions from
-the propagators themselves.  Both are checked against code that is not
-maslovflow: scipy's DOP853 integrator and a plain RK4 loop that lives only in
-this file.
+build their solutions from the same RK4 stage formulas: shooting from a
+table of the propagators' coefficients as polynomials in mu and lambda,
+fundamental solutions from the propagators themselves.  Both are checked
+against code that is not maslovflow: scipy's DOP853 integrator and a plain
+RK4 loop that lives only in this file.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from maslovflow.propagator import (
     rk4_step_propagators,
     rk4_steps_at,
 )
+from maslovflow.suites import random_symmetric_family
 
 
 def _family(n: int, seed: int) -> SymmetricFamily:
@@ -107,13 +108,96 @@ def test_step_coefficients_match_step_propagators(n, steps):
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
     nodes, mids = J @ S(0.45, ts), J @ S(0.45, ts[:-1] + 0.5 * h)
-    C = rk4_step_coefficients(nodes, mids, h, -J)
+    C = np.stack([Tj[0] for Tj in rk4_step_coefficients(nodes[None], mids[None], h, -J)])
     assert C.shape == (5, steps, 2 * n, 2 * n)
     assert np.array_equal(C[0], rk4_step_propagators(nodes, mids, h))
     assert _rel(C[4], np.broadcast_to(h**4 / 24.0 * np.eye(2 * n), C[4].shape)) < 1e-15
     mus = np.random.default_rng(steps + n).uniform(-12.0, 12.0, size=7)
     for mu, P in zip(mus, rk4_steps_at(C, mus)):
         assert _rel(P, rk4_step_propagators(nodes - mu * J, mids - mu * J, h)) < 1e-13
+
+
+def _one_lambda_coefficients(nodes, mids, h, D):
+    """The mu-coefficients (5, N, d, d) of the RK4 propagators of K(t) + mu D,
+    the stage formulas written out on arrays of mu-coefficients: the one-block
+    case of rk4_step_coefficients, steps not chunked."""
+    eye = np.eye(nodes.shape[-1])
+
+    def times(X, c):
+        out = np.zeros((len(c) + 1,) + mids.shape)
+        out[:-1] = X @ c
+        out[1:] += D @ c
+        return out
+
+    def one_plus(s, c):
+        c = s * c
+        c[0] += eye
+        return c
+
+    A = np.stack([nodes[:-1], np.broadcast_to(D, mids.shape)])
+    C = np.zeros((5,) + mids.shape)
+    C[:2] = A
+    K = times(mids, one_plus(0.5 * h, A))
+    C[:3] += 2.0 * K
+    K = times(mids, one_plus(0.5 * h, K))
+    C[:4] += 2.0 * K
+    C += times(nodes[1:], one_plus(h, K))
+    C *= h / 6.0
+    C[0] += eye
+    return C
+
+
+def _samples(S, steps):
+    """J S_i(t) at the step ends and midpoints, one block per power of lambda."""
+    J = standard_J(S.n)
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    return J @ S.lambda_coefficients(ts), J @ S.lambda_coefficients(ts[:-1] + 0.5 / steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("steps", [100, 256])
+def test_coefficient_table_matches_each_lambda(n, steps):
+    # the table's coefficients at a lambda agree with the stage formulas run
+    # on samples of S at that lambda, for every degree in lambda and t
+    J = standard_J(n)
+    h = 1.0 / steps
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    rng = np.random.default_rng(100 * n + steps)
+    for deg_l in range(5):
+        for deg_t in range(5):
+            S = random_symmetric_family(rng, n, deg_l, deg_t, 2.0)
+            T = rk4_step_coefficients(*_samples(S, steps), h, -J)
+            assert [len(Tj) for Tj in T] == [(4 - j) * deg_l + 1 for j in range(5)]
+            for lam in rng.uniform(size=3):
+                ref = _one_lambda_coefficients(J @ S(lam, ts), J @ S(lam, ts[:-1] + 0.5 * h), h, -J)
+                for Tj, Cj in zip(T, ref):
+                    got = np.tensordot(lam ** np.arange(len(Tj)), Tj, axes=1)
+                    assert _rel(got, Cj) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coefficient_table_of_one_block_is_the_per_lambda_build_bit_for_bit(n):
+    # a family constant in lambda: every T[j] is one block, built by the same
+    # stage formulas in the same order as at one lambda, steps chunked or not
+    S = random_symmetric_family(np.random.default_rng(n), n, 0, 3, 2.0)
+    nodes, mids = _samples(S, 100)
+    T = rk4_step_coefficients(nodes, mids, 0.01, -standard_J(n))
+    ref = _one_lambda_coefficients(nodes[0], mids[0], 0.01, -standard_J(n))
+    assert all(len(Tj) == 1 for Tj in T)
+    assert np.array_equal(np.stack([Tj[0] for Tj in T]), ref)
+
+
+@pytest.mark.parametrize("deg_l", [0, 2])
+def test_slice_coefficients_do_not_depend_on_the_stack(deg_l):
+    # each lambda's coefficients come from products with one row each, so a
+    # lambda's are the same bits alone and in stacks of any size
+    n = 2
+    S = random_symmetric_family(np.random.default_rng(9), n, deg_l, 2, 2.0)
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S)
+    lams = np.random.default_rng(10).uniform(size=33)
+    alone = np.stack([fam._build(lams[k : k + 1]).coeff[0] for k in range(33)])
+    for m in (2, 16, 33):
+        assert np.array_equal(fam._build(lams[:m]).coeff, alone[:m])
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -33,6 +33,7 @@ from maslovflow import (
     spectrum_window,
     standard_J,
 )
+from maslovflow import specflow
 from maslovflow.specflow import _STACK, _clean_windows, _graph_matrix
 from maslovflow.suites import random_pair, random_symmetric_family
 
@@ -679,6 +680,28 @@ def test_long_lambda_grids_are_located_in_bounded_stacks(monkeypatch):
     assert [w.eigenvalues for w in stacked] == [
         spectrum_window(alone, float(lam), -1.45, 1.45).eigenvalues for lam in lams
     ]
+
+
+def test_t_dependent_spectral_flow_builds_one_coefficient_table(monkeypatch):
+    # every lambda's RK4 coefficients come from one table per family, so a
+    # finer partition evaluates S no more often than a coarse one
+    builds, evals = [], []
+    table = specflow.rk4_step_coefficients
+    monkeypatch.setattr(specflow, "rk4_step_coefficients", lambda *args: builds.append(1) or table(*args))
+    call = SymmetricFamily.__call__
+    monkeypatch.setattr(SymmetricFamily, "__call__", lambda self, *args: evals.append(1) or call(self, *args))
+    rng = np.random.default_rng(12)
+    g1, g2 = random_pair(rng, 2)
+    coeffs = random_symmetric_family(rng, 2, 2, 2, 1.5).coeffs
+    seen = []
+    for grid in (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 33)):
+        builds.clear()
+        evals.clear()
+        S = SymmetricFamily(coeffs)
+        result = spectral_flow(BoundaryValueFamily(g1, g2, S), base_grid=grid)
+        assert len(builds) == 1 and specflow._table[0] is S
+        seen.append((len(evals), len(result.partition)))
+    assert seen[0][0] == seen[1][0] and seen[0][1] < seen[1][1]
 
 
 def test_edge_eigenvalues_are_listed_across_stacks():
