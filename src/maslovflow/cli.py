@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -47,95 +48,52 @@ from .suites import (
 )
 
 
-def _emit(report: VerificationReport, args) -> int:
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return 0 if report.passed else 1
+def _configured(report: VerificationReport, cfg: ProblemConfig) -> VerificationReport:
+    """The report of a configured command: it echoes the effective config and
+    lists the tolerance in force."""
+    report.inputs = cfg.to_dict()
+    report.tolerances["tol"] = cfg.solver.tol
+    return report
 
 
-def _csv_rows(rows) -> str:
-    lines = ["lambda,mu,multiplicity"]
-    for lam, mu, mult in rows:
-        lines.append(f"{lam:.12g},{mu:.12g},{int(mult)}")
-    return "\n".join(lines) + "\n"
+def _write_csv(windows, dest) -> int:
+    """Write the eigenvalues of windows to dest as sorted lambda,mu,multiplicity
+    rows under a header; return the number of rows."""
+    rows = sorted((w.lam, mu, mult) for w in windows for mu, mult in w.eigenvalues)
+    dest.write("lambda,mu,multiplicity\n")
+    dest.writelines(f"{lam:.12g},{mu:.12g},{int(mult)}\n" for lam, mu, mult in rows)
+    return len(rows)
 
 
-def cmd_maslov(cfg: ProblemConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_maslov(cfg: ProblemConfig, args) -> VerificationReport:
     g1, g2 = cfg.path1(), cfg.path2()
     value = maslov_pair(g1, g2, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
     crossings = crossing_list(g1, g2, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
-    report = VerificationReport(
-        command="maslov",
-        inputs=cfg.to_dict(),
-        values={"maslov_index": value},
-        passed=True,
-        tolerances={"tol": cfg.solver.tol},
-        details=[
-            {"lambda_star": c.lambda_star, "sign": c.sign, "multiplicity": c.multiplicity}
-            for c in crossings
-        ],
-        timing_s=time.perf_counter() - t0,
-    )
-    return _emit(report, args)
+    details = [{"lambda_star": c.lambda_star, "sign": c.sign, "multiplicity": c.multiplicity}
+               for c in crossings]
+    report = VerificationReport("maslov", {}, {"maslov_index": value}, True, details=details)
+    return _configured(report, cfg)
 
 
-def cmd_sflow(cfg: ProblemConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_sflow(cfg: ProblemConfig, args) -> VerificationReport:
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
     result = spectral_flow(fam, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
-    report = VerificationReport(
-        command="sflow",
-        inputs=cfg.to_dict(),
-        values={"spectral_flow": result.value},
-        passed=True,
-        tolerances={"tol": cfg.solver.tol},
-        details=[
-            {"partition": result.partition, "epsilons": result.epsilons},
-        ],
-        timing_s=time.perf_counter() - t0,
-    )
     if args.csv:
-        rows = []
-        for window in result.branch_data:
-            for mu, mult in window.eigenvalues:
-                rows.append((window.lam, mu, mult))
-        rows.sort()
         with open(args.csv, "w") as fh:
-            fh.write(_csv_rows(rows))
-    return _emit(report, args)
+            _write_csv(result.branch_data, fh)
+    details = [{"partition": result.partition, "epsilons": result.epsilons}]
+    report = VerificationReport("sflow", {}, {"spectral_flow": result.value}, True, details=details)
+    return _configured(report, cfg)
 
 
-def cmd_spectra(cfg: ProblemConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectra(cfg: ProblemConfig, args) -> VerificationReport:
+    """The CSV goes to --csv, else to stdout, and the report only to --out."""
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
     lo, hi = cfg.solver.mu_window
-    rows = []
-    for window in spectrum_window(fam, np.linspace(0.0, 1.0, cfg.lambda_grid), lo, hi, tol=cfg.solver.tol):
-        for mu, mult in window.eigenvalues:
-            rows.append((window.lam, mu, mult))
-    rows.sort()
-    text = _csv_rows(rows)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.out:
-        report = VerificationReport(
-            command="spectra",
-            inputs=cfg.to_dict(),
-            values={"rows": len(rows)},
-            passed=True,
-            tolerances={"tol": cfg.solver.tol},
-            timing_s=time.perf_counter() - t0,
-        )
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-    return 0
+    windows = spectrum_window(fam, np.linspace(0.0, 1.0, cfg.lambda_grid), lo, hi, tol=cfg.solver.tol)
+    with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
+        rows = _write_csv(windows, fh)
+    return _configured(VerificationReport("spectra", {}, {"rows": rows}, True), cfg)
 
 
 def _family(cfg: ProblemConfig) -> SymmetricFamily:
@@ -202,7 +160,7 @@ _VERIFY = {
 _VERIFY_CHOICES = tuple(_VERIFY)
 
 
-def cmd_verify(cfg: ProblemConfig, args) -> int:
+def cmd_verify(cfg: ProblemConfig, args) -> VerificationReport:
     """Check the configured instance when the config carries one, otherwise
     run the seeded randomized suite; a flag the chosen check does not read is
     a configuration error."""
@@ -227,12 +185,7 @@ def cmd_verify(cfg: ProblemConfig, args) -> int:
         "max_depth": cfg.solver.max_depth,
     }
     kwargs = {k: settings[k] for k in reads}
-    if not configured:
-        return _emit(check.suite(**kwargs), args)
-    report = check.instance(cfg, **kwargs)
-    report.inputs = cfg.to_dict()
-    report.tolerances["tol"] = cfg.solver.tol
-    return _emit(report, args)
+    return _configured(check.instance(cfg, **kwargs), cfg) if configured else check.suite(**kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,16 +241,27 @@ def _effective(cfg: ProblemConfig, args) -> ProblemConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command, stamp its report with the command's wall time and
+    write it to --out and, except for spectra, to stdout."""
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config else ProblemConfig(n=1)
-        return args.run(_effective(cfg, args), args)
+        cfg = _effective(parse_config(args.config) if args.config else ProblemConfig(n=1), args)
+        t0 = time.perf_counter()
+        report = args.run(cfg, args)
+        report.timing_s = time.perf_counter() - t0
+        text = report.to_json()
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
         return 2
     except (ValueError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    if args.command != "spectra":
+        sys.stdout.write(text)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

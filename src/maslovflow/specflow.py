@@ -46,7 +46,7 @@ import scipy.linalg
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import ordered_product, rk4_step_coefficients, rk4_steps_at
-from .symplectic import gap_distance, norm2, souriau_stack, standard_J, subspace_frame
+from .symplectic import gap_distance, souriau_stack, standard_J, subspace_frame
 
 MU_TOL = 1e-10
 _SF_WINDOW = 1.45
@@ -157,7 +157,8 @@ class BoundaryValueFamily:
     """The operators A_lambda u = Ju' + S_lambda(t)u with u(0) in gamma_1(lambda),
     u(1) in gamma_2(lambda).
 
-    S is a SymmetricFamily, or None for the zero family.
+    S is a SymmetricFamily, symmetric by construction, or None for the zero
+    family.
     """
 
     def __init__(
@@ -186,12 +187,6 @@ class BoundaryValueFamily:
         # they are rebuilt by one product per power of mu, is kept apart
         self._last: tuple | None = None
         self._t_const = self.S is not None and self.S.t_independent()
-        if self.S is not None:
-            for lam in (0.0, 0.5, 1.0):
-                for t in (0.0, 0.33, 1.0):
-                    M = self.S(lam, t)
-                    if norm2(M - M.T) > 1e-12:
-                        raise ValueError(f"S is not symmetric at (lambda, t)=({lam}, {t})")
 
     def shifted(self, delta: float) -> "BoundaryValueFamily":
         """The family A + delta I: the same boundary paths with S + delta I."""

@@ -16,6 +16,18 @@ import maslovflow.cli as cli
 import maslovflow.hamiltonian as hamiltonian
 from maslovflow.cli import _VERIFY_CHOICES, main
 from maslovflow.config import ConfigError, SolverSettings, parse_config
+from maslovflow.paths import (
+    ConstantPath,
+    PiecewiseLinear,
+    PolynomialAction,
+    ReparametrizedPath,
+    RotatedPath,
+    RotationPath,
+    SymplecticActionPath,
+    UnitaryDiagonalPath,
+)
+from maslovflow.specflow import BoundaryValueFamily, spectral_flow
+from maslovflow.symplectic import frame_from_basis, l0_frame, l1_frame
 
 GAMMA_NOR_CFG = {
     "n": 1,
@@ -96,6 +108,71 @@ def test_parse_descriptor_kinds(tmp_path):
     assert g1.n == g2.n == 1
 
 
+_THETA = [[0.0, 0.2], [0.6, 1.1], [1.0, 2.0]]
+_BASIS = [[1.0, 1.0], [0.0, 2.0], [1.0, 2.0], [0.5, -1.5]]  # columns span a Lagrangian plane of R^4
+_GENS = [[[0.0] * 4] * 4, np.diag([0.3, -0.2, 0.1, 0.4]).tolist()]
+_ROT = {"type": "rotation", "theta": [[0.0, 0.0], [1.0, 1.4]], "frame": "l0"}
+
+
+def _rot_path():
+    return RotationPath(l0_frame(2), PiecewiseLinear([0.0, 1.0], [0.0, 1.4]))
+
+
+# descriptor kinds that the benchmark's configs use, each against the same
+# path built in Python
+@pytest.mark.parametrize(
+    "desc, build",
+    [
+        ({"type": "unitary_diagonal", "phases": [_THETA, [[0.0, -0.5], [1.0, 0.7]]]},
+         lambda: UnitaryDiagonalPath([PiecewiseLinear(*np.transpose(_THETA)),
+                                      PiecewiseLinear([0.0, 1.0], [-0.5, 0.7])])),
+        ({"type": "rotated", "angle": 0.3, "path": _ROT}, lambda: RotatedPath(_rot_path(), 0.3)),
+        ({"type": "reparametrized", "phi": [[0.0, 0.0], [0.4, 0.7], [1.0, 1.0]], "path": _ROT},
+         lambda: ReparametrizedPath(_rot_path(), PiecewiseLinear([0.0, 0.4, 1.0], [0.0, 0.7, 1.0]))),
+        ({"type": "constant", "frame": _BASIS}, lambda: ConstantPath(frame_from_basis(np.array(_BASIS)))),
+        ({"type": "rotation", "theta": _THETA, "frame": _BASIS},
+         lambda: RotationPath(frame_from_basis(np.array(_BASIS)), PiecewiseLinear(*np.transpose(_THETA)))),
+        ({"type": "symplectic_action", "generator": _GENS, "base": _ROT},
+         lambda: SymplecticActionPath(PolynomialAction(np.array(_GENS)), _rot_path())),
+    ],
+    ids=["unitary_diagonal", "rotated", "reparametrized", "explicit-basis", "rotation-explicit-basis",
+         "action-on-a-path"],
+)
+def test_parsed_descriptor_frames_equal_the_python_path(desc, build):
+    cfg = parse_config({"n": 2, "gamma1": desc, "gamma2": {"type": "constant", "frame": "l1"}})
+    lams = np.array([0.0, 0.3, 0.55, 1.0])
+    assert np.array_equal(cfg.path1().frames(lams), build().frames(lams))
+    assert np.array_equal(cfg.path2().frames(lams), ConstantPath(l1_frame(2)).frames(lams))
+
+
+@pytest.mark.parametrize(
+    "gamma1, message",
+    [
+        ({"type": "constant", "frame": "l2"}, "gamma1.frame: unknown frame shorthand 'l2' (use 'l0' or 'l1')"),
+        ({"type": "normalization", "which": "gamma"}, "gamma1.which: expected 'gamma_nor' or 'gamma_nor_prime'"),
+        ({"type": "concat", "pieces": [{"type": "constant", "frame": "l0"}, {"type": "constant", "frame": "l1"}]},
+         "gamma1.pieces: junction 0 mismatch: gap distance 1.000e+00"),
+        ({"type": "reparametrized", "phi": [[0.0, 0.0], [1.0, 0.9]], "path": {"type": "constant", "frame": "l0"}},
+         "gamma1.phi: reparametrization must fix the endpoints 0 and 1"),
+    ],
+    ids=["frame-shorthand", "which", "junction", "phi-ends"],
+)
+def test_cli_rejects_a_bad_descriptor_naming_its_field(gamma1, message, tmp_path, capsys):
+    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "gamma1": gamma1})
+    assert main(["maslov", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_rejects_an_unreadable_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["sflow", "--config", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot read config file {missing}: ")
+    assert captured.out == ""
+
+
 def test_cli_normalization_values(tmp_path, capsys):
     cfg_a = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
     cfg_b = _write(tmp_path, "b.json", PRIME_CFG)
@@ -125,6 +202,53 @@ def test_cli_report_determinism(tmp_path, capsys):
     d2.pop("timing_s")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("which, configured", [("axioms", False), ("clm", False), ("clm", True),
+                                               ("hamiltonian", True)])
+def test_cli_verify_reports_are_timed(which, configured, tmp_path, capsys):
+    argv = ["verify", which, "--out", str(tmp_path / "r.json")]
+    argv += ["--config", _write(tmp_path, "a.json", IDENTITY_CFG if which == "hamiltonian" else GAMMA_NOR_CFG)] \
+        if configured else ["--count", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "r.json").read_text()
+    report = json.loads(out)
+    assert report["timing_s"] > 0
+    assert ("solver" in report["inputs"]) == configured
+
+
+def test_cli_spectra_writes_its_report_only_to_out(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
+    out = tmp_path / "r.json"
+    assert main(["spectra", "--config", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "lambda,mu,multiplicity"
+    report = json.loads(out.read_text())
+    assert report["values"] == {"rows": len(lines) - 1}
+    assert report["tolerances"] == {"tol": 1e-8} and report["timing_s"] > 0
+
+
+def test_cli_sflow_csv_lists_the_branch_eigenvalues(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
+    csv = tmp_path / "branches.csv"
+    assert main(["sflow", "--config", path, "--csv", str(csv)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cfg = parse_config(path)
+    result = spectral_flow(BoundaryValueFamily(cfg.path1(), cfg.path2()), tol=1e-8, max_depth=40)
+    assert report["values"]["spectral_flow"] == result.value
+    rows = sorted((w.lam, mu, mult) for w in result.branch_data for mu, mult in w.eigenvalues)
+    assert rows
+    expected = ["lambda,mu,multiplicity"] + [f"{lam:.12g},{mu:.12g},{mult}" for lam, mu, mult in rows]
+    assert csv.read_text().splitlines() == expected
+
+
+def test_cli_eigenvalue_on_a_window_edge_exits_1(capsys):
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "gamma_nor_vs_l1.json")
+    assert main(["spectra", "--config", cfg, "--window", "-1.5707963267948966", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: window endpoint mu=-1.57079632679 is an eigenvalue at lambda=0; shift the window\n"
+    assert captured.out == ""
 
 
 def test_cli_spectra_branches_follow_formulas(tmp_path, capsys):

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from maslovflow import (
     ConstantPath,
+    EigenvalueCountMismatch,
     PiecewiseLinear,
     RotatedPath,
     SymmetricFamily,
@@ -350,3 +351,19 @@ def test_morse_randomized_degree_one():
     for _ in range(2):
         S = random_symmetric_family(rng, 1, 1, 1, 2.5)
         assert morse_index_formula(S).passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(EigenvalueCountMismatch, AssertionError),
+    reason="at sup norm 10 the window scan, whose step stops shrinking at s_norm = 3, finds the "
+    "eigenvalue count parity at odds with the determinant at lambda = 0.9375",
+)
+def test_clm_hamiltonian_on_a_strong_t_dependent_family():
+    # the 23rd draw of a loop over n = 1, 2, 3 and sup norms 3, 6, 10, 20
+    rng = np.random.default_rng(7)
+    for t in range(23):
+        n = 1 + t % 3
+        g1, g2 = random_pair(rng, n)
+        S = random_symmetric_family(rng, n, 2, 2, (3.0, 6.0, 10.0, 20.0)[t % 4])
+    assert clm_hamiltonian(S, g1, g2).passed

@@ -787,6 +787,8 @@ def test_family_on_a_lambda_array_is_bitwise_per_lambda():
             got = S(lams, t)
             assert got.shape == (lams.size,) + np.shape(t) + (2 * n, 2 * n)
             assert np.array_equal(got, np.stack([S(lam, t) for lam in lams]))
+            # symmetric bit for bit, which BoundaryValueFamily takes on trust
+            assert np.array_equal(got, np.swapaxes(got, -1, -2))
             # against the explicit sum of c[j, k] lambda^j t^k
             C, tt = S.coeffs, np.asarray(t)[..., None, None]
             ref = np.stack(
