@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, ProblemConfig, SolverSettings, check_int, parse_config
+from .config import ConfigError, ProblemConfig, SolverSettings, _check_solver, check_int, parse_config
 from .families import SymmetricFamily
 from .hamiltonian import (
     MIN_STEPS,
@@ -230,7 +230,8 @@ def _effective(cfg: ProblemConfig, args) -> ProblemConfig:
     """The config with the CLI overrides applied; solver, seed and count
     overrides pass the same checks as the config file."""
     solver = {f.name: getattr(args, f.name, None) for f in fields(SolverSettings)}
-    solver = {k: v for k, v in solver.items() if v is not None}
+    solver = {k: _check_solver(k, v, "--window" if k == "mu_window" else "--" + k.replace("_", "-"))
+              for k, v in solver.items() if v is not None}
     if solver:
         cfg.solver = replace(cfg.solver, **solver)
     if getattr(args, "seed", None) is not None:

@@ -57,11 +57,31 @@ def check_int(x, where: str, lo: int) -> int:
     return x
 
 
+def _check_solver(name: str, value, where: str):
+    """The solver setting `name` (a SolverSettings field), checked and
+    normalised; the ConfigError names `where`, a config field or a flag."""
+    if name == "steps":
+        return check_int(value, where, 16)
+    if name == "max_depth":
+        return check_int(value, where, 0)
+    if name == "tol":
+        _expect(_is_real(value) and value > 0, where, f"must be a positive number, got {value!r}")
+        return float(value)
+    _expect(
+        isinstance(value, (list, tuple)) and len(value) == 2
+        and all(_is_real(x) for x in value) and value[0] < value[1],
+        where,
+        f"must be [mu_min, mu_max] with mu_min < mu_max, got {value!r}",
+    )
+    return (float(value[0]), float(value[1]))
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Solver settings of a problem; every way of setting them (the library
     defaults, a config file, a CLI override through dataclasses.replace)
-    passes the same check, which raises ConfigError naming the field."""
+    passes the same check, which raises ConfigError naming the field; the
+    CLI checks an override first, so that the error names its flag."""
 
     steps: int = DEFAULT_STEPS
     tol: float = DEFAULT_TOL
@@ -69,19 +89,9 @@ class SolverSettings:
     mu_window: tuple = (-np.pi + 0.1, np.pi - 0.1)
 
     def __post_init__(self):
-        check_int(self.steps, "solver.steps", 16)
-        _expect(_is_real(self.tol) and self.tol > 0, "solver.tol",
-                f"must be a positive number, got {self.tol!r}")
-        check_int(self.max_depth, "solver.max_depth", 0)
-        window = self.mu_window
-        _expect(
-            isinstance(window, (list, tuple)) and len(window) == 2
-            and all(_is_real(x) for x in window) and window[0] < window[1],
-            "solver.mu_window",
-            f"must be [mu_min, mu_max] with mu_min < mu_max, got {window!r}",
-        )
-        object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "mu_window", (float(window[0]), float(window[1])))
+        for f in fields(self):
+            value = _check_solver(f.name, getattr(self, f.name), f"solver.{f.name}")
+            object.__setattr__(self, f.name, value)
 
     def to_dict(self):
         return {

@@ -14,11 +14,13 @@ times.  So every path built here is a SymplecticActionPath whose action maps
 a lambda array to a stack of matrices: the transported path
 Psi_lambda(1) gamma_1(lambda) solves stacks of at most 16 lambdas and reads
 only the end products, and the frozen-time and alpha/beta paths read arrays
-of times off one trajectory.  The identity checkers compare the
-spectral flow of the boundary-value family, computed by shooting, against
-Maslov indices of paths transported by Psi, computed by eigenphase winding;
-the two sides share nothing beyond the RK4 step propagators, which the tests
-check against an independent integrator, and basic linear algebra.
+of times off one trajectory.  Each identity checker only names its terms,
+sfl(A) = sum of sign * mu(pair), and one evaluator runs them all: the
+spectral flow of the boundary-value family, computed by shooting, then the
+Maslov index of each term's pair of paths transported by Psi, computed by
+eigenphase winding, with the same steps, tol and max_depth, and then the
+report.  The two sides share nothing beyond the RK4 step propagators, which
+the tests check against an independent integrator, and basic linear algebra.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
-from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH
+from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH, _finite_1d
 from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
@@ -132,7 +134,8 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
-    lam = float(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=float)
+    lam = _finite_1d(lam, "lam")
+    lam = float(lam) if lam.ndim == 0 else lam
     n = S.n
     J = standard_J(n)
     h = 1.0 / steps
@@ -178,15 +181,38 @@ def frozen_time_path(S: SymmetricFamily, lam: float, base: LagrangianFrame, step
     return SymplecticActionPath(sol.at, base)
 
 
-def _solver_kwargs(tol: float | None, max_depth: int) -> dict:
-    """Keywords for spectral_flow and maslov_pair; tol None keeps each one's default."""
-    return {"max_depth": max_depth} if tol is None else {"tol": tol, "max_depth": max_depth}
-
-
 def _symplectic_inverse(A: np.ndarray) -> np.ndarray:
     n = A.shape[0] // 2
     J = standard_J(n)
     return -J @ A.T @ J
+
+
+def _identity(command, S, gamma1, gamma2, steps, tol, max_depth, inputs, terms) -> VerificationReport:
+    """Check sfl(A) = sum of sign * mu(pair) over terms (name, sign, pair) for
+    the boundary-value family of S with boundary (gamma_1, gamma_2); pair()
+    builds the two paths of a term only when its index is computed, after the
+    spectral flow and the terms listed before it.
+
+    steps sets both the shooting and the fundamental solutions; tol and
+    max_depth reach spectral_flow (on its default base grid, rechecked at
+    doubled resolution) and every maslov_pair, and tol None keeps each one's
+    default.  The report holds the spectral flow, each term and, for more
+    than one term, their signed sum as rhs."""
+    opts = {"max_depth": max_depth} if tol is None else {"tol": tol, "max_depth": max_depth}
+    lhs = spectral_flow(BoundaryValueFamily(gamma1, gamma2, S, steps), **opts).value
+    values = {"spectral_flow": lhs}
+    for name, _, pair in terms:
+        values[name] = maslov_pair(*pair(), **opts)
+    rhs = sum(sign * values[name] for name, sign, _ in terms)
+    if len(terms) > 1:
+        values["rhs"] = rhs
+    return VerificationReport(
+        command=command,
+        inputs={"n": gamma1.n, "steps": steps, **inputs},
+        values=values,
+        passed=lhs == rhs,
+        tolerances={"integer_equality": 0},
+    )
 
 
 def clm_hamiltonian(
@@ -198,22 +224,9 @@ def clm_hamiltonian(
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Spectral flow of Ju' + S_lambda u with boundary (gamma_1, gamma_2) versus
-    the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported.
-    Here and in the other identity checkers, steps sets both the shooting and
-    the fundamental solutions, tol and max_depth reach spectral_flow (on its
-    default base grid, rechecked at doubled resolution) and every
-    maslov_pair, and tol None keeps each one's default."""
-    opts = _solver_kwargs(tol, max_depth)
-    fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, **opts).value
-    rhs = maslov_pair(transported_path(S, gamma1, steps), gamma2, **opts)
-    return VerificationReport(
-        command="clm-hamiltonian",
-        inputs={"n": gamma1.n, "steps": steps},
-        values={"spectral_flow": lhs, "maslov_transported": rhs},
-        passed=lhs == rhs,
-        tolerances={"integer_equality": 0},
-    )
+    the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported."""
+    terms = [("maslov_transported", 1, lambda: (transported_path(S, gamma1, steps), gamma2))]
+    return _identity("clm-hamiltonian", S, gamma1, gamma2, steps, tol, max_depth, {}, terms)
 
 
 def three_term_identity(
@@ -225,30 +238,13 @@ def three_term_identity(
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """sfl(A) against mu(Psi_1(.)g1(1), g2(1)) + mu(g1, g2) - mu(Psi_0(.)g1(0), g2(0))."""
-    opts = _solver_kwargs(tol, max_depth)
-    fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, **opts).value
-    term_end = maslov_pair(
-        frozen_time_path(S, 1.0, gamma1.frame(1.0), steps), ConstantPath(gamma2.frame(1.0)), **opts
-    )
-    term_mid = maslov_pair(gamma1, gamma2, **opts)
-    term_start = maslov_pair(
-        frozen_time_path(S, 0.0, gamma1.frame(0.0), steps), ConstantPath(gamma2.frame(0.0)), **opts
-    )
-    rhs = term_end + term_mid - term_start
-    return VerificationReport(
-        command="three-term",
-        inputs={"n": gamma1.n, "steps": steps},
-        values={
-            "spectral_flow": lhs,
-            "term_end": term_end,
-            "term_pair": term_mid,
-            "term_start": term_start,
-            "rhs": rhs,
-        },
-        passed=lhs == rhs,
-        tolerances={"integer_equality": 0},
-    )
+
+    def frozen_pair(i: float):
+        return frozen_time_path(S, i, gamma1.frame(i), steps), ConstantPath(gamma2.frame(i))
+
+    terms = [("term_end", 1, lambda: frozen_pair(1.0)), ("term_pair", 1, lambda: (gamma1, gamma2)),
+             ("term_start", -1, lambda: frozen_pair(0.0))]
+    return _identity("three-term", S, gamma1, gamma2, steps, tol, max_depth, {}, terms)
 
 
 def _validate_alpha_beta(alpha: PiecewiseLinear, beta: PiecewiseLinear):
@@ -285,11 +281,8 @@ def alpha_beta_identity(
              - mu(Psi_1(alpha) g1(1), Psi_1(beta) Psi_1(1)^{-1} g2(1)).
     """
     _validate_alpha_beta(alpha, beta)
-    opts = _solver_kwargs(tol, max_depth)
-    fam = BoundaryValueFamily(gamma1, gamma2, S, steps)
-    lhs = spectral_flow(fam, **opts).value
 
-    def reparam_term(i: float) -> int:
+    def reparam_pair(i: float):
         sol = fundamental_solution(S, i, steps)
         inv_end = _symplectic_inverse(sol.end())
         first = SymplecticActionPath(
@@ -302,32 +295,12 @@ def alpha_beta_identity(
             gamma2.frame(i),
             hints=beta.breakpoints(),
         )
-        return maslov_pair(first, second, **opts)
+        return first, second
 
-    term0 = reparam_term(0.0)
-    term_mid = maslov_pair(gamma1, gamma2, **opts)
-    term1 = reparam_term(1.0)
-    rhs = term0 + term_mid - term1
-    return VerificationReport(
-        command="alpha-beta",
-        inputs={
-            "n": gamma1.n,
-            "steps": steps,
-            "alpha": alpha.serialize(),
-            "beta": beta.serialize(),
-            "alpha_end": 0.0,
-            "beta_end": 1.0,
-        },
-        values={
-            "spectral_flow": lhs,
-            "term_start": term0,
-            "term_pair": term_mid,
-            "term_end": term1,
-            "rhs": rhs,
-        },
-        passed=lhs == rhs,
-        tolerances={"integer_equality": 0},
-    )
+    terms = [("term_start", 1, lambda: reparam_pair(0.0)), ("term_pair", 1, lambda: (gamma1, gamma2)),
+             ("term_end", -1, lambda: reparam_pair(1.0))]
+    inputs = {"alpha": alpha.serialize(), "beta": beta.serialize(), "alpha_end": 0.0, "beta_end": 1.0}
+    return _identity("alpha-beta", S, gamma1, gamma2, steps, tol, max_depth, inputs, terms)
 
 
 def morse_index_formula(

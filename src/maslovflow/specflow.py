@@ -303,6 +303,16 @@ def _count(sum_a, sum_b):
     return turns.astype(int), sum_b - sum_a - 2.0 * np.pi * turns
 
 
+def _finite_1d(x, name: str) -> np.ndarray:
+    """x as a float array, rejected unless finite and a scalar or 1-D."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
 
@@ -332,11 +342,10 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     EigenvalueCountMismatch is raised.  Window endpoints must not be
     eigenvalues (EigenvalueAtWindowEdge, which lists every window with one).
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim > 1:
-        raise ValueError(f"lambda must be a scalar or a 1-D array, got shape {lam.shape}")
+    lam = _finite_1d(lam, "lam")
     lams = np.atleast_1d(lam)
-    los, his = np.full(lams.shape, mu_min, dtype=float), np.full(lams.shape, mu_max, dtype=float)
+    los = np.full(lams.shape, _finite_1d(mu_min, "mu_min"))
+    his = np.full(lams.shape, _finite_1d(mu_max, "mu_max"))
     if not np.all(los < his):
         raise ValueError("empty mu-window")
     if not tol > 0:
@@ -617,7 +626,7 @@ def spectral_flow(
     if base_grid is None:
         nodes = _default_base_nodes(fam)
     else:
-        nodes = np.array(sorted(set(float(x) for x in np.asarray(base_grid, dtype=float))))
+        nodes = np.unique(_finite_1d(base_grid, "base_grid"))
         if not nodes.size or abs(nodes[0]) > 1e-15 or abs(nodes[-1] - 1.0) > 1e-15:
             raise ValueError("base grid must start at 0 and end at 1")
     spectra: dict[float, SpectrumWindow] = {}

@@ -180,14 +180,14 @@ def test_cli_normalization_values(tmp_path, capsys):
     out_b = str(tmp_path / "rb.json")
 
     assert main(["maslov", "--config", cfg_a, "--out", out_a]) == 0
-    assert json.loads(open(out_a).read())["values"]["maslov_index"] == 1
+    assert json.loads(Path(out_a).read_text())["values"]["maslov_index"] == 1
     assert main(["sflow", "--config", cfg_a, "--out", out_a]) == 0
-    assert json.loads(open(out_a).read())["values"]["spectral_flow"] == 1
+    assert json.loads(Path(out_a).read_text())["values"]["spectral_flow"] == 1
 
     assert main(["maslov", "--config", cfg_b, "--out", out_b]) == 0
-    assert json.loads(open(out_b).read())["values"]["maslov_index"] == -1
+    assert json.loads(Path(out_b).read_text())["values"]["maslov_index"] == -1
     assert main(["sflow", "--config", cfg_b, "--out", out_b]) == 0
-    assert json.loads(open(out_b).read())["values"]["spectral_flow"] == -1
+    assert json.loads(Path(out_b).read_text())["values"]["spectral_flow"] == -1
     capsys.readouterr()
 
 
@@ -196,8 +196,8 @@ def test_cli_report_determinism(tmp_path, capsys):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["maslov", "--config", cfg, "--out", out1]) == 0
     assert main(["maslov", "--config", cfg, "--out", out2]) == 0
-    d1 = json.loads(open(out1).read())
-    d2 = json.loads(open(out2).read())
+    d1 = json.loads(Path(out1).read_text())
+    d2 = json.loads(Path(out2).read_text())
     d1.pop("timing_s")
     d2.pop("timing_s")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
@@ -258,7 +258,7 @@ def test_cli_spectra_branches_follow_formulas(tmp_path, capsys):
     path = _write(tmp_path, "a.json", cfg)
     csv = str(tmp_path / "branches.csv")
     assert main(["spectra", "--config", path, "--csv", csv]) == 0
-    lines = open(csv).read().strip().splitlines()
+    lines = Path(csv).read_text().strip().splitlines()
     assert lines[0] == "lambda,mu,multiplicity"
     assert len(lines) > 26
     for row in lines[1:]:
@@ -287,7 +287,7 @@ def test_cli_spectra_empty_window_header_only(tmp_path, capsys):
     path = _write(tmp_path, "a.json", cfg)
     csv = str(tmp_path / "empty.csv")
     assert main(["spectra", "--config", path, "--csv", csv]) == 0
-    assert open(csv).read() == "lambda,mu,multiplicity\n"
+    assert Path(csv).read_text() == "lambda,mu,multiplicity\n"
     capsys.readouterr()
 
 
@@ -304,8 +304,8 @@ def test_cli_spectra_shifted_family_offsets_mu(tmp_path, capsys):
     c1, c2 = str(tmp_path / "b.csv"), str(tmp_path / "s.csv")
     assert main(["spectra", "--config", p1, "--csv", c1]) == 0
     assert main(["spectra", "--config", p2, "--csv", c2]) == 0
-    rows1 = [r.split(",") for r in open(c1).read().strip().splitlines()[1:]]
-    rows2 = [r.split(",") for r in open(c2).read().strip().splitlines()[1:]]
+    rows1 = [r.split(",") for r in Path(c1).read_text().strip().splitlines()[1:]]
+    rows2 = [r.split(",") for r in Path(c2).read_text().strip().splitlines()[1:]]
     for lam in {r[0] for r in rows1}:
         mus1 = sorted(float(r[1]) for r in rows1 if r[0] == lam)
         mus2 = sorted(float(r[1]) for r in rows2 if r[0] == lam)
@@ -401,7 +401,7 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
         out = str(tmp_path / "r.json")
         assert main(argv + ["--config", path, "--tol", "1e-9", "--out", out]) == 0
         assert set(calls) == expected, argv
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["inputs"]["solver"]["tol"] == 1e-9
         assert report["tolerances"]["tol"] == 1e-9
     capsys.readouterr()
@@ -411,7 +411,7 @@ def test_cli_window_and_depth_overrides(tmp_path, capsys):
     cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
     csv = str(tmp_path / "w.csv")
     assert main(["spectra", "--config", cfg, "--window", "-1.0", "1.0", "--csv", csv]) == 0
-    mus = [float(r.split(",")[1]) for r in open(csv).read().strip().splitlines()[1:]]
+    mus = [float(r.split(",")[1]) for r in Path(csv).read_text().strip().splitlines()[1:]]
     assert mus and all(-1.0 < m < 1.0 for m in mus)
     capsys.readouterr()
 
@@ -530,10 +530,12 @@ def test_parse_rejects_invalid_solver_settings(solver, field):
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
 def test_cli_invalid_solver_settings_exit_2(argv, config_tol, field, tmp_path, capsys):
+    # an invalid override names its flag, an invalid config value its field
     cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": dict(GAMMA_NOR_CFG["solver"], tol=config_tol)})
     assert _exit_code(argv + ["--config", cfg]) == 2
     captured = capsys.readouterr()
-    assert f"solver.{field}" in captured.err
+    name = next((a for a in argv if a.startswith("--")), f"solver.{field}")
+    assert captured.err.startswith(f"config error: {name}: must be ")
     assert captured.out == ""
 
 

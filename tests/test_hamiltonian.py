@@ -1,5 +1,6 @@
 """Tests for fundamental solutions and the Hamiltonian spectral-flow identities."""
 
+import inspect
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from maslovflow import (
     transported_path,
 )
 from maslovflow import hamiltonian
+from maslovflow.maslov import DEFAULT_TOL
+from maslovflow.specflow import MAX_DEPTH, MU_TOL, spectral_flow
 from maslovflow.propagator import ordered_product, rk4_step_propagators
 from maslovflow.suites import random_pair, random_symmetric, random_symmetric_family
 
@@ -351,6 +354,43 @@ def test_morse_randomized_degree_one():
     for _ in range(2):
         S = random_symmetric_family(rng, 1, 1, 1, 2.5)
         assert morse_index_formula(S).passed
+
+
+def test_identity_checkers_run_one_spectral_flow_and_each_term_at_each_sides_default_tol(monkeypatch):
+    # called without tol, as the suites call them, every checker runs
+    # spectral_flow once and then maslov_pair once per term, each at its own
+    # default tolerance and all with max_depth
+    assert inspect.signature(spectral_flow).parameters["tol"].default == MU_TOL == 1e-10
+    assert inspect.signature(maslov_pair).parameters["tol"].default == DEFAULT_TOL == 1e-8
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls.append((fn.__name__, "tol" in kwargs, kwargs.get("max_depth")))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("spectral_flow", "maslov_pair"):
+        monkeypatch.setattr(hamiltonian, name, spy(getattr(hamiltonian, name)))
+    g1, g2 = random_pair(np.random.default_rng(13), 1)
+    S = SymmetricFamily.constant(0.3 * np.eye(2))
+    alpha = PiecewiseLinear([0.0, 1.0], [0.25, 0.0])
+    beta = PiecewiseLinear([0.0, 1.0], [0.25, 1.0])
+    terms = ["term_end", "term_pair", "term_start"]
+    cases = [
+        (lambda: clm_hamiltonian(S, g1, g2), ["maslov_transported"]),
+        (lambda: three_term_identity(S, g1, g2), terms),
+        (lambda: alpha_beta_identity(S, g1, g2, alpha, beta), terms),
+        (lambda: morse_index_formula(S), ["maslov_transported"]),
+    ]
+    for run, names in cases:
+        calls.clear()
+        report = run()
+        expected = [("spectral_flow", False, MAX_DEPTH)] + [("maslov_pair", False, MAX_DEPTH)] * len(names)
+        assert calls == expected
+        rhs = ["rhs"] if len(names) > 1 else []
+        assert sorted(report.values) == sorted(["spectral_flow"] + names + rhs)
 
 
 @pytest.mark.xfail(

@@ -22,6 +22,7 @@ from maslovflow import (
     conjugation_spectrum_check,
     discretized_gap_diagnostic,
     eigen_detector,
+    fundamental_solution,
     gamma_nor,
     gamma_nor_prime,
     intersection_dimension,
@@ -748,6 +749,30 @@ def test_spectrum_window_rejects_a_lambda_array_of_two_dimensions():
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     with pytest.raises(ValueError, match="1-D"):
         spectrum_window(fam, [[0.1, 0.2], [0.3, 0.4]], -1.4, 1.4)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda fam: spectrum_window(fam, np.nan, -1.0, 1.0), "lam must be finite"),
+        (lambda fam: spectrum_window(fam, [0.2, np.inf], -1.0, 1.0), "lam must be finite"),
+        (lambda fam: spectrum_window(fam, 0.3, -np.inf, 1.0), "mu_min must be finite"),
+        (lambda fam: spectrum_window(fam, 0.3, -1.0, np.nan), "mu_max must be finite"),
+        (lambda fam: spectrum_window(fam, [0.2, 0.3], [-1.0, np.nan], 1.0), "mu_min must be finite"),
+        (lambda fam: spectral_flow(fam, base_grid=[0.0, np.nan, 1.0]), "base_grid must be finite"),
+        (lambda fam: spectral_flow(fam, base_grid=[[0.0, 1.0]]), "base_grid must be a scalar or a 1-D"),
+        (lambda fam: fundamental_solution(fam.S, np.zeros((2, 2)), 64), "lam must be a scalar or a 1-D"),
+        (lambda fam: fundamental_solution(fam.S, np.zeros((2, 3)), 64), "lam must be a scalar or a 1-D"),
+        (lambda fam: fundamental_solution(fam.S, [0.5, np.nan], 64), "lam must be finite"),
+    ],
+    ids=["nan-lam", "inf-in-lams", "inf-mu-min", "nan-mu-max", "nan-in-edges", "nan-in-base-grid",
+         "2-d-base-grid", "2x2-lams", "2x3-lams", "nan-in-solution-lams"],
+)
+def test_public_calls_reject_a_non_finite_or_misshaped_lambda_or_window_edge(call, match):
+    S = SymmetricFamily.constant(0.3 * np.eye(2))
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)), S)
+    with pytest.raises(ValueError, match=match):
+        call(fam)
 
 
 # (seed, n, k, Maslov index) of random pairs at S = 0 whose eigenvalue
