@@ -21,6 +21,11 @@ coefficients, the table T[j][i], are built once per family from the same
 stage formulas applied to arrays indexed by the powers of mu and lambda; a
 lambda's C_kj is then one product of its lambda-powers with T[j], and the
 steps for a batch of mu one matrix product of the mu-powers with C.
+
+For t-independent K the flow is exp(K) exactly; expm_stack forms it for a
+whole stack of generators at once by Higham's degree-13 Pade approximant with
+scaling and squaring, each matrix scaled by its own power of two, so every
+matrix comes out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -30,6 +35,15 @@ import numpy as np
 # steps of the coefficient table built together: the stage arrays of one
 # chunk are the build's only temporaries
 _TABLE_CHUNK = 32
+# numerator coefficients b_0 ... b_13 of the degree-13 Pade approximant of
+# exp, and the 1-norm up to which it is accurate to double precision without
+# scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 def rk4_step_propagators(nodes: np.ndarray, mids: np.ndarray, h: float) -> np.ndarray:
@@ -128,4 +142,31 @@ def prefix_products(P: np.ndarray) -> np.ndarray:
     while off < X.shape[-3]:
         X[..., off:, :, :] = X[..., off:, :, :] @ X[..., :-off, :, :]
         off *= 2
+    return X
+
+
+def expm_stack(A: np.ndarray) -> np.ndarray:
+    """exp(A[i]) for each matrix of a stack A, shape (m, d, d), by scaling and
+    squaring with the degree-13 Pade approximant.
+
+    Matrix i is scaled by 2^-s_i, s_i = max(0, ceil(log2(||A_i||_1 / theta_13))),
+    taken from frexp so that it is exact.  U and V are formed for the whole
+    stack, exp = (V - U)^-1 (V + U) by one batched solve, and squaring round k
+    squares only the matrices with s_i > k, so no matrix depends on the others.
+    """
+    A = np.asarray(A, dtype=float)
+    mant, e = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(e - (mant == 0.5), 0)
+    A = np.ldexp(A, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    X = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        X[sq] = X[sq] @ X[sq]
     return X

@@ -4,9 +4,10 @@ Eigenvalues are counted, then located, by transfer-matrix shooting: mu is in
 the spectrum of A_lambda exactly when the propagated subspace
 Phi_{lambda,mu}(1) gamma_1(lambda) meets gamma_2(lambda).  For S identically
 zero the transfer matrix is the closed-form rotation exp(-mu J), and for
-t-independent S it is one matrix exponential per mu, so those spectra carry no
-RK4 error.  Otherwise Phi(1) is the ordered product of the RK4 one-step
-propagators (see propagator.py).  Each is a polynomial of degree 4 in mu whose
+t-independent S the exponentials at all its mu come from one stacked Pade
+kernel (expm_stack in propagator.py), so those spectra carry no RK4 error.
+Otherwise Phi(1) is the ordered product of the RK4 one-step propagators (see
+propagator.py).  Each is a polynomial of degree 4 in mu whose
 coefficients are polynomials in lambda, tabulated once per family; a lambda's
 coefficients are one product of its lambda-powers with that table, and the
 steps for a chunk of (mu, lambda) pairs are one matrix product with the
@@ -45,7 +46,7 @@ import scipy.linalg
 
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
-from .propagator import ordered_product, rk4_step_coefficients, rk4_steps_at
+from .propagator import expm_stack, ordered_product, rk4_step_coefficients, rk4_steps_at
 from .symplectic import gap_distance, souriau_stack, standard_J, subspace_frame
 
 MU_TOL = 1e-10
@@ -239,7 +240,7 @@ class BoundaryValueFamily:
             return np.cos(mus)[:, None, None] * eye - np.sin(mus)[:, None, None] * self._J
         if self._t_const:
             # constant-coefficient system: exact matrix exponential, no drift
-            return scipy.linalg.expm(sl.coeff[at] - mus[:, None, None] * self._J)
+            return expm_stack(sl.coeff[at] - mus[:, None, None] * self._J)
         return _rk4_transfer_batch(sl.coeff, mus, at)
 
     def transfer(self, lam: float, mu: float) -> np.ndarray:
@@ -313,6 +314,15 @@ def _finite_1d(x, name: str) -> np.ndarray:
     return x
 
 
+def _edges(x, name: str, count: int) -> np.ndarray:
+    """The window edges x, given as a scalar or as one per lambda, as one per
+    lambda; an array of any other length is rejected."""
+    x = _finite_1d(x, name)
+    if x.ndim and x.size != count:
+        raise ValueError(f"{name} has {x.size} edges for {count} lambdas")
+    return np.full(count, x)
+
+
 def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
 
@@ -344,8 +354,8 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     """
     lam = _finite_1d(lam, "lam")
     lams = np.atleast_1d(lam)
-    los = np.full(lams.shape, _finite_1d(mu_min, "mu_min"))
-    his = np.full(lams.shape, _finite_1d(mu_max, "mu_max"))
+    los = _edges(mu_min, "mu_min", lams.size)
+    his = _edges(mu_max, "mu_max", lams.size)
     if not np.all(los < his):
         raise ValueError("empty mu-window")
     if not tol > 0:

@@ -7,6 +7,10 @@ table of the propagators' coefficients as polynomials in mu and lambda,
 fundamental solutions from the propagators themselves.  Both are checked
 against code that is not maslovflow: scipy's DOP853 integrator and a plain
 RK4 loop that lives only in this file.
+
+Shooting with t-independent S uses the stacked Pade exponential expm_stack
+instead; it is checked against closed forms and scipy's expm, and the Maslov
+side must keep scipy's expm so that the two pipelines share no exponential.
 """
 
 import numpy as np
@@ -18,19 +22,24 @@ from maslovflow import (
     BoundaryValueFamily,
     ConstantPath,
     SymmetricFamily,
+    SymplecticActionPath,
     fundamental_solution,
     gamma_nor,
     l1_frame,
+    maslov_pair,
+    spectrum_window,
     standard_J,
 )
+from maslovflow import propagator, specflow
 from maslovflow.propagator import (
+    expm_stack,
     ordered_product,
     prefix_products,
     rk4_step_coefficients,
     rk4_step_propagators,
     rk4_steps_at,
 )
-from maslovflow.suites import random_symmetric_family
+from maslovflow.suites import random_action, random_lagrangian_frame, random_symmetric, random_symmetric_family
 
 
 def _family(n: int, seed: int) -> SymmetricFamily:
@@ -284,8 +293,94 @@ def test_transfer_batch_expm_branch_matches_per_mu():
     coeffs = np.zeros((2, 1, 2 * n, 2 * n))
     coeffs[1, 0] = 5.0 * np.eye(2 * n)
     fam = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+    # K0 - mu J = (4 - mu) J at lambda = 0.8, and exp(theta J) is the
+    # rotation cos(theta) I + sin(theta) J
     mus = np.linspace(-11.0, 11.0, 9)
-    K0 = standard_J(n) @ fam.S(0.8, 0.0)
     J = standard_J(n)
     for mu, Phi in zip(mus, _transfer_stack(fam, 0.8, mus)):
-        assert _rel(Phi, scipy.linalg.expm(K0 - mu * J)) < 1e-14
+        theta = 4.0 - mu
+        assert _rel(Phi, np.cos(theta) * np.eye(2 * n) + np.sin(theta) * J) < 1e-14
+
+
+def test_expm_stack_matrices_do_not_depend_on_the_stack():
+    # 1-norms from 1e-3 to 40, so the scaling power runs from 0 to 3 within
+    # the stack: each matrix is the same bits alone and in any sub-stack
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(24, 4, 4))
+    A *= (np.geomspace(1e-3, 40.0, 24) / np.abs(A).sum(axis=1).max(axis=1))[:, None, None]
+    X = expm_stack(A)
+    for i in range(len(A)):
+        assert np.array_equal(X[i], expm_stack(A[i : i + 1])[0])
+    for part in (slice(3, 17), slice(None, None, 3), slice(None, None, -1)):
+        assert np.array_equal(X[part], expm_stack(A[part]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expm_stack_of_a_rotation_generator(n):
+    # exp(theta J) = cos(theta) I + sin(theta) J; squaring a large |theta| in
+    # from theta_13 costs about |theta| eps
+    J = standard_J(n)
+    theta = np.concatenate([np.geomspace(1e-3, 1e3, 31), -np.geomspace(1e-3, 1e3, 31), [0.0]])
+    exact = np.cos(theta)[:, None, None] * np.eye(2 * n) + np.sin(theta)[:, None, None] * J
+    err = np.max(np.abs(expm_stack(theta[:, None, None] * J) - exact), axis=(1, 2))
+    assert np.all(err < 1e-15 * np.maximum(1.0, np.abs(theta)))
+
+
+def test_expm_stack_of_a_hyperbolic_and_a_nilpotent_generator():
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    t = np.array([1e-3, 0.5, -0.5, 3.0, -3.0, 10.0, -10.0, 30.0, -30.0])
+    exact = np.cosh(t)[:, None, None] * np.eye(2) + np.sinh(t)[:, None, None] * X
+    for E, ref in zip(expm_stack(t[:, None, None] * X), exact):
+        assert _rel(E, ref) < 1e-13
+    # strictly upper triangular 3x3: N^3 = 0, so exp(N) = I + N + N^2 / 2
+    N = np.triu(np.random.default_rng(3).normal(size=(20, 3, 3)), 1)
+    N *= np.geomspace(1e-3, 40.0, 20)[:, None, None]
+    for E, Nk in zip(expm_stack(N), N):
+        assert _rel(E, np.eye(3) + Nk + Nk @ Nk / 2.0) < 1e-14
+
+
+def test_expm_stack_agrees_with_scipy_on_hamiltonian_matrices():
+    # J S for 200 random symmetric S, 1-norms up to about 9: the largest
+    # relative 2-norm difference from scipy is 1.3e-13, most are below 1e-15
+    rng = np.random.default_rng(7)
+    for k in range(200):
+        n = 1 + k % 3
+        H = standard_J(n) @ random_symmetric(rng, 2 * n, 1.0)
+        ref = scipy.linalg.expm(H)
+        assert np.linalg.norm(expm_stack(H[None])[0] - ref, 2) < 5e-13 * np.linalg.norm(ref, 2)
+
+
+def test_expm_stack_of_an_empty_stack():
+    assert expm_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("this pipeline must not call this exponential")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shooting_does_not_call_scipy_expm(monkeypatch, n):
+    # t-independent shooting runs on expm_stack alone
+    monkeypatch.setattr(scipy.linalg, "expm", _raise)
+    wall = ConstantPath(l1_frame(n))
+    coeffs = np.zeros((2, 1, 2 * n, 2 * n))
+    coeffs[1, 0] = 5.0 * np.eye(2 * n)
+    walls = BoundaryValueFamily(wall, wall, SymmetricFamily(coeffs))
+    S = random_symmetric_family(np.random.default_rng(n), n, 2, 0, 2.0)
+    for fam in (walls, BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S)):
+        assert fam.S.t_independent()
+        assert spectrum_window(fam, np.array([0.1, 0.7]), -3.0, 3.0)[0].eigenvalues
+        assert np.isfinite(fam.transfer(0.4, 1.3)).all()
+
+
+def test_maslov_side_does_not_call_expm_stack(monkeypatch):
+    # symplectic actions and t-independent fundamental solutions keep scipy's expm
+    monkeypatch.setattr(propagator, "expm_stack", _raise)
+    monkeypatch.setattr(specflow, "expm_stack", _raise)
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        g1 = SymplecticActionPath(random_action(rng, n), random_lagrangian_frame(rng, n))
+        g2 = SymplecticActionPath(random_action(rng, n), random_lagrangian_frame(rng, n))
+        assert isinstance(maslov_pair(g1, g2), int)
+        S = random_symmetric_family(rng, n, 1, 0, 2.0)
+        assert np.isfinite(fundamental_solution(S, 0.3, steps=64).end()).all()

@@ -775,6 +775,21 @@ def test_public_calls_reject_a_non_finite_or_misshaped_lambda_or_window_edge(cal
         call(fam)
 
 
+@pytest.mark.parametrize(
+    "lam, mu_min, mu_max, match",
+    [
+        ([0.2, 0.3], [-1.0, -1.0, -1.0], 1.0, "mu_min has 3 edges for 2 lambdas"),
+        (0.2, [-1.0, -1.0], 1.0, "mu_min has 2 edges for 1 lambdas"),
+        ([0.2, 0.3], -1.0, [1.0], "mu_max has 1 edges for 2 lambdas"),
+    ],
+    ids=["3-lo-for-2", "2-lo-for-scalar", "1-hi-for-2"],
+)
+def test_spectrum_window_rejects_an_edge_count_unlike_the_lambda_count(lam, mu_min, mu_max, match):
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    with pytest.raises(ValueError, match=match):
+        spectrum_window(fam, lam, mu_min, mu_max)
+
+
 # (seed, n, k, Maslov index) of random pairs at S = 0 whose eigenvalue
 # branches are dense enough to fool the spectral flow's motion test
 _DENSE_BRANCH_DRAWS = [(2006, 6, 3, -2), (2007, 7, 12, -1), (2003, 3, 9, 3), (106, 6, 2, -8)]
