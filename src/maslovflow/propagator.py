@@ -19,8 +19,11 @@ C_k4 = (h^4/24) D^4.  With K = sum_i lambda^i K_i(t) a polynomial of degree
 L - 1 in lambda, each C_kj is one of degree (4 - j)(L - 1) in lambda.  Its
 coefficients, the table T[j][i], are built once per family from the same
 stage formulas applied to arrays indexed by the powers of mu and lambda; a
-lambda's C_kj is then one product of its lambda-powers with T[j], and the
-steps for a batch of mu one matrix product of the mu-powers with C.
+lambda's C_kj is then one product of its lambda-powers with T[j].  Once per
+lambda, paired_steps multiplies each two consecutive steps out exactly, as
+polynomials of degree 8 in mu, so a batch of mu evaluates and multiplies
+half as many propagators: its steps are one matrix product of the mu-powers
+with the paired coefficients.
 
 For t-independent K the flow is exp(K) exactly; expm_stack forms it for a
 whole stack of generators at once by Higham's degree-13 Pade approximant with
@@ -114,11 +117,33 @@ def rk4_step_coefficients(nodes: np.ndarray, mids: np.ndarray, h: float, D: np.n
     return tuple(T)
 
 
+def paired_steps(C: np.ndarray) -> np.ndarray:
+    """Coefficients in mu of the products P_{2k+1}(mu) P_{2k}(mu) of
+    consecutive steps, from the steps' coefficients C, shape (J, N, d, d):
+    out[c, k] = sum_{a+b=c} C[a, 2k+1] @ C[b, 2k], shape
+    (2J - 1, ceil(N / 2), d, d).  An odd last step is kept alone, with its
+    coefficients above degree J - 1 zero.
+    """
+    J, N = C.shape[:2]
+    M = N // 2
+    out = np.zeros((2 * J - 1, N - M) + C.shape[2:])
+    for a in range(J):
+        out[a : a + J, :M] += C[a, 1 : 2 * M : 2] @ C[:, 0 : 2 * M : 2]
+    out[:J, M:] = C[:, 2 * M :]
+    return out
+
+
 def rk4_steps_at(C: np.ndarray, mus: np.ndarray) -> np.ndarray:
     """The step propagators sum_j C[j] mu^j for each mu, shape (m, N, d, d),
-    as one matrix product of the (m, 5) mu-powers with C."""
-    powers = np.asarray(mus, dtype=float)[:, None] ** np.arange(C.shape[0])
-    return (powers @ C.reshape(C.shape[0], -1)).reshape((len(powers),) + C.shape[1:])
+    as one matrix product of the (m, J) mu-powers with C.
+
+    numpy multiplies a single row as a matrix-vector product, which rounds
+    apart from the same row in a longer batch, so one mu is evaluated as a
+    batch of two and every row comes out as in any batch.
+    """
+    mus = np.asarray(mus, dtype=float)
+    powers = (mus.repeat(2) if len(mus) == 1 else mus)[:, None] ** np.arange(C.shape[0])
+    return (powers @ C.reshape(C.shape[0], -1))[: len(mus)].reshape((len(mus),) + C.shape[1:])
 
 
 def ordered_product(P: np.ndarray) -> np.ndarray:

@@ -9,9 +9,11 @@ kernel (expm_stack in propagator.py), so those spectra carry no RK4 error.
 Otherwise Phi(1) is the ordered product of the RK4 one-step propagators (see
 propagator.py).  Each is a polynomial of degree 4 in mu whose
 coefficients are polynomials in lambda, tabulated once per family; a lambda's
-coefficients are one product of its lambda-powers with that table, and the
-steps for a chunk of (mu, lambda) pairs are one matrix product with the
-mu-powers per lambda in the chunk, multiplied pairwise in log depth.
+coefficients are one product of its lambda-powers with that table, and each
+two consecutive steps are multiplied out once per lambda into one polynomial
+of degree 8 in mu.  The paired steps for a chunk of (mu, lambda) pairs are
+one matrix product with the mu-powers per lambda in the chunk, multiplied
+pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
@@ -39,6 +41,7 @@ consistency check.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +49,7 @@ import scipy.linalg
 
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
-from .propagator import expm_stack, ordered_product, rk4_step_coefficients, rk4_steps_at
+from .propagator import expm_stack, ordered_product, paired_steps, rk4_step_coefficients, rk4_steps_at
 from .symplectic import gap_distance, souriau_stack, standard_J, subspace_frame
 
 MU_TOL = 1e-10
@@ -64,17 +67,18 @@ MAX_DEPTH = 40
 # product from the coefficients, chunks of 16 matched or beat 4, 8, 32 and the
 # whole batch for batches of 2-250 mu at one lambda, 256 steps, n = 1 and 2
 # (2-vCPU Xeon, 4 MB L2, one BLAS thread: 250 mu at n = 2 in 3.2 ms against
-# 7.6 ms for chunks of 4 and 4.4 ms for the whole batch); 16 pairs keep the
-# steps near 0.5 MB at n = 2.  Pairs of several lambdas are sorted by lambda
-# and chunked the same way, each chunk's steps built from one matrix product
-# per lambda in it
+# 7.6 ms for chunks of 4 and 4.4 ms for the whole batch; measured before the
+# steps were paired, and on paired steps chunks of 32 were within the noise
+# of 16); 16 pairs keep their 128 paired steps each near 0.26 MB at n = 2.
+# Pairs of several lambdas are sorted by lambda and chunked the same way,
+# each chunk's steps built from one matrix product per lambda in it
 _MU_CHUNK = 16
 # lambdas whose windows spectrum_window locates together: the family builds
 # the slices of a whole stack at once, and at 256 steps and n = 2 each holds
-# 164 KB of RK4 coefficients (1.5 MB at 1024 steps and n = 3), its lambda's
-# products with the family's table, so a longer lambda grid is located in
-# stacks of this many; 32 covers the first level of a spectral flow on the
-# default grid of 17 steps
+# 147 KB of paired RK4 coefficients (1.3 MB at 1024 steps and n = 3), built
+# from its lambda's products with the family's table, so a longer lambda grid
+# is located in stacks of this many; 32 covers the first level of a spectral
+# flow on the default grid of 17 steps
 _STACK = 32
 # rows of the bracket table of the eigenvalue locator in spectrum_window, one
 # column per bracket: its ends, its eigenvalue count, the eigenphase sum at
@@ -84,9 +88,10 @@ _STACK = 32
 _LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN = range(9)
 # equal widening of both window edges per retry in _clean_windows
 _EDGE_NUDGE = 0.0137
-# the RK4 coefficient table of the latest (S, steps), as (S, steps, table):
-# one slot for the whole process, since a table kept per family would live as
-# long as its family (0.82 MB at n = 2, d_lambda = 2 and 256 steps)
+# the RK4 coefficient table of the latest (S, steps), as (weak reference to
+# S, steps, table): one slot for the whole process, since a table kept per
+# family would live as long as its family (0.82 MB at n = 2, d_lambda = 2 and
+# 256 steps), and emptied when S is collected
 _table: tuple | None = None
 
 
@@ -110,9 +115,10 @@ class _Slices:
     first axis, built once per set.
 
     coeff is None for S = 0, the generators J S(lambda, 0) for t-independent
-    S, and otherwise the coefficients (5, steps, 2n, 2n) of the RK4 step
-    propagators as polynomials in mu, per lambda, from the family's table
-    (see rk4_step_coefficients).
+    S, and otherwise the coefficients (9, ceil(steps / 2), 2n, 2n) of the
+    products of consecutive RK4 step propagators as polynomials in mu, per
+    lambda, paired from its coefficients in the family's table (see
+    rk4_step_coefficients and paired_steps).
     """
 
     F1: np.ndarray
@@ -125,23 +131,32 @@ def _coefficient_table(S: SymmetricFamily, steps: int) -> tuple:
     """The RK4 coefficient table of Phi' = (J S(lambda, t) - mu J) Phi (see
     rk4_step_coefficients), built once for the latest (S, steps)."""
     global _table
-    if _table is None or _table[0] is not S or _table[1] != steps:
+    if _table is None or _table[0]() is not S or _table[1] != steps:
         _table = None  # free the old table before building the new
         h = 1.0 / steps
         ts = np.linspace(0.0, 1.0, steps + 1)
         J = standard_J(S.n)
         K = J @ S.lambda_coefficients(np.concatenate([ts, ts[:-1] + 0.5 * h]))
-        _table = (S, steps, rk4_step_coefficients(K[:, : steps + 1], K[:, steps + 1 :], h, -J))
+        T = rk4_step_coefficients(K[:, : steps + 1], K[:, steps + 1 :], h, -J)
+        _table = (weakref.ref(S, _release_table), steps, T)
     return _table[2]
+
+
+def _release_table(ref) -> None:
+    """Empty the table slot once the family it was built for is collected."""
+    global _table
+    if _table is not None and _table[0] is ref:
+        _table = None
 
 
 def _rk4_transfer_batch(C, mus, at):
     """Propagate Phi' = (JS(t) - mu J) Phi from identity, batched over mu, from
-    the stacked coefficients C of the RK4 step propagators as polynomials in
-    mu of several lambdas, at[i] being the position of mu[i]'s lambda.
+    the stacked coefficients C of the paired RK4 step propagators as
+    polynomials in mu of several lambdas, at[i] being the position of mu[i]'s
+    lambda.
 
-    The pairs are taken in order of lambda, so that a chunk builds its steps
-    from one matrix product per run of one lambda in it.
+    The (mu, lambda) pairs are taken in order of lambda, so that a chunk
+    builds its steps from one matrix product per run of one lambda in it.
     """
     order = np.argsort(at, kind="stable")
     mus, at = mus[order], at[order].tolist()
@@ -182,10 +197,11 @@ class BoundaryValueFamily:
         # only the latest lambda set's slices are kept, with its sorted
         # lambdas, one lambda alone being a set of one: the detector is
         # called for the lambdas of one stack of at most _STACK windows at a
-        # time, spectral_flow caches the windows, and a slice holds the five
-        # RK4 coefficient arrays (164 KB at 256 steps and n = 2), too much to
-        # keep for every lambda ever seen; the family's table, from which
-        # they are rebuilt by one product per power of mu, is kept apart
+        # time, spectral_flow caches the windows, and a slice holds the nine
+        # coefficient arrays of the paired RK4 steps (147 KB at 256 steps and
+        # n = 2), too much to keep for every lambda ever seen; the family's
+        # table, from which they are rebuilt by one product per power of mu
+        # and one pairing, is kept apart
         self._last: tuple | None = None
         self._t_const = self.S is not None and self.S.t_independent()
 
@@ -210,14 +226,16 @@ class BoundaryValueFamily:
         elif self._t_const:
             coeff = self._J @ self.S(lams, 0.0)
         else:
-            # one product of a lambda's powers with the table per lambda and
-            # power of mu, one row each, so no lambda's depend on the others
+            # one product of a lambda's powers with the table per power of
+            # mu, one row each, then its steps paired into its own slot: no
+            # lambda's depend on the others, and the unpaired coefficients
+            # of one lambda at a time are held
             T = _coefficient_table(self.S, self.steps)
-            coeff = np.empty((len(lams), 5, T[0][0].size))
-            pows = lams[:, None, None] ** np.arange(len(T[0]))
-            for j, Tj in enumerate(T):
-                np.matmul(pows[..., : len(Tj)], Tj.reshape(len(Tj), -1), out=coeff[:, j, None])
-            coeff = coeff.reshape((len(lams), 5) + T[0].shape[1:])
+            coeff = np.empty((len(lams), 2 * len(T) - 1, (self.steps + 1) // 2) + T[0].shape[2:])
+            for i, lam in enumerate(lams.tolist()):
+                pows = lam ** np.arange(len(T[0]), dtype=float)
+                C = np.stack([pows[: len(Tj)] @ Tj.reshape(len(Tj), -1) for Tj in T])
+                coeff[i] = paired_steps(C.reshape((len(T),) + T[0].shape[1:]))
         return _Slices(self.gamma1.frames(lams), F2, souriau_stack(F2).conj(), coeff)
 
     def _slices(self, lams: np.ndarray):

@@ -4,7 +4,8 @@ Shooting (BoundaryValueFamily.transfer and its batches) and the Maslov side
 of the Hamiltonian identities (fundamental_solution, FundamentalSolution.at)
 build their solutions from the same RK4 stage formulas: shooting from a
 table of the propagators' coefficients as polynomials in mu and lambda,
-fundamental solutions from the propagators themselves.  Both are checked
+each two consecutive steps multiplied out once per lambda, fundamental
+solutions from the propagators themselves.  Both are checked
 against code that is not maslovflow: scipy's DOP853 integrator and a plain
 RK4 loop that lives only in this file.
 
@@ -34,6 +35,7 @@ from maslovflow import propagator, specflow
 from maslovflow.propagator import (
     expm_stack,
     ordered_product,
+    paired_steps,
     prefix_products,
     rk4_step_coefficients,
     rk4_step_propagators,
@@ -210,10 +212,11 @@ def test_slice_coefficients_do_not_depend_on_the_stack(deg_l):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("steps", [100, 257])
+@pytest.mark.parametrize("steps", [17, 100, 255, 257])
 def test_shooting_batch_against_solve_ivp(n, steps):
-    # BoundaryValueFamily shoots from the coefficients of its lambda slice;
-    # |mu| stays in the range the error bound was set for
+    # BoundaryValueFamily shoots from the coefficients of its lambda slice,
+    # an odd last step propagated alone; |mu| stays in the range the error
+    # bound was set for
     S = _family(n, seed=50 + n)
     J = standard_J(n)
     fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), S, steps=steps)
@@ -285,6 +288,48 @@ def test_transfer_batch_independent_of_batch_size():
     batch = _transfer_stack(fam, 0.6, mus)
     for mu, Phi in zip(mus, batch):
         assert _rel(Phi, fam.transfer(0.6, mu)) < 1e-14
+
+
+def _lambda_coefficients(S, steps, lam):
+    """The mu-coefficients (5, steps, 2n, 2n) of the RK4 steps of
+    J S(lam, t) - mu J, read off the family's table at lam."""
+    T = rk4_step_coefficients(*_samples(S, steps), 1.0 / steps, -standard_J(S.n))
+    return np.stack([np.tensordot(lam ** np.arange(len(Tj)), Tj, axes=1) for Tj in T])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("steps", [16, 17, 255, 256])
+def test_paired_steps_equal_the_sequential_product(n, steps):
+    # the paired polynomial at mu is P_{2k+1}(mu) P_{2k}(mu), and an odd last
+    # step is kept alone with its higher coefficients zero
+    S = random_symmetric_family(np.random.default_rng(7 * n + steps), n, 2, 2, 2.0)
+    C = _lambda_coefficients(S, steps, 0.63)
+    pairs = paired_steps(C)
+    M = steps // 2
+    assert pairs.shape == (9, (steps + 1) // 2, 2 * n, 2 * n)
+    mus = np.random.default_rng(steps).uniform(-12.0, 12.0, size=5)
+    P, Q = rk4_steps_at(C, mus), rk4_steps_at(pairs, mus)
+    assert _rel(Q[:, :M], P[:, 1 : 2 * M : 2] @ P[:, 0 : 2 * M : 2]) < 1e-14
+    if steps % 2:
+        assert np.array_equal(pairs[:5, M], C[:, -1]) and not pairs[5:, M].any()
+        assert _rel(Q[:, M], P[:, -1]) < 1e-15
+
+
+def test_paired_rows_do_not_depend_on_the_batch():
+    # one mu is evaluated as a row of a batch, so each row of the steps and
+    # of the transfer matrices is the same bits in batches of 1 to 16 rows
+    n = 2
+    fam = BoundaryValueFamily(gamma_nor(n), ConstantPath(l1_frame(n)), _family(n, seed=5))
+    C = fam._build(np.array([0.6])).coeff
+    mus = np.random.default_rng(11).uniform(-6.0, 6.0, size=16)
+    at = np.zeros(16, dtype=int)
+    steps = rk4_steps_at(C[0], mus)
+    Phi = specflow._rk4_transfer_batch(C, mus, at)
+    for m in range(1, 17):
+        for s in (0, 16 - m):
+            rows = slice(s, s + m)
+            assert np.array_equal(rk4_steps_at(C[0], mus[rows]), steps[rows])
+            assert np.array_equal(specflow._rk4_transfer_batch(C, mus[rows], at[rows]), Phi[rows])
 
 
 def test_transfer_batch_expm_branch_matches_per_mu():

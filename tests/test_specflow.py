@@ -6,6 +6,7 @@ stationary branches at pi/2 + k pi have multiplicity n - 1, and the families
 merge at the endpoints.
 """
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -700,9 +701,23 @@ def test_t_dependent_spectral_flow_builds_one_coefficient_table(monkeypatch):
         evals.clear()
         S = SymmetricFamily(coeffs)
         result = spectral_flow(BoundaryValueFamily(g1, g2, S), base_grid=grid)
-        assert len(builds) == 1 and specflow._table[0] is S
+        assert len(builds) == 1 and specflow._table[0]() is S
         seen.append((len(evals), len(result.partition)))
     assert seen[0][0] == seen[1][0] and seen[0][1] < seen[1][1]
+
+
+def test_coefficient_table_is_released_with_its_family():
+    # the table slot holds its family's S weakly: once the family is
+    # collected, its table goes with it
+    rng = np.random.default_rng(12)
+    g1, g2 = random_pair(rng, 2)
+    S = random_symmetric_family(rng, 2, 2, 2, 1.5)
+    fam = BoundaryValueFamily(g1, g2, S)
+    fam.transfer(0.3, 0.5)
+    assert specflow._table[0]() is S
+    del fam, S
+    gc.collect()
+    assert specflow._table is None
 
 
 def test_edge_eigenvalues_are_listed_across_stacks():
