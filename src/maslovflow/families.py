@@ -50,9 +50,14 @@ class SymmetricFamily:
     def __call__(self, lam, t) -> np.ndarray:
         """S_lambda(t), shape t.shape + (2n, 2n) for a scalar lambda and
         (m,) + t.shape + (2n, 2n) for a 1-D array of m lambdas; each matrix of
-        a lambda array is bit for bit that of its lambda alone."""
+        a lambda array is bit for bit that of its lambda alone, and each
+        matrix of a t array that of its t alone."""
         t = np.asarray(t, dtype=float)
-        t_pows = t[..., None] ** np.arange(self.coeffs.shape[1])
+        # numpy multiplies a single row of t powers as a matrix-vector
+        # product, which rounds apart from the same row in a longer batch, so
+        # one t is evaluated as a batch of two
+        rows = t.reshape(-1, 1)
+        t_pows = (rows.repeat(2, axis=0) if len(rows) == 1 else rows) ** np.arange(self.coeffs.shape[1])
         # one row of lambda powers per matrix product, so that no lambda's
         # matrices depend on the others (a multi-row product rounds apart);
         # a scalar lambda is a stack of one
@@ -60,8 +65,7 @@ class SymmetricFamily:
         lam_pows = np.atleast_1d(lam)[:, None, None] ** np.arange(self.coeffs.shape[0])
         ct = lam_pows @ self.coeffs.reshape(self.coeffs.shape[0], -1)
         ct = ct.reshape((len(lam_pows), self.coeffs.shape[1], -1))
-        out = t_pows.reshape(-1, self.coeffs.shape[1]) @ ct
-        out = out.reshape((len(lam_pows),) + t.shape + self.coeffs.shape[2:])
+        out = (t_pows @ ct)[:, : t.size].reshape((len(lam_pows),) + t.shape + self.coeffs.shape[2:])
         return out if lam.ndim else out[0]
 
     def lambda_coefficients(self, t) -> np.ndarray:

@@ -17,7 +17,11 @@ pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
-taken in [0, 2pi) jumps by 2pi per eigenvalue.  spectrum_window scans and
+taken in [0, 2pi) jumps by 2pi per eigenvalue.  The detector never forms C:
+with Phi(1) F1 = Q R, one QR per mu, the n x n matrix V = U_Q^* U_2 is read
+off Q^T [F2 | J F2], C is similar to conj(V^T V), and the determinant
+sign(det R) det(Q^T J F2) keeps no trace of the column signs the QR picks, so
+it is continuous in mu.  spectrum_window scans and
 narrows the windows at up to 32 lambdas together, batching the detector over
 mu and lambda, and each window comes out exactly as it would alone; a scalar
 lambda is a stack of one, and the detector takes one lambda per mu.  Every
@@ -50,7 +54,7 @@ import scipy.linalg
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import expm_stack, ordered_product, paired_steps, rk4_step_coefficients, rk4_steps_at
-from .symplectic import gap_distance, souriau_stack, standard_J, subspace_frame
+from .symplectic import gap_distance, standard_J, subspace_frame
 
 MU_TOL = 1e-10
 _SF_WINDOW = 1.45
@@ -122,8 +126,7 @@ class _Slices:
     """
 
     F1: np.ndarray
-    F2: np.ndarray
-    W2_conj: np.ndarray  # conj of the Souriau matrices W = U U^T of gamma_2
+    F2J: np.ndarray  # [F2 | J F2], F2 the frames of gamma_2, shape (m, 2n, 2n)
     coeff: object
 
 
@@ -236,7 +239,7 @@ class BoundaryValueFamily:
                 pows = lam ** np.arange(len(T[0]), dtype=float)
                 C = np.stack([pows[: len(Tj)] @ Tj.reshape(len(Tj), -1) for Tj in T])
                 coeff[i] = paired_steps(C.reshape((len(T),) + T[0].shape[1:]))
-        return _Slices(self.gamma1.frames(lams), F2, souriau_stack(F2).conj(), coeff)
+        return _Slices(self.gamma1.frames(lams), np.concatenate([F2, self._J @ F2], axis=2), coeff)
 
     def _slices(self, lams: np.ndarray):
         """The slices of the latest lambda set that holds every one of lams,
@@ -269,19 +272,30 @@ class BoundaryValueFamily:
         an array shaped like mus, at one lambda per mu.
 
         Returns (g, dets, phase_sums): the smallest singular value of
-        [frame(Phi gamma_1) | frame(gamma_2)] per mu, the signed determinant
-        det(Q^T J F2) vanishing exactly on the spectrum, and the sum of the
-        eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in [0, 2pi).
+        [frame(Phi gamma_1) | frame(gamma_2)] per mu, a signed determinant
+        vanishing exactly on the spectrum and continuous in mu, and the sum
+        of the eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in
+        [0, 2pi).
+
+        Per mu this is one QR, Phi F1 = Q R, one product A = Q^T [F2 | J F2]
+        and one n x n eigenproblem.  The determinant is sign(det R)
+        det(Q^T J F2) = det((Phi F1)^T J F2) / |det R|, which does not depend
+        on the signs the QR gives Q's columns, so it is continuous in mu.
+        V = A[:, :n] - i A[:, n:] is U_Q^* U_2, U = X + iY being the complex
+        block of a frame [X; Y], and C is similar to conj(V^T V): U_2^* C U_2
+        = V^* conj(V), which needs only U_2 unitary, so it holds while RK4
+        drift leaves Q slightly off Lagrangian.  The eigenphases of C are
+        those of V^T V negated.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         sl, at = self._slices(np.full(mus.shape, lam, dtype=float))
-        Phi = self._transfer_at(sl, at, mus)
-        U, _, Vt = np.linalg.svd(Phi @ sl.F1[at], full_matrices=False)
-        Q = U @ Vt  # orthonormal polar factor, a continuous function of Phi F1
-        dets = np.linalg.det(np.swapaxes(Q, 1, 2) @ self._J @ sl.F2[at])
-        UQ = Q[:, : self.n] + 1j * Q[:, self.n :]
-        C = UQ @ np.swapaxes(UQ, 1, 2) @ sl.W2_conj[at]
-        phases = np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi)
+        n = self.n
+        Q, R = np.linalg.qr(self._transfer_at(sl, at, mus) @ sl.F1[at])
+        A = np.swapaxes(Q, 1, 2) @ sl.F2J[at]
+        orientation = np.sign(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+        dets = orientation * np.linalg.det(A[:, :, n:])
+        V = A[:, :, :n] - 1j * A[:, :, n:]
+        phases = -np.angle(np.linalg.eigvals(np.swapaxes(V, 1, 2) @ V)) % (2.0 * np.pi)
         # an eigenphase phi of C is twice a principal angle psi between the two
         # subspaces, up to sign mod 2pi, and [Q | F2] has singular values
         # sqrt(1 -+ cos psi); the smallest is sqrt(2) sin(psi / 2)

@@ -61,6 +61,24 @@ def test_symmetric_family_shift_and_zero():
     assert np.allclose(shifted(0.5, 0.5), 0.25 * np.eye(2), atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_family_rounds_a_scalar_t_as_a_row_of_a_t_array(n):
+    # a scalar t is evaluated as a row of a batch, so each matrix of S(lam, ts)
+    # is the same bits as S at its t alone, at a scalar lambda and in a stack
+    S = random_symmetric_family(np.random.default_rng(3), n, 2, 2, 3.0)
+    ts = np.random.default_rng(n).uniform(0.0, 1.0, size=450)
+    lams = np.array([0.0, 0.37, 1.0])
+    stacked = S(lams, ts)
+    for i, lam in enumerate(lams):
+        batch = S(lam, ts)
+        assert np.array_equal(batch, stacked[i])
+        for k in range(len(ts)):
+            assert np.array_equal(batch[k], S(lam, float(ts[k])))
+        assert np.array_equal(S(lam, ts[:1])[0], batch[0])
+    assert np.array_equal(S(lams, float(ts[7])), stacked[:, 7])
+    assert S(lams, np.zeros((0, 2))).shape == (3, 0, 2, 2 * n, 2 * n)
+
+
 def test_fundamental_solution_zero_family():
     sol = fundamental_solution(SymmetricFamily.zero(2), 0.3)
     assert np.allclose(sol.end(), np.eye(4), atol=1e-14)

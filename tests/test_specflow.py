@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from maslovflow import (
     BoundaryValueFamily,
@@ -35,7 +36,7 @@ from maslovflow import (
     spectrum_window,
     standard_J,
 )
-from maslovflow import specflow
+from maslovflow import paths, specflow, symplectic
 from maslovflow.specflow import _STACK, _clean_windows, _graph_matrix
 from maslovflow.suites import random_pair, random_symmetric_family
 
@@ -131,6 +132,85 @@ def test_detector_matches_smallest_singular_value_of_the_stacked_frames():
             Q = np.linalg.qr(fam.transfer(lam, mu) @ F1)[0]
             expected = np.linalg.svd(np.hstack([Q, F2]), compute_uv=False)[-1]
             assert abs(got - expected) <= 1e-14
+
+
+def _detector_families(seed: int):
+    """(n, kind, family) at n = 1-3 with S zero, t-independent and t-dependent."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        for kind, deg_t in (("zero", None), ("t-independent", 0), ("t-dependent", 2)):
+            g1, g2 = random_pair(rng, n)
+            S = None if deg_t is None else random_symmetric_family(rng, n, 2, deg_t, 2.0)
+            yield n, kind, BoundaryValueFamily(g1, g2, S, steps=64)
+
+
+def _souriau(F):
+    n = F.shape[1]
+    U = F[:n] + 1j * F[n:]
+    return U @ U.T
+
+
+def test_detector_matches_the_polar_factor_formulas():
+    # oracle: the SVD polar factor P of Phi F1, with dets = det(P^T J F2) and
+    # the phase sum that of W(P) conj(W(F2)), eigenphases wrapped to [0, 2pi)
+    for n, kind, fam in _detector_families(21):
+        lam = 0.41
+        mus = np.random.default_rng(n).uniform(-10.0, 10.0, size=12)
+        _, dets, sums = fam.detector_batch(lam, mus)
+        F1, F2 = fam.gamma1.frame(lam).F, fam.gamma2.frame(lam).F
+        J = standard_J(n)
+        for mu, det, phase_sum in zip(mus, dets, sums):
+            U, _, Vt = np.linalg.svd(fam.transfer(lam, mu) @ F1, full_matrices=False)
+            P = U @ Vt
+            C = _souriau(P) @ _souriau(F2).conj()
+            expected = np.sum(np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi))
+            assert abs(det - np.linalg.det(P.T @ J @ F2)) <= 1e-13, (n, kind, mu)
+            assert abs(phase_sum - expected) <= 1e-13, (n, kind, mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_detector_phase_sum_turns_at_rate_2n_for_the_zero_family(n):
+    # S = 0 and constant paths: Phi = exp(-mu J) multiplies W by e^{-2i mu},
+    # so sums(mu) = sums(0) - 2 n mu modulo 2pi
+    rng = np.random.default_rng(30 + n)
+    g1, g2 = random_pair(rng, n)
+    fam = BoundaryValueFamily(ConstantPath(g1.frame(0.0)), ConstantPath(g2.frame(0.0)))
+    mus = np.linspace(-12.0, 12.0, 97)
+    sums = fam.detector_batch(0.5, mus)[2]
+    sum0 = fam.detector_batch(0.5, [0.0])[2][0]
+    drift = (sums - sum0 + 2.0 * n * mus) / (2.0 * np.pi)
+    assert np.max(np.abs(drift - np.round(drift))) * 2.0 * np.pi <= 1e-12
+
+
+def test_detector_takes_no_svd_or_souriau_matrix_and_rows_do_not_depend_on_the_batch(monkeypatch):
+    # per mu the detector is one QR and one n x n eigenproblem: no SVD, no
+    # Souriau matrix, and each row is the same bits alone and in any batch
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((np.linalg, "svd"), (scipy.linalg, "svd"), (symplectic, "souriau"),
+                        (symplectic, "souriau_stack"), (paths, "souriau"), (paths, "souriau_stack")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for n, kind, fam in _detector_families(22):
+        mus = np.random.default_rng(n).uniform(-10.0, 10.0, size=24)
+        lams = np.where(np.arange(24) % 3 == 0, 0.25, 0.8)
+        for lam in (0.8, lams):
+            fam.detector_batch(lam, mus)  # the slices and path frames first
+            calls.clear()
+            batch = fam.detector_batch(lam, mus)
+            assert not calls, (n, kind, dict(calls))
+            for k, mu in enumerate(mus):
+                at = lam if np.ndim(lam) == 0 else lam[k : k + 1]
+                row = fam.detector_batch(at, [mu])
+                for got, want in zip(row, batch):
+                    assert np.array_equal(got[0], want[k]), (n, kind, k)
+                if np.ndim(lam) == 0:
+                    assert eigen_detector(fam, lam, mu) == batch[0][k]
 
 
 def test_spectrum_window_reference_n1():
