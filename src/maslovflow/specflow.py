@@ -18,13 +18,18 @@ The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
 taken in [0, 2pi) jumps by 2pi per eigenvalue.  The detector never forms C:
-with Phi(1) F1 = Q R, one QR per mu, the n x n matrix V = U_Q^* U_2 is read
-off Q^T [F2 | J F2], C is similar to conj(V^T V), and the determinant
+with Phi(1) F1 = Q R, the n x n matrix V = U_Q^* U_2 is read off
+Q^T [F2 | J F2], C is similar to conj(V^T V), and the determinant
 sign(det R) det(Q^T J F2) keeps no trace of the column signs the QR picks, so
-it is continuous in mu.  spectrum_window scans and
-narrows the windows at up to 32 lambdas together, batching the detector over
-mu and lambda, and each window comes out exactly as it would alone; a scalar
-lambda is a stack of one, and the detector takes one lambda per mu.  Every
+it is continuous in mu.  For n <= 2 all of it is closed form, elementwise in
+mu: two-pass Gram-Schmidt for Q (so det R > 0), a scalar or a 2 x 2
+determinant, and the roots of the characteristic quadratic of V^T V, its
+discriminant formed from the entries that vanish at a double eigenvalue; for
+n >= 3 each mu takes one LAPACK QR, det and eigenproblem.  spectrum_window
+scans and narrows the windows at up to 32 lambdas together, batching the
+detector over mu and lambda, and each window comes out exactly as it would
+alone; a scalar lambda is a stack of one, and the detector takes one lambda
+per mu.  Every
 scan interval that holds eigenvalues is narrowed with the count as bracket
 invariant, by Illinois secant steps (Dowell & Jarratt 1971) on the k-th root
 of |det| for a bracket holding k of them, det being a smooth determinant that
@@ -111,6 +116,12 @@ class EigenvalueAtWindowEdge(ValueError):
 class EigenvalueCountMismatch(RuntimeError):
     """The eigenphase count of a mu-window contradicts the detector's sign
     changes, or cannot be made exact by refining the scan."""
+
+
+class NonFiniteTransfer(RuntimeError):
+    """The propagated frame Phi(1) gamma_1 holds an inf or a NaN, typically
+    an RK4 transfer overflowed on a family too large for its steps: nothing
+    can be counted there.  The message names lambda and the first such mu."""
 
 
 @dataclass(frozen=True)
@@ -277,30 +288,81 @@ class BoundaryValueFamily:
         of the eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in
         [0, 2pi).
 
-        Per mu this is one QR, Phi F1 = Q R, one product A = Q^T [F2 | J F2]
-        and one n x n eigenproblem.  The determinant is sign(det R)
-        det(Q^T J F2) = det((Phi F1)^T J F2) / |det R|, which does not depend
-        on the signs the QR gives Q's columns, so it is continuous in mu.
-        V = A[:, :n] - i A[:, n:] is U_Q^* U_2, U = X + iY being the complex
-        block of a frame [X; Y], and C is similar to conj(V^T V): U_2^* C U_2
-        = V^* conj(V), which needs only U_2 unitary, so it holds while RK4
-        drift leaves Q slightly off Lagrangian.  The eigenphases of C are
-        those of V^T V negated.
+        With Phi F1 = Q R and A = Q^T [F2 | J F2], the determinant is
+        sign(det R) det(Q^T J F2) = det((Phi F1)^T J F2) / |det R|, which does
+        not depend on the signs the QR gives Q's columns, so it is continuous
+        in mu.  V = A[:, :n] - i A[:, n:] is U_Q^* U_2, U = X + iY being the
+        complex block of a frame [X; Y], and C is similar to conj(V^T V):
+        U_2^* C U_2 = V^* conj(V), which needs only U_2 unitary, so it holds
+        while RK4 drift leaves Q slightly off Lagrangian.  The eigenphases of
+        C are those of V^T V negated.  For n <= 2 these come from closed
+        forms (_closed_form_tail), for n >= 3 from one LAPACK QR, det and
+        eigenproblem per mu (_lapack_tail).  A Phi(1) F1 that is not finite
+        raises NonFiniteTransfer.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        sl, at = self._slices(np.full(mus.shape, lam, dtype=float))
-        n = self.n
-        Q, R = np.linalg.qr(self._transfer_at(sl, at, mus) @ sl.F1[at])
-        A = np.swapaxes(Q, 1, 2) @ sl.F2J[at]
-        orientation = np.sign(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
-        dets = orientation * np.linalg.det(A[:, :, n:])
-        V = A[:, :, :n] - 1j * A[:, :, n:]
-        phases = -np.angle(np.linalg.eigvals(np.swapaxes(V, 1, 2) @ V)) % (2.0 * np.pi)
+        lams = np.full(mus.shape, lam, dtype=float)
+        sl, at = self._slices(lams)
+        B = self._transfer_at(sl, at, mus) @ sl.F1[at]
+        if not np.isfinite(B).all():
+            k = np.flatnonzero(~np.isfinite(B).all(axis=(1, 2)))[0]
+            raise NonFiniteTransfer(f"Phi(1) gamma_1 is not finite at lambda={lams[k]:.6g}, mu={mus[k]:.12g}")
+        dets, eigs = (_closed_form_tail if self.n <= 2 else _lapack_tail)(B, sl.F2J, at)
+        phases = -np.angle(eigs) % (2.0 * np.pi)
         # an eigenphase phi of C is twice a principal angle psi between the two
         # subspaces, up to sign mod 2pi, and [Q | F2] has singular values
         # sqrt(1 -+ cos psi); the smallest is sqrt(2) sin(psi / 2)
-        psi = np.min(np.minimum(phases / 2.0, np.pi - phases / 2.0), axis=1)
-        return np.sqrt(2.0) * np.sin(psi / 2.0), dets, np.sum(phases, axis=1)
+        psi = np.min(np.minimum(phases / 2.0, np.pi - phases / 2.0), axis=0)
+        return np.sqrt(2.0) * np.sin(psi / 2.0), dets, np.sum(phases, axis=0)
+
+
+def _lapack_tail(B, F2J, at):
+    """(dets, eigenvalues of V^T V) of detector_batch for B = Phi(1) F1, the
+    frames' [F2 | J F2] being F2J[at], by one QR, det and eigenproblem per mu;
+    the eigenvalues come one row per eigenvalue, one column per mu."""
+    n = B.shape[2]
+    Q, R = np.linalg.qr(B)
+    A = np.swapaxes(Q, 1, 2) @ F2J[at]
+    orientation = np.sign(np.prod(np.diagonal(R, axis1=1, axis2=2), axis=1))
+    V = A[:, :, :n] - 1j * A[:, :, n:]
+    return orientation * np.linalg.det(A[:, :, n:]), np.linalg.eigvals(np.swapaxes(V, 1, 2) @ V).T
+
+
+def _closed_form_tail(B, F2J, at):
+    """_lapack_tail for n <= 2 by closed forms, elementwise in mu.
+
+    Q comes from two-pass classical Gram-Schmidt, which keeps two columns
+    orthogonal to working precision (Giraud, Langou & Rozloznik 2005); R has
+    a positive diagonal, so sign(det R) = 1.  The eigenvalues of the complex
+    symmetric Z = V^T V are V^2 for n = 1 and (z00 + z11)/2 -+
+    sqrt(((z00 - z11)/2)^2 + z01^2) for n = 2.  Z is unitary up to rounding,
+    hence normal, so at a double eigenvalue it is a multiple of I: z00 - z11
+    and z01 vanish there up to rounding, the discriminant, a sum of their
+    squares, is off by about eps^2, and its root by eps; tr^2/4 - det would
+    be off by eps and move a double eigenphase by sqrt(eps).
+    """
+    n = B.shape[2]
+    # each mu's B scaled by a power of two, which rounds nothing and keeps
+    # the squared norms finite whatever the growth of Phi
+    X = np.ascontiguousarray(B.transpose(2, 1, 0))  # column, component, mu
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=(0, 1)))[1])
+    q = X[0] / np.sqrt((X[0] * X[0]).sum(axis=0))
+    if n == 1:
+        Q = q[None]
+    else:
+        v = X[1] - (q * X[1]).sum(axis=0) * q
+        v = v - (q * v).sum(axis=0) * q
+        Q = np.stack([q, v / np.sqrt((v * v).sum(axis=0))])
+    A = (Q.transpose(2, 0, 1) @ F2J[at]).transpose(1, 2, 0)  # row, column, mu
+    V = A[:, :n] - 1j * A[:, n:]
+    if n == 1:
+        return A[0, 1], V[0] * V[0]
+    z00 = V[0, 0] * V[0, 0] + V[1, 0] * V[1, 0]
+    z11 = V[0, 1] * V[0, 1] + V[1, 1] * V[1, 1]
+    z01 = V[0, 0] * V[0, 1] + V[1, 0] * V[1, 1]
+    mid, half = 0.5 * (z00 + z11), 0.5 * (z00 - z11)
+    root = np.sqrt(half * half + z01 * z01)
+    return A[0, 2] * A[1, 3] - A[0, 3] * A[1, 2], np.stack([mid + root, mid - root])
 
 
 def eigen_detector(fam, lam: float, mu: float) -> float:

@@ -7,6 +7,7 @@ merge at the endpoints.
 """
 
 import gc
+import time
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,8 @@ from maslovflow import (
     ConstantPath,
     EigenvalueAtWindowEdge,
     EigenvalueCountMismatch,
+    LagrangianFrame,
+    NonFiniteTransfer,
     PiecewiseLinear,
     SymmetricFamily,
     UnitaryDiagonalPath,
@@ -150,22 +153,144 @@ def _souriau(F):
     return U @ U.T
 
 
+def _hyperbolic_family(n: int, seed: int | None = None) -> BoundaryValueFamily:
+    """S = [[0, M], [M, 0]] with M = diag(-10, 10)[:n], of sup norm 10: at
+    mu = 0, x_0 grows as e^10 and x_1 shrinks as e^-10, and gamma_1 spans
+    R^n x {0} by columns at 45 degrees, so for n = 2 the columns of Phi(1) F1
+    are nearly parallel (condition number near e^20 = 4.9e8 at mu = 0).
+    With a seed, S and gamma_1 are turned by a random orthogonal symplectic
+    matrix, so that rounding no longer keeps to the coordinate planes."""
+    S = np.zeros((2 * n, 2 * n))
+    S[:n, n:] = S[n:, :n] = np.diag([-10.0, 10.0][:n])
+    F1 = np.vstack([np.eye(n), np.zeros((n, n))])
+    if n == 2:
+        F1[:2] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    rng = np.random.default_rng(40 + n if seed is None else seed)
+    if seed is not None:
+        Z = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        U = np.block([[Z.real, -Z.imag], [Z.imag, Z.real]])
+        S, F1 = U @ S @ U.T, U @ F1
+    gamma2 = random_pair(rng, n)[1]
+    return BoundaryValueFamily(ConstantPath(LagrangianFrame(n, F1)), gamma2, SymmetricFamily.constant(S))
+
+
+def _closed_form_cases():
+    """(label, family, lambda, mus) at n = 1 and 2 on which the closed-form
+    detector could lose accuracy: double eigenphases, an eigenphase within
+    1e-12 of 0, and Phi(1) F1 of condition number at least 1e6."""
+    # S = 5 lambda I between {0} x R^2 at both ends: Phi(1) = exp((5 lambda -
+    # mu) J), so C is a multiple of I and both eigenphases are equal at every mu
+    mus = np.concatenate([np.linspace(-11.3, 11.3, 41), 2.5 + np.pi * np.arange(-3, 4) + 1e-13])
+    yield "walls", _walls(2, 5.0), 0.5, mus
+    # the same between one random Lagrangian at both ends, where rounding
+    # leaves V^T V a multiple of I only to eps
+    ends = ConstantPath(random_pair(np.random.default_rng(39), 2)[0].frame(0.0))
+    yield "walls-turned", BoundaryValueFamily(ends, ends, _walls(2, 5.0).S), 0.5, mus
+    for n in (1, 2):
+        # S = 0 on R^n x {0} at both ends: eigenvalues k pi, eigenphases -2 mu
+        horizontal = ConstantPath(l0_frame(n))
+        yield f"near-zero-{n}", BoundaryValueFamily(horizontal, horizontal), 0.3, np.array(
+            [1e-13, -3e-13, np.pi + 2e-13, -np.pi - 4e-13])
+        yield f"hyperbolic-{n}", _hyperbolic_family(n), 0.3, np.concatenate(
+            [np.linspace(-0.5, 0.5, 21), [-9.0, 4.0, 12.0]])
+
+
 def test_detector_matches_the_polar_factor_formulas():
     # oracle: the SVD polar factor P of Phi F1, with dets = det(P^T J F2) and
-    # the phase sum that of W(P) conj(W(F2)), eigenphases wrapped to [0, 2pi)
-    for n, kind, fam in _detector_families(21):
-        lam = 0.41
-        mus = np.random.default_rng(n).uniform(-10.0, 10.0, size=12)
+    # the phase sum that of W(P) conj(W(F2)), eigenphases wrapped to [0, 2pi);
+    # the double eigenphases of the walls and the ill-conditioned Phi(1) F1 of
+    # the hyperbolic families are taken too
+    cases = [(f"{kind}-{n}", fam, 0.41, np.random.default_rng(n).uniform(-10.0, 10.0, size=12))
+             for n, kind, fam in _detector_families(21)]
+    cases += [case for case in _closed_form_cases() if not case[0].startswith("near-zero")]
+    for label, fam, lam, mus in cases:
         _, dets, sums = fam.detector_batch(lam, mus)
         F1, F2 = fam.gamma1.frame(lam).F, fam.gamma2.frame(lam).F
-        J = standard_J(n)
+        J = standard_J(fam.n)
         for mu, det, phase_sum in zip(mus, dets, sums):
             U, _, Vt = np.linalg.svd(fam.transfer(lam, mu) @ F1, full_matrices=False)
             P = U @ Vt
             C = _souriau(P) @ _souriau(F2).conj()
             expected = np.sum(np.angle(np.linalg.eigvals(C)) % (2.0 * np.pi))
-            assert abs(det - np.linalg.det(P.T @ J @ F2)) <= 1e-13, (n, kind, mu)
-            assert abs(phase_sum - expected) <= 1e-13, (n, kind, mu)
+            assert abs(det - np.linalg.det(P.T @ J @ F2)) <= 1e-13, (label, mu)
+            assert abs(phase_sum - expected) <= 1e-13, (label, mu)
+
+
+def test_closed_form_detector_matches_the_lapack_tail(monkeypatch):
+    # oracle: the LAPACK QR, det and eigenproblem per mu that n >= 3 takes,
+    # on the same Phi(1) F1; phase sums compared modulo 2pi, since an
+    # eigenphase within rounding of 0 may wrap to either end of [0, 2pi)
+    cases = [(f"{kind}-{n}", fam, 0.41, np.random.default_rng(n).uniform(-10.0, 10.0, size=12))
+             for n, kind, fam in _detector_families(21) if n <= 2]
+    for label, fam, lam, mus in cases + list(_closed_form_cases()):
+        g, dets, sums = fam.detector_batch(lam, mus)
+        with monkeypatch.context() as patch:
+            patch.setattr(specflow, "_closed_form_tail", specflow._lapack_tail)
+            g_ref, dets_ref, sums_ref = fam.detector_batch(lam, mus)
+        F1, F2 = fam.gamma1.frame(lam).F, fam.gamma2.frame(lam).F
+        if label.startswith("walls"):  # each case is what it claims to be
+            for mu in mus:
+                P = np.linalg.qr(fam.transfer(lam, mu) @ F1)[0]
+                phases = np.angle(np.linalg.eigvals(_souriau(P) @ _souriau(F2).conj()))
+                assert abs(np.angle(np.exp(1j * (phases[0] - phases[1])))) <= 1e-12
+        elif label.startswith("near-zero"):
+            assert np.all(g_ref <= 1e-12)
+        elif label.startswith("hyperbolic"):
+            assert fam.S.sup_norm() == 10.0
+            assert fam.n == 1 or np.linalg.cond(fam.transfer(lam, 0.0) @ F1) >= 1e6
+        assert np.max(np.abs(g - g_ref)) <= 1e-13, label
+        assert np.max(np.abs(dets - dets_ref)) <= 1e-13, label
+        assert np.max(np.abs((sums - sums_ref + np.pi) % (2.0 * np.pi) - np.pi)) <= 1e-13, label
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_closed_form_detector_on_an_ill_conditioned_frame_in_general_position(seed):
+    # the hyperbolic family turned off the coordinate planes: Phi(1) F1 has
+    # condition number kappa near 4.9e8, its column span moves by eps kappa
+    # under rounding, and the closed form stays within 8 eps kappa of the
+    # LAPACK tail, as two backward-stable factorizations must; its Q stays
+    # orthonormal, so every eigenvalue of V^T V has modulus 1 to rounding
+    # (one Gram-Schmidt pass leaves them off by up to 3e-8 here)
+    fam = _hyperbolic_family(2, seed)
+    mus = np.linspace(-0.5, 0.5, 21)
+    sl, at = fam._slices(np.full(mus.shape, 0.3))
+    B = fam._transfer_at(sl, at, mus) @ sl.F1[at]
+    kappa = np.linalg.cond(B)
+    assert kappa.max() >= 1e8
+    dets, eigs = specflow._closed_form_tail(B, sl.F2J, at)
+    assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-14
+    ref_dets, ref_eigs = specflow._lapack_tail(B, sl.F2J, at)
+    bound = 8.0 * np.finfo(float).eps * kappa
+    assert np.all(np.abs(dets - ref_dets) <= bound)
+    sums = np.sum(np.angle(eigs), axis=0)
+    ref_sums = np.sum(np.angle(ref_eigs), axis=0)
+    assert np.all(np.abs((sums - ref_sums + np.pi) % (2.0 * np.pi) - np.pi) <= bound)
+
+
+def test_closed_form_detector_does_not_see_a_power_of_two_scale(monkeypatch):
+    # each mu's Phi(1) F1 is scaled by a power of two before its norms are
+    # squared: a growth far beyond 1e154 gives the same bits as none, and
+    # the t-independent S = [[0, -400], [-400, 0]], whose Phi(1) F1 from
+    # R x {0} reaches e^400 = 5e173, gives what the LAPACK tail gives
+    for n in (1, 2):
+        rng = np.random.default_rng(70 + n)
+        g1, g2 = random_pair(rng, n)
+        fam = BoundaryValueFamily(g1, g2, random_symmetric_family(rng, n, 2, 1, 1.5), steps=64)
+        mus = rng.uniform(-6.0, 6.0, size=9)
+        sl, at = fam._slices(np.full(mus.shape, 0.6))
+        B = fam._transfer_at(sl, at, mus) @ sl.F1[at]
+        want = specflow._closed_form_tail(B, sl.F2J, at)
+        for scale in (2.0**600, 2.0**-600, 2.0 ** np.arange(-540, 540, 120)[:, None, None]):
+            got = specflow._closed_form_tail(B * scale, sl.F2J, at)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    S = SymmetricFamily.constant([[0.0, -400.0], [-400.0, 0.0]])
+    fam = BoundaryValueFamily(ConstantPath(l0_frame(1)), gamma_nor(1), S)
+    mus = np.linspace(-3.0, 3.0, 13)
+    assert np.abs(fam.transfer(0.5, 0.0) @ l0_frame(1).F).max() > 1e173
+    got = fam.detector_batch(0.5, mus)
+    monkeypatch.setattr(specflow, "_closed_form_tail", specflow._lapack_tail)
+    want = fam.detector_batch(0.5, mus)
+    assert all(np.max(np.abs(a - b)) <= 1e-13 for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -182,9 +307,30 @@ def test_detector_phase_sum_turns_at_rate_2n_for_the_zero_family(n):
     assert np.max(np.abs(drift - np.round(drift))) * 2.0 * np.pi <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_overflowing_transfer_raises_before_any_count(n):
+    # S = 1e155 I + t I overflows the RK4 steps at 16 steps: the detector
+    # names lambda and the first mu at once, on the closed-form path (n <= 2)
+    # and the LAPACK one (n = 3), where counting NaN eigenphases would halve
+    # every scan interval without end
+    coeffs = np.zeros((1, 2, 2 * n, 2 * n))
+    coeffs[0, 0], coeffs[0, 1] = 1e155 * np.eye(2 * n), np.eye(2 * n)
+    S = SymmetricFamily(coeffs)
+    fam = BoundaryValueFamily(ConstantPath(l0_frame(n)), ConstantPath(l1_frame(n)), S, steps=16)
+    assert issubclass(NonFiniteTransfer, RuntimeError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteTransfer, match=r"not finite at lambda=0\.7, mu=0\.25$"):
+            fam.detector_batch([0.7, 0.7], [0.25, -0.5])
+        t0 = time.perf_counter()
+        with pytest.raises(NonFiniteTransfer, match=r"not finite at lambda=0\.3, mu=-1$"):
+            spectrum_window(fam, 0.3, -1.0, 1.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_detector_takes_no_svd_or_souriau_matrix_and_rows_do_not_depend_on_the_batch(monkeypatch):
-    # per mu the detector is one QR and one n x n eigenproblem: no SVD, no
-    # Souriau matrix, and each row is the same bits alone and in any batch
+    # no SVD and no Souriau matrix; for n <= 2 no LAPACK QR, det or
+    # eigenproblem either, for n = 3 one of each per batch; and each row is
+    # the same bits alone and in any batch
     calls = Counter()
 
     def spy(name, fn):
@@ -194,7 +340,8 @@ def test_detector_takes_no_svd_or_souriau_matrix_and_rows_do_not_depend_on_the_b
         return wrapped
 
     for owner, name in ((np.linalg, "svd"), (scipy.linalg, "svd"), (symplectic, "souriau"),
-                        (symplectic, "souriau_stack"), (paths, "souriau"), (paths, "souriau_stack")):
+                        (symplectic, "souriau_stack"), (paths, "souriau"), (paths, "souriau_stack"),
+                        (np.linalg, "qr"), (np.linalg, "det"), (np.linalg, "eigvals")):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     for n, kind, fam in _detector_families(22):
         mus = np.random.default_rng(n).uniform(-10.0, 10.0, size=24)
@@ -203,7 +350,8 @@ def test_detector_takes_no_svd_or_souriau_matrix_and_rows_do_not_depend_on_the_b
             fam.detector_batch(lam, mus)  # the slices and path frames first
             calls.clear()
             batch = fam.detector_batch(lam, mus)
-            assert not calls, (n, kind, dict(calls))
+            lapack = Counter(qr=1, det=1, eigvals=1) if n == 3 else Counter()
+            assert calls == lapack, (n, kind, dict(calls))
             for k, mu in enumerate(mus):
                 at = lam if np.ndim(lam) == 0 else lam[k : k + 1]
                 row = fam.detector_batch(at, [mu])
