@@ -36,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import ConstantPath, LagrangianPath, RotatedPath
-from .symplectic import LagrangianFrame, gap_distance, intersection_dimension, l0_frame, rotate, within_each
+from .symplectic import (
+    LagrangianFrame,
+    gap_distance,
+    intersection_dimension,
+    l0_frame,
+    rotate,
+    souriau_stack,
+    within_each,
+)
 
 PHASE_TOL = 1e-9
 _DC_CAP = 0.15
@@ -87,7 +95,8 @@ class _PairCounter:
     def unitaries(self, lams: np.ndarray):
         """C(lambda) = W1 conj(W2) at each lambda, stacked, and the sums of
         their eigenphases, each taken in [-PHASE_TOL, 2pi - PHASE_TOL)."""
-        C = self.g1.souriau_matrices(lams) @ self.g2.souriau_matrices(lams).conj()
+        W = souriau_stack(np.concatenate([self.g1.frames(lams), self.g2.frames(lams)]))
+        C = W[: lams.size] @ W[lams.size :].conj()
         p = _eigenphases(C)
         return C, np.sum(np.where(p < -PHASE_TOL, p + 2.0 * np.pi, p), axis=1)
 

@@ -11,10 +11,13 @@ maps the whole array to a stack of symplectic matrices in one call
 (`PolynomialAction` with one `expm` call, the transported, frozen-time and
 alpha/beta paths of hamiltonian.py through fundamental solutions on lambda
 or time arrays).  `frames(lams)` evaluates the values it has not seen in
-one such call and keeps every frame in the path's one cache, keyed by
-parameter value; `frame(lam)` is the same for one value.  The adaptive
-sample grid refines level by level, one batch per level.  Paths are
-immutable once built.
+one such call and keeps every frame in the path's one cache: the parameter
+values seen, sorted, and their frames as one read-only stack (m, 2n, n),
+so a cached frame costs its data and its key (24 B at n = 1, 72 B at
+n = 2).  A batch with new values appends them and sorts them in with one
+stable argsort, in time linear in the cache; `frame(lam)` returns a
+read-only copy of one row.  The adaptive sample grid refines level by
+level, one batch per level.  Paths are immutable once built.
 """
 
 from __future__ import annotations
@@ -85,31 +88,55 @@ class LagrangianPath:
 
     def __init__(self, n: int):
         self.n = n
-        self._frames: dict[float, np.ndarray] = {}
+        # the cache: every lambda evaluated so far, sorted, and its frames
+        self._keys = np.empty(0)
+        self._cache = np.empty((0, 2 * n, n))
         self._grid = None
 
     def _frames_at(self, lams: np.ndarray) -> np.ndarray:
         """Checked frames at distinct new lambdas, stacked (m, 2n, n)."""
         raise NotImplementedError
 
+    def _cached(self) -> np.ndarray:
+        """The lambdas whose frames are cached, sorted."""
+        return self._keys
+
     def frames(self, lams) -> np.ndarray:
-        """The frames at each lambda, stacked (m, 2n, n); the lambdas not
-        seen before are evaluated together, in one call of _frames_at."""
-        keys = np.asarray(lams, dtype=float).ravel().tolist()
-        new = [lam for lam in dict.fromkeys(keys) if lam not in self._frames]
-        if new:
-            got = self._frames_at(np.array(new))
-            got.setflags(write=False)
-            self._frames.update(zip(new, got))
-            if len(new) == len(keys):
-                return got
-        return np.stack([self._frames[lam] for lam in keys])
+        """The frames at each lambda, stacked (m, 2n, n), gathered from the
+        cache.  The distinct lambdas not seen before (-0.0 and 0.0 are one)
+        are evaluated together, in one call of _frames_at in the order first
+        seen, appended to the cache and sorted in with one stable argsort:
+        time linear in the cache per batch of misses."""
+        lams = np.asarray(lams, dtype=float).ravel()
+        rows = self._keys.searchsorted(lams)
+        miss = self._keys.take(rows, mode="clip") != lams if self._keys.size else np.ones(lams.size, bool)
+        new = lams[miss]
+        if new.size:
+            keys = np.concatenate([self._keys, new])
+            order = keys.argsort(kind="stable")
+            keys = keys[order]
+            if (keys[1:] == keys[:-1]).any():  # a lambda new twice: evaluate each once
+                _, first = np.unique(new, return_index=True)
+                self.frames(new[np.sort(first)])
+                return self.frames(lams)
+            got = self._frames_at(new)  # first, so a failed evaluation caches nothing
+            self._keys, self._cache = keys, np.concatenate([self._cache, got])[order]
+            self._keys.setflags(write=False)
+            self._cache.setflags(write=False)
+            rows = self._keys.searchsorted(lams)
+        return self._cache[rows]
 
     def frame(self, lam: float) -> LagrangianFrame:
+        """The frame at one lambda, a read-only copy of its cache row, so a
+        held frame does not keep a replaced cache alive."""
         lam = float(lam)
-        if lam not in self._frames:
+        row = self._keys.searchsorted(lam)
+        if row == self._keys.size or self._keys[row] != lam:
             self.frames([lam])
-        return LagrangianFrame._checked(self.n, self._frames[lam])
+            row = self._keys.searchsorted(lam)
+        F = self._cache[row].copy()
+        F.setflags(write=False)
+        return LagrangianFrame._checked(self.n, F)
 
     def souriau_matrix(self, lam: float) -> np.ndarray:
         """The Souriau matrix W(lambda) as a plain complex array."""
@@ -128,7 +155,9 @@ class LagrangianPath:
         """Adaptive grid on [0, 1] with consecutive gap distances <= 0.1.
 
         Every interval above the bound is halved, all of one level together:
-        one batch of frames and one of gap distances per level.
+        one batch of frames and one of gap distances per level.  Each level
+        gathers the frames at its nodes from the cache, its midpoints being
+        the batch's new lambdas.
         """
         if self._grid is None:
             nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 9)) | set(self.breakpoint_hints())))
@@ -138,9 +167,8 @@ class LagrangianPath:
                 i = np.flatnonzero(wide)
                 if i.size == 0:
                     break
-                mids = 0.5 * (nodes[i] + nodes[i + 1])
-                nodes = np.insert(nodes, i + 1, mids)
-                F = np.insert(F, i + 1, self.frames(mids), axis=0)
+                nodes = np.insert(nodes, i + 1, 0.5 * (nodes[i] + nodes[i + 1]))
+                F = self.frames(nodes)  # the midpoints are the new lambdas
                 left = i + np.arange(i.size)  # where the first half of interval i[j] now is
                 halves = np.concatenate([left, left + 1])
                 wide = np.insert(wide, i + 1, False)

@@ -95,6 +95,10 @@ _STACK = 32
 # step kept (-1 lo, 1 hi, 0 neither), 1 once two probes tol apart caught its
 # eigenvalue, and the position of its window in the stack of lambdas
 _LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN = range(9)
+# the window scan of spectrum_window halves every interval it cannot count
+# exactly; a scan that would hold more than this many times its first points
+# raises EigenvalueCountMismatch instead of doubling without end
+_SCAN_GROWTH = 64
 # equal widening of both window edges per retry in _clean_windows
 _EDGE_NUDGE = 0.0137
 # the RK4 coefficient table of the latest (S, steps), as (weak reference to
@@ -443,8 +447,10 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     with its count as multiplicity, and points closer than 1e-7 are merged.
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
-    EigenvalueCountMismatch is raised.  Window endpoints must not be
-    eigenvalues (EigenvalueAtWindowEdge, which lists every window with one).
+    EigenvalueCountMismatch is raised, as it is when halving would grow a
+    window's scan past _SCAN_GROWTH times its first points.  Window endpoints
+    must not be eigenvalues (EigenvalueAtWindowEdge, which lists every window
+    with one).
     """
     lam = _finite_1d(lam, "lam")
     lams = np.atleast_1d(lam)
@@ -493,6 +499,7 @@ def _locate(fam, lams, los, his, tol):
     def mismatch(a, b, k, why):
         return EigenvalueCountMismatch(f"{why} at lambda={lams[k]:.6g} on mu in [{a:.12g}, {b:.12g}]")
 
+    most = _SCAN_GROWTH * np.array(npts)  # scan points allowed per window
     while True:
         counts, wrapped = _count(sums[:-1], sums[1:])
         across = win[:-1] != win[1:]  # pairs of scan points of two windows
@@ -504,6 +511,12 @@ def _locate(fam, lams, los, his, tol):
         if narrow.size:
             k = narrow[0]
             raise mismatch(grid[k], grid[k + 1], win[k], "arg det C does not decrease")
+        grown = np.bincount(np.concatenate([win, win[bad]]), minlength=lams.size) > most
+        if grown.any():
+            k = np.argmax(grown)
+            mine = bad[win[bad] == k]
+            raise mismatch(grid[mine[0]], grid[mine[-1] + 1], k,
+                           f"the scan outgrew {_SCAN_GROWTH} times its first points")
         mids = 0.5 * (grid[bad] + grid[bad + 1])
         gm, dm, sm = detect(win[bad], mids)
         grid, g = np.insert(grid, bad + 1, mids), np.insert(g, bad + 1, gm)

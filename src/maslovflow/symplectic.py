@@ -4,9 +4,10 @@ Lagrangian frames in R^(2n), their unitary and Souriau representatives,
 intersection dimensions, and the gap metric between subspaces.  Frames are
 the primary subspace representation throughout; orthogonal projectors are
 derived on demand.  Each Lagrangian, Souriau and symplectic invariant has one
-check, written on stacks (`lagrangian_frames`, `_check_unitary`,
-`_check_souriau`, `_check_each`); the scalar dataclasses validate through
-these stack checkers as stacks of one.
+check, written on stacks (`lagrangian_frames`, `_unitary_check`,
+`_souriau_checks`, `_check_each`); the scalar dataclasses validate through
+these stack checkers as stacks of one.  The checks of one stack are decided
+together, by one `within_each` over all their deviations.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _standard_J(n: int) -> np.ndarray:
     return J
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, one read-only array per n."""
+    I = np.eye(n)
+    I.setflags(write=False)
+    return I
+
+
 def norm2(M: np.ndarray):
     """Spectral norm of a 2-D matrix: bit for bit np.linalg.norm(M, 2).
 
@@ -74,29 +83,33 @@ def within_each(M: np.ndarray, tol: float) -> np.ndarray:
     return ok
 
 
-def _check_each(M: np.ndarray, tol: float, message: str) -> None:
-    """Raise ValueError(message) with the 2-norm of the first matrix of the
-    matrix or stack M that is not within tol."""
-    M = M.reshape(-1, *M.shape[-2:])
-    ok = within_each(M, tol)
-    if not ok.all():
-        raise ValueError(message.format(norm2(M[np.argmin(ok)])))
+def _check_each(tol: float, *checks) -> None:
+    """Each check is a pair (M, message) of a matrix or a stack of matrices,
+    all of one shape, and its message.  One within_each over all of them
+    decides; the first check with a matrix not within tol raises
+    ValueError(message) with the 2-norm of its first such matrix."""
+    devs = [dev.reshape(-1, *dev.shape[-2:]) for dev, _ in checks]
+    ok = within_each(np.concatenate(devs) if len(devs) > 1 else devs[0], tol)
+    if ok.all():
+        return
+    for (_, message), dev, ok_k in zip(checks, devs, ok.reshape(len(devs), -1)):
+        if not ok_k.all():
+            raise ValueError(message.format(norm2(dev[np.argmin(ok_k)])))
 
 
-def _check_unitary(U: np.ndarray) -> None:
-    """Check that each matrix of a stack (m, n, n) of frame blocks X + iY is
-    unitary within SOURIAU_ATOL."""
-    _check_each(np.swapaxes(U.conj(), 1, 2) @ U - np.eye(U.shape[-1]), SOURIAU_ATOL,
-                "frame does not yield a unitary representative: {:.3e}")
+def _unitary_check(U: np.ndarray):
+    """The check that each matrix of a stack (m, n, n) of frame blocks X + iY
+    is unitary, for _check_each at SOURIAU_ATOL."""
+    return (np.swapaxes(U.conj(), 1, 2) @ U - _identity(U.shape[-1]),
+            "frame does not yield a unitary representative: {:.3e}")
 
 
-def _check_souriau(W: np.ndarray) -> None:
-    """Check that each matrix of a stack (m, n, n) is unitary and symmetric,
-    each within SOURIAU_ATOL."""
+def _souriau_checks(W: np.ndarray):
+    """The checks that each matrix of a stack (m, n, n) is unitary and
+    symmetric, for _check_each at SOURIAU_ATOL."""
     Wt = np.swapaxes(W, 1, 2)
-    _check_each(Wt.conj() @ W - np.eye(W.shape[-1]), SOURIAU_ATOL,
-                "matrix is not unitary: deviation {:.3e}")
-    _check_each(W - Wt, SOURIAU_ATOL, "matrix is not symmetric: ||W - W^T|| = {:.3e}")
+    return ((Wt.conj() @ W - _identity(W.shape[-1]), "matrix is not unitary: deviation {:.3e}"),
+            (W - Wt, "matrix is not symmetric: ||W - W^T|| = {:.3e}"))
 
 
 def _orthonormal_columns(B: np.ndarray) -> np.ndarray:
@@ -164,7 +177,7 @@ class SymplecticMatrix:
         if A.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"matrix must be {2 * self.n} x {2 * self.n}, got {A.shape}")
         J = standard_J(self.n)
-        _check_each(A.T @ J @ A - J, SYMPLECTIC_ATOL, "matrix is not symplectic: ||A^T J A - J|| = {:.3e}")
+        _check_each(SYMPLECTIC_ATOL, (A.T @ J @ A - J, "matrix is not symplectic: ||A^T J A - J|| = {:.3e}"))
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
 
@@ -180,7 +193,7 @@ class SouriauMatrix:
         W = np.array(self.W, dtype=complex)
         if W.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n} x {self.n}, got {W.shape}")
-        _check_souriau(W[None])
+        _check_each(SOURIAU_ATOL, *_souriau_checks(W[None]))
         W.setflags(write=False)
         object.__setattr__(self, "W", W)
 
@@ -205,8 +218,8 @@ def lagrangian_frames(F: np.ndarray) -> np.ndarray:
     LagrangianFrame checks one frame here as a stack of one."""
     n = F.shape[-1]
     Ft = np.swapaxes(F, 1, 2)
-    _check_each(Ft @ F - np.eye(n), FRAME_ATOL, "columns not orthonormal: ||F^T F - I|| = {:.3e}")
-    _check_each(Ft @ standard_J(n) @ F, FRAME_ATOL, "span is not isotropic: ||F^T J F|| = {:.3e}")
+    _check_each(FRAME_ATOL, (Ft @ F - _identity(n), "columns not orthonormal: ||F^T F - I|| = {:.3e}"),
+                (Ft @ standard_J(n) @ F, "span is not isotropic: ||F^T J F|| = {:.3e}"))
     F.setflags(write=False)
     return F
 
@@ -243,7 +256,7 @@ def unitary_representative(L: LagrangianFrame) -> np.ndarray:
     it is determined by L up to a right orthogonal factor.
     """
     U = L.F[: L.n, :] + 1j * L.F[L.n :, :]
-    _check_unitary(U[None])
+    _check_each(SOURIAU_ATOL, _unitary_check(U[None]))
     return U
 
 
@@ -255,13 +268,13 @@ def souriau(L: LagrangianFrame) -> SouriauMatrix:
 
 def souriau_stack(F: np.ndarray) -> np.ndarray:
     """Souriau matrices W = U U^T of a stack (m, 2n, n) of Lagrangian frames,
-    each bit for bit that of souriau, with the same three checks on the
-    whole stack: U unitary, W unitary and W symmetric, within SOURIAU_ATOL."""
+    each bit for bit that of souriau, with the same three checks decided
+    together on the whole stack: U unitary, W unitary and W symmetric, within
+    SOURIAU_ATOL."""
     n = F.shape[-1]
     U = F[:, :n] + 1j * F[:, n:]
-    _check_unitary(U)
     W = U @ np.swapaxes(U, 1, 2)
-    _check_souriau(W)
+    _check_each(SOURIAU_ATOL, _unitary_check(U), *_souriau_checks(W))
     return W
 
 
@@ -286,8 +299,8 @@ def _frame_matrix(L) -> np.ndarray:
     if Q.ndim not in (2, 3):
         raise ValueError("subspace frame must be a matrix or a stack of matrices")
     if Q.shape[-1] > 0:
-        dev = np.swapaxes(Q, -1, -2) @ Q - np.eye(Q.shape[-1])
-        _check_each(dev, 1e-8, "frame columns are not orthonormal: deviation {:.3e}")
+        dev = np.swapaxes(Q, -1, -2) @ Q - _identity(Q.shape[-1])
+        _check_each(1e-8, (dev, "frame columns are not orthonormal: deviation {:.3e}"))
     return Q
 
 

@@ -477,7 +477,7 @@ def test_maslov_side_reads_endpoint_frames_from_the_grid_batch(monkeypatch, inde
     new_in_scalar_reads = []
     frame = LagrangianPath.frame
     monkeypatch.setattr(LagrangianPath, "frame",
-                        lambda self, lam: new_in_scalar_reads.append(float(lam) not in self._frames)
+                        lambda self, lam: new_in_scalar_reads.append(float(lam) not in self._cached())
                         or frame(self, lam))
     for args in cases:
         getattr(maslov, index)(*args)
@@ -489,7 +489,7 @@ def test_half_dimension_mismatch_raises_before_any_frame():
         g1, g2 = gamma_nor(1), RotatedPath(gamma_nor(2), 0.3)
         with pytest.raises(ValueError, match="half-dimension mismatch: 1 vs 2"):
             index(g1, g2)
-        assert g1._frames == {} and g2._frames == {} and g2.path._frames == {}
+        assert g1._cached().size == 0 and g2._cached().size == 0 and g2.path._cached().size == 0
         assert g1._grid is None and g2.path._grid is None
 
 

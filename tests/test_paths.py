@@ -1,5 +1,7 @@
 """Tests for path descriptors, reference paths and sampling grids."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,80 @@ def _sample_grid_node_by_node(g):
 def test_sample_grid_matches_node_by_node_refinement(name):
     batched, scalar = _path_of_each_class()[name], _path_of_each_class()[name]
     assert np.array_equal(batched.sample_grid, _sample_grid_node_by_node(scalar))
+
+
+@pytest.mark.parametrize("name", sorted(_path_of_each_class()))
+def test_shuffled_frames_with_repeats_match_a_fresh_copy_bit_for_bit(name):
+    # a shuffled batch with repeats and both zeros, read through a cache
+    # that already holds some of its lambdas: each row is, bit for bit, the
+    # frame a fresh copy evaluates for that lambda alone
+    lams = np.concatenate([_LAMS, [-0.0, 0.0, 0.61803, 0.61803, 0.25]])
+    lams = lams[np.random.default_rng(7).permutation(lams.size)]
+    g, fresh = _path_of_each_class()[name], _path_of_each_class()[name]
+    g.frames(_LAMS[[1, 4, 8]])
+    F = g.frames(lams)
+    assert F.shape == (lams.size, 4, 2)
+    for lam, row in zip(lams.tolist(), F):
+        assert row.tobytes() == fresh.frames([lam])[0].tobytes(), lam
+
+
+def _spy_frames_at(g):
+    """Record the lambdas of every _frames_at call of the path g."""
+    calls = []
+    frames_at = g._frames_at
+    g._frames_at = lambda lams: calls.append(lams.tolist()) or frames_at(lams)
+    return calls
+
+
+def test_a_batch_of_old_and_new_lambdas_evaluates_the_new_ones_in_one_call():
+    g = _path_of_each_class()["rotation"]
+    calls = _spy_frames_at(g)
+    g.frames([0.2, 0.4, 0.6])
+    F = g.frames([0.6, 0.9, 0.2, -0.0, 0.9, 0.1, 0.0, 0.4])
+    # each new lambda once, in the order first seen; -0.0 and 0.0 are one
+    assert str(calls) == "[[0.2, 0.4, 0.6], [0.9, -0.0, 0.1]]"
+    assert np.array_equal(F[[2, 7, 0]], g.frames([0.2, 0.4, 0.6]))
+    assert np.array_equal(F[3], F[6]) and np.array_equal(F[1], F[4])
+    g.frame(0.1)
+    g.frames([0.0, 0.9, 0.2])
+    assert len(calls) == 2
+
+
+def test_the_cache_holds_each_distinct_lambda_once_in_sorted_order():
+    g = _path_of_each_class()["action_on_path"]
+    batches = [[0.5, 0.25, 0.5], [1.0, 0.0, 0.25, 0.75], [-0.0, 0.125, 0.875, 0.125], [0.3]]
+    for lams in batches:
+        g.frames(lams)
+    g.frame(0.6)
+    keys = g._cached()
+    distinct = {lam for lams in batches for lam in lams} | {0.6}
+    assert keys.size == len(distinct) == 9
+    assert keys.tolist() == sorted(distinct) and np.all(np.diff(keys) > 0)
+    assert g._cache.shape == (keys.size, 4, 2)
+    assert not keys.flags.writeable and not g._cache.flags.writeable
+    fresh = _path_of_each_class()["action_on_path"]
+    for lam, row in zip(keys.tolist(), g._cache):
+        assert row.tobytes() == fresh.frames([lam])[0].tobytes()
+
+
+def test_a_held_frame_does_not_keep_a_replaced_cache_alive():
+    g = _path_of_each_class()["unitary_diagonal"]
+    g.frames([0.1, 0.2])
+    L = g.frame(0.2)
+    old = weakref.ref(g._cache)
+    g.frames([0.7])
+    assert old() is None
+    assert not L.F.flags.writeable
+    assert np.array_equal(L.F, g.frame(0.2).F)
+
+
+def test_a_failed_evaluation_leaves_the_cache_as_it_was():
+    def fn(lams):
+        return np.eye(4) * np.where(lams > 0.5, 2.0, 1.0)[:, None, None]
+
+    g = SymplecticActionPath(fn, l0_frame(2))
+    F = g.frames([0.1, 0.2])
+    with pytest.raises(ValueError, match="not symplectic"):
+        g.frames([0.3, 0.6])
+    assert g._cached().tolist() == [0.1, 0.2] and g._cache.shape == (2, 4, 2)
+    assert np.array_equal(g.frames([0.2, 0.3, 0.1])[[0, 2]], F[[1, 0]])

@@ -529,6 +529,25 @@ def test_spectrum_window_count_certificate_rejects_a_flipped_determinant():
         spectrum_window(fam, 0.3, -1.0, 1.0)
 
 
+def test_a_window_scan_that_keeps_halving_raises_within_a_second():
+    # eigenphase sums that increase with mu make every scan interval fail the
+    # count at every level, so the scan would double each level without end;
+    # it stops before it holds more than _SCAN_GROWTH times its first points
+    class Backwards(BoundaryValueFamily):
+        def detector_batch(self, lam, mus):
+            g, dets, sums = super().detector_batch(lam, mus)
+            batches.append(np.size(mus))
+            return g, dets, 2.0 * np.pi - sums
+
+    batches = []
+    fam = Backwards(gamma_nor(1), ConstantPath(l1_frame(1)))
+    t0 = time.perf_counter()
+    with pytest.raises(EigenvalueCountMismatch, match=r"outgrew 64 times .* at lambda=0\.3 on mu in \[-1, 1\]"):
+        spectrum_window(fam, 0.3, -1.0, 1.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert sum(batches) <= specflow._SCAN_GROWTH * batches[0] < sum(batches) + batches[-1] * 2
+
+
 def test_spectrum_window_endpoint_collision():
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     with pytest.raises(EigenvalueAtWindowEdge, match="shift the window"):
