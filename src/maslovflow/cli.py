@@ -100,19 +100,13 @@ def _family(cfg: ProblemConfig) -> SymmetricFamily:
     return cfg.family if cfg.family is not None else SymmetricFamily.zero(cfg.n)
 
 
-def _verify_clm(cfg: ProblemConfig, steps: int, tol: float, max_depth: int) -> VerificationReport:
+def _verify_clm(cfg: ProblemConfig, **kw) -> VerificationReport:
     if cfg.family is not None:
         raise ConfigError(
             "family: verify clm checks the theorem for S = 0; "
             "use verify hamiltonian for a configured family"
         )
-    g1, g2 = cfg.path1(), cfg.path2()
-    m = maslov_pair(g1, g2, tol=tol, max_depth=max_depth)
-    s = spectral_flow(BoundaryValueFamily(g1, g2, steps=steps), tol=tol, max_depth=max_depth).value
-    return VerificationReport(
-        command="verify-clm", inputs={}, values={"maslov": m, "sfl": s}, passed=m == s,
-        tolerances={"integer_equality": 0},
-    )
+    return replace(clm_hamiltonian(None, cfg.path1(), cfg.path2(), **kw), command="verify-clm")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ Maslov index of each term's pair of paths transported by Psi, computed by
 eigenphase winding, with the same steps, tol and max_depth, and then the
 report.  The two sides share nothing beyond the RK4 step propagators, which
 the tests check against an independent integrator, and basic linear algebra.
+The S = 0 theorem runs through the same evaluator, as clm_hamiltonian(None, ...).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def _identity(command, S, gamma1, gamma2, steps, tol, max_depth, inputs, terms) 
 
 
 def clm_hamiltonian(
-    S: SymmetricFamily,
+    S: SymmetricFamily | None,
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
@@ -224,8 +225,9 @@ def clm_hamiltonian(
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Spectral flow of Ju' + S_lambda u with boundary (gamma_1, gamma_2) versus
-    the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported."""
-    terms = [("maslov_transported", 1, lambda: (transported_path(S, gamma1, steps), gamma2))]
+    the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported.
+    S None checks the theorem (S = 0, Psi = I) and builds no fundamental solution."""
+    terms = [("maslov_transported", 1, lambda: (gamma1 if S is None else transported_path(S, gamma1, steps), gamma2))]
     return _identity("clm-hamiltonian", S, gamma1, gamma2, steps, tol, max_depth, {}, terms)
 
 

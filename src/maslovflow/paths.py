@@ -2,7 +2,8 @@
 
 Every path maps the parameter interval [0, 1] to Lagrangian frames and can
 be evaluated at arbitrary parameter values, which is what the adaptive
-crossing and eigenvalue machinery needs.  Each class has one evaluator,
+crossing and eigenvalue machinery needs.  Each class but the constant path,
+whose frames are read-only views of its one frame, has one evaluator,
 `_frames_at`, that turns an array of parameter values into a checked stack
 of frames: rotation and unitary-diagonal paths in closed form, rotated,
 reversed, reparametrized and concatenated paths by mapping the array onto
@@ -189,8 +190,11 @@ class ConstantPath(LagrangianPath):
         super().__init__(frame.n)
         self.base = frame
 
-    def _frames_at(self, lams):
-        return np.broadcast_to(self.base.F, (lams.size, 2 * self.n, self.n))
+    def frames(self, lams) -> np.ndarray:
+        return np.broadcast_to(self.base.F, (np.size(lams), 2 * self.n, self.n))
+
+    def frame(self, lam: float) -> LagrangianFrame:
+        return self.base
 
 
 class RotationPath(LagrangianPath):

@@ -896,6 +896,8 @@ def discretized_gap_diagnostic(
     """
     if N < 32:
         raise ValueError(f"grid size must be at least 32, got {N}")
+    if np.size(lam_list) == 0:
+        raise ValueError("lam_list is empty: an empty diagnostic would pass vacuously")
 
     def graph_frame(lam):
         return subspace_frame(_graph_matrix(fam, lam, N))

@@ -142,11 +142,8 @@ def theorem_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
         n = 1 + i % n_max
         nonadm = i % 4 == 3
         g1, g2 = random_pair(rng, n, force_nonadmissible=nonadm)
-        m = maslov_pair(g1, g2)
-        s = spectral_flow(BoundaryValueFamily(g1, g2)).value
-        details.append(
-            {"instance": i, "n": n, "nonadmissible": nonadm, "maslov": m, "sfl": s, "passed": m == s}
-        )
+        rep = clm_hamiltonian(None, g1, g2)
+        details.append({"instance": i, "n": n, "nonadmissible": nonadm, "passed": rep.passed, **rep.values})
     return _suite_report("verify-clm", details, {"count": count, "seed": seed, "n_max": n_max})
 
 

@@ -344,12 +344,19 @@ def test_cli_verify_every_suite_without_config(which, capsys):
     assert report["inputs"]["seed"] == 0
 
 
-def test_cli_verify_clm_with_config(tmp_path, capsys):
+def test_cli_verify_clm_with_config(tmp_path, capsys, monkeypatch):
+    # the S = 0 theorem is clm_hamiltonian with S None: its keys, and no
+    # fundamental solution built
+    def no_solution(*args, **kwargs):
+        raise AssertionError("verify clm built a fundamental solution")
+
+    monkeypatch.setattr(hamiltonian, "fundamental_solution", no_solution)
     cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
     assert main(["verify", "clm", "--config", cfg]) == 0
     out = capsys.readouterr().out
     report = json.loads(out)
-    assert report["values"] == {"maslov": 1, "sfl": 1}
+    assert report["command"] == "verify-clm"
+    assert report["values"] == {"spectral_flow": 1, "maslov_transported": 1}
 
 
 def test_cli_verify_configured_identities(tmp_path, capsys):

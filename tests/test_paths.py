@@ -25,7 +25,9 @@ from maslovflow import (
     rotate,
     rotation_matrix,
 )
+from maslovflow.maslov import maslov_pair
 from maslovflow.paths import LagrangianPath
+from maslovflow.specflow import BoundaryValueFamily, spectral_flow
 from maslovflow.suites import random_action, random_lagrangian_frame
 
 
@@ -311,6 +313,18 @@ def test_a_held_frame_does_not_keep_a_replaced_cache_alive():
     assert old() is None
     assert not L.F.flags.writeable
     assert np.array_equal(L.F, g.frame(0.2).F)
+
+
+def test_a_constant_path_keeps_no_frame_cache():
+    # its frames are read-only views of its one frame, whatever reads them
+    L = ConstantPath(l1_frame(5))
+    assert maslov_pair(gamma_nor(5), L) == 1
+    assert spectral_flow(BoundaryValueFamily(gamma_nor(5), L)).value == 1
+    assert L._cached().size == 0
+    F = L.frames([0.0, 0.3, 0.3, 1.0])
+    assert F.shape == (4, 10, 5) and not F.flags.writeable
+    assert all(np.array_equal(row, L.base.F) for row in F)
+    assert L.frame(0.7) is L.base
 
 
 def test_a_failed_evaluation_leaves_the_cache_as_it_was():

@@ -818,6 +818,14 @@ def test_gap_diagnostic_rejects_small_grid():
         discretized_gap_diagnostic(fam, 0.0, [0.1], N=16)
 
 
+def test_gap_diagnostic_rejects_an_empty_lambda_list():
+    # with no entries both of its all(...) tests would hold vacuously
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    for empty in ([], np.array([])):
+        with pytest.raises(ValueError, match="empty"):
+            discretized_gap_diagnostic(fam, 0.0, empty)
+
+
 def test_main_theorem_on_randomized_pairs():
     rng = np.random.default_rng(9)
     for i in range(8):
