@@ -173,7 +173,7 @@ def transported_path(S: SymmetricFamily, gamma1: LagrangianPath, steps: int = DE
             for i in range(0, lams.size, _STACK)
         ])
 
-    return SymplecticActionPath(ends, gamma1, hints=gamma1.breakpoint_hints())
+    return SymplecticActionPath(ends, gamma1)
 
 
 def frozen_time_path(S: SymmetricFamily, lam: float, base: LagrangianFrame, steps: int = DEFAULT_STEPS) -> LagrangianPath:

@@ -7,8 +7,9 @@ nontrivial intersections gamma_1(lambda) cap gamma_2(lambda), and the signed
 count of those crossings (+1 for an eigenphase increasing through 0) is the
 index.  The count is the winding of the eigenphase sum Sigma(lambda), each
 eigenphase taken in [-PHASE_TOL, 2pi - PHASE_TOL), so a phase at 0 has
-already crossed: the half-closed convention of the spectral-flow side, which
-counts the same way (Arnold, "Sturm theorems and symplectic geometry", 1985).
+already crossed: the half-closed convention of the spectral-flow side, whose
+eigenphases lie in [-_TIE, 2pi - _TIE) and so count the same way (Arnold,
+"Sturm theorems and symplectic geometry", 1985).
 An eigenphase increasing through 0 makes Sigma jump by -2pi, so a parameter
 segment [a, b] holds -round((Sigma(b) - Sigma(a)) / 2pi) net crossings while
 the eigenphases together move by less than pi inside it.  Segments are

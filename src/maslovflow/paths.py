@@ -111,15 +111,12 @@ class LagrangianPath:
         lams = np.asarray(lams, dtype=float).ravel()
         rows = self._keys.searchsorted(lams)
         miss = self._keys.take(rows, mode="clip") != lams if self._keys.size else np.ones(lams.size, bool)
-        new = lams[miss]
-        if new.size:
+        if miss.any():
+            _, first = np.unique(lams[miss], return_index=True)
+            new = lams[miss][np.sort(first)]
             keys = np.concatenate([self._keys, new])
             order = keys.argsort(kind="stable")
             keys = keys[order]
-            if (keys[1:] == keys[:-1]).any():  # a lambda new twice: evaluate each once
-                _, first = np.unique(new, return_index=True)
-                self.frames(new[np.sort(first)])
-                return self.frames(lams)
             got = self._frames_at(new)  # first, so a failed evaluation caches nothing
             self._keys, self._cache = keys, np.concatenate([self._cache, got])[order]
             self._keys.setflags(write=False)
@@ -241,7 +238,8 @@ class SymplecticActionPath(LagrangianPath):
 
     The base may be a fixed frame or another path.  The action A maps a 1-D
     array of m lambdas to the stack (m, 2n, 2n) of its matrices there; it is
-    called once per batch of new lambdas, and every matrix is checked.
+    called once per batch of new lambdas, and every matrix is checked.  The
+    frames are the polar projections of the bases A F, F the base frames.
     """
 
     def __init__(self, matfun, base, hints=()):
@@ -267,8 +265,7 @@ class SymplecticActionPath(LagrangianPath):
             raise ValueError(
                 f"action matrix at lambda={lams[k]:.6g} is not symplectic (deviation {norm2(dev[k]):.3e})"
             )
-        # A F has full rank for symplectic A, so QR without pivoting spans it
-        return nearest_lagrangian_frames(np.linalg.qr(A @ self.base.frames(lams))[0])
+        return nearest_lagrangian_frames(A @ self.base.frames(lams))
 
     def breakpoint_hints(self):
         return tuple(sorted(set(self.base.breakpoint_hints()) | set(self._hints) | {0.0, 1.0}))

@@ -16,8 +16,10 @@ one matrix product with the mu-powers per lambda in the chunk, multiplied
 pairwise in log depth.
 The count is a Sturm-type fact (Arnold 1985; Beck & Malham 2015): every
 eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
-grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum
-taken in [0, 2pi) jumps by 2pi per eigenvalue.  The detector never forms C:
+grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum,
+each phase taken in [-_TIE, 2pi - _TIE), jumps by 2pi per eigenvalue; a
+phase at 0 up to rounding, of either sign, has not yet crossed, so an
+eigenvalue on a scan point counts above it.  The detector never forms C:
 with Phi(1) F1 = Q R, the n x n matrix V = U_Q^* U_2 is read off
 Q^T [F2 | J F2], C is similar to conj(V^T V), and the determinant
 sign(det R) det(Q^T J F2) keeps no trace of the column signs the QR picks, so
@@ -65,11 +67,13 @@ MU_TOL = 1e-10
 _SF_WINDOW = 1.45
 _SF_CORE = 1.0
 _EPS_MAX = np.pi / 4
-_MOTION_CAP = np.pi / 8
 # a threshold's margin must beat the branch motion by this much, far above the
 # locator error (below 5e-9 at tol 1e-8), so rounding never decides a refinement
 _EPS_SLACK = 1e-6
 _ZERO_TOL = 1e-9
+# an eigenphase within _TIE below 2pi counts as that phase minus 2pi, so the
+# rounding sign of a phase at 0 decides no count
+_TIE = 64 * np.finfo(float).eps
 DEFAULT_STEPS = 256
 MAX_DEPTH = 40
 # (mu, lambda) pairs propagated together: with the steps built as one matrix
@@ -290,7 +294,9 @@ class BoundaryValueFamily:
         [frame(Phi gamma_1) | frame(gamma_2)] per mu, a signed determinant
         vanishing exactly on the spectrum and continuous in mu, and the sum
         of the eigenphases of C = W(Phi gamma_1) conj(W(gamma_2)), each in
-        [0, 2pi).
+        [-_TIE, 2pi - _TIE): a phase at 0 up to rounding, whichever its sign,
+        has not yet crossed, so an eigenvalue on a scan point is counted
+        above it.
 
         With Phi F1 = Q R and A = Q^T [F2 | J F2], the determinant is
         sign(det R) det(Q^T J F2) = det((Phi F1)^T J F2) / |det R|, which does
@@ -317,7 +323,8 @@ class BoundaryValueFamily:
         # subspaces, up to sign mod 2pi, and [Q | F2] has singular values
         # sqrt(1 -+ cos psi); the smallest is sqrt(2) sin(psi / 2)
         psi = np.min(np.minimum(phases / 2.0, np.pi - phases / 2.0), axis=0)
-        return np.sqrt(2.0) * np.sin(psi / 2.0), dets, np.sum(phases, axis=0)
+        sums = np.sum(np.where(phases >= 2.0 * np.pi - _TIE, phases - 2.0 * np.pi, phases), axis=0)
+        return np.sqrt(2.0) * np.sin(psi / 2.0), dets, sums
 
 
 def _lapack_tail(B, F2J, at):
@@ -636,33 +643,17 @@ class SpectralFlowResult:
     branch_data: list = field(default_factory=list)
 
 
-def _choose_epsilon(values_a: np.ndarray, values_b: np.ndarray, motion: float):
-    """An eigenvalue-free threshold in (0, pi/4] with margin above the motion
-    by more than _EPS_SLACK.
-
-    Walls are the absolute eigenvalue positions up to pi/4 plus the reach of
-    one admissible step, so a branch just outside the window cannot sneak
-    across epsilon.  Returns (epsilon, margin) or None.
-    """
-    pts = np.abs(np.concatenate([values_a, values_b]))
-    pts = np.sort(pts[pts <= _EPS_MAX + _MOTION_CAP + 0.05])
-    walls = np.concatenate([[0.0], pts])
-    best = None
-    for a, b in zip(walls, np.append(walls[1:], np.inf)):
-        lo, hi = max(a, 0.0), min(b, _EPS_MAX)
-        if hi <= lo:
-            continue
-        eps = 0.5 * (lo + hi)
-        margin = min(eps - a, b - eps)
-        if best is None or margin > best[1]:
-            best = (eps, margin)
-    if best is None or best[1] <= max(motion + _EPS_SLACK, 1e-3):
-        return None
-    return best
-
-
 def _interval_contribution(Ea: SpectrumWindow, Eb: SpectrumWindow):
-    """Count difference over one subinterval, or None if it must be refined."""
+    """Count difference over one subinterval and its threshold, or None if it
+    must be refined.
+
+    Walls are 0 and the absolute eigenvalues at both ends.  Between each two
+    walls a <= b with a < pi/4, epsilon = (a + min(b, pi/4)) / 2; the first
+    with the largest margin min(epsilon - a, b - epsilon) is accepted if that
+    beats the branch motion by _EPS_SLACK and is above 1e-3.  As a >= 0, the
+    margin is at most pi/8: a motion of pi/8 or more always refines, and a
+    wall above pi/4 + pi/8 never decides a margin.
+    """
     A, B = Ea.values(), Eb.values()
 
     def motion(xs, ys):
@@ -676,13 +667,16 @@ def _interval_contribution(Ea: SpectrumWindow, Eb: SpectrumWindow):
         return worst
 
     m = max(motion(A, B), motion(B, A))
-    if m > _MOTION_CAP:
+    walls = np.sort(np.abs(np.concatenate([[0.0], A, B])))
+    a = walls[walls < _EPS_MAX]
+    b = np.append(walls[1:], np.inf)[: a.size]
+    eps = 0.5 * (a + np.minimum(b, _EPS_MAX))
+    margin = np.minimum(eps - a, b - eps)
+    k = int(np.argmax(margin))
+    if margin[k] <= max(m + _EPS_SLACK, 1e-3):
         return None
-    picked = _choose_epsilon(A, B, m)
-    if picked is None:
-        return None
-    eps = picked[0]
-    return Eb.count_between(-_ZERO_TOL, eps) - Ea.count_between(-_ZERO_TOL, eps), float(eps)
+    eps = float(eps[k])
+    return Eb.count_between(-_ZERO_TOL, eps) - Ea.count_between(-_ZERO_TOL, eps), eps
 
 
 def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):

@@ -224,17 +224,19 @@ def lagrangian_frames(F: np.ndarray) -> np.ndarray:
     return F
 
 
-def nearest_lagrangian_frames(Q: np.ndarray) -> np.ndarray:
-    """Project a stack (m, 2n, n) of orthonormal, nearly isotropic frames onto
-    Lagrangian frames (checked by lagrangian_frames).
+def nearest_lagrangian_frames(B: np.ndarray) -> np.ndarray:
+    """Project a stack (m, 2n, n) of bases, orthonormal or not, of nearly
+    isotropic spans onto Lagrangian frames (checked by lagrangian_frames).
 
-    The complexification M = X + iY of the frame blocks satisfies
-    M*M = I - i F^T J F, so for a small isotropy defect the nearest unitary
-    (polar factor of M) spans a genuinely Lagrangian subspace a comparable
-    distance away.  Exactly Lagrangian input is reproduced.
+    The polar factor of M = X + iY, B = [X; Y], is the nearest unitary.  For
+    an isotropic span M*M = B^T B is real, so its frame B (B^T B)^(-1/2) is
+    an orthonormal basis of span B, and a right factor of B moves no
+    subspace; for a small isotropy defect it spans a genuinely Lagrangian
+    subspace a comparable distance away.  Exactly Lagrangian input is
+    reproduced.
     """
-    n = Q.shape[-1]
-    U, _, Vt = np.linalg.svd(Q[:, :n] + 1j * Q[:, n:])
+    n = B.shape[-1]
+    U, _, Vt = np.linalg.svd(B[:, :n] + 1j * B[:, n:])
     W = U @ Vt
     return lagrangian_frames(np.concatenate([W.real, W.imag], axis=1))
 

@@ -13,6 +13,7 @@ from maslovflow import (
     PiecewiseLinear,
     RotatedPath,
     SymmetricFamily,
+    SymplecticActionPath,
     UnitaryDiagonalPath,
     alpha_beta_identity,
     clm_hamiltonian,
@@ -22,6 +23,7 @@ from maslovflow import (
     maslov_pair,
     morse_index_formula,
     standard_J,
+    subspace_frame,
     three_term_identity,
     transported_path,
 )
@@ -29,7 +31,8 @@ from maslovflow import hamiltonian
 from maslovflow.maslov import DEFAULT_TOL
 from maslovflow.specflow import MAX_DEPTH, MU_TOL, spectral_flow
 from maslovflow.propagator import ordered_product, rk4_step_propagators
-from maslovflow.suites import random_pair, random_symmetric, random_symmetric_family
+from maslovflow.suites import random_action, random_lagrangian_frame, random_pair, random_symmetric, random_symmetric_family
+from maslovflow.symplectic import gap_distance, nearest_lagrangian_frames, souriau_stack
 
 
 def test_symmetric_family_exact_symmetry_and_eval():
@@ -490,6 +493,32 @@ def _sup8_draw(n, k):
 def test_transported_term_at_sup_norm_8(n, k, sfl):
     rep = clm_hamiltonian(*_sup8_draw(n, k))
     assert rep.values == {"spectral_flow": sfl, "maslov_transported": sfl}
+
+
+@pytest.mark.parametrize("n, k", [(1, None), (2, None), (1, 14), (2, 5)],
+                         ids=["action-n1", "action-n2", "sup8-n1-draw14", "sup8-n2-draw5"])
+def test_action_frames_are_the_polar_projection_of_the_acted_basis(n, k):
+    # SymplecticActionPath projects A F itself, with no QR first: its frames
+    # must span A F, and their Souriau matrices equal those of the QR route,
+    # up to rounding and the isotropy defect delta of span(A F) that RK4 drift
+    # leaves: no Lagrangian frame is nearer than about delta / 2 to that span
+    # (delta reaches 8.6e-12 on the n = 2 draw, below 1e-16 on the others)
+    if k is None:
+        rng = np.random.default_rng(n)
+        path = SymplecticActionPath(random_action(rng, n), random_lagrangian_frame(rng, n))
+    else:
+        S, g1, _ = _sup8_draw(n, k)
+        path = transported_path(S, g1, steps=256)
+    lams = np.linspace(0.0, 1.0, 33)
+    frames = path.frames(lams)
+    B = path.matfun(lams) @ path.base.frames(lams)
+    by_qr = souriau_stack(nearest_lagrangian_frames(np.linalg.qr(B)[0]))
+    J = standard_J(n)
+    for F, b, W in zip(frames, B, by_qr):
+        Q = subspace_frame(b)
+        bound = 1e-12 + 2.0 * np.abs(Q.T @ J @ Q).max()
+        assert gap_distance(F, Q) <= bound
+        assert np.abs(souriau_stack(F[None])[0] - W).max() <= bound
 
 
 @pytest.mark.parametrize("n, k, sfl", [(1, 14, -1), (2, 5, 2)])

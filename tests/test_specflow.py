@@ -647,6 +647,24 @@ def test_kernel_dimension_matches_intersection():
             assert mult == intersection_dimension(g1.frame(lam), g2.frame(lam))
 
 
+@pytest.mark.parametrize("turn", [1e-15, -1e-15])
+def test_an_eigenvalue_on_a_scan_point_is_counted_above_it(turn, monkeypatch):
+    # gamma_nor against l1 has the eigenvalue 0 at lambda = 1/2, a scan point
+    # of a window symmetric about 0; its eigenphase there is 0 up to rounding,
+    # and a turn of either sign by 1e-15 must not move the window
+    tail = specflow._closed_form_tail
+
+    def turned(B, F2J, at):
+        dets, eigs = tail(B, F2J, at)
+        return dets, np.where(np.abs(np.angle(eigs)) < 1e-13, eigs * np.exp(1j * turn), eigs)
+
+    monkeypatch.setattr(specflow, "_closed_form_tail", turned)
+    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    tol = 1e-8
+    w = spectrum_window(fam, 0.5, -3.0415926535, 3.0415926535, tol=tol)
+    assert w.eigenvalues == ((tol / 4, 1),)
+
+
 def test_spectral_flow_reference_pairs():
     assert spectral_flow(BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))).value == 1
     assert spectral_flow(BoundaryValueFamily(ConstantPath(l0_frame(1)), gamma_nor_prime(1))).value == -1
@@ -674,6 +692,100 @@ def test_spectral_flow_partition_does_not_depend_on_rounding(g1, g2):
     fine = spectral_flow(fam, tol=1e-10)
     assert coarse.partition == fine.partition
     assert coarse.epsilons == pytest.approx(fine.epsilons, abs=1e-7)
+
+
+def _parent_interval_contribution(Ea, Eb):
+    """The segment rule before the motion cap and the wall cutoff were
+    dropped, verbatim but for the names, as the reference."""
+    motion_cap = np.pi / 8
+
+    def choose_epsilon(values_a, values_b, motion):
+        pts = np.abs(np.concatenate([values_a, values_b]))
+        pts = np.sort(pts[pts <= specflow._EPS_MAX + motion_cap + 0.05])
+        walls = np.concatenate([[0.0], pts])
+        best = None
+        for a, b in zip(walls, np.append(walls[1:], np.inf)):
+            lo, hi = max(a, 0.0), min(b, specflow._EPS_MAX)
+            if hi <= lo:
+                continue
+            eps = 0.5 * (lo + hi)
+            margin = min(eps - a, b - eps)
+            if best is None or margin > best[1]:
+                best = (eps, margin)
+        if best is None or best[1] <= max(motion + specflow._EPS_SLACK, 1e-3):
+            return None
+        return best
+
+    A, B = Ea.values(), Eb.values()
+
+    def motion(xs, ys):
+        worst = 0.0
+        for x in xs:
+            if abs(x) > specflow._SF_CORE:
+                continue
+            if ys.size == 0:
+                return np.inf
+            worst = max(worst, float(np.min(np.abs(ys - x))))
+        return worst
+
+    m = max(motion(A, B), motion(B, A))
+    if m > motion_cap:
+        return None
+    picked = choose_epsilon(A, B, m)
+    if picked is None:
+        return None
+    eps = picked[0]
+    zero = specflow._ZERO_TOL
+    return Eb.count_between(-zero, eps) - Ea.count_between(-zero, eps), float(eps)
+
+
+def _segment_windows(count, seed):
+    """count pairs of eigenvalue lists for the segment rule, clustered near
+    the values where it decides; the second list of a pair is a perturbation
+    of the first or drawn afresh, and either may be empty."""
+    rng = np.random.default_rng(seed)
+    centres = np.array([0.0, np.pi / 8, np.pi / 4, 1.228, 1.45, -1.45])
+    scales = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.4])
+    shape = (count, 2, 5)
+    drawn = rng.choice(centres, shape) * rng.choice([-1.0, 1.0], shape) + rng.choice(scales, shape) * rng.normal(size=shape)
+    moved = drawn[:, 0] + rng.choice(scales, (count, 1)) * rng.normal(size=(count, 5))
+    sizes = rng.integers(0, 6, (count, 2))
+    fresh = rng.random(count) < 0.4
+    for i in range(count):
+        a = drawn[i, 0, : sizes[i, 0]]
+        b = drawn[i, 1, : sizes[i, 1]] if fresh[i] else moved[i, : sizes[i, 0]]
+        yield a.tolist(), b.tolist()
+
+
+def _window(values, doubled):
+    """The window of the distinct values, the i-th of multiplicity 2 where
+    doubled[i] is set."""
+    mus = sorted(set(values))
+    return specflow.SpectrumWindow(0.0, -1.45, 1.45, tuple((mu, 1 + int(d)) for mu, d in zip(mus, doubled)))
+
+
+def test_segment_rule_equals_the_rule_with_the_motion_cap_and_wall_cutoff():
+    # the margin is at most pi/8, so neither the cap nor walls past
+    # pi/4 + pi/8 can decide: every result, epsilon included, is bit for bit
+    cap, cutoff = np.pi / 8, specflow._EPS_MAX + np.pi / 8 + 0.05
+    edges = [
+        ([], []), ([0.0], [0.0]), ([0.0], []), ([], [0.3]), ([0.0, -0.0], [1e-300]),
+        ([0.0], [np.nextafter(cap, 0.0)]), ([0.0], [cap]), ([0.0], [np.nextafter(cap, 1.0)]),
+        ([0.0, 0.5], [-np.nextafter(cap, 1.0), 0.5]),
+        ([0.2, np.nextafter(cutoff, 2.0)], [0.2, np.nextafter(cutoff, 2.0)]),
+        ([0.2, cutoff], [0.2, 1.3]), ([0.7, 1.2281], [0.7, -1.2281]),
+        ([0.2], [0.2 + ((np.pi / 4 - 0.2) / 2 - 5e-7) / 1.5]),  # margin 5e-7 above the motion
+    ]
+    count = 20000
+    doubled = np.random.default_rng(2028).random((count, 2, 5)) < 0.1
+    accepted = 0
+    for i, (a, b) in enumerate(edges + list(_segment_windows(count - len(edges), 2027))):
+        Ea, Eb = _window(a, doubled[i, 0]), _window(b, doubled[i, 1])
+        want = _parent_interval_contribution(Ea, Eb)
+        got = specflow._interval_contribution(Ea, Eb)
+        assert got == want, (Ea, Eb, got, want)
+        accepted += want is not None
+    assert 2000 < accepted < 18000
 
 
 def test_spectral_flow_shifted_reference():

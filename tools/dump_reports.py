@@ -1,0 +1,68 @@
+"""Write every deterministic report of maslovflow to one directory.
+
+    PYTHONPATH=src python tools/dump_reports.py OUTDIR
+
+OUTDIR, which must not exist yet, gets the seven acceptance-suite reports
+and, for each configs/*.json, the output of `maslov`, `sflow --csv`,
+`spectra --csv` and `verify alpha-beta`: each JSON report with its timing_s
+set to 0, each CSV, and a `.status` file with the exit code and whatever
+went to stderr.  The maslovflow imported is whichever is first on
+PYTHONPATH, so dumping two checkouts into two directories and running
+`diff -r` on them shows every byte a change moves.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+from maslovflow import cli, suites
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITES = (
+    (suites.theorem_suite, 50, 2024),
+    (suites.hamiltonian_suite, 25, 41),
+    (suites.three_term_suite, 25, 42),
+    (suites.alpha_beta_suite, 25, 43),
+    (suites.morse_suite, 3, 44),
+    (suites.axiom_suite, 50, 45),
+    (suites.gap_suite, 100, 46),
+)
+
+
+def _untimed(text: str) -> str:
+    return re.sub(r'"timing_s": [^,\n]+', '"timing_s": 0.0', text)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.stderr.write("usage: dump_reports.py OUTDIR\n")
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True)
+    for suite, count, seed in SUITES:
+        (out / f"{suite.__name__}.json").write_text(_untimed(suite(count, seed).to_json()))
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        for command in ("maslov", "sflow", "spectra", "verify"):
+            stem = out / f"{config.stem}.{command}"
+            args = [command, "--config", str(config), "--out", f"{stem}.json"]
+            if command in ("sflow", "spectra"):
+                args += ["--csv", f"{stem}.csv"]
+            if command == "verify":
+                args.insert(1, "alpha-beta")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(args)
+            report = Path(f"{stem}.json")
+            if report.exists():
+                report.write_text(_untimed(report.read_text()))
+            Path(f"{stem}.status").write_text(f"exit {code}\n{err.getvalue()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
