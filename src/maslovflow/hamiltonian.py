@@ -92,10 +92,13 @@ class FundamentalSolution:
         if self.props.ndim != 3:
             raise ValueError("at evaluates the fundamental solution of one lambda, not of a stack")
         t = np.asarray(t, dtype=float)
-        ts = t.reshape(-1)
-        bad = ~((0.0 <= ts) & (ts <= 1.0 + 1e-12))
+        bad = ~((-1e-12 <= t) & (t <= 1.0 + 1e-12))
         if bad.any():
-            raise ValueError(f"time {ts[np.argmax(bad)]} outside [0, 1]")
+            raise ValueError(f"time {t[bad][0]} outside [0, 1]")
+        # times within 1e-12 outside [0, 1], as alpha/beta validation allows,
+        # are the end times, and index no node before 0
+        t = np.clip(t, 0.0, 1.0)
+        ts = t.reshape(-1)
         if self.generator is not None:
             return scipy.linalg.expm(t[..., None, None] * self.generator)
         h = self.ts[1] - self.ts[0]

@@ -22,12 +22,13 @@ the same count plus the change of Sigma from end to end.
 
 Non-admissible pairs (endpoint intersections nontrivial) are rotated:
 the index is that of (gamma_1, exp(-Theta J) gamma_2) for a small stable
-Theta > 0 supplied by perturbation_theta.
+Theta > 0 supplied by perturbation_theta, counted as e^{2i Theta} C on the
+frames and grid of gamma_2 itself: the rotation multiplies each U(F) by
+e^{-i Theta} (Robbin & Salamon, "The Maslov index for paths", 1993).
 
 Each path is evaluated only in batches: the sample grids are built before
 any test reads an endpoint frame, and their first batch holds lambda = 0
 and 1, so the admissibility, ladder and closure tests read cached frames.
-A rotated path shares the grid of the path it rotates.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import ConstantPath, LagrangianPath, RotatedPath
+from .paths import ConstantPath, LagrangianPath
 from .symplectic import (
     LagrangianFrame,
     gap_distance,
@@ -78,9 +79,11 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _PairCounter:
-    """Signed eigenphase-crossing counter for one pair of paths."""
+    """Signed eigenphase-crossing counter for (gamma_1, exp(-theta J) gamma_2),
+    whose relative unitary is e^{2i theta} C: the bisections of C, with its
+    eigenphases moved rigidly by 2 theta."""
 
-    def __init__(self, g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH):
+    def __init__(self, g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH, theta: float = 0.0):
         if g1.n != g2.n:
             raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
         if max_depth < 0:
@@ -88,16 +91,19 @@ class _PairCounter:
         self.g1 = g1
         self.g2 = g2
         self.max_depth = max_depth
+        self.phase = np.exp(2j * theta) if theta else None
         # the end spectra of an accepted segment match within 2 arcsin(cap / 2)
         # per eigenphase (Bhatia & Davis), n of which stay below pi
         self.cap = min(_DC_CAP, 3.0 / g1.n)
         self._total = None
 
     def unitaries(self, lams: np.ndarray):
-        """C(lambda) = W1 conj(W2) at each lambda, stacked, and the sums of
-        their eigenphases, each taken in [-PHASE_TOL, 2pi - PHASE_TOL)."""
+        """C(lambda) = W1 conj(W2) at each lambda, times e^{2i theta}, stacked,
+        and the sums of their eigenphases, each taken in [-PHASE_TOL, 2pi - PHASE_TOL)."""
         W = souriau_stack(np.concatenate([self.g1.frames(lams), self.g2.frames(lams)]))
         C = W[: lams.size] @ W[lams.size :].conj()
+        if self.phase is not None:
+            C = self.phase * C
         p = _eigenphases(C)
         return C, np.sum(np.where(p < -PHASE_TOL, p + 2.0 * np.pi, p), axis=1)
 
@@ -178,8 +184,8 @@ def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: 
                 if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk), tol) != 0:
                     ladder_ok = False
         if ladder_ok:
-            counter = _PairCounter(g1, RotatedPath(g2, -theta), max_depth)
-            if counter.total() == _PairCounter(g1, RotatedPath(g2, -theta / 2), max_depth).total():
+            counter = _PairCounter(g1, g2, max_depth, theta)
+            if counter.total() == _PairCounter(g1, g2, max_depth, theta / 2).total():
                 return float(theta), counter
         theta /= 4.0
     raise RuntimeError("no stable regularization angle found down to 1e-6")
@@ -215,8 +221,8 @@ def maslov_pair(
 ) -> int:
     """Maslov index of a pair of Lagrangian paths.
 
-    Admissible pairs are counted directly; otherwise the second path is
-    rotated by the stable angle from perturbation_theta first.  A count that
+    Admissible pairs are counted directly; otherwise the pair is counted as
+    (gamma_1, exp(-Theta J) gamma_2), Theta from perturbation_theta.  A count that
     reaches max_depth raises UnresolvedCrossing, as in crossing_list: a
     rotation exp(-Theta J) of gamma_2 multiplies C by the unit scalar
     e^{2i Theta}, which keeps every ||C(b) - C(a)|| and so every bisection.

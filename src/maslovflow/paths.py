@@ -34,7 +34,6 @@ from .symplectic import (
     norm2,
     rotation_matrix,
     souriau,
-    souriau_stack,
     standard_J,
     within_each,
 )
@@ -107,13 +106,16 @@ class LagrangianPath:
         cache.  The distinct lambdas not seen before (-0.0 and 0.0 are one)
         are evaluated together, in one call of _frames_at in the order first
         seen, appended to the cache and sorted in with one stable argsort:
-        time linear in the cache per batch of misses."""
+        time linear in the cache per batch of misses.  A non-finite miss
+        raises ValueError naming it, and caches nothing."""
         lams = np.asarray(lams, dtype=float).ravel()
         rows = self._keys.searchsorted(lams)
         miss = self._keys.take(rows, mode="clip") != lams if self._keys.size else np.ones(lams.size, bool)
         if miss.any():
             _, first = np.unique(lams[miss], return_index=True)
             new = lams[miss][np.sort(first)]
+            if not np.isfinite(new).all():
+                raise ValueError(f"path evaluated at a non-finite lambda {new[~np.isfinite(new)][0]}")
             keys = np.concatenate([self._keys, new])
             order = keys.argsort(kind="stable")
             keys = keys[order]
@@ -139,10 +141,6 @@ class LagrangianPath:
     def souriau_matrix(self, lam: float) -> np.ndarray:
         """The Souriau matrix W(lambda) as a plain complex array."""
         return souriau(self.frame(lam)).W
-
-    def souriau_matrices(self, lams) -> np.ndarray:
-        """The Souriau matrices at each lambda, stacked (m, n, n)."""
-        return souriau_stack(self.frames(lams))
 
     def breakpoint_hints(self) -> tuple:
         """Parameter values where the descriptor may lose smoothness."""
@@ -289,11 +287,7 @@ class PolynomialAction:
 
 
 class RotatedPath(LagrangianPath):
-    """The pointwise rotation exp(theta J) applied to an existing path.
-
-    The rotation is orthogonal and keeps every gap distance, so the path
-    shares the sample grid of the path inside it instead of refining its own.
-    """
+    """The pointwise rotation exp(theta J) applied to an existing path."""
 
     def __init__(self, path: LagrangianPath, theta: float):
         super().__init__(path.n)
@@ -303,10 +297,6 @@ class RotatedPath(LagrangianPath):
 
     def _frames_at(self, lams):
         return lagrangian_frames(self._R @ self.path.frames(lams))
-
-    @property
-    def sample_grid(self) -> np.ndarray:
-        return self.path.sample_grid
 
     def breakpoint_hints(self):
         return self.path.breakpoint_hints()
@@ -350,6 +340,7 @@ class ConcatPath(LagrangianPath):
     """Concatenation of paths, each piece traversed on an equal subinterval.
 
     Consecutive pieces must match at the junctions (gap distance <= 1e-8).
+    A lambda below 0 maps into the first piece, one above 1 into the last.
     """
 
     def __init__(self, pieces):
@@ -368,7 +359,7 @@ class ConcatPath(LagrangianPath):
 
     def _frames_at(self, lams):
         k = len(self.pieces)
-        idx = np.minimum(np.floor(lams * k).astype(int), k - 1)
+        idx = np.clip(np.floor(lams * k).astype(int), 0, k - 1)
         s = lams * k - idx
         out = np.empty((lams.size, 2 * self.n, self.n))
         for i, piece in enumerate(self.pieces):

@@ -54,6 +54,12 @@ from .symplectic import (
     rotation_matrix,
 )
 
+# the suites draw instances with n = 1, ..., _N_MAX in turn
+_N_MAX = 2
+# hamiltonian_suite draws sup norms in [0.5, _SUP_NORM]
+_SUP_NORM = 3.0
+_RAMP_CS = (5.0, 15.0, 30.0)
+
 
 def random_symmetric(rng, m: int, scale: float) -> np.ndarray:
     A = rng.normal(size=(m, m)) * scale
@@ -134,35 +140,33 @@ def _suite_report(command: str, details: list, inputs: dict) -> VerificationRepo
     )
 
 
-def theorem_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
+def theorem_suite(count: int, seed: int) -> VerificationReport:
     """Spectral flow equals the pair index for S = 0 on randomized pairs."""
     rng = np.random.default_rng(seed)
     details = []
     for i in range(count):
-        n = 1 + i % n_max
+        n = 1 + i % _N_MAX
         nonadm = i % 4 == 3
         g1, g2 = random_pair(rng, n, force_nonadmissible=nonadm)
         rep = clm_hamiltonian(None, g1, g2)
         details.append({"instance": i, "n": n, "nonadmissible": nonadm, "passed": rep.passed, **rep.values})
-    return _suite_report("verify-clm", details, {"count": count, "seed": seed, "n_max": n_max})
+    return _suite_report("verify-clm", details, {"count": count, "seed": seed, "n_max": _N_MAX})
 
 
-def hamiltonian_suite(
-    count: int, seed: int, n_max: int = 2, sup_norm: float = 3.0, steps: int = DEFAULT_STEPS
-) -> VerificationReport:
+def hamiltonian_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The Hamiltonian spectral-flow formula on randomized polynomial families."""
     rng = np.random.default_rng(seed)
     details = []
     for i in range(count):
-        n = 1 + i % n_max
+        n = 1 + i % _N_MAX
         g1, g2 = random_pair(rng, n)
-        S = random_symmetric_family(rng, n, 2, 1 + i % 2, float(rng.uniform(0.5, sup_norm)))
+        S = random_symmetric_family(rng, n, 2, 1 + i % 2, float(rng.uniform(0.5, _SUP_NORM)))
         rep = clm_hamiltonian(S, g1, g2, steps=steps)
         details.append(
             {"instance": i, "n": n, "s_norm": S.sup_norm(), "passed": rep.passed, **rep.values}
         )
     return _suite_report(
-        "verify-hamiltonian", details, {"count": count, "seed": seed, "sup_norm": sup_norm}
+        "verify-hamiltonian", details, {"count": count, "seed": seed, "sup_norm": _SUP_NORM}
     )
 
 
@@ -221,12 +225,12 @@ def alpha_beta_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> Verif
     return _suite_report("verify-alpha-beta", details, {"count": count, "seed": seed})
 
 
-def morse_suite(count: int, seed: int, cs=(5.0, 15.0, 30.0), steps: int = DEFAULT_STEPS) -> VerificationReport:
+def morse_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """Dirichlet-type boundary conditions: the ramp family plus random instances."""
     rng = np.random.default_rng(seed)
     details = []
     ramp_values = []
-    for c in cs:
+    for c in _RAMP_CS:
         n = 1
         coeffs = np.zeros((2, 1, 2 * n, 2 * n))
         coeffs[1, 0] = c * np.eye(2 * n)
@@ -249,7 +253,7 @@ def morse_suite(count: int, seed: int, cs=(5.0, 15.0, 30.0), steps: int = DEFAUL
         S = random_symmetric_family(rng, n, 1, 1, float(rng.uniform(1.0, 4.0)))
         rep = morse_index_formula(S, steps=steps)
         details.append({"instance": i, "n": n, "passed": rep.passed, **rep.values})
-    return _suite_report("verify-morse", details, {"cs": list(cs), "count": count, "seed": seed})
+    return _suite_report("verify-morse", details, {"cs": list(_RAMP_CS), "count": count, "seed": seed})
 
 
 def _transversal_pair(rng, n: int):
@@ -281,7 +285,7 @@ def _monotone_reparam(rng):
     return PiecewiseLinear(xs, ys)
 
 
-def axiom_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
+def axiom_suite(count: int, seed: int) -> VerificationReport:
     """The pair-index axioms and symmetries on randomized inputs, exact integers."""
     rng = np.random.default_rng(seed)
     details = []
@@ -304,7 +308,7 @@ def axiom_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
         "regularization-consistency": [],
     }
     for i in range(count):
-        n = 1 + i % n_max
+        n = 1 + i % _N_MAX
 
         g1, g2 = _transversal_pair(rng, n)
         checks["transversal-vanishing"].append(maslov_pair(g1, g2) == 0)
@@ -336,7 +340,7 @@ def axiom_suite(count: int, seed: int, n_max: int = 2) -> VerificationReport:
             {"property": name, "count": len(results), "failures": int(np.sum(~np.asarray(results))),
              "passed": all(results)}
         )
-    return _suite_report("verify-axioms", details, {"count": count, "seed": seed, "n_max": n_max})
+    return _suite_report("verify-axioms", details, {"count": count, "seed": seed, "n_max": _N_MAX})
 
 
 def gap_suite(count: int, seed: int) -> VerificationReport:

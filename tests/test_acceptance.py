@@ -96,14 +96,14 @@ def test_criterion_2_normalization_cli(tmp_path, capsys):
 
 def test_criterion_3_theorem_at_desk_scale():
     t0 = time.perf_counter()
-    report = theorem_suite(count=50, seed=2024, n_max=2)
+    report = theorem_suite(count=50, seed=2024)
     _verdict(3, "spectral flow equals pair index (50 pairs)", report.passed,
              time.perf_counter() - t0, 300.0)
 
 
 def test_criterion_4_hamiltonian_formula():
     t0 = time.perf_counter()
-    report = hamiltonian_suite(count=25, seed=41, n_max=2, sup_norm=3.0)
+    report = hamiltonian_suite(count=25, seed=41)
     _verdict(4, "Hamiltonian spectral-flow formula (25 instances)", report.passed,
              time.perf_counter() - t0, 600.0)
 
@@ -120,7 +120,7 @@ def test_criterion_5_corollaries():
 
 def test_criterion_6_dirichlet_ramp():
     t0 = time.perf_counter()
-    report = morse_suite(cs=(5.0, 15.0, 30.0), count=3, seed=44)
+    report = morse_suite(count=3, seed=44)
     shape = [d for d in report.details if d.get("instance") == "ramp-shape"][0]
     ok = report.passed and shape["monotone"] and shape["has_jump"]
     _verdict(6, "Dirichlet ramp Morse-type formula", ok, time.perf_counter() - t0, 120.0)
@@ -128,7 +128,7 @@ def test_criterion_6_dirichlet_ramp():
 
 def test_criterion_7_axiom_suite():
     t0 = time.perf_counter()
-    report = axiom_suite(count=50, seed=45, n_max=2)
+    report = axiom_suite(count=50, seed=45)
     _verdict(7, "pair-index axiom suite (50 each)", report.passed,
              time.perf_counter() - t0, 300.0)
 

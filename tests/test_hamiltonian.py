@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from maslovflow import (
     transported_path,
 )
 from maslovflow import hamiltonian
+from maslovflow.config import parse_config
 from maslovflow.maslov import DEFAULT_TOL
 from maslovflow.specflow import MAX_DEPTH, MU_TOL, spectral_flow
 from maslovflow.propagator import ordered_product, rk4_step_propagators
@@ -316,6 +318,24 @@ def test_alpha_beta_constraint_validation():
     bad_beta = PiecewiseLinear([0.0, 1.0], [0.2, 1.0])
     with pytest.raises(ValueError, match="breakpoint"):
         alpha_beta_identity(S, g1, g2, alpha, bad_beta)
+
+
+def test_alpha_beta_a_rounding_below_0_reads_the_start_time():
+    # validation accepts alpha and beta down to -1e-12; at t = -5e-13 the
+    # node index floor(t / h + 1e-12) was -1, which reads Psi(1), so at
+    # clips such times to 0 and the case counts as alpha(0) = 0 does
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "reparametrized_identity.json")
+    alpha = PiecewiseLinear([0.0, 1.0], [-5e-13, 0.0])
+    beta = PiecewiseLinear([0.0, 1.0], [-5e-13, 1.0])
+    rep = alpha_beta_identity(cfg.family, cfg.path1(), cfg.path2(), alpha, beta, steps=cfg.solver.steps)
+    expected = {"spectral_flow": 1, "term_start": 0, "term_pair": 1, "term_end": 0, "rhs": 1}
+    assert rep.passed and {k: rep.values[k] for k in expected} == expected
+    for lam in (0.0, 1.0):
+        sol = fundamental_solution(cfg.family, lam, cfg.solver.steps)
+        assert np.array_equal(sol.at(-5e-13), sol.at(0.0))
+        assert np.array_equal(sol.at(1.0 + 5e-13), sol.at(1.0))
+        with pytest.raises(ValueError, match="time -2e-12 outside"):
+            sol.at(np.array([0.5, -2e-12]))
 
 
 def test_alpha_beta_degenerate_reparametrization_matches_three_term():

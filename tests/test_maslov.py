@@ -493,16 +493,47 @@ def test_half_dimension_mismatch_raises_before_any_frame():
         assert g1._grid is None and g2.path._grid is None
 
 
-def test_rotated_path_shares_the_grid_of_its_path():
+def test_a_rotated_path_refines_its_own_grid_to_the_nodes_of_its_path():
     # a rotation keeps every gap distance, so refining the rotated path's own
     # grid gives the same nodes
     for k, g1, g2 in _oracle_pairs():
         theta = perturbation_theta(g1, g2)
         for g in (g1, g2):
             for t in (-theta, -theta / 2, np.pi / 8, -np.pi / 8, 1e-3, -1e-3):
-                rotated = RotatedPath(g, t)
-                assert rotated.sample_grid is g.sample_grid
-                assert np.array_equal(LagrangianPath.sample_grid.fget(rotated), g.sample_grid), (k, t)
+                assert np.array_equal(RotatedPath(g, t).sample_grid, g.sample_grid), (k, t)
+
+
+def test_a_phase_on_c_counts_as_the_rotated_pair():
+    # exp(-t J) multiplies U(F) by e^{-it}, so the pair (g1, exp(-t J) g2)
+    # has the relative unitary e^{2it} C: the counter given theta = t reads
+    # the same C as the counter of the rotated path, up to rounding, and
+    # counts the same on every segment
+    for k, g1, g2 in _oracle_pairs():
+        theta = perturbation_theta(g1, g2)
+        for t in (theta, theta / 2, np.pi / 8, -np.pi / 8, 1e-3):
+            phased = maslov._PairCounter(g1, g2, theta=t)
+            rotated = maslov._PairCounter(g1, RotatedPath(g2, -t))
+            nodes = phased.initial_nodes()
+            assert np.array_equal(rotated.initial_nodes(), nodes), (k, t)
+            C, _ = phased.unitaries(nodes)
+            C_rot, _ = rotated.unitaries(nodes)
+            assert np.abs(C - C_rot).max() <= 1e-13, (k, t)
+            assert np.array_equal(phased.counts(nodes[:-1], nodes[1:]),
+                                  rotated.counts(nodes[:-1], nodes[1:])), (k, t)
+
+
+def test_regularization_evaluates_no_rotated_frame(monkeypatch):
+    def refuse(self, lams):
+        raise AssertionError("a rotated path was evaluated")
+
+    monkeypatch.setattr(RotatedPath, "_frames_at", refuse)
+    nonadmissible = 0
+    for index in (maslov_pair, crossing_list, perturbation_theta):
+        for k, g1, g2 in _oracle_pairs():
+            if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
+                nonadmissible += 1
+                index(g1, g2)
+    assert nonadmissible >= 30
 
 
 def _fast_turning_line(gap: float):

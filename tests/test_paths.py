@@ -29,6 +29,7 @@ from maslovflow.maslov import maslov_pair
 from maslovflow.paths import LagrangianPath
 from maslovflow.specflow import BoundaryValueFamily, spectral_flow
 from maslovflow.suites import random_action, random_lagrangian_frame
+from maslovflow.symplectic import souriau_stack
 
 
 def test_piecewise_linear_validation():
@@ -196,7 +197,7 @@ def test_batched_frames_match_scalar_frames(name):
     # sin/cos give the scalar results; 1e-15 allows a last-bit difference
     batched, scalar = _path_of_each_class()[name], _path_of_each_class()[name]
     F = batched.frames(_LAMS)
-    W = batched.souriau_matrices(_LAMS)
+    W = souriau_stack(F)
     assert F.shape == (_LAMS.size, 4, 2) and W.shape == (_LAMS.size, 2, 2)
     F1 = np.array([scalar.frame(lam).F for lam in _LAMS])
     W1 = np.array([scalar.souriau_matrix(lam) for lam in _LAMS])
@@ -216,6 +217,30 @@ def test_concat_frames_at_the_junction_come_from_the_second_piece():
     assert np.array_equal(g.frames([0.5, 0.75])[0], second.frame(0.0).F)
     assert np.array_equal(g.frames([0.75])[0], second.frame(0.5).F)
     assert np.array_equal(g.frames([0.25])[0], g.pieces[0].frame(0.5).F)
+
+
+def test_a_concatenation_below_0_reads_its_first_piece():
+    # below 0 the piece index was -1, so no piece wrote the row of np.empty
+    # and the cache kept whatever memory was there
+    g = ConcatPath([gamma_nor(1), gamma_nor(1)])
+    with pytest.raises(ValueError, match="non-finite lambda nan"):
+        g.frames([-0.25, np.nan, -0.5])
+    assert g._cached().size == 0
+    F = g.frames([-0.25, -0.5, 1.25])
+    assert np.array_equal(F[0], g.pieces[0].frame(0.0).F)
+    assert np.array_equal(F[1], g.pieces[0].frame(0.0).F)
+    assert np.array_equal(F[2], g.pieces[1].frame(1.0).F)
+
+
+@pytest.mark.parametrize("name", sorted(set(_path_of_each_class()) - {"constant"}))
+def test_a_non_finite_lambda_raises_naming_it_and_caches_nothing(name):
+    g = _path_of_each_class()[name]
+    g.frames([0.1, 0.2])
+    keys, cache = g._cached(), g._cache
+    for lams, bad in (([-0.25, np.nan, -0.5], "nan"), ([0.2, np.inf], "inf"), ([0.3, -np.inf, np.nan], "-inf")):
+        with pytest.raises(ValueError, match=f"non-finite lambda {bad}$"):
+            g.frames(lams)
+        assert g._cached() is keys and g._cache is cache
 
 
 def test_batched_action_reports_the_first_non_symplectic_lambda():
