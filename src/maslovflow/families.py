@@ -92,6 +92,8 @@ class SymmetricFamily:
 
     def shifted(self, delta: float) -> "SymmetricFamily":
         """The family S + delta I."""
+        if not np.isfinite(delta):
+            raise ValueError(f"delta must be finite, got {delta!r}")
         coeffs = np.array(self.coeffs)
         coeffs[0, 0] += delta * np.eye(2 * self.n)
         return SymmetricFamily(coeffs)

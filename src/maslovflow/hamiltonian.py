@@ -133,8 +133,9 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     formed at once; Psi(1/2) and Psi(1) are their ordered products, and the
     node values a prefix scan formed only when read.
 
-    Raises when the symplecticity drift at t = 1/2 or t = 1 exceeds 1e-6,
-    naming the first lambda where it does and suggesting more steps.
+    Raises when the symplecticity drift at t = 1/2 or t = 1 exceeds 1e-6 or
+    is not finite, naming the first lambda where it does and suggesting more
+    steps.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
@@ -155,8 +156,13 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     props = rk4_step_propagators(nodes, mids, h)
     props.setflags(write=False)
     ends = _ends(props)
-    drift = np.atleast_1d(norm2(np.swapaxes(ends, -1, -2) @ J @ ends - J).max(axis=-1))
-    bad = drift > _DRIFT_ATOL
+    dev = np.swapaxes(ends, -1, -2) @ J @ ends - J
+    # a drift that is not finite is nan, exceeds the bound and takes no SVD
+    finite = np.isfinite(dev).all(axis=(-2, -1))
+    drift = np.full(finite.shape, np.nan)
+    drift[finite] = norm2(dev[finite])
+    drift = np.atleast_1d(drift.max(axis=-1))
+    bad = ~(drift <= _DRIFT_ATOL)
     if bad.any():
         k = int(np.argmax(bad))
         raise ValueError(

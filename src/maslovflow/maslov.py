@@ -21,8 +21,8 @@ batch of Souriau matrices per path.  The winding of det W along a loop is
 the same count plus the change of Sigma from end to end.
 
 Non-admissible pairs (endpoint intersections nontrivial) are rotated:
-the index is that of (gamma_1, exp(-Theta J) gamma_2) for a small stable
-Theta > 0 supplied by perturbation_theta, counted as e^{2i Theta} C on the
+the index is that of (gamma_1, exp(-Theta J) gamma_2), Theta > 0 read from
+endpoint data by perturbation_theta, counted once as e^{2i Theta} C on the
 frames and grid of gamma_2 itself: the rotation multiplies each U(F) by
 e^{-i Theta} (Robbin & Salamon, "The Maslov index for paths", 1993).
 
@@ -95,7 +95,6 @@ class _PairCounter:
         # the end spectra of an accepted segment match within 2 arcsin(cap / 2)
         # per eigenphase (Bhatia & Davis), n of which stay below pi
         self.cap = min(_DC_CAP, 3.0 / g1.n)
-        self._total = None
 
     def unitaries(self, lams: np.ndarray):
         """C(lambda) = W1 conj(W2) at each lambda, times e^{2i theta}, stacked,
@@ -145,28 +144,35 @@ class _PairCounter:
         return np.union1d(self.g1.sample_grid, self.g2.sample_grid)
 
     def total(self) -> int:
-        if self._total is None:
-            nodes = self.initial_nodes()
-            self._total = int(self.counts(nodes[:-1], nodes[1:]).sum())
-        return self._total
+        nodes = self.initial_nodes()
+        return int(self.counts(nodes[:-1], nodes[1:]).sum())
 
 
 def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
-    """A stable rotation angle Theta > 0 regularizing the endpoint intersections.
+    """A stable angle Theta > 0 regularizing the endpoint intersections, read
+    from endpoint data alone: at most pi/8 and below 0.49 m, m the smallest
+    endpoint relative eigenphase above 100 PHASE_TOL, so gamma_1(e) and
+    exp(-Theta' J) gamma_2(e) are transversal for 0 < |Theta'| <= Theta.  A
+    ladder of test angles is verified (intersection rank at DEFAULT_TOL), or
+    Theta shrinks by 4 until 1e-6.
 
-    Theta is at most pi/8 and below half the smallest nonzero relative
-    eigenphase at either endpoint, so gamma_1(e) and exp(-Theta' J) gamma_2(e)
-    are transversal for every 0 < |Theta'| <= Theta.  A geometric ladder of
-    test angles is verified (intersection rank at DEFAULT_TOL), and Theta is
-    accepted only if the pair index computed at Theta and Theta/2 agree;
-    otherwise Theta shrinks until 1e-6.
+    The pair is counted once: a count at Theta/2 could not differ.  At angle
+    t the counter multiplies C by e^{2it}, so every ||C(b) - C(a)|| and
+    bisection is the same (up to rounding at the cap, where any tree that
+    passes it counts alike), and each eigenphase moves rigidly by 2t:
+    Sigma_t = Sigma_0 + 2nt - 2pi w_t, w_t the integer count of phases wrapped
+    at the cut of [-PHASE_TOL, 2pi - PHASE_TOL).  The segment shifts
+    w_t(b) - w_t(a) telescope to w at lambda = 0, 1, where for t in
+    [Theta/2, Theta] no phase crosses the cut: |phi| <= 1e-7 moves to at least
+    Theta - 1e-7 > 0, phi > 0 stays unwrapped, and phi <= -m stays at or below
+    -0.02 m <= -2e-9 < -PHASE_TOL.  An aliased segment sees the same endpoint
+    data, rigidly shifted, at both angles, so is equally wrong at both.
     """
-    return _regularized(g1, g2, DEFAULT_TOL, MAX_DEPTH)[0]
+    return _regularized(g1, g2, DEFAULT_TOL)
 
 
-def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int):
-    """Theta as documented at perturbation_theta, and the counter of
-    (gamma_1, exp(-Theta J) gamma_2) that verified it, its total known."""
+def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float) -> float:
+    """Theta as documented at perturbation_theta, its ladder read at tol."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
     _build_grids(g1, g2)
@@ -177,16 +183,9 @@ def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: 
     theta = min(np.pi / 8, 0.49 * min(nonzero, default=np.inf))
 
     while theta >= 1e-6:
-        ladder_ok = True
-        for k in range(4):
-            tk = theta / 2**k
-            for e in (0.0, 1.0):
-                if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk), tol) != 0:
-                    ladder_ok = False
-        if ladder_ok:
-            counter = _PairCounter(g1, g2, max_depth, theta)
-            if counter.total() == _PairCounter(g1, g2, max_depth, theta / 2).total():
-                return float(theta), counter
+        if all(intersection_dimension(g1.frame(e), rotate(g2.frame(e), -theta / 2**k), tol) == 0
+               for k in range(4) for e in (0.0, 1.0)):
+            return float(theta)
         theta /= 4.0
     raise RuntimeError("no stable regularization angle found down to 1e-6")
 
@@ -202,15 +201,18 @@ def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth:
     """The counter of the pair, rotated by the stable Theta if an endpoint
     intersection is nontrivial.
 
-    Both sample grids are built before the admissibility test, which then
-    reads the endpoint frames from their first batch; the counter needs the
-    grids in either branch.
+    tol and max_depth are checked before any frame is read.  Both sample
+    grids are built before the admissibility test, which then reads the
+    endpoint frames from their first batch; the counter needs the grids in
+    either branch.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     counter = _PairCounter(g1, g2, max_depth)
     _build_grids(g1, g2)
     if all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0)):
         return counter
-    return _regularized(g1, g2, tol, max_depth)[1]
+    return _PairCounter(g1, g2, max_depth, _regularized(g1, g2, tol))
 
 
 def maslov_pair(

@@ -80,6 +80,13 @@ class PiecewiseLinear:
         return [[float(x), float(y)] for x, y in zip(self.xs, self.ys)]
 
 
+def _finite(lams: np.ndarray) -> np.ndarray:
+    """lams, unless one is not finite: ValueError naming the first such."""
+    if not np.isfinite(lams).all():
+        raise ValueError(f"path evaluated at a non-finite lambda {lams[~np.isfinite(lams)][0]}")
+    return lams
+
+
 class LagrangianPath:
     """Base class: a continuous family lambda -> L(lambda) of Lagrangian subspaces.
 
@@ -113,9 +120,7 @@ class LagrangianPath:
         miss = self._keys.take(rows, mode="clip") != lams if self._keys.size else np.ones(lams.size, bool)
         if miss.any():
             _, first = np.unique(lams[miss], return_index=True)
-            new = lams[miss][np.sort(first)]
-            if not np.isfinite(new).all():
-                raise ValueError(f"path evaluated at a non-finite lambda {new[~np.isfinite(new)][0]}")
+            new = _finite(lams[miss][np.sort(first)])
             keys = np.concatenate([self._keys, new])
             order = keys.argsort(kind="stable")
             keys = keys[order]
@@ -186,9 +191,11 @@ class ConstantPath(LagrangianPath):
         self.base = frame
 
     def frames(self, lams) -> np.ndarray:
-        return np.broadcast_to(self.base.F, (np.size(lams), 2 * self.n, self.n))
+        lams = _finite(np.asarray(lams, dtype=float).ravel())
+        return np.broadcast_to(self.base.F, (lams.size, 2 * self.n, self.n))
 
     def frame(self, lam: float) -> LagrangianFrame:
+        _finite(np.array([lam], dtype=float))
         return self.base
 
 

@@ -465,8 +465,8 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     his = _edges(mu_max, "mu_max", lams.size)
     if not np.all(los < his):
         raise ValueError("empty mu-window")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     windows, edges = [], []
     for s in range(0, lams.size, _STACK):
         part = slice(s, s + _STACK)

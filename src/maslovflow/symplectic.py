@@ -74,12 +74,14 @@ def within_each(M: np.ndarray, tol: float) -> np.ndarray:
     ||M||_2 <= ||M||_F, so a Frobenius norm clearly below tol accepts without
     an SVD; the 1e-12 relative margin covers the rounding of both norms, so
     each decision is that of the exact spectral-norm test, which is taken
-    only where the Frobenius norm does not accept.
+    only where the Frobenius norm does not accept and is finite: a matrix
+    whose Frobenius norm is nan or inf fails without an SVD.
     """
     fro = np.sqrt(np.einsum("kij,kij->k", M, M.conj()).real)
     ok = fro <= tol * (1.0 - 1e-12)
     if not ok.all():
-        ok[~ok] = norm2(M[~ok]) <= tol
+        test = ~ok & np.isfinite(fro)
+        ok[test] = norm2(M[test]) <= tol
     return ok
 
 
@@ -87,14 +89,17 @@ def _check_each(tol: float, *checks) -> None:
     """Each check is a pair (M, message) of a matrix or a stack of matrices,
     all of one shape, and its message.  One within_each over all of them
     decides; the first check with a matrix not within tol raises
-    ValueError(message) with the 2-norm of its first such matrix."""
+    ValueError(message) with the 2-norm of its first such matrix, or its
+    Frobenius norm where that is nan or inf."""
     devs = [dev.reshape(-1, *dev.shape[-2:]) for dev, _ in checks]
     ok = within_each(np.concatenate(devs) if len(devs) > 1 else devs[0], tol)
     if ok.all():
         return
     for (_, message), dev, ok_k in zip(checks, devs, ok.reshape(len(devs), -1)):
         if not ok_k.all():
-            raise ValueError(message.format(norm2(dev[np.argmin(ok_k)])))
+            M = dev[np.argmin(ok_k)]
+            fro = np.linalg.norm(M)
+            raise ValueError(message.format(norm2(M) if np.isfinite(fro) else fro))
 
 
 def _unitary_check(U: np.ndarray):

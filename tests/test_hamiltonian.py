@@ -143,6 +143,18 @@ def test_fundamental_solution_drift_error_names_the_first_failing_lambda():
         fundamental_solution(S, 0.0, steps=64)
 
 
+@pytest.mark.parametrize("size", [3e3, 2e4])
+@pytest.mark.parametrize("lam", [0.5, np.array([0.5, 0.1])])
+def test_fundamental_solution_rejects_a_drift_that_is_not_finite(size, lam):
+    # at 3e3 Psi(1) is finite, with entries near 1e195, but its drift is nan;
+    # at 2e4 the drift matrix itself is not finite.  Either way the first
+    # such lambda is named, without an SVD of a non-finite matrix
+    S = SymmetricFamily(np.random.default_rng(0).normal(size=(2, 2, 2, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"drift nan at lambda=0\.5 exceeds 1e-06; increase steps"):
+            fundamental_solution(S.scaled(size / S.sup_norm()), lam, steps=64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("deg_t", [0, 2])
 def test_stacked_fundamental_solution_matches_each_lambda(n, deg_t):

@@ -536,6 +536,141 @@ def test_regularization_evaluates_no_rotated_frame(monkeypatch):
     assert nonadmissible >= 30
 
 
+def _parent_regularized(g1, g2, tol, max_depth):
+    """The regularization before the Theta/2 recount was dropped, verbatim but
+    for the names, as the reference: Theta is accepted only once the pair's
+    totals at Theta and Theta/2 agree."""
+    if g1.n != g2.n:
+        raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
+    maslov._build_grids(g1, g2)
+    nonzero = []
+    for e in (0.0, 1.0):
+        p = maslov._eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj())
+        nonzero.extend(abs(t) for t in p if abs(t) > 100 * maslov.PHASE_TOL)
+    theta = min(np.pi / 8, 0.49 * min(nonzero, default=np.inf))
+
+    while theta >= 1e-6:
+        ladder_ok = True
+        for k in range(4):
+            tk = theta / 2**k
+            for e in (0.0, 1.0):
+                if intersection_dimension(g1.frame(e), maslov.rotate(g2.frame(e), -tk), tol) != 0:
+                    ladder_ok = False
+        if ladder_ok:
+            counter = maslov._PairCounter(g1, g2, max_depth, theta)
+            if counter.total() == maslov._PairCounter(g1, g2, max_depth, theta / 2).total():
+                return float(theta), counter
+        theta /= 4.0
+    raise RuntimeError("no stable regularization angle found down to 1e-6")
+
+
+def _diagonal_pair(rng, n, ends):
+    """A unitary-diagonal path against R^n x {0}, whose relative eigenphases
+    are 2 theta_j: ends[e] lists the n endpoint phases at lambda = e, each
+    placed on a random branch, with one random interior node per phase."""
+    phases = []
+    for j in range(n):
+        ys = [0.5 * ends[0][j] + np.pi * rng.integers(-1, 2), rng.uniform(-2 * np.pi, 2 * np.pi),
+              0.5 * ends[1][j] + np.pi * rng.integers(-1, 2)]
+        phases.append(PiecewiseLinear([0.0, rng.uniform(0.2, 0.8), 1.0], ys))
+    return UnitaryDiagonalPath(phases), ConstantPath(l0_frame(n))
+
+
+def _endpoint_phases(rng, n, smallest):
+    """n endpoint phases: the first an exact intersection or inside the
+    +-1e-7 band, the others of size at least smallest, and the second, when
+    n > 1, +-smallest."""
+    out = rng.choice([-1.0, 1.0], n) * rng.uniform(smallest, np.pi, n)
+    out[0] = rng.choice([0.0, rng.uniform(-1e-7, 1e-7)])
+    if n > 1:
+        out[1] = rng.choice([-1.0, 1.0]) * smallest
+    return out
+
+
+def _regularization_cases():
+    """100 pairs whose endpoint relative eigenphases test the regularization
+    angle: the oracle pairs, 20 seeded pairs that share their start, 30
+    unitary-diagonal pairs with exact intersections, phases inside the
+    +-1e-7 band and a smallest nonzero phase log-uniform in [1e-7, 1e-3], and
+    20 margin draws at n = 1-6 with that phase m in (2.04e-6, 4.08e-6), so that
+    Theta = 0.49 m sits within a factor 2 above the 1e-6 floor."""
+    for _, g1, g2 in _oracle_pairs():
+        yield g1, g2
+    rng = np.random.default_rng(0)
+    for k in range(20):
+        yield random_pair(rng, 1 + k % 3, force_nonadmissible=True)
+    for k in range(30):
+        n = 1 + k % 3
+        smallest = 10 ** rng.uniform(-7, -3)
+        yield _diagonal_pair(rng, n, [_endpoint_phases(rng, n, smallest), _endpoint_phases(rng, n, smallest)])
+    rng = np.random.default_rng(7)
+    for k in range(20):
+        n = 1 + k % 6
+        m = rng.uniform(2.04e-6, 4.08e-6)
+        ends = [_endpoint_phases(rng, n, m), _endpoint_phases(rng, n, 10 * m)]
+        if n == 1:
+            ends[1][0] = rng.choice([-1.0, 1.0]) * m
+        yield _diagonal_pair(rng, n, ends[:: 1 - 2 * (k % 2)])
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-7])
+def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted(tol):
+    # the recount at Theta/2 never decided: the angle read from endpoint data
+    # is the one the reference accepted, or both raise at the 1e-6 floor, and
+    # the pair counts the same at Theta and Theta/2; at tol 1e-7 the ladder
+    # fails on the margin draws, so the retry and the floor are exercised
+    outcomes = []
+    for k, (g1, g2) in enumerate(_regularization_cases()):
+        try:
+            reference, counter = _parent_regularized(g1, g2, tol, maslov.MAX_DEPTH)
+        except RuntimeError as expected:
+            with pytest.raises(RuntimeError) as got:
+                maslov._regularized(g1, g2, tol)
+            assert str(got.value) == str(expected), k
+            outcomes.append("raised")
+            continue
+        theta = maslov._regularized(g1, g2, tol)
+        assert theta == reference, k
+        total = maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta).total()
+        assert total == counter.total(), k
+        assert maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta / 2).total() == total, k
+        outcomes.append("retried" if theta < min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2)) else "first")
+    assert outcomes.count("first") >= 50
+    if tol == 1e-7:
+        assert outcomes.count("raised") and outcomes.count("retried")
+
+
+def _smallest_endpoint_phase(g1, g2):
+    p = np.abs(np.concatenate([
+        maslov._eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj()) for e in (0.0, 1.0)
+    ]))
+    return p[p > 100 * maslov.PHASE_TOL].min(initial=np.inf)
+
+
+def test_perturbation_theta_counts_nothing(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("the pair was counted")
+
+    monkeypatch.setattr(maslov._PairCounter, "counts", refuse)
+    nonadmissible = 0
+    for k, g1, g2 in _oracle_pairs():
+        if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
+            nonadmissible += 1
+            assert 0 < perturbation_theta(g1, g2) <= np.pi / 8, k
+    assert nonadmissible >= 10
+
+
+def test_a_regularized_pair_is_counted_once(monkeypatch):
+    totals = []
+    total = maslov._PairCounter.total
+    monkeypatch.setattr(maslov._PairCounter, "total", lambda self: totals.append(self) or total(self))
+    for k, g1, g2 in _oracle_pairs():
+        if k % 3 == 2:
+            totals.clear()
+            maslov_pair(g1, g2)
+            assert len(totals) == 1, k
+
+
 def _fast_turning_line(gap: float):
     """A line of R^2 that turns through 8 (pi - gap) against {0} x R: the
     turning e^{i theta} line meets it 8 times, each crossing positive."""

@@ -232,7 +232,7 @@ def test_a_concatenation_below_0_reads_its_first_piece():
     assert np.array_equal(F[2], g.pieces[1].frame(1.0).F)
 
 
-@pytest.mark.parametrize("name", sorted(set(_path_of_each_class()) - {"constant"}))
+@pytest.mark.parametrize("name", sorted(_path_of_each_class()))
 def test_a_non_finite_lambda_raises_naming_it_and_caches_nothing(name):
     g = _path_of_each_class()[name]
     g.frames([0.1, 0.2])

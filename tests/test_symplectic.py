@@ -465,3 +465,17 @@ def test_stack_checks_reject_what_the_scalar_checks_reject():
     assert np.array_equal(W, [souriau(LagrangianFrame(2, F)).W for F in frames])
     with pytest.raises(ValueError, match="unitary representative"):
         souriau_stack(np.array([good, 1.5 * good]))
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: LagrangianFrame(1, np.full((2, 1), np.nan)), r"columns not orthonormal: .* = nan"),
+    (lambda: gap_distance(np.full((3, 2, 1), np.nan), np.zeros((3, 2, 1))),
+     "frame columns are not orthonormal: deviation nan"),
+    (lambda: LagrangianFrame(1, np.array([[np.inf], [0.0]])), r"columns not orthonormal: .* = (nan|inf)"),
+    (lambda: kato_projection_identity_check(np.full((2, 2), np.nan), np.eye(2)),
+     "P is not an orthogonal projection"),
+], ids=["nan-frame", "nan-gap", "inf-frame", "nan-kato"])
+def test_a_non_finite_matrix_fails_its_check_without_an_svd(check, message):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            check()
