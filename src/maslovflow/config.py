@@ -24,7 +24,6 @@ from .paths import (
     ReparametrizedPath,
     ReversedPath,
     RotatedPath,
-    RotationPath,
     SymplecticActionPath,
     UnitaryDiagonalPath,
     gamma_nor,
@@ -141,7 +140,7 @@ def build_path(desc, n: int, where: str = "path") -> LagrangianPath:
     if kind == "rotation":
         theta = _parse_pl(desc.get("theta"), f"{where}.theta")
         base = _parse_frame(desc.get("frame"), n, f"{where}.frame")
-        return RotationPath(base, theta)
+        return RotatedPath(base, theta)
     if kind == "unitary_diagonal":
         phases = desc.get("phases")
         _expect(isinstance(phases, list) and len(phases) == n, f"{where}.phases",

@@ -168,11 +168,6 @@ def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
     -0.02 m <= -2e-9 < -PHASE_TOL.  An aliased segment sees the same endpoint
     data, rigidly shifted, at both angles, so is equally wrong at both.
     """
-    return _regularized(g1, g2, DEFAULT_TOL)
-
-
-def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float) -> float:
-    """Theta as documented at perturbation_theta, its ladder read at tol."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
     _build_grids(g1, g2)
@@ -183,7 +178,7 @@ def _regularized(g1: LagrangianPath, g2: LagrangianPath, tol: float) -> float:
     theta = min(np.pi / 8, 0.49 * min(nonzero, default=np.inf))
 
     while theta >= 1e-6:
-        if all(intersection_dimension(g1.frame(e), rotate(g2.frame(e), -theta / 2**k), tol) == 0
+        if all(intersection_dimension(g1.frame(e), rotate(g2.frame(e), -theta / 2**k), DEFAULT_TOL) == 0
                for k in range(4) for e in (0.0, 1.0)):
             return float(theta)
         theta /= 4.0
@@ -199,7 +194,8 @@ def _build_grids(*paths: LagrangianPath) -> None:
 
 def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int) -> _PairCounter:
     """The counter of the pair, rotated by the stable Theta if an endpoint
-    intersection is nontrivial.
+    intersection is nontrivial at tol.  tol decides which pairs are rotated,
+    not the angle: Theta's ladder reads DEFAULT_TOL whatever tol is.
 
     tol and max_depth are checked before any frame is read.  Both sample
     grids are built before the admissibility test, which then reads the
@@ -212,7 +208,7 @@ def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth:
     _build_grids(g1, g2)
     if all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0)):
         return counter
-    return _PairCounter(g1, g2, max_depth, _regularized(g1, g2, tol))
+    return _PairCounter(g1, g2, max_depth, perturbation_theta(g1, g2))
 
 
 def maslov_pair(

@@ -5,9 +5,11 @@ be evaluated at arbitrary parameter values, which is what the adaptive
 crossing and eigenvalue machinery needs.  Each class but the constant path,
 whose frames are read-only views of its one frame, has one evaluator,
 `_frames_at`, that turns an array of parameter values into a checked stack
-of frames: rotation and unitary-diagonal paths in closed form, rotated,
+of frames: unitary-diagonal paths in closed form; rotated paths, the one
+class that applies exp(theta J), to a fixed frame or a path, by a constant
+or piecewise-linear angle, in closed form on the frames of the path inside;
 reversed, reparametrized and concatenated paths by mapping the array onto
-the paths inside them, and acted-on paths likewise, with an action that
+the paths inside them; and acted-on paths likewise, with an action that
 maps the whole array to a stack of symplectic matrices in one call
 (`PolynomialAction` with one `expm` call, the transported, frozen-time and
 alpha/beta paths of hamiltonian.py through fundamental solutions on lambda
@@ -94,6 +96,7 @@ class LagrangianPath:
     """
 
     def __init__(self, n: int):
+        standard_J(n)  # the ValueError for an n that is not a positive integer
         self.n = n
         # the cache: every lambda evaluated so far, sorted, and its frames
         self._keys = np.empty(0)
@@ -199,19 +202,28 @@ class ConstantPath(LagrangianPath):
         return self.base
 
 
-class RotationPath(LagrangianPath):
-    """lambda -> exp(theta(lambda) J) L0 for a piecewise-linear angle function."""
+class RotatedPath(LagrangianPath):
+    """lambda -> exp(theta(lambda) J) base(lambda), the rotation of a fixed
+    frame or of a path by a constant or piecewise-linear angle.
 
-    def __init__(self, base: LagrangianFrame, theta: PiecewiseLinear):
+    A frame is the constant path at it, and a number the constant angle.  A
+    rotation is orthogonal, so its frames need no projection.
+    """
+
+    def __init__(self, base, theta):
+        if isinstance(base, LagrangianFrame):
+            base = ConstantPath(base)
+        if not isinstance(theta, PiecewiseLinear):
+            theta = PiecewiseLinear.constant(theta)
         super().__init__(base.n)
         self.base = base
         self.theta = theta
 
     def _frames_at(self, lams):
-        return lagrangian_frames(rotation_matrix(self.n, self.theta(lams)) @ self.base.F)
+        return lagrangian_frames(rotation_matrix(self.n, self.theta(lams)) @ self.base.frames(lams))
 
     def breakpoint_hints(self):
-        return self.theta.breakpoints()
+        return tuple(sorted(set(self.base.breakpoint_hints()) | set(self.theta.breakpoints())))
 
 
 class UnitaryDiagonalPath(LagrangianPath):
@@ -291,22 +303,6 @@ class PolynomialAction:
         lams = np.asarray(lams, dtype=float)[:, None, None]
         G = sum(g * lams**k for k, g in enumerate(self.gens))
         return scipy.linalg.expm(self._J @ G)
-
-
-class RotatedPath(LagrangianPath):
-    """The pointwise rotation exp(theta J) applied to an existing path."""
-
-    def __init__(self, path: LagrangianPath, theta: float):
-        super().__init__(path.n)
-        self.path = path
-        self.theta = float(theta)
-        self._R = rotation_matrix(path.n, self.theta)
-
-    def _frames_at(self, lams):
-        return lagrangian_frames(self._R @ self.path.frames(lams))
-
-    def breakpoint_hints(self):
-        return self.path.breakpoint_hints()
 
 
 class ReversedPath(LagrangianPath):
@@ -390,6 +386,7 @@ def gamma_nor(n: int) -> LagrangianPath:
 
     gamma(lambda) = R(cos(pi lambda) e_1 + sin(pi lambda) e_{n+1}) + sum_j R e_j.
     """
+    standard_J(n)  # the ValueError for an n that is not a positive integer
     phases = [PiecewiseLinear.linear(0.0, np.pi)]
     phases += [PiecewiseLinear.constant(0.0) for _ in range(n - 1)]
     return UnitaryDiagonalPath(phases)
@@ -400,6 +397,7 @@ def gamma_nor_prime(n: int) -> LagrangianPath:
 
     gamma(lambda) = R(sin(pi lambda) e_1 - cos(pi lambda) e_{n+1}) + sum_j R e_{n+j}.
     """
+    standard_J(n)  # the ValueError for an n that is not a positive integer
     phases = [PiecewiseLinear.linear(-np.pi / 2, np.pi / 2)]
     phases += [PiecewiseLinear.constant(np.pi / 2) for _ in range(n - 1)]
     return UnitaryDiagonalPath(phases)

@@ -26,7 +26,6 @@ from .paths import (
     PolynomialAction,
     ReparametrizedPath,
     RotatedPath,
-    RotationPath,
     SymplecticActionPath,
     UnitaryDiagonalPath,
     gamma_nor,
@@ -51,7 +50,6 @@ from .symplectic import (
     kato_projection_identity_check,
     l0_frame,
     l1_frame,
-    rotation_matrix,
 )
 
 # the suites draw instances with n = 1, ..., _N_MAX in turn
@@ -87,7 +85,7 @@ def random_path(rng, n: int) -> LagrangianPath:
     if kind == 0:
         xs = [0.0, float(rng.uniform(0.3, 0.7)), 1.0]
         ys = rng.uniform(-2.2, 2.2, size=3)
-        return RotationPath(random_lagrangian_frame(rng, n), PiecewiseLinear(xs, ys))
+        return RotatedPath(random_lagrangian_frame(rng, n), PiecewiseLinear(xs, ys))
     if kind == 1:
         phases = [
             PiecewiseLinear([0.0, 0.5, 1.0], rng.uniform(-2.5, 2.5, size=3))
@@ -124,6 +122,14 @@ def random_symmetric_family(rng, n: int, deg_lambda: int, deg_t: int, sup_target
     return fam
 
 
+def _suite_rng(count: int, seed: int):
+    """The generator of a suite of count seeded instances.  A count below 1
+    raises ValueError: a suite of no instances would pass vacuously."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+    return np.random.default_rng(seed)
+
+
 def _suite_report(command: str, details: list, inputs: dict) -> VerificationReport:
     passed = all(d.get("passed", False) for d in details)
     values = {
@@ -142,7 +148,7 @@ def _suite_report(command: str, details: list, inputs: dict) -> VerificationRepo
 
 def theorem_suite(count: int, seed: int) -> VerificationReport:
     """Spectral flow equals the pair index for S = 0 on randomized pairs."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
     for i in range(count):
         n = 1 + i % _N_MAX
@@ -155,7 +161,7 @@ def theorem_suite(count: int, seed: int) -> VerificationReport:
 
 def hamiltonian_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The Hamiltonian spectral-flow formula on randomized polynomial families."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
     for i in range(count):
         n = 1 + i % _N_MAX
@@ -172,7 +178,7 @@ def hamiltonian_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> Veri
 
 def three_term_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The endpoint-correction identity, plus its closed-endpoint collapse."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
     for i in range(count):
         n = 1 + i % 2
@@ -213,7 +219,7 @@ def _random_alpha_beta(rng):
 
 def alpha_beta_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """The reparametrized identity with beta(lambda) = alpha(lambda) + lambda."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
     for i in range(count):
         n = 1 + i % 2
@@ -227,7 +233,7 @@ def alpha_beta_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> Verif
 
 def morse_suite(count: int, seed: int, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """Dirichlet-type boundary conditions: the ramp family plus random instances."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
     ramp_values = []
     for c in _RAMP_CS:
@@ -260,7 +266,7 @@ def _transversal_pair(rng, n: int):
     """gamma_2 = exp(s(lambda) J) gamma_1 with s bounded away from pi Z."""
     g1 = random_path(rng, n)
     s = PiecewiseLinear([0.0, 0.5, 1.0], rng.uniform(0.25, np.pi - 0.25, size=3))
-    return g1, SymplecticActionPath(lambda lams: rotation_matrix(n, s(lams)), g1, hints=s.breakpoints())
+    return g1, RotatedPath(g1, s)
 
 
 def _concat_quadruple(rng, n: int):
@@ -287,7 +293,7 @@ def _monotone_reparam(rng):
 
 def axiom_suite(count: int, seed: int) -> VerificationReport:
     """The pair-index axioms and symmetries on randomized inputs, exact integers."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
 
     norm_ok = (
@@ -346,7 +352,7 @@ def axiom_suite(count: int, seed: int) -> VerificationReport:
 def gap_suite(count: int, seed: int) -> VerificationReport:
     """Gap-metric identities, the Kato projection identity, the spectrum shift
     law, and the conjugation consistency check."""
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(count, seed)
     details = []
 
     worst_max_formula = 0.0

@@ -1,6 +1,7 @@
 """Tests for the JSON configuration schema and the command line interface."""
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -22,11 +23,19 @@ from maslovflow.paths import (
     PolynomialAction,
     ReparametrizedPath,
     RotatedPath,
-    RotationPath,
     SymplecticActionPath,
     UnitaryDiagonalPath,
 )
 from maslovflow.specflow import BoundaryValueFamily, spectral_flow
+from maslovflow.suites import (
+    alpha_beta_suite,
+    axiom_suite,
+    gap_suite,
+    hamiltonian_suite,
+    morse_suite,
+    theorem_suite,
+    three_term_suite,
+)
 from maslovflow.symplectic import frame_from_basis, l0_frame, l1_frame
 
 GAMMA_NOR_CFG = {
@@ -115,7 +124,7 @@ _ROT = {"type": "rotation", "theta": [[0.0, 0.0], [1.0, 1.4]], "frame": "l0"}
 
 
 def _rot_path():
-    return RotationPath(l0_frame(2), PiecewiseLinear([0.0, 1.0], [0.0, 1.4]))
+    return RotatedPath(l0_frame(2), PiecewiseLinear([0.0, 1.0], [0.0, 1.4]))
 
 
 # descriptor kinds that the benchmark's configs use, each against the same
@@ -131,7 +140,7 @@ def _rot_path():
          lambda: ReparametrizedPath(_rot_path(), PiecewiseLinear([0.0, 0.4, 1.0], [0.0, 0.7, 1.0]))),
         ({"type": "constant", "frame": _BASIS}, lambda: ConstantPath(frame_from_basis(np.array(_BASIS)))),
         ({"type": "rotation", "theta": _THETA, "frame": _BASIS},
-         lambda: RotationPath(frame_from_basis(np.array(_BASIS)), PiecewiseLinear(*np.transpose(_THETA)))),
+         lambda: RotatedPath(frame_from_basis(np.array(_BASIS)), PiecewiseLinear(*np.transpose(_THETA)))),
         ({"type": "symplectic_action", "generator": _GENS, "base": _ROT},
          lambda: SymplecticActionPath(PolynomialAction(np.array(_GENS)), _rot_path())),
     ],
@@ -141,6 +150,8 @@ def _rot_path():
 def test_parsed_descriptor_frames_equal_the_python_path(desc, build):
     cfg = parse_config({"n": 2, "gamma1": desc, "gamma2": {"type": "constant", "frame": "l1"}})
     lams = np.array([0.0, 0.3, 0.55, 1.0])
+    # the same class too: "rotation" and "rotated" both build a RotatedPath
+    assert type(cfg.path1()) is type(build())
     assert np.array_equal(cfg.path1().frames(lams), build().frames(lams))
     assert np.array_equal(cfg.path2().frames(lams), ConstantPath(l1_frame(2)).frames(lams))
 
@@ -622,6 +633,36 @@ def test_cli_count_and_seed_reach_the_suite(tmp_path, monkeypatch, capsys):
     assert main(["verify", "axioms", "--config", cfg]) == 0
     capsys.readouterr()
     assert calls == [{"count": 2, "seed": 0}, {"count": 1, "seed": 4}]
+
+
+@pytest.mark.parametrize("suite", [theorem_suite, hamiltonian_suite, three_term_suite, alpha_beta_suite,
+                                   morse_suite, axiom_suite, gap_suite], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("count", [0, -2])
+def test_a_suite_of_fewer_than_one_instance_is_rejected_naming_count(suite, count):
+    # an empty suite would pass vacuously; the CLI rejects such a count first
+    with pytest.raises(ValueError, match=f"^count must be at least 1, got {count}$"):
+        suite(count, 1)
+
+
+def _dump_reports():
+    """tools/dump_reports.py, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "dump_reports.py"
+    spec = importlib.util.spec_from_file_location("dump_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dump_reports_usage_errors_exit_2_and_write_nothing(tmp_path, capsys):
+    dump = _dump_reports()
+    assert dump.main([]) == 2
+    assert capsys.readouterr().err == "usage: dump_reports.py OUTDIR\n"
+    out = tmp_path / "reports"
+    out.mkdir()
+    assert dump.main([str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"OUTDIR {out} exists" in err
+    assert list(out.iterdir()) == []
 
 
 def _readme_flag_table() -> dict:

@@ -16,7 +16,6 @@ from maslovflow import (
     ConstantPath,
     PiecewiseLinear,
     RotatedPath,
-    RotationPath,
     crossing_list,
     frame_from_basis,
     gamma_nor,
@@ -75,7 +74,7 @@ def test_maslov_loop_winding_additivity(k):
 
 
 def test_maslov_loop_rejects_open_path():
-    g = RotationPath(l0_frame(1), PiecewiseLinear.linear(0.0, 0.7))
+    g = RotatedPath(l0_frame(1), PiecewiseLinear.linear(0.0, 0.7))
     with pytest.raises(ValueError, match="closed"):
         maslov_loop(g)
 
@@ -195,7 +194,7 @@ def test_maslov_pair_propagates_errors_other_than_unresolved_crossing(monkeypatc
         raise AssertionError("the regularization fallback must not be called")
 
     monkeypatch.setattr(maslov._PairCounter, "counts", broken_counts)
-    monkeypatch.setattr(maslov, "_regularized", no_fallback)
+    monkeypatch.setattr(maslov, "perturbation_theta", no_fallback)
     with pytest.raises(RuntimeError, match="bug inside the counter"):
         maslov_pair(gamma_nor(1), ConstantPath(l1_frame(1)))
 
@@ -427,13 +426,12 @@ def test_maslov_pair_and_crossing_list_raise_at_the_depth_cap(max_depth, monkeyp
     with pytest.raises(UnresolvedCrossing) as expected:
         maslov._PairCounter(g1, g2, max_depth).total()
     calls = []
-    regularized = maslov._regularized
 
     def spy(*args):
         calls.append(args)
-        return regularized(*args)
+        return perturbation_theta(*args)
 
-    monkeypatch.setattr(maslov, "_regularized", spy)
+    monkeypatch.setattr(maslov, "perturbation_theta", spy)
     for count in (maslov_pair, crossing_list):
         with pytest.raises(UnresolvedCrossing) as got:
             count(g1, g2, max_depth=max_depth)
@@ -489,8 +487,8 @@ def test_half_dimension_mismatch_raises_before_any_frame():
         g1, g2 = gamma_nor(1), RotatedPath(gamma_nor(2), 0.3)
         with pytest.raises(ValueError, match="half-dimension mismatch: 1 vs 2"):
             index(g1, g2)
-        assert g1._cached().size == 0 and g2._cached().size == 0 and g2.path._cached().size == 0
-        assert g1._grid is None and g2.path._grid is None
+        assert g1._cached().size == 0 and g2._cached().size == 0 and g2.base._cached().size == 0
+        assert g1._grid is None and g2.base._grid is None
 
 
 def test_a_rotated_path_refines_its_own_grid_to_the_nodes_of_its_path():
@@ -522,18 +520,22 @@ def test_a_phase_on_c_counts_as_the_rotated_pair():
                                   rotated.counts(nodes[:-1], nodes[1:])), (k, t)
 
 
-def test_regularization_evaluates_no_rotated_frame(monkeypatch):
-    def refuse(self, lams):
-        raise AssertionError("a rotated path was evaluated")
+def test_regularization_builds_no_rotated_path(monkeypatch):
+    # the oracle pairs hold rotated paths of their own, so they are built
+    # first; inside the index calls no rotated path may be built
+    def refuse(self, *args):
+        raise AssertionError("a rotated path was built")
 
-    monkeypatch.setattr(RotatedPath, "_frames_at", refuse)
-    nonadmissible = 0
-    for index in (maslov_pair, crossing_list, perturbation_theta):
-        for k, g1, g2 in _oracle_pairs():
-            if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
-                nonadmissible += 1
-                index(g1, g2)
-    assert nonadmissible >= 30
+    cases = [
+        (index, g1, g2)
+        for index in (maslov_pair, crossing_list, perturbation_theta)
+        for _, g1, g2 in _oracle_pairs()
+        if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0))
+    ]
+    assert len(cases) >= 30
+    monkeypatch.setattr(RotatedPath, "__init__", refuse)
+    for index, g1, g2 in cases:
+        index(g1, g2)
 
 
 def _parent_regularized(g1, g2, tol, max_depth):
@@ -616,28 +618,32 @@ def _regularization_cases():
 @pytest.mark.parametrize("tol", [1e-8, 1e-7])
 def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted(tol):
     # the recount at Theta/2 never decided: the angle read from endpoint data
-    # is the one the reference accepted, or both raise at the 1e-6 floor, and
-    # the pair counts the same at Theta and Theta/2; at tol 1e-7 the ladder
-    # fails on the margin draws, so the retry and the floor are exercised
+    # is the one the reference accepted with its ladder at DEFAULT_TOL, or
+    # both raise at the 1e-6 floor, and the pair counts the same at Theta and
+    # Theta/2.  The ladder reads DEFAULT_TOL whatever the caller's tol, so
+    # maslov_pair at tol 1e-7 too raises nothing here, and counts at Theta a
+    # pair that tol sees meet at an endpoint
     outcomes = []
     for k, (g1, g2) in enumerate(_regularization_cases()):
         try:
-            reference, counter = _parent_regularized(g1, g2, tol, maslov.MAX_DEPTH)
+            reference, counter = _parent_regularized(g1, g2, maslov.DEFAULT_TOL, maslov.MAX_DEPTH)
         except RuntimeError as expected:
             with pytest.raises(RuntimeError) as got:
-                maslov._regularized(g1, g2, tol)
+                perturbation_theta(g1, g2)
             assert str(got.value) == str(expected), k
             outcomes.append("raised")
             continue
-        theta = maslov._regularized(g1, g2, tol)
+        theta = perturbation_theta(g1, g2)
         assert theta == reference, k
         total = maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta).total()
         assert total == counter.total(), k
         assert maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta / 2).total() == total, k
+        index = maslov_pair(g1, g2, tol=tol)
+        if any(intersection_dimension(g1.frame(e), g2.frame(e), tol) for e in (0.0, 1.0)):
+            assert index == total, k
         outcomes.append("retried" if theta < min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2)) else "first")
     assert outcomes.count("first") >= 50
-    if tol == 1e-7:
-        assert outcomes.count("raised") and outcomes.count("retried")
+    assert "raised" not in outcomes[-20:]
 
 
 def _smallest_endpoint_phase(g1, g2):

@@ -12,7 +12,6 @@ from maslovflow import (
     PiecewiseLinear,
     ReparametrizedPath,
     RotatedPath,
-    RotationPath,
     SymplecticActionPath,
     UnitaryDiagonalPath,
     frame_from_basis,
@@ -29,7 +28,7 @@ from maslovflow.maslov import maslov_pair
 from maslovflow.paths import LagrangianPath
 from maslovflow.specflow import BoundaryValueFamily, spectral_flow
 from maslovflow.suites import random_action, random_lagrangian_frame
-from maslovflow.symplectic import souriau_stack
+from maslovflow.symplectic import lagrangian_frames, souriau_stack
 
 
 def test_piecewise_linear_validation():
@@ -74,7 +73,7 @@ def test_gamma_nor_prime_n1_explicit():
 
 
 def test_sample_grid_invariants():
-    g = RotationPath(l0_frame(2), PiecewiseLinear([0.0, 1.0], [0.0, 5.0]))
+    g = RotatedPath(l0_frame(2), PiecewiseLinear([0.0, 1.0], [0.0, 5.0]))
     grid = g.sample_grid
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert np.all(np.diff(grid) > 0)
@@ -116,8 +115,8 @@ def test_concat_path_junction_check():
 
 
 def test_concat_path_traversal():
-    up = RotationPath(l0_frame(1), PiecewiseLinear.linear(0.0, 0.7))
-    down = RotationPath(l0_frame(1), PiecewiseLinear.linear(0.7, 1.4))
+    up = RotatedPath(l0_frame(1), PiecewiseLinear.linear(0.0, 0.7))
+    down = RotatedPath(l0_frame(1), PiecewiseLinear.linear(0.7, 1.4))
     g = ConcatPath([up, down])
     assert gap_distance(g.frame(0.25), up.frame(0.5)) < 1e-13
     assert gap_distance(g.frame(0.75), down.frame(0.5)) < 1e-13
@@ -142,7 +141,7 @@ def test_reparametrized_path_validation():
 
 def test_rotation_path_matches_matrix_action():
     theta = PiecewiseLinear.linear(0.0, 1.1)
-    g = RotationPath(l0_frame(2), theta)
+    g = RotatedPath(l0_frame(2), theta)
     lam = 0.6
     R = rotation_matrix(2, 1.1 * lam)
     assert np.linalg.norm(g.frame(lam).F - R @ l0_frame(2).F, 2) < 1e-12
@@ -159,16 +158,16 @@ class _OneAtATime(LagrangianPath):
         return np.stack([rotate(self.base, 0.8 * lam - 0.3).F for lam in lams.tolist()])
 
 
-def _path_of_each_class():
+def _path_of_each_class(n=2, seed=31):
     """One path of every class, built afresh (with empty caches) on each call."""
-    rng = np.random.default_rng(31)
-    n = 2
+    rng = np.random.default_rng(seed)
     L = random_lagrangian_frame(rng, n)
-    rotation = RotationPath(L, PiecewiseLinear([0.0, 0.4, 1.0], [0.1, -1.3, 2.0]))
+    rotation = RotatedPath(L, PiecewiseLinear([0.0, 0.4, 1.0], [0.1, -1.3, 2.0]))
     diagonal = UnitaryDiagonalPath([
         PiecewiseLinear([0.0, 0.5, 1.0], [0.2, 2.9, -0.4]),
         PiecewiseLinear.linear(-0.7, 1.6),
-    ])
+        PiecewiseLinear.linear(0.4, -1.1),
+    ][:n])
     action = SymplecticActionPath(random_action(rng, n), L)
     return {
         "constant": ConstantPath(L),
@@ -362,3 +361,82 @@ def test_a_failed_evaluation_leaves_the_cache_as_it_was():
         g.frames([0.3, 0.6])
     assert g._cached().tolist() == [0.1, 0.2] and g._cache.shape == (2, 4, 2)
     assert np.array_equal(g.frames([0.2, 0.3, 0.1])[[0, 2]], F[[1, 0]])
+
+
+class _ParentRotationPath(LagrangianPath):
+    """The rotation of a fixed frame before RotatedPath took it over,
+    verbatim but for the name, as the reference."""
+
+    def __init__(self, base: LagrangianFrame, theta: PiecewiseLinear):
+        super().__init__(base.n)
+        self.base = base
+        self.theta = theta
+
+    def _frames_at(self, lams):
+        return lagrangian_frames(rotation_matrix(self.n, self.theta(lams)) @ self.base.F)
+
+    def breakpoint_hints(self):
+        return self.theta.breakpoints()
+
+
+class _ParentRotatedPath(LagrangianPath):
+    """The rotation of a path by a constant angle before it took a frame or
+    an angle function, verbatim but for the name, as the reference."""
+
+    def __init__(self, path: LagrangianPath, theta: float):
+        super().__init__(path.n)
+        self.path = path
+        self.theta = float(theta)
+        self._R = rotation_matrix(path.n, self.theta)
+
+    def _frames_at(self, lams):
+        return lagrangian_frames(self._R @ self.path.frames(lams))
+
+    def breakpoint_hints(self):
+        return self.path.breakpoint_hints()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_rotated_path_gives_the_frames_of_both_parent_rotations_bit_for_bit(n):
+    # a frame rotated by a constant or piecewise-linear angle, against the
+    # parent rotation of a frame; every class of path rotated by a constant
+    # angle, against the parent rotation of a path; and every class rotated
+    # by an angle function, against the parent rotation of the path by the
+    # constant angle theta(lambda), one lambda at a time.  Rows and hints
+    # equal, signed zeros included
+    for seed in range(4):
+        rng = np.random.default_rng([n, seed])
+        lams = np.concatenate([_LAMS, rng.uniform(0.0, 1.0, 6)])
+        constants = [0.0, np.pi / 8, -np.pi / 8, float(rng.uniform(-np.pi, np.pi))]
+        xs = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 2)), [1.0]])
+        angle = PiecewiseLinear(xs, rng.uniform(-3.0, 3.0, xs.size))
+        L = random_lagrangian_frame(rng, n)
+        for theta in [*constants, angle]:
+            pl = theta if isinstance(theta, PiecewiseLinear) else PiecewiseLinear.constant(theta)
+            g, ref = RotatedPath(L, theta), _ParentRotationPath(L, pl)
+            assert _same_bits(g.frames(lams), ref.frames(lams)), (seed, theta)
+            assert g.breakpoint_hints() == ref.breakpoint_hints()
+        for name, base in _path_of_each_class(n, 100 * n + seed).items():
+            for c in constants:
+                g, ref = RotatedPath(base, c), _ParentRotatedPath(base, c)
+                assert _same_bits(g.frames(lams), ref.frames(lams)), (seed, name, c)
+                assert g.breakpoint_hints() == ref.breakpoint_hints()
+            g = RotatedPath(base, angle)
+            pointwise = np.concatenate([_ParentRotatedPath(base, angle(lam)).frames([lam]) for lam in lams])
+            assert _same_bits(g.frames(lams), pointwise), (seed, name)
+            assert g.breakpoint_hints() == tuple(sorted(set(base.breakpoint_hints()) | set(xs)))
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: gamma_nor(0), 0),
+    (lambda: gamma_nor(-2), -2),
+    (lambda: gamma_nor_prime(0), 0),
+    (lambda: UnitaryDiagonalPath([]), 0),
+], ids=["gamma_nor(0)", "gamma_nor(-2)", "gamma_nor_prime(0)", "unitary_diagonal([])"])
+def test_a_path_of_half_dimension_below_1_is_rejected(make, bad):
+    with pytest.raises(ValueError, match=f"half-dimension n must be a positive integer, got {bad}$"):
+        make()

@@ -43,7 +43,11 @@ def main(argv=None) -> int:
         sys.stderr.write("usage: dump_reports.py OUTDIR\n")
         return 2
     out = Path(argv[0])
-    out.mkdir(parents=True)
+    try:
+        out.mkdir(parents=True)
+    except FileExistsError:
+        sys.stderr.write(f"dump_reports.py: OUTDIR {out} exists; give a new directory\n")
+        return 2
     for suite, count, seed in SUITES:
         (out / f"{suite.__name__}.json").write_text(_untimed(suite(count, seed).to_json()))
     for config in sorted((ROOT / "configs").glob("*.json")):
