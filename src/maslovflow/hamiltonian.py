@@ -38,7 +38,7 @@ from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActi
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
 from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH, _finite_1d
-from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
+from .symplectic import LagrangianFrame, check_integer, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
 # fewest RK4 steps of a fundamental solution; the CLI holds every verify
@@ -137,6 +137,7 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     is not finite, naming the first lambda where it does and suggesting more
     steps.
     """
+    check_integer(steps, "steps")
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
     lam = _finite_1d(lam, "lam")

@@ -28,7 +28,8 @@ e^{-i Theta} (Robbin & Salamon, "The Maslov index for paths", 1993).
 
 Each path is evaluated only in batches: the sample grids are built before
 any test reads an endpoint frame, and their first batch holds lambda = 0
-and 1, so the admissibility, ladder and closure tests read cached frames.
+and 1, so the admissibility and closure tests and Theta's endpoint phases
+read cached frames.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ import numpy as np
 from .paths import ConstantPath, LagrangianPath
 from .symplectic import (
     LagrangianFrame,
+    check_integer,
     gap_distance,
     intersection_dimension,
     l0_frame,
-    rotate,
     souriau_stack,
     within_each,
 )
@@ -78,16 +79,21 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=1).reshape(-1, *x.shape[1:])
 
 
+def _check_pair(g1: LagrangianPath, g2: LagrangianPath, max_depth: int) -> None:
+    if g1.n != g2.n:
+        raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
+    check_integer(max_depth, "max_depth")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+
+
 class _PairCounter:
     """Signed eigenphase-crossing counter for (gamma_1, exp(-theta J) gamma_2),
     whose relative unitary is e^{2i theta} C: the bisections of C, with its
     eigenphases moved rigidly by 2 theta."""
 
     def __init__(self, g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH, theta: float = 0.0):
-        if g1.n != g2.n:
-            raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
-        if max_depth < 0:
-            raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+        _check_pair(g1, g2, max_depth)
         self.g1 = g1
         self.g2 = g2
         self.max_depth = max_depth
@@ -150,39 +156,38 @@ class _PairCounter:
 
 def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
     """A stable angle Theta > 0 regularizing the endpoint intersections, read
-    from endpoint data alone: at most pi/8 and below 0.49 m, m the smallest
-    endpoint relative eigenphase above 100 PHASE_TOL, so gamma_1(e) and
-    exp(-Theta' J) gamma_2(e) are transversal for 0 < |Theta'| <= Theta.  A
-    ladder of test angles is verified (intersection rank at DEFAULT_TOL), or
-    Theta shrinks by 4 until 1e-6.
+    from the endpoint eigenphases of C alone: min(pi/8, 0.49 m), m the
+    smallest endpoint |eigenphase| above 100 PHASE_TOL.
 
-    The pair is counted once: a count at Theta/2 could not differ.  At angle
-    t the counter multiplies C by e^{2it}, so every ||C(b) - C(a)|| and
-    bisection is the same (up to rounding at the cap, where any tree that
-    passes it counts alike), and each eigenphase moves rigidly by 2t:
-    Sigma_t = Sigma_0 + 2nt - 2pi w_t, w_t the integer count of phases wrapped
-    at the cut of [-PHASE_TOL, 2pi - PHASE_TOL).  The segment shifts
-    w_t(b) - w_t(a) telescope to w at lambda = 0, 1, where for t in
-    [Theta/2, Theta] no phase crosses the cut: |phi| <= 1e-7 moves to at least
-    Theta - 1e-7 > 0, phi > 0 stays unwrapped, and phi <= -m stays at or below
-    -0.02 m <= -2e-9 < -PHASE_TOL.  An aliased segment sees the same endpoint
-    data, rigidly shifted, at both angles, so is equally wrong at both.
+    The pair is counted once, at Theta.  At angle t the counter multiplies C
+    by e^{2it}, so every ||C(b) - C(a)|| and bisection is the same (up to
+    rounding at the cap, where any tree that passes it counts alike), and
+    each eigenphase moves rigidly by 2t: Sigma_t = Sigma_0 + 2nt - 2pi w_t,
+    w_t the integer count of phases wrapped at the cut of
+    [-PHASE_TOL, 2pi - PHASE_TOL).  The segment shifts w_t(b) - w_t(a)
+    telescope to w at lambda = 0, 1, so the count at Theta is that of every
+    angle that wraps the same endpoint phases.  At Theta a phase above
+    100 PHASE_TOL stays unwrapped; a phase phi <= -m stays wrapped, ending at
+    or below -0.02 m <= -2e-9 < -PHASE_TOL; and a phase |phi| <= 100 PHASE_TOL
+    must land above the cut, phi + 2 Theta > -PHASE_TOL.  That holds by
+    construction once m > (1e-7 - PHASE_TOL) / 0.98, about 1.0102e-7; a phase
+    that misses it raises RuntimeError naming its lambda.  An aliased segment
+    sees the same endpoint data, rigidly shifted, at every such angle, so is
+    equally wrong at each.
     """
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
     _build_grids(g1, g2)
-    nonzero = []
-    for e in (0.0, 1.0):
-        p = _eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj())
-        nonzero.extend(abs(t) for t in p if abs(t) > 100 * PHASE_TOL)
-    theta = min(np.pi / 8, 0.49 * min(nonzero, default=np.inf))
-
-    while theta >= 1e-6:
-        if all(intersection_dimension(g1.frame(e), rotate(g2.frame(e), -theta / 2**k), DEFAULT_TOL) == 0
-               for k in range(4) for e in (0.0, 1.0)):
-            return float(theta)
-        theta /= 4.0
-    raise RuntimeError("no stable regularization angle found down to 1e-6")
+    ends = [_eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj()) for e in (0.0, 1.0)]
+    p = np.abs(np.concatenate(ends))
+    theta = float(min(np.pi / 8, 0.49 * p[p > 100 * PHASE_TOL].min(initial=np.inf)))
+    for e, phases in zip((0.0, 1.0), ends):
+        low = phases[(np.abs(phases) <= 100 * PHASE_TOL) & (phases + 2.0 * theta <= -PHASE_TOL)]
+        if low.size:
+            raise RuntimeError(
+                f"endpoint phase {low[0]:.6g} at lambda = {e:g} stays below the cut at Theta = {theta:.6g}"
+            )
+    return theta
 
 
 def _build_grids(*paths: LagrangianPath) -> None:
@@ -195,20 +200,19 @@ def _build_grids(*paths: LagrangianPath) -> None:
 def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int) -> _PairCounter:
     """The counter of the pair, rotated by the stable Theta if an endpoint
     intersection is nontrivial at tol.  tol decides which pairs are rotated,
-    not the angle: Theta's ladder reads DEFAULT_TOL whatever tol is.
+    not the angle, which perturbation_theta reads from the endpoint phases.
 
-    tol and max_depth are checked before any frame is read.  Both sample
-    grids are built before the admissibility test, which then reads the
-    endpoint frames from their first batch; the counter needs the grids in
-    either branch.
+    tol, max_depth and the half-dimensions are checked before any frame is
+    read.  Both sample grids are built before the admissibility test, which
+    then reads the endpoint frames from their first batch; the counter needs
+    the grids in either branch.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    counter = _PairCounter(g1, g2, max_depth)
+    _check_pair(g1, g2, max_depth)
     _build_grids(g1, g2)
-    if all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0)):
-        return counter
-    return _PairCounter(g1, g2, max_depth, perturbation_theta(g1, g2))
+    admissible = all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0))
+    return _PairCounter(g1, g2, max_depth, 0.0 if admissible else perturbation_theta(g1, g2))
 
 
 def maslov_pair(

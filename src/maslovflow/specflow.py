@@ -61,7 +61,7 @@ import scipy.linalg
 from .families import SymmetricFamily
 from .paths import LagrangianPath, RotatedPath
 from .propagator import expm_stack, ordered_product, paired_steps, rk4_step_coefficients, rk4_steps_at
-from .symplectic import gap_distance, standard_J, subspace_frame
+from .symplectic import check_integer, gap_distance, standard_J, subspace_frame
 
 MU_TOL = 1e-10
 _SF_WINDOW = 1.45
@@ -208,6 +208,7 @@ class BoundaryValueFamily:
     ):
         if gamma1.n != gamma2.n:
             raise ValueError(f"half-dimension mismatch: {gamma1.n} vs {gamma2.n}")
+        check_integer(steps, "steps")
         if steps < 16:
             raise ValueError(f"steps must be at least 16, got {steps}")
         self.n = gamma1.n
@@ -732,6 +733,7 @@ def spectral_flow(
     refinement.  The integer is recomputed at doubled base-grid resolution,
     and a mismatch raises.
     """
+    check_integer(max_depth, "max_depth")
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if base_grid is None:

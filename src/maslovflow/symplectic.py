@@ -19,9 +19,15 @@ import numpy as np
 import scipy.linalg
 
 FRAME_ATOL = 1e-10
-SYMPLECTIC_ATOL = 1e-8
 SOURIAU_ATOL = 1e-9
 RANK_TOL = 1e-8
+
+
+def check_integer(value, name: str) -> None:
+    """Raise a ValueError naming `name` unless value is an integer; a bool
+    or an integral float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -168,23 +174,6 @@ class LagrangianFrame:
     @property
     def projector(self) -> np.ndarray:
         return self.F @ self.F.T
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A real 2n x 2n matrix A with ||A^T J A - J|| <= 1e-8."""
-
-    n: int
-    A: np.ndarray
-
-    def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        if A.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(f"matrix must be {2 * self.n} x {2 * self.n}, got {A.shape}")
-        J = standard_J(self.n)
-        _check_each(SYMPLECTIC_ATOL, (A.T @ J @ A - J, "matrix is not symplectic: ||A^T J A - J|| = {:.3e}"))
-        A.setflags(write=False)
-        object.__setattr__(self, "A", A)
 
 
 @dataclass(frozen=True)
@@ -386,12 +375,3 @@ def rotation_matrix(n: int, theta) -> np.ndarray:
 def rotate(L: LagrangianFrame, theta: float) -> LagrangianFrame:
     """Frame of exp(theta J) L; rotations are orthogonal so no renormalization."""
     return LagrangianFrame(L.n, rotation_matrix(L.n, theta) @ L.F)
-
-
-def apply_symplectic(A, L: LagrangianFrame) -> LagrangianFrame:
-    """Orthonormalized frame of A . span(F) for a symplectic matrix A."""
-    if not isinstance(A, SymplecticMatrix):
-        A = SymplecticMatrix(L.n, A)
-    elif A.n != L.n:
-        raise ValueError(f"half-dimension mismatch: {A.n} vs {L.n}")
-    return LagrangianFrame(L.n, _orthonormal_columns(A.A @ L.F))

@@ -6,6 +6,8 @@ permute to the standard symplectic form, and compute the index of the product
 path against the (transformed) diagonal.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +28,7 @@ from maslovflow import (
     maslov_pair,
     maslov_rel,
     perturbation_theta,
+    rotate,
     souriau,
     spectral_flow,
     SymplecticActionPath,
@@ -466,8 +469,8 @@ def test_maslov_pair_calls_expm_once_per_level(monkeypatch):
 @pytest.mark.parametrize("index", ["maslov_pair", "crossing_list", "perturbation_theta", "maslov_loop"])
 def test_maslov_side_reads_endpoint_frames_from_the_grid_batch(monkeypatch, index):
     # every new lambda is evaluated in a batch of a grid level or a counter
-    # level; a scalar frame read, the admissibility, ladder and closure
-    # tests included, never evaluates a stack of one
+    # level; a scalar frame read, the admissibility and closure tests and
+    # Theta's endpoint phases included, never evaluates a stack of one
     if index == "maslov_loop":
         cases = [(gamma_nor(2),), (gamma_nor_prime(3).reversed(),)]
     else:
@@ -556,7 +559,7 @@ def _parent_regularized(g1, g2, tol, max_depth):
         for k in range(4):
             tk = theta / 2**k
             for e in (0.0, 1.0):
-                if intersection_dimension(g1.frame(e), maslov.rotate(g2.frame(e), -tk), tol) != 0:
+                if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk), tol) != 0:
                     ladder_ok = False
         if ladder_ok:
             counter = maslov._PairCounter(g1, g2, max_depth, theta)
@@ -595,7 +598,8 @@ def _regularization_cases():
     unitary-diagonal pairs with exact intersections, phases inside the
     +-1e-7 band and a smallest nonzero phase log-uniform in [1e-7, 1e-3], and
     20 margin draws at n = 1-6 with that phase m in (2.04e-6, 4.08e-6), so that
-    Theta = 0.49 m sits within a factor 2 above the 1e-6 floor."""
+    Theta = 0.49 m sits within a factor 2 above 1e-6, the floor of the
+    reference _parent_regularized."""
     for _, g1, g2 in _oracle_pairs():
         yield g1, g2
     rng = np.random.default_rng(0)
@@ -615,35 +619,107 @@ def _regularization_cases():
         yield _diagonal_pair(rng, n, ends[:: 1 - 2 * (k % 2)])
 
 
+@functools.cache
+def _regularization_case(k):
+    return tuple(_regularization_cases())[k]
+
+
 @pytest.mark.parametrize("tol", [1e-8, 1e-7])
 def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted(tol):
-    # the recount at Theta/2 never decided: the angle read from endpoint data
-    # is the one the reference accepted with its ladder at DEFAULT_TOL, or
-    # both raise at the 1e-6 floor, and the pair counts the same at Theta and
-    # Theta/2.  The ladder reads DEFAULT_TOL whatever the caller's tol, so
-    # maslov_pair at tol 1e-7 too raises nothing here, and counts at Theta a
-    # pair that tol sees meet at an endpoint
-    outcomes = []
+    # Theta is min(pi/8, 0.49 m) from the endpoint phases alone: where the
+    # reference's ladder and recount accepted an angle it is that angle, and
+    # where the reference raised at its 1e-6 floor it is the same formula.
+    # Either way the pair counts the same at Theta and Theta/2, and
+    # maslov_pair at tol 1e-7 counts at Theta a pair that tol sees meet at an
+    # endpoint
+    raised = []
     for k, (g1, g2) in enumerate(_regularization_cases()):
-        try:
-            reference, counter = _parent_regularized(g1, g2, maslov.DEFAULT_TOL, maslov.MAX_DEPTH)
-        except RuntimeError as expected:
-            with pytest.raises(RuntimeError) as got:
-                perturbation_theta(g1, g2)
-            assert str(got.value) == str(expected), k
-            outcomes.append("raised")
-            continue
         theta = perturbation_theta(g1, g2)
+        try:
+            reference, _ = _parent_regularized(g1, g2, maslov.DEFAULT_TOL, maslov.MAX_DEPTH)
+        except RuntimeError:
+            raised.append(k)
+            reference = min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2))
         assert theta == reference, k
         total = maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta).total()
-        assert total == counter.total(), k
         assert maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta / 2).total() == total, k
         index = maslov_pair(g1, g2, tol=tol)
         if any(intersection_dimension(g1.frame(e), g2.frame(e), tol) for e in (0.0, 1.0)):
             assert index == total, k
-        outcomes.append("retried" if theta < min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2)) else "first")
-    assert outcomes.count("first") >= 50
-    assert "raised" not in outcomes[-20:]
+    # the cases whose smallest endpoint phase m puts 0.49 m below 1e-6
+    assert raised == [51, 52, 57, 60, 66, 76, 79]
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(k, marks=pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the sample grid's first segment turns the line by 3.07 rad, and the segment test "
+        "reads only its ends, so counts -1 for the rotated pair's -2 (ROADMAP item 4)",
+    )) if k == 65 else k
+    for k in range(50, 100)
+])
+def test_a_diagonal_pair_counts_as_the_rotated_closed_form(k):
+    # independent of the counter: against R^n x {0} the eigenphases of C are
+    # 2 theta_j, and those of the rotated pair (g1, exp(-s J) g2) are
+    # 2 (theta_j + s), so its index is
+    # sum_j floor((theta_j(1) + s) / pi) - floor((theta_j(0) + s) / pi), with
+    # s = Theta for a pair that meets at an endpoint and 0 otherwise
+    g1, g2 = _regularization_case(k)
+    s = 0.0
+    if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
+        s = min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2))
+    expected = sum(int(np.floor((p(1.0) + s) / np.pi) - np.floor((p(0.0) + s) / np.pi)) for p in g1.phases)
+    assert maslov_pair(g1, g2) == expected
+
+
+def test_a_band_phase_that_theta_leaves_below_the_cut_raises_naming_it():
+    # m = 1.001e-7 gives 2 Theta = 0.98 m = 9.8098e-8, which lifts the band
+    # phase -9.95e-8 only to -1.4e-9, still below the cut at -PHASE_TOL; the
+    # exact intersection at lambda = 0 makes the pair non-admissible
+    g1, g2 = _diagonal_pair(np.random.default_rng(3), 3, [[0.0, -9.95e-8, 1.001e-7], [0.5, -0.7, 1.3]])
+    for count in (perturbation_theta, maslov_pair, crossing_list):
+        with pytest.raises(RuntimeError, match=r"^endpoint phase -9\.95e-08 at lambda = 0 stays below the cut"):
+            count(g1, g2)
+
+
+_BAND = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="an endpoint eigenphase of C in [-1e-7, -2e-9) is lifted above the cut by Theta, while the "
+    "spectral side reads its eigenvalue, about half the phase, as negative: the endpoint-band "
+    "convention (ROADMAP item 1)",
+)
+_UNDIAGNOSED = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="no endpoint eigenphase of C lies in [-1e-7, -2e-9) and maslov_pair equals the rotated-pair "
+    "closed form; the spectral side differs by one, not yet diagnosed (ROADMAP item 1)",
+)
+_PARTITION = pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="spectral flow is partition dependent at doubled resolution (ROADMAP item 5)",
+)
+
+
+def _theorem_marks(k):
+    if k in (52, 79):
+        return [_UNDIAGNOSED]
+    if k in (51, 60, 84, 96):
+        return [_PARTITION]
+    if k in (54, 55, 56, 57, 58, 66, 67, 69, 70, 72, 73, 76, 81, 82, 83, 89, 90, 92, 93, 95, 97):
+        return [_BAND]
+    return []
+
+
+@pytest.mark.parametrize("k", [pytest.param(k, marks=_theorem_marks(k)) for k in range(100)])
+def test_the_s0_theorem_on_the_regularization_cases(k):
+    # pairs that meet, or nearly meet, at an endpoint: the Maslov index of the
+    # pair is the spectral flow of Ju' with S = 0
+    g1, g2 = _regularization_case(k)
+    index = maslov_pair(g1, g2)
+    assert spectral_flow(BoundaryValueFamily(g1, g2, None, 256)).value == index
 
 
 def _smallest_endpoint_phase(g1, g2):

@@ -602,6 +602,34 @@ def test_a_numeric_argument_that_is_not_finite_or_positive_is_rejected_by_name(c
         call()
 
 
+def _nor_pair():
+    return gamma_nor(1), ConstantPath(l1_frame(1))
+
+
+@pytest.mark.parametrize("call, message", [
+    # a max_depth of 1.5 or inf never equals a bisection depth, so unchecked
+    # it never capped the count; range and numpy raise a bare TypeError on a
+    # float count
+    (lambda: maslov_pair(*_nor_pair(), max_depth=1.5), "max_depth must be an integer, got 1.5"),
+    (lambda: maslov_pair(*_nor_pair(), max_depth=np.inf), "max_depth must be an integer, got inf"),
+    (lambda: crossing_list(*_nor_pair(), max_depth=2.0), "max_depth must be an integer, got 2.0"),
+    (lambda: spectral_flow(_nor_family(), max_depth=1.5), "max_depth must be an integer, got 1.5"),
+    (lambda: spectral_flow(_nor_family(), max_depth=True), "max_depth must be an integer, got True"),
+    (lambda: BoundaryValueFamily(*_nor_pair(), steps=256.0), "steps must be an integer, got 256.0"),
+    (lambda: fundamental_solution(SymmetricFamily.zero(1), 0.5, 256.0), "steps must be an integer, got 256.0"),
+], ids=["maslov_pair-1.5", "maslov_pair-inf", "crossing_list-2.0", "spectral_flow-1.5", "spectral_flow-True",
+        "family-steps-256.0", "fundamental_solution-steps-256.0"])
+def test_a_count_that_is_not_an_integer_is_rejected_by_name(call, message, monkeypatch):
+    # each is rejected before any frame is read or any window is located
+    def refuse(*args):
+        raise AssertionError("evaluated before the argument was checked")
+
+    monkeypatch.setattr(paths.LagrangianPath, "_frames_at", refuse)
+    monkeypatch.setattr(specflow, "_locate", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def _walls(n: int, c: float) -> BoundaryValueFamily:
     """Dirichlet walls {0} x R^n at both ends with S = c lambda I: the
     eigenvalues are k pi + c lambda, each of multiplicity n."""
