@@ -20,7 +20,9 @@ so a cached frame costs its data and its key (24 B at n = 1, 72 B at
 n = 2).  A batch with new values appends them and sorts them in with one
 stable argsort, in time linear in the cache; `frame(lam)` returns a
 read-only copy of one row.  The adaptive sample grid refines level by
-level, one batch per level.  Paths are immutable once built.
+level, one batch of midpoint frames per level, and decides each interval's
+gap from the n x n overlap of its end frames, with an SVD only where that
+bound leaves it open.  Paths are immutable once built.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import scipy.linalg
 from .symplectic import (
     LagrangianFrame,
     gap_distance,
+    gaps_exceed,
     lagrangian_frames,
     nearest_lagrangian_frames,
-    norm2,
+    reported_norm,
     rotation_matrix,
     souriau,
     standard_J,
@@ -80,6 +83,14 @@ class PiecewiseLinear:
 
     def serialize(self):
         return [[float(x), float(y)] for x, y in zip(self.xs, self.ys)]
+
+
+def _halves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0], y[0], x[1], y[1], ...: the rows of x and y interleaved, so that
+    the two halves of each interval follow one another."""
+    out = np.empty((2 * len(x), *x.shape[1:]))
+    out[0::2], out[1::2] = x, y
+    return out
 
 
 def _finite(lams: np.ndarray) -> np.ndarray:
@@ -158,28 +169,29 @@ class LagrangianPath:
     def sample_grid(self) -> np.ndarray:
         """Adaptive grid on [0, 1] with consecutive gap distances <= 0.1.
 
-        Every interval above the bound is halved, all of one level together:
-        one batch of frames and one of gap distances per level.  Each level
-        gathers the frames at its nodes from the cache, its midpoints being
-        the batch's new lambdas.
+        Every interval above the bound is halved, all of one level together.
+        The open intervals are carried, in order, with their end frames, so
+        a level evaluates one batch of frames at its midpoints and decides
+        both halves of each interval with one gaps_exceed.  The grid is the
+        initial nodes and every midpoint, sorted.
         """
         if self._grid is None:
             nodes = np.array(sorted(set(np.linspace(0.0, 1.0, 9)) | set(self.breakpoint_hints())))
             F = self.frames(nodes)
-            wide = gap_distance(F[:-1], F[1:]) > GRID_GAP
+            a, b, Fa, Fb = nodes[:-1], nodes[1:], F[:-1], F[1:]
+            found = [nodes]
             for _ in range(_GRID_DEPTH):
-                i = np.flatnonzero(wide)
-                if i.size == 0:
+                wide = gaps_exceed(Fa, Fb, GRID_GAP)
+                if not wide.any():
                     break
-                nodes = np.insert(nodes, i + 1, 0.5 * (nodes[i] + nodes[i + 1]))
-                F = self.frames(nodes)  # the midpoints are the new lambdas
-                left = i + np.arange(i.size)  # where the first half of interval i[j] now is
-                halves = np.concatenate([left, left + 1])
-                wide = np.insert(wide, i + 1, False)
-                wide[halves] = gap_distance(F[halves], F[halves + 1]) > GRID_GAP
+                a, b, Fa, Fb = a[wide], b[wide], Fa[wide], Fb[wide]
+                m = 0.5 * (a + b)
+                Fm = self.frames(m)
+                found.append(m)
+                a, b, Fa, Fb = _halves(a, m), _halves(m, b), _halves(Fa, Fm), _halves(Fm, Fb)
             else:
                 raise RuntimeError("sample grid did not reach the gap bound 0.1")
-            self._grid = nodes
+            self._grid = np.sort(np.concatenate(found))
         return self._grid
 
     def reversed(self) -> "LagrangianPath":
@@ -280,7 +292,7 @@ class SymplecticActionPath(LagrangianPath):
         if not ok.all():
             k = int(np.argmin(ok))
             raise ValueError(
-                f"action matrix at lambda={lams[k]:.6g} is not symplectic (deviation {norm2(dev[k]):.3e})"
+                f"action matrix at lambda={lams[k]:.6g} is not symplectic (deviation {reported_norm(dev[k]):.3e})"
             )
         return nearest_lagrangian_frames(A @ self.base.frames(lams))
 

@@ -3,8 +3,10 @@
 Lagrangian frames in R^(2n), their unitary and Souriau representatives,
 intersection dimensions, and the gap metric between subspaces.  Frames are
 the primary subspace representation throughout; orthogonal projectors are
-derived on demand.  Each Lagrangian, Souriau and symplectic invariant has one
-check, written on stacks (`lagrangian_frames`, `_unitary_check`,
+derived on demand.  Whether gaps exceed a bound is decided from the n x n
+overlaps of the frames, with projectors only where the overlap leaves it
+open (`gaps_exceed`).  Each Lagrangian, Souriau and symplectic invariant has
+one check, written on stacks (`lagrangian_frames`, `_unitary_check`,
 `_souriau_checks`, `_check_each`); the scalar dataclasses validate through
 these stack checkers as stacks of one.  The checks of one stack are decided
 together, by one `within_each` over all their deviations.
@@ -103,9 +105,14 @@ def _check_each(tol: float, *checks) -> None:
         return
     for (_, message), dev, ok_k in zip(checks, devs, ok.reshape(len(devs), -1)):
         if not ok_k.all():
-            M = dev[np.argmin(ok_k)]
-            fro = np.linalg.norm(M)
-            raise ValueError(message.format(norm2(M) if np.isfinite(fro) else fro))
+            raise ValueError(message.format(reported_norm(dev[np.argmin(ok_k)])))
+
+
+def reported_norm(M: np.ndarray) -> float:
+    """The 2-norm of a matrix for an error message, or its Frobenius norm
+    where that is nan or inf, on which the SVD would not converge."""
+    fro = np.linalg.norm(M)
+    return norm2(M) if np.isfinite(fro) else fro
 
 
 def _unitary_check(U: np.ndarray):
@@ -313,6 +320,39 @@ def gap_distance(L1, L2):
     P1 = Q1 @ np.swapaxes(Q1, -1, -2)
     P2 = Q2 @ np.swapaxes(Q2, -1, -2)
     return norm2(P1 - P2)
+
+
+def gaps_exceed(Q1: np.ndarray, Q2: np.ndarray, bound: float) -> np.ndarray:
+    """gap_distance(Q1, Q2) > bound for each pair of two stacks (m, 2n, n)
+    of frames checked by lagrangian_frames, as a bool array, decided from
+    the n x n overlaps M = Q1^T Q2 where that suffices; 0 < bound <= 1.
+
+    For orthonormal frames the singular values of M are the cosines of the
+    n principal angles between the spans, so s = n - ||M||_F^2 is the sum
+    of their squared sines, and the gap is the sine of the largest (Kato,
+    IV 2; Bjorck and Golub 1973): s / n <= gap^2 <= s.  A row with
+    s > n (bound^2 + 1e-8) exceeds the bound and one with
+    s <= bound^2 - n 1e-8 does not; gap_distance decides the rows between.
+
+    Proof that each decision is that of gap_distance on the same frames:
+    write Q = O H with O orthonormal and H symmetric, its eigenvalues in
+    [sqrt(1 - d), sqrt(1 + d)] for d = FRAME_ATOL.  Then M = H1 O1^T O2 H2
+    and ||O1^T O2||_F^2 <= n, so s is within (2 d + d^2) n plus a rounding
+    error below 4.4e-16 n^2.5, so below 2.1e-10 n for n up to 800, of the s
+    of the O's.
+    So a decided row has the exact squared gap g^2 of its spans at least
+    0.97e-8 above or 0.97e-8 n below bound^2, and g + bound <= 2 puts g at
+    least 4.8e-9 from the bound.  gap_distance(Q1, Q2) differs from g by at
+    most ||Q1 Q1^T - O1 O1^T|| + ||Q2 Q2^T - O2 O2^T|| <= 2 d = 2e-10.
+    """
+    n = Q1.shape[-1]
+    M = np.swapaxes(Q1, 1, 2) @ Q2
+    s = n - np.einsum("kij,kij->k", M, M)
+    out = s > n * (bound**2 + 1e-8)
+    band = ~out & (s > bound**2 - n * 1e-8)
+    if band.any():
+        out[band] = gap_distance(Q1[band], Q2[band]) > bound
+    return out
 
 
 def directed_gap(L1, L2) -> float:

@@ -454,8 +454,8 @@ def test_maslov_pair_calls_expm_once_per_level(monkeypatch):
     expm_sizes, levels = [], []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda A: expm_sizes.append(len(A)) or expm(A))
-    grid_gap = paths.gap_distance
-    monkeypatch.setattr(paths, "gap_distance", lambda *a: levels.append("grid") or grid_gap(*a))
+    grid_gap = paths.gaps_exceed
+    monkeypatch.setattr(paths, "gaps_exceed", lambda *a: levels.append("grid") or grid_gap(*a))
     unitaries = maslov._PairCounter.unitaries
     monkeypatch.setattr(maslov._PairCounter, "unitaries",
                         lambda self, lams: levels.append("count") or unitaries(self, lams))

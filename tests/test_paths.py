@@ -24,10 +24,11 @@ from maslovflow import (
     rotate,
     rotation_matrix,
 )
+from maslovflow.hamiltonian import transported_path
 from maslovflow.maslov import maslov_pair
-from maslovflow.paths import LagrangianPath
+from maslovflow.paths import GRID_GAP, LagrangianPath, PolynomialAction
 from maslovflow.specflow import BoundaryValueFamily, spectral_flow
-from maslovflow.suites import random_action, random_lagrangian_frame
+from maslovflow.suites import random_action, random_lagrangian_frame, random_symmetric_family
 from maslovflow.symplectic import lagrangian_frames, souriau_stack
 
 
@@ -251,6 +252,17 @@ def test_batched_action_reports_the_first_non_symplectic_lambda():
         g.frames([0.1, 0.6, 0.7])
 
 
+@pytest.mark.parametrize("action", [
+    PolynomialAction([np.zeros((2, 2)), 1e300 * np.eye(2)]),
+    lambda lams: np.full((lams.size, 2, 2), np.nan),
+], ids=["overflow", "nan"])
+def test_a_non_finite_action_matrix_is_a_value_error_naming_its_lambda(action):
+    # the deviation is reported by its Frobenius norm, on which no SVD runs
+    g = SymplecticActionPath(action, l0_frame(1))
+    with pytest.raises(ValueError, match=r"lambda=0\.5 is not symplectic \(deviation nan\)"):
+        g.frames([0.5])
+
+
 def _sample_grid_node_by_node(g):
     """The sample grid as it was refined before batching: every interval of
     every level, one scalar gap distance at a time."""
@@ -272,6 +284,39 @@ def _sample_grid_node_by_node(g):
 def test_sample_grid_matches_node_by_node_refinement(name):
     batched, scalar = _path_of_each_class()[name], _path_of_each_class()[name]
     assert np.array_equal(batched.sample_grid, _sample_grid_node_by_node(scalar))
+
+
+def _sample_grid_depth_first(g):
+    """The sample grid by recursion: from the same initial nodes, each
+    interval halved depth first while the gap distance of its end frames,
+    read one at a time, exceeds GRID_GAP."""
+    def inside(a, b, depth):
+        if gap_distance(g.frame(a), g.frame(b)) <= GRID_GAP:
+            return []
+        assert depth < 24, "sample grid did not reach the gap bound"
+        m = 0.5 * (a + b)
+        return inside(a, m, depth + 1) + [m] + inside(m, b, depth + 1)
+
+    nodes = sorted(set(np.linspace(0.0, 1.0, 9)) | set(g.breakpoint_hints()))
+    grid = nodes[:1]
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        grid += inside(a, b, 0) + [b]
+    return np.array(grid)
+
+
+def _grid_paths():
+    """A fresh path of every class, a transported path among them."""
+    S = random_symmetric_family(np.random.default_rng(8), 2, 2, 1, 2.0)
+    return {**_path_of_each_class(), "transported": transported_path(S, gamma_nor(2), steps=64)}
+
+
+@pytest.mark.parametrize("name", sorted(_grid_paths()))
+def test_sample_grid_matches_depth_first_refinement(name):
+    batched, scalar = _grid_paths()[name], _grid_paths()[name]
+    grid = batched.sample_grid
+    assert np.array_equal(grid, _sample_grid_depth_first(scalar))
+    F = batched.frames(grid)
+    assert np.all(gap_distance(F[:-1], F[1:]) <= GRID_GAP)
 
 
 @pytest.mark.parametrize("name", sorted(_path_of_each_class()))

@@ -23,10 +23,12 @@ from maslovflow import (
     subspace_frame,
     unitary_representative,
 )
+from maslovflow import symplectic
 from maslovflow.paths import SymplecticActionPath
 from maslovflow.suites import random_lagrangian_frame
 from maslovflow.symplectic import (
     SouriauMatrix,
+    gaps_exceed,
     lagrangian_frames,
     norm2,
     souriau_stack,
@@ -187,6 +189,42 @@ def test_gap_distance_lines():
 def test_gap_distance_ambient_mismatch():
     with pytest.raises(ValueError, match="ambient"):
         gap_distance(l0_frame(1), l0_frame(2))
+
+
+def _pairs_at_the_bound(rng, n, rows, bound):
+    """Two stacks (rows, 2n, n) of Lagrangian frames whose largest principal
+    angle is asin(bound) (1 +- 10^-u), u uniform in [5, 16]; each other
+    angle is 0, a uniform fraction of it or equal to it.  Every frame
+    carries an orthonormality defect of up to about 2e-11."""
+    top = np.arcsin(bound) * (1 + rng.choice([-1.0, 1.0], rows) * 10.0 ** -rng.uniform(5, 16, rows))
+    share = np.choose(rng.integers(3, size=(rows, n - 1)), [0.0, rng.uniform(size=(rows, n - 1)), 1.0])
+    theta = top[:, None] * np.concatenate([np.ones((rows, 1)), share], axis=1)
+    U = np.linalg.qr(rng.normal(size=(rows, n, n)) + 1j * rng.normal(size=(rows, n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(rows, n, n)))[0]
+    # U R^n and U V diag(e^{i theta}) R^n meet at the principal angles theta
+    U2 = U @ V * np.exp(1j * theta)[:, None, :]
+    return tuple(lagrangian_frames(np.concatenate([W.real, W.imag], axis=1)
+                                   + 1.5e-12 * rng.normal(size=(rows, 2 * n, n)))
+                 for W in (U, U2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gaps_exceed_is_gap_distance_above_the_bound_with_an_svd_only_in_the_band(monkeypatch, n):
+    bound = 0.1
+    Q1, Q2 = _pairs_at_the_bound(np.random.default_rng(n), n, 2000, bound)
+    expected = gap_distance(Q1, Q2) > bound
+    M = np.swapaxes(Q1, 1, 2) @ Q2
+    s = n - np.sum(M * M, axis=(1, 2))
+    band = (s > bound**2 - n * 1e-8) & (s <= n * (bound**2 + 1e-8))
+    seen = []
+    monkeypatch.setattr(symplectic, "gap_distance", lambda A, B: seen.append((A, B)) or gap_distance(A, B))
+    got = gaps_exceed(Q1, Q2, bound)
+    assert got.dtype == bool and np.array_equal(got, expected)
+    # the band and both decided branches occur
+    assert band.any() and (got & ~band).any() and (~got & ~band).any()
+    # the SVD runs on exactly the rows the overlap bound leaves open
+    A, B = (np.concatenate(x) for x in zip(*seen))
+    assert np.array_equal(A, Q1[band]) and np.array_equal(B, Q2[band])
 
 
 def test_directed_gap_lines_dense_sampling_oracle():
