@@ -48,11 +48,12 @@ from .suites import (
 )
 
 
-def _configured(report: VerificationReport, cfg: ProblemConfig) -> VerificationReport:
-    """The report of a configured command: it echoes the effective config and
-    lists the tolerance in force."""
+def _configured(report: VerificationReport, cfg: ProblemConfig, reads_tol: bool = True) -> VerificationReport:
+    """The report of a configured command: it echoes the effective config and,
+    for a command that reads it, lists the eigenvalue locator width tol."""
     report.inputs = cfg.to_dict()
-    report.tolerances["tol"] = cfg.solver.tol
+    if reads_tol:
+        report.tolerances["tol"] = cfg.solver.tol
     return report
 
 
@@ -67,12 +68,12 @@ def _write_csv(windows, dest) -> int:
 
 def cmd_maslov(cfg: ProblemConfig, args) -> VerificationReport:
     g1, g2 = cfg.path1(), cfg.path2()
-    value = maslov_pair(g1, g2, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
-    crossings = crossing_list(g1, g2, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
+    value = maslov_pair(g1, g2, max_depth=cfg.solver.max_depth)
+    crossings = crossing_list(g1, g2, max_depth=cfg.solver.max_depth)
     details = [{"lambda_star": c.lambda_star, "sign": c.sign, "multiplicity": c.multiplicity}
                for c in crossings]
     report = VerificationReport("maslov", {}, {"maslov_index": value}, True, details=details)
-    return _configured(report, cfg)
+    return _configured(report, cfg, reads_tol=False)
 
 
 def cmd_sflow(cfg: ProblemConfig, args) -> VerificationReport:
@@ -195,14 +196,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count": dict(type=int, help="override the suite instance count"),
         "--seed": dict(type=int, help="override the config seed"),
         "--steps": dict(type=int, help="override solver steps"),
-        "--tol": dict(type=float, help="override solver tolerance"),
+        "--tol": dict(type=float, help="override the eigenvalue locator width"),
         "--max-depth": dict(type=int, help="override the refinement depth cap"),
         "--window": dict(type=float, nargs=2, metavar=("MU_MIN", "MU_MAX"), dest="mu_window",
                          help="override the eigenvalue window"),
     }
     commands = (
         ("maslov", cmd_maslov, "Maslov index of the configured pair",
-         ("--config", "--out", "--tol", "--max-depth")),
+         ("--config", "--out", "--max-depth")),
         ("sflow", cmd_sflow, "spectral flow of the configured family",
          ("--config", "--out", "--csv", "--steps", "--tol", "--max-depth")),
         ("spectra", cmd_spectra, "eigenvalue branches as CSV",

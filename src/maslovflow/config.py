@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .families import SymmetricFamily
-from .maslov import DEFAULT_TOL
 from .paths import (
     ConcatPath,
     ConstantPath,
@@ -80,10 +79,12 @@ class SolverSettings:
     """Solver settings of a problem; every way of setting them (the library
     defaults, a config file, a CLI override through dataclasses.replace)
     passes the same check, which raises ConfigError naming the field; the
-    CLI checks an override first, so that the error names its flag."""
+    CLI checks an override first, so that the error names its flag.  tol is
+    the width to which the spectral side locates eigenvalues, and nothing
+    else: the Maslov side takes no tolerance."""
 
     steps: int = DEFAULT_STEPS
-    tol: float = DEFAULT_TOL
+    tol: float = 1e-8
     max_depth: int = MAX_DEPTH
     mu_window: tuple = (-np.pi + 0.1, np.pi - 0.1)
 

@@ -18,9 +18,11 @@ of times off one trajectory.  Each identity checker only names its terms,
 sfl(A) = sum of sign * mu(pair), and one evaluator runs them all: the
 spectral flow of the boundary-value family, computed by shooting, then the
 Maslov index of each term's pair of paths transported by Psi, computed by
-eigenphase winding, with the same steps, tol and max_depth, and then the
-report.  The two sides share nothing beyond the RK4 step propagators, which
-the tests check against an independent integrator, and basic linear algebra.
+eigenphase winding, with the same steps and max_depth, and then the
+report.  tol is the width to which the spectral side locates eigenvalues;
+the Maslov side takes none.  The two sides share nothing beyond the RK4
+step propagators, which the tests check against an independent
+integrator, and basic linear algebra.
 The S = 0 theorem runs through the same evaluator, as clm_hamiltonian(None, ...).
 """
 
@@ -37,7 +39,7 @@ from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
-from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH, _finite_1d
+from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH, MU_TOL, _finite_1d
 from .symplectic import LagrangianFrame, check_integer, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
@@ -204,16 +206,15 @@ def _identity(command, S, gamma1, gamma2, steps, tol, max_depth, inputs, terms) 
     builds the two paths of a term only when its index is computed, after the
     spectral flow and the terms listed before it.
 
-    steps sets both the shooting and the fundamental solutions; tol and
-    max_depth reach spectral_flow (on its default base grid, rechecked at
-    doubled resolution) and every maslov_pair, and tol None keeps each one's
-    default.  The report holds the spectral flow, each term and, for more
-    than one term, their signed sum as rhs."""
-    opts = {"max_depth": max_depth} if tol is None else {"tol": tol, "max_depth": max_depth}
-    lhs = spectral_flow(BoundaryValueFamily(gamma1, gamma2, S, steps), **opts).value
+    steps sets both the shooting and the fundamental solutions; tol, the
+    eigenvalue locator width, reaches spectral_flow (on its default base
+    grid, rechecked at doubled resolution) only, and max_depth both it and
+    every maslov_pair.  The report holds the spectral flow, each term and,
+    for more than one term, their signed sum as rhs."""
+    lhs = spectral_flow(BoundaryValueFamily(gamma1, gamma2, S, steps), tol=tol, max_depth=max_depth).value
     values = {"spectral_flow": lhs}
     for name, _, pair in terms:
-        values[name] = maslov_pair(*pair(), **opts)
+        values[name] = maslov_pair(*pair(), max_depth=max_depth)
     rhs = sum(sign * values[name] for name, sign, _ in terms)
     if len(terms) > 1:
         values["rhs"] = rhs
@@ -231,7 +232,7 @@ def clm_hamiltonian(
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
-    tol: float | None = None,
+    tol: float = MU_TOL,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Spectral flow of Ju' + S_lambda u with boundary (gamma_1, gamma_2) versus
@@ -246,7 +247,7 @@ def three_term_identity(
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
-    tol: float | None = None,
+    tol: float = MU_TOL,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """sfl(A) against mu(Psi_1(.)g1(1), g2(1)) + mu(g1, g2) - mu(Psi_0(.)g1(0), g2(0))."""
@@ -284,7 +285,7 @@ def alpha_beta_identity(
     alpha: PiecewiseLinear,
     beta: PiecewiseLinear,
     steps: int = DEFAULT_STEPS,
-    tol: float | None = None,
+    tol: float = MU_TOL,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """The reparametrized three-term identity with beta(lambda) = alpha(lambda) + lambda.
@@ -318,7 +319,7 @@ def alpha_beta_identity(
 def morse_index_formula(
     S: SymmetricFamily,
     steps: int = DEFAULT_STEPS,
-    tol: float | None = None,
+    tol: float = MU_TOL,
     max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Dirichlet-type boundary {0} x R^n at both ends: spectral flow versus the

@@ -20,7 +20,8 @@ are halved together, and C and Sigma at all their midpoints come from one
 batch of Souriau matrices per path.  The winding of det W along a loop is
 the same count plus the change of Sigma from end to end.
 
-Non-admissible pairs (endpoint intersections nontrivial) are rotated:
+Non-admissible pairs (an endpoint intersection nontrivial at the rank
+tolerance RANK_TOL; the index takes no tolerance of its own) are rotated:
 the index is that of (gamma_1, exp(-Theta J) gamma_2), Theta > 0 read from
 endpoint data by perturbation_theta, counted once as e^{2i Theta} C on the
 frames and grid of gamma_2 itself: the rotation multiplies each U(F) by
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import ConstantPath, LagrangianPath
+from .paths import ConstantPath, LagrangianPath, _interleave
 from .symplectic import (
     LagrangianFrame,
     check_integer,
@@ -52,7 +53,6 @@ from .symplectic import (
 PHASE_TOL = 1e-9
 _DC_CAP = 0.15
 _LOC_TOL = 1e-9
-DEFAULT_TOL = 1e-8
 MAX_DEPTH = 40
 
 
@@ -72,11 +72,6 @@ class CrossingRecord:
 def _eigenphases(C: np.ndarray) -> np.ndarray:
     """Eigenvalue phases of a unitary matrix, or of each of a stack, in (-pi, pi]."""
     return np.angle(np.linalg.eigvals(C))
-
-
-def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[0], y[0], x[1], y[1], ... along the first axis."""
-    return np.stack([x, y], axis=1).reshape(-1, *x.shape[1:])
 
 
 def _check_pair(g1: LagrangianPath, g2: LagrangianPath, max_depth: int) -> None:
@@ -197,39 +192,35 @@ def _build_grids(*paths: LagrangianPath) -> None:
         g.sample_grid
 
 
-def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, tol: float, max_depth: int) -> _PairCounter:
+def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, max_depth: int) -> _PairCounter:
     """The counter of the pair, rotated by the stable Theta if an endpoint
-    intersection is nontrivial at tol.  tol decides which pairs are rotated,
-    not the angle, which perturbation_theta reads from the endpoint phases.
+    intersection is nontrivial at the default rank tolerance RANK_TOL of
+    intersection_dimension.  That test decides which pairs are rotated, not
+    the angle, which perturbation_theta reads from the endpoint phases.
 
-    tol, max_depth and the half-dimensions are checked before any frame is
-    read.  Both sample grids are built before the admissibility test, which
-    then reads the endpoint frames from their first batch; the counter needs
-    the grids in either branch.
+    max_depth and the half-dimensions are checked before any frame is read.
+    Both sample grids are built before the admissibility test, which then
+    reads the endpoint frames from their first batch; the counter needs the
+    grids in either branch.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_pair(g1, g2, max_depth)
     _build_grids(g1, g2)
-    admissible = all(intersection_dimension(g1.frame(e), g2.frame(e), tol) == 0 for e in (0.0, 1.0))
+    admissible = all(intersection_dimension(g1.frame(e), g2.frame(e)) == 0 for e in (0.0, 1.0))
     return _PairCounter(g1, g2, max_depth, 0.0 if admissible else perturbation_theta(g1, g2))
 
 
-def maslov_pair(
-    g1: LagrangianPath,
-    g2: LagrangianPath,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = MAX_DEPTH,
-) -> int:
+def maslov_pair(g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH) -> int:
     """Maslov index of a pair of Lagrangian paths.
 
-    Admissible pairs are counted directly; otherwise the pair is counted as
-    (gamma_1, exp(-Theta J) gamma_2), Theta from perturbation_theta.  A count that
-    reaches max_depth raises UnresolvedCrossing, as in crossing_list: a
-    rotation exp(-Theta J) of gamma_2 multiplies C by the unit scalar
-    e^{2i Theta}, which keeps every ||C(b) - C(a)|| and so every bisection.
+    It takes no tolerance.  Admissible pairs, whose endpoint intersections
+    are trivial at RANK_TOL, are counted directly; otherwise the pair is
+    counted as (gamma_1, exp(-Theta J) gamma_2), Theta from
+    perturbation_theta.  A count that reaches max_depth raises
+    UnresolvedCrossing, as in crossing_list: a rotation exp(-Theta J) of
+    gamma_2 multiplies C by the unit scalar e^{2i Theta}, which keeps every
+    ||C(b) - C(a)|| and so every bisection.
     """
-    return _pair_counter(g1, g2, tol, max_depth).total()
+    return _pair_counter(g1, g2, max_depth).total()
 
 
 def maslov_rel(g: LagrangianPath, L0: LagrangianFrame) -> int:
@@ -257,20 +248,16 @@ def maslov_loop(g: LagrangianPath) -> int:
     return int(round(winding))
 
 
-def crossing_list(
-    g1: LagrangianPath,
-    g2: LagrangianPath,
-    tol: float = DEFAULT_TOL,
-    max_depth: int = MAX_DEPTH,
-) -> list[CrossingRecord]:
+def crossing_list(g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH) -> list[CrossingRecord]:
     """Localized signed crossings underlying maslov_pair.
 
     Each record carries the crossing parameter, the net sign and the number
     of signed units; the signed sum equals the pair index.  Crossing clusters
     whose net contribution is zero are not emitted.  Non-admissible pairs are
-    regularized exactly as in maslov_pair before localization.
+    regularized exactly as in maslov_pair before localization; like it, the
+    list takes no tolerance.
     """
-    counter = _pair_counter(g1, g2, tol, max_depth)
+    counter = _pair_counter(g1, g2, max_depth)
     records = []
     nodes = counter.initial_nodes()
     a, b = nodes[:-1], nodes[1:]

@@ -85,10 +85,10 @@ class PiecewiseLinear:
         return [[float(x), float(y)] for x, y in zip(self.xs, self.ys)]
 
 
-def _halves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[0], y[0], x[1], y[1], ...: the rows of x and y interleaved, so that
     the two halves of each interval follow one another."""
-    out = np.empty((2 * len(x), *x.shape[1:]))
+    out = np.empty((2 * len(x), *x.shape[1:]), dtype=np.result_type(x, y))
     out[0::2], out[1::2] = x, y
     return out
 
@@ -188,7 +188,7 @@ class LagrangianPath:
                 m = 0.5 * (a + b)
                 Fm = self.frames(m)
                 found.append(m)
-                a, b, Fa, Fb = _halves(a, m), _halves(m, b), _halves(Fa, Fm), _halves(Fm, Fb)
+                a, b, Fa, Fb = _interleave(a, m), _interleave(m, b), _interleave(Fa, Fm), _interleave(Fm, Fb)
             else:
                 raise RuntimeError("sample grid did not reach the gap bound 0.1")
             self._grid = np.sort(np.concatenate(found))

@@ -212,6 +212,8 @@ def test_cli_report_determinism(tmp_path, capsys):
     d1.pop("timing_s")
     d2.pop("timing_s")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    # the Maslov side reads no tol, so the report lists none
+    assert d1["tolerances"] == {}
     capsys.readouterr()
 
 
@@ -406,7 +408,8 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
         monkeypatch.setattr(hamiltonian, name, spy(getattr(hamiltonian, name)))
     cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
     identity = _write(tmp_path, "b.json", IDENTITY_CFG)
-    both = {("maslov_pair", 1e-9, 30), ("spectral_flow", 1e-9, 30)}
+    # tol is the eigenvalue locator width: maslov_pair takes none
+    both = {("maslov_pair", None, 30), ("spectral_flow", 1e-9, 30)}
     depth = ["--max-depth", "30"]
     cases = [
         (["sflow"] + depth, cfg, {("spectral_flow", 1e-9, 30)}),
@@ -493,6 +496,7 @@ def _exit_code(argv):
 # mode does not read; CFG and IDENTITY stand for the two configs below
 _UNREAD_FLAGS = [
     ["maslov", "--config", "CFG", "--csv", "x.csv"],
+    ["maslov", "--config", "CFG", "--tol", "1e-9"],
     ["maslov", "--config", "CFG", "--seed", "3"],
     ["maslov", "--config", "CFG", "--steps", "64"],
     ["maslov", "--config", "CFG", "--window", "-1", "1"],
@@ -680,7 +684,7 @@ def test_readme_flag_table_matches_the_parser():
         for name, p in sub.choices.items()
     }
     assert _readme_flag_table() == parsed
-    assert sum(len(flags) for flags in parsed.values()) == 23
+    assert sum(len(flags) for flags in parsed.values()) == 22
 
 
 # every verify check that builds fundamental solutions, in suite mode and

@@ -34,12 +34,13 @@ from maslovflow import (
     SymplecticActionPath,
     UnitaryDiagonalPath,
     UnresolvedCrossing,
+    clm_hamiltonian,
     intersection_dimension,
 )
 from maslovflow import maslov, paths
 from maslovflow.paths import LagrangianPath
 from maslovflow.suites import random_action, random_lagrangian_frame, random_pair
-from maslovflow.symplectic import norm2
+from maslovflow.symplectic import RANK_TOL, norm2
 
 
 def test_normalization_pair_indices():
@@ -624,27 +625,26 @@ def _regularization_case(k):
     return tuple(_regularization_cases())[k]
 
 
-@pytest.mark.parametrize("tol", [1e-8, 1e-7])
-def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted(tol):
+def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted():
     # Theta is min(pi/8, 0.49 m) from the endpoint phases alone: where the
     # reference's ladder and recount accepted an angle it is that angle, and
     # where the reference raised at its 1e-6 floor it is the same formula.
     # Either way the pair counts the same at Theta and Theta/2, and
-    # maslov_pair at tol 1e-7 counts at Theta a pair that tol sees meet at an
-    # endpoint
+    # maslov_pair counts at Theta a pair that meets at an endpoint at the
+    # default rank tolerance
     raised = []
     for k, (g1, g2) in enumerate(_regularization_cases()):
         theta = perturbation_theta(g1, g2)
         try:
-            reference, _ = _parent_regularized(g1, g2, maslov.DEFAULT_TOL, maslov.MAX_DEPTH)
+            reference, _ = _parent_regularized(g1, g2, RANK_TOL, maslov.MAX_DEPTH)
         except RuntimeError:
             raised.append(k)
             reference = min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2))
         assert theta == reference, k
         total = maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta).total()
         assert maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta / 2).total() == total, k
-        index = maslov_pair(g1, g2, tol=tol)
-        if any(intersection_dimension(g1.frame(e), g2.frame(e), tol) for e in (0.0, 1.0)):
+        index = maslov_pair(g1, g2)
+        if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
             assert index == total, k
     # the cases whose smallest endpoint phase m puts 0.49 m below 1e-6
     assert raised == [51, 52, 57, 60, 66, 76, 79]
@@ -720,6 +720,15 @@ def test_the_s0_theorem_on_the_regularization_cases(k):
     g1, g2 = _regularization_case(k)
     index = maslov_pair(g1, g2)
     assert spectral_flow(BoundaryValueFamily(g1, g2, None, 256)).value == index
+
+
+@pytest.mark.parametrize("k, tol", [(54, 1e-9), (66, 1e-9), (69, 1e-9), (92, 1e-9), (97, 1e-9), (80, 1e-7)])
+def test_the_locator_width_leaves_the_maslov_term_of_the_s0_identity_alone(k, tol):
+    # tol is the width to which the spectral side locates eigenvalues; on
+    # these pairs an endpoint rank test at tol would decide differently than
+    # at RANK_TOL whether the pair meets at an endpoint, and count differently
+    g1, g2 = _regularization_case(k)
+    assert clm_hamiltonian(None, g1, g2, tol=tol).values["maslov_transported"] == maslov_pair(g1, g2)
 
 
 def _smallest_endpoint_phase(g1, g2):

@@ -567,20 +567,10 @@ def _nor_family():
     return BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
 
 
-def _meets_l0_at_both_ends():
-    return gamma_nor(1), ConstantPath(l0_frame(1))
-
-
 _TOL = "tol must be positive and finite, got "
 
 
 @pytest.mark.parametrize("call, message", [
-    # the pair meets l0 at both ends, so a tol left unchecked skipped or
-    # failed its regularization
-    (lambda: maslov_pair(*_meets_l0_at_both_ends(), tol=-1), _TOL + "-1"),
-    (lambda: maslov_pair(*_meets_l0_at_both_ends(), tol=np.nan), _TOL + "nan"),
-    (lambda: crossing_list(*_meets_l0_at_both_ends(), tol=-1), _TOL + "-1"),
-    (lambda: crossing_list(*_meets_l0_at_both_ends(), tol=np.inf), _TOL + "inf"),
     (lambda: spectrum_window(_nor_family(), 0.3, -1.0, 1.0, tol=np.inf), _TOL + "inf"),
     (lambda: spectral_flow(_nor_family(), tol=np.inf), _TOL + "inf"),
     (lambda: spectral_flow_shifted(_nor_family(), np.inf), "delta must be finite, got inf"),
@@ -588,8 +578,7 @@ _TOL = "tol must be positive and finite, got "
     (lambda: conjugation_spectrum_check(gamma_nor(1), ConstantPath(l1_frame(1)), np.nan),
      "delta must be finite, got nan"),
     (lambda: SymmetricFamily.zero(1).shifted(-np.inf), "delta must be finite, got -inf"),
-], ids=["maslov_pair-tol-1", "maslov_pair-tol-nan", "crossing_list-tol-1", "crossing_list-tol-inf",
-        "spectrum_window-tol-inf", "spectral_flow-tol-inf", "spectral_flow_shifted-inf", "spectral_flow_shifted-nan",
+], ids=["spectrum_window-tol-inf", "spectral_flow-tol-inf", "spectral_flow_shifted-inf", "spectral_flow_shifted-nan",
         "conjugation_spectrum_check-nan", "shifted-inf"])
 def test_a_numeric_argument_that_is_not_finite_or_positive_is_rejected_by_name(call, message, monkeypatch):
     # each is rejected before any frame is read or any window is located

@@ -4,11 +4,12 @@
 
 OUTDIR, which must not exist yet, gets the seven acceptance-suite reports
 and, for each configs/*.json, the output of `maslov`, `sflow --csv`,
-`spectra --csv` and `verify alpha-beta`: each JSON report with its timing_s
-set to 0, each CSV, and a `.status` file with the exit code and whatever
-went to stderr.  The maslovflow imported is whichever is first on
-PYTHONPATH, so dumping two checkouts into two directories and running
-`diff -r` on them shows every byte a change moves.
+`spectra --csv`, `verify alpha-beta` (as `<config>.verify`) and `verify
+clm` (as `<config>.verify-clm`; a config that sets a family exits 2 there):
+each JSON report with its timing_s set to 0, each CSV, and a `.status` file
+with the exit code and whatever went to stderr.  The maslovflow imported is
+whichever is first on PYTHONPATH, so dumping two checkouts into two
+directories and running `diff -r` on them shows every byte a change moves.
 """
 
 from __future__ import annotations
@@ -51,13 +52,12 @@ def main(argv=None) -> int:
     for suite, count, seed in SUITES:
         (out / f"{suite.__name__}.json").write_text(_untimed(suite(count, seed).to_json()))
     for config in sorted((ROOT / "configs").glob("*.json")):
-        for command in ("maslov", "sflow", "spectra", "verify"):
-            stem = out / f"{config.stem}.{command}"
-            args = [command, "--config", str(config), "--out", f"{stem}.json"]
-            if command in ("sflow", "spectra"):
+        for name, command in (("maslov", ["maslov"]), ("sflow", ["sflow"]), ("spectra", ["spectra"]),
+                              ("verify", ["verify", "alpha-beta"]), ("verify-clm", ["verify", "clm"])):
+            stem = out / f"{config.stem}.{name}"
+            args = command + ["--config", str(config), "--out", f"{stem}.json"]
+            if name in ("sflow", "spectra"):
                 args += ["--csv", f"{stem}.csv"]
-            if command == "verify":
-                args.insert(1, "alpha-beta")
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(args)
