@@ -48,12 +48,9 @@ from .suites import (
 )
 
 
-def _configured(report: VerificationReport, cfg: ProblemConfig, reads_tol: bool = True) -> VerificationReport:
-    """The report of a configured command: it echoes the effective config and,
-    for a command that reads it, lists the eigenvalue locator width tol."""
+def _configured(report: VerificationReport, cfg: ProblemConfig) -> VerificationReport:
+    """The report of a configured command, echoing the effective config."""
     report.inputs = cfg.to_dict()
-    if reads_tol:
-        report.tolerances["tol"] = cfg.solver.tol
     return report
 
 
@@ -68,17 +65,17 @@ def _write_csv(windows, dest) -> int:
 
 def cmd_maslov(cfg: ProblemConfig, args) -> VerificationReport:
     g1, g2 = cfg.path1(), cfg.path2()
-    value = maslov_pair(g1, g2, max_depth=cfg.solver.max_depth)
-    crossings = crossing_list(g1, g2, max_depth=cfg.solver.max_depth)
+    value = maslov_pair(g1, g2)
+    crossings = crossing_list(g1, g2)
     details = [{"lambda_star": c.lambda_star, "sign": c.sign, "multiplicity": c.multiplicity}
                for c in crossings]
     report = VerificationReport("maslov", {}, {"maslov_index": value}, True, details=details)
-    return _configured(report, cfg, reads_tol=False)
+    return _configured(report, cfg)
 
 
 def cmd_sflow(cfg: ProblemConfig, args) -> VerificationReport:
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
-    result = spectral_flow(fam, tol=cfg.solver.tol, max_depth=cfg.solver.max_depth)
+    result = spectral_flow(fam)
     if args.csv:
         with open(args.csv, "w") as fh:
             _write_csv(result.branch_data, fh)
@@ -88,13 +85,15 @@ def cmd_sflow(cfg: ProblemConfig, args) -> VerificationReport:
 
 
 def cmd_spectra(cfg: ProblemConfig, args) -> VerificationReport:
-    """The CSV goes to --csv, else to stdout, and the report only to --out."""
+    """The CSV goes to --csv, else to stdout, and the report, which lists the
+    locator width tol, only to --out."""
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
     lo, hi = cfg.solver.mu_window
     windows = spectrum_window(fam, np.linspace(0.0, 1.0, cfg.lambda_grid), lo, hi, tol=cfg.solver.tol)
     with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
         rows = _write_csv(windows, fh)
-    return _configured(VerificationReport("spectra", {}, {"rows": rows}, True), cfg)
+    report = VerificationReport("spectra", {}, {"rows": rows}, True, tolerances={"tol": cfg.solver.tol})
+    return _configured(report, cfg)
 
 
 def _family(cfg: ProblemConfig) -> SymmetricFamily:
@@ -113,10 +112,10 @@ def _verify_clm(cfg: ProblemConfig, **kw) -> VerificationReport:
 @dataclass(frozen=True)
 class _Check:
     """One verify choice.  With a config that sets every field in `needs`,
-    `instance(cfg, **solver)` checks the configured instance and reads
-    --steps, --tol and --max-depth; otherwise the seeded `suite` runs, reads
-    the flags in `suite_reads`, and has `count` instances unless --count or
-    the config's suite.count says otherwise.  A check that builds fundamental
+    `instance(cfg, steps=...)` checks the configured instance and reads
+    --steps alone; otherwise the seeded `suite` runs, reads the flags in
+    `suite_reads`, and has `count` instances unless --count or the config's
+    suite.count says otherwise.  A check that builds fundamental
     solutions needs at least `min_steps` steps in either mode."""
 
     instance: Callable | None
@@ -128,7 +127,7 @@ class _Check:
 
 
 _PATHS = ("gamma1_desc", "gamma2_desc")
-_INSTANCE_READS = ("steps", "tol", "max_depth")
+_INSTANCE_READS = ("steps",)
 _VERIFY = {
     "clm": _Check(_verify_clm, _PATHS, theorem_suite, 25, ("count", "seed")),
     "hamiltonian": _Check(
@@ -162,10 +161,10 @@ def cmd_verify(cfg: ProblemConfig, args) -> VerificationReport:
     check = _VERIFY[args.which]
     configured = check.instance is not None and all(getattr(cfg, f) is not None for f in check.needs)
     reads = _INSTANCE_READS if configured else check.suite_reads
-    for dest in ("count", "seed", "steps", "tol", "max_depth"):
+    for dest in ("count", "seed", "steps"):
         if getattr(args, dest) is not None and dest not in reads:
             mode = "the configured instance" if configured else "the seeded suite"
-            raise ConfigError(f"--{dest.replace('_', '-')}: not read by {mode} of verify {args.which}")
+            raise ConfigError(f"--{dest}: not read by {mode} of verify {args.which}")
     if cfg.solver.steps < check.min_steps:
         where = "--steps" if args.steps is not None else "solver.steps"
         raise ConfigError(
@@ -176,8 +175,6 @@ def cmd_verify(cfg: ProblemConfig, args) -> VerificationReport:
         "count": cfg.suite.get("count", check.count) if args.count is None else args.count,
         "seed": cfg.seed,
         "steps": cfg.solver.steps,
-        "tol": cfg.solver.tol,
-        "max_depth": cfg.solver.max_depth,
     }
     kwargs = {k: settings[k] for k in reads}
     return _configured(check.instance(cfg, **kwargs), cfg) if configured else check.suite(**kwargs)
@@ -197,19 +194,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, help="override the config seed"),
         "--steps": dict(type=int, help="override solver steps"),
         "--tol": dict(type=float, help="override the eigenvalue locator width"),
-        "--max-depth": dict(type=int, help="override the refinement depth cap"),
         "--window": dict(type=float, nargs=2, metavar=("MU_MIN", "MU_MAX"), dest="mu_window",
                          help="override the eigenvalue window"),
     }
     commands = (
         ("maslov", cmd_maslov, "Maslov index of the configured pair",
-         ("--config", "--out", "--max-depth")),
+         ("--config", "--out")),
         ("sflow", cmd_sflow, "spectral flow of the configured family",
-         ("--config", "--out", "--csv", "--steps", "--tol", "--max-depth")),
+         ("--config", "--out", "--csv", "--steps")),
         ("spectra", cmd_spectra, "eigenvalue branches as CSV",
          ("--config", "--out", "--csv", "--steps", "--tol", "--window")),
         ("verify", cmd_verify, "randomized verification suites",
-         ("--config", "--out", "--count", "--seed", "--steps", "--tol", "--max-depth")),
+         ("--config", "--out", "--count", "--seed", "--steps")),
     )
     for name, run, help_text, options in commands:
         p = sub.add_parser(name, help=help_text)
@@ -225,7 +221,7 @@ def _effective(cfg: ProblemConfig, args) -> ProblemConfig:
     """The config with the CLI overrides applied; solver, seed and count
     overrides pass the same checks as the config file."""
     solver = {f.name: getattr(args, f.name, None) for f in fields(SolverSettings)}
-    solver = {k: _check_solver(k, v, "--window" if k == "mu_window" else "--" + k.replace("_", "-"))
+    solver = {k: _check_solver(k, v, "--window" if k == "mu_window" else "--" + k)
               for k, v in solver.items() if v is not None}
     if solver:
         cfg.solver = replace(cfg.solver, **solver)

@@ -28,7 +28,7 @@ from .paths import (
     gamma_nor,
     gamma_nor_prime,
 )
-from .specflow import DEFAULT_STEPS, MAX_DEPTH
+from .specflow import DEFAULT_STEPS, MU_TOL
 from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame, norm2
 
 
@@ -60,8 +60,6 @@ def _check_solver(name: str, value, where: str):
     normalised; the ConfigError names `where`, a config field or a flag."""
     if name == "steps":
         return check_int(value, where, 16)
-    if name == "max_depth":
-        return check_int(value, where, 0)
     if name == "tol":
         _expect(_is_real(value) and value > 0, where, f"must be a positive number, got {value!r}")
         return float(value)
@@ -80,12 +78,12 @@ class SolverSettings:
     defaults, a config file, a CLI override through dataclasses.replace)
     passes the same check, which raises ConfigError naming the field; the
     CLI checks an override first, so that the error names its flag.  tol is
-    the width to which the spectral side locates eigenvalues, and nothing
-    else: the Maslov side takes no tolerance."""
+    the width to which `spectra` locates eigenvalues, and nothing else: the
+    spectral flow locates at MU_TOL, and the Maslov side takes no accuracy
+    setting."""
 
     steps: int = DEFAULT_STEPS
-    tol: float = 1e-8
-    max_depth: int = MAX_DEPTH
+    tol: float = MU_TOL
     mu_window: tuple = (-np.pi + 0.1, np.pi - 0.1)
 
     def __post_init__(self):
@@ -97,7 +95,6 @@ class SolverSettings:
         return {
             "steps": self.steps,
             "tol": self.tol,
-            "max_depth": self.max_depth,
             "mu_window": list(self.mu_window),
         }
 
@@ -253,8 +250,10 @@ def parse_config(data) -> ProblemConfig:
 
     solver_in = data.get("solver", {})
     _expect(isinstance(solver_in, dict), "solver", "must be an object")
-    solver = SolverSettings(**{f.name: solver_in[f.name] for f in fields(SolverSettings)
-                               if f.name in solver_in})
+    known = [f.name for f in fields(SolverSettings)]
+    for key in solver_in:
+        _expect(key in known, f"solver.{key}", f"unknown solver setting (known: {', '.join(known)})")
+    solver = SolverSettings(**solver_in)
 
     family = None
     if "family" in data and data["family"] is not None:

@@ -18,11 +18,10 @@ of times off one trajectory.  Each identity checker only names its terms,
 sfl(A) = sum of sign * mu(pair), and one evaluator runs them all: the
 spectral flow of the boundary-value family, computed by shooting, then the
 Maslov index of each term's pair of paths transported by Psi, computed by
-eigenphase winding, with the same steps and max_depth, and then the
-report.  tol is the width to which the spectral side locates eigenvalues;
-the Maslov side takes none.  The two sides share nothing beyond the RK4
-step propagators, which the tests check against an independent
-integrator, and basic linear algebra.
+eigenphase winding, and then the report.  The RK4 steps are the one
+setting, shared by both sides; neither side takes an accuracy setting.  The
+two sides share nothing beyond the RK4 step propagators, which the tests
+check against an independent integrator, and basic linear algebra.
 The S = 0 theorem runs through the same evaluator, as clm_hamiltonian(None, ...).
 """
 
@@ -39,7 +38,7 @@ from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
-from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, MAX_DEPTH, MU_TOL, _finite_1d
+from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, _finite_1d
 from .symplectic import LagrangianFrame, check_integer, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
@@ -200,21 +199,19 @@ def _symplectic_inverse(A: np.ndarray) -> np.ndarray:
     return -J @ A.T @ J
 
 
-def _identity(command, S, gamma1, gamma2, steps, tol, max_depth, inputs, terms) -> VerificationReport:
+def _identity(command, S, gamma1, gamma2, steps, inputs, terms) -> VerificationReport:
     """Check sfl(A) = sum of sign * mu(pair) over terms (name, sign, pair) for
     the boundary-value family of S with boundary (gamma_1, gamma_2); pair()
     builds the two paths of a term only when its index is computed, after the
     spectral flow and the terms listed before it.
 
-    steps sets both the shooting and the fundamental solutions; tol, the
-    eigenvalue locator width, reaches spectral_flow (on its default base
-    grid, rechecked at doubled resolution) only, and max_depth both it and
-    every maslov_pair.  The report holds the spectral flow, each term and,
-    for more than one term, their signed sum as rhs."""
-    lhs = spectral_flow(BoundaryValueFamily(gamma1, gamma2, S, steps), tol=tol, max_depth=max_depth).value
+    steps sets both the shooting and the fundamental solutions.  The report
+    holds the spectral flow, each term and, for more than one term, their
+    signed sum as rhs."""
+    lhs = spectral_flow(BoundaryValueFamily(gamma1, gamma2, S, steps)).value
     values = {"spectral_flow": lhs}
     for name, _, pair in terms:
-        values[name] = maslov_pair(*pair(), max_depth=max_depth)
+        values[name] = maslov_pair(*pair())
     rhs = sum(sign * values[name] for name, sign, _ in terms)
     if len(terms) > 1:
         values["rhs"] = rhs
@@ -232,14 +229,12 @@ def clm_hamiltonian(
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
-    tol: float = MU_TOL,
-    max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """Spectral flow of Ju' + S_lambda u with boundary (gamma_1, gamma_2) versus
     the Maslov index of (Psi gamma_1, gamma_2).  Both integers are reported.
     S None checks the theorem (S = 0, Psi = I) and builds no fundamental solution."""
     terms = [("maslov_transported", 1, lambda: (gamma1 if S is None else transported_path(S, gamma1, steps), gamma2))]
-    return _identity("clm-hamiltonian", S, gamma1, gamma2, steps, tol, max_depth, {}, terms)
+    return _identity("clm-hamiltonian", S, gamma1, gamma2, steps, {}, terms)
 
 
 def three_term_identity(
@@ -247,8 +242,6 @@ def three_term_identity(
     gamma1: LagrangianPath,
     gamma2: LagrangianPath,
     steps: int = DEFAULT_STEPS,
-    tol: float = MU_TOL,
-    max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """sfl(A) against mu(Psi_1(.)g1(1), g2(1)) + mu(g1, g2) - mu(Psi_0(.)g1(0), g2(0))."""
 
@@ -257,7 +250,7 @@ def three_term_identity(
 
     terms = [("term_end", 1, lambda: frozen_pair(1.0)), ("term_pair", 1, lambda: (gamma1, gamma2)),
              ("term_start", -1, lambda: frozen_pair(0.0))]
-    return _identity("three-term", S, gamma1, gamma2, steps, tol, max_depth, {}, terms)
+    return _identity("three-term", S, gamma1, gamma2, steps, {}, terms)
 
 
 def _validate_alpha_beta(alpha: PiecewiseLinear, beta: PiecewiseLinear):
@@ -285,8 +278,6 @@ def alpha_beta_identity(
     alpha: PiecewiseLinear,
     beta: PiecewiseLinear,
     steps: int = DEFAULT_STEPS,
-    tol: float = MU_TOL,
-    max_depth: int = MAX_DEPTH,
 ) -> VerificationReport:
     """The reparametrized three-term identity with beta(lambda) = alpha(lambda) + lambda.
 
@@ -313,17 +304,12 @@ def alpha_beta_identity(
     terms = [("term_start", 1, lambda: reparam_pair(0.0)), ("term_pair", 1, lambda: (gamma1, gamma2)),
              ("term_end", -1, lambda: reparam_pair(1.0))]
     inputs = {"alpha": alpha.serialize(), "beta": beta.serialize(), "alpha_end": 0.0, "beta_end": 1.0}
-    return _identity("alpha-beta", S, gamma1, gamma2, steps, tol, max_depth, inputs, terms)
+    return _identity("alpha-beta", S, gamma1, gamma2, steps, inputs, terms)
 
 
-def morse_index_formula(
-    S: SymmetricFamily,
-    steps: int = DEFAULT_STEPS,
-    tol: float = MU_TOL,
-    max_depth: int = MAX_DEPTH,
-) -> VerificationReport:
+def morse_index_formula(S: SymmetricFamily, steps: int = DEFAULT_STEPS) -> VerificationReport:
     """Dirichlet-type boundary {0} x R^n at both ends: spectral flow versus the
     Maslov index of lambda -> Psi_lambda(1)({0} x R^n) against {0} x R^n, that
     is clm_hamiltonian with the wall as both boundary paths."""
     wall = ConstantPath(l1_frame(S.n))
-    return replace(clm_hamiltonian(S, wall, wall, steps, tol, max_depth), command="morse-index")
+    return replace(clm_hamiltonian(S, wall, wall, steps), command="morse-index")

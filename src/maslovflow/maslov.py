@@ -14,11 +14,12 @@ An eigenphase increasing through 0 makes Sigma jump by -2pi, so a parameter
 segment [a, b] holds -round((Sigma(b) - Sigma(a)) / 2pi) net crossings while
 the eigenphases together move by less than pi inside it.  Segments are
 bisected until ||C(b) - C(a)|| <= min(0.15, 3/n), at which the endpoint
-spectra match closely enough (Bhatia & Davis 1984) for that to hold.  The
-count goes level by level: all segments still open at one bisection depth
-are halved together, and C and Sigma at all their midpoints come from one
-batch of Souriau matrices per path.  The winding of det W along a loop is
-the same count plus the change of Sigma from end to end.
+spectra match closely enough (Bhatia & Davis 1984) for that to hold, to at
+most MAX_DEPTH levels.  The count goes level by level: all segments still
+open at one bisection depth are halved together, and C and Sigma at all
+their midpoints come from one batch of Souriau matrices per path.  The
+winding of det W along a loop is the same count plus the change of Sigma
+from end to end.
 
 Non-admissible pairs (an endpoint intersection nontrivial at the rank
 tolerance RANK_TOL; the index takes no tolerance of its own) are rotated:
@@ -42,7 +43,6 @@ import numpy as np
 from .paths import ConstantPath, LagrangianPath, _interleave
 from .symplectic import (
     LagrangianFrame,
-    check_integer,
     gap_distance,
     intersection_dimension,
     l0_frame,
@@ -53,6 +53,8 @@ from .symplectic import (
 PHASE_TOL = 1e-9
 _DC_CAP = 0.15
 _LOC_TOL = 1e-9
+# bisection levels per sample-grid segment before UnresolvedCrossing; read at
+# each count, so a test can lower it
 MAX_DEPTH = 40
 
 
@@ -74,12 +76,9 @@ def _eigenphases(C: np.ndarray) -> np.ndarray:
     return np.angle(np.linalg.eigvals(C))
 
 
-def _check_pair(g1: LagrangianPath, g2: LagrangianPath, max_depth: int) -> None:
+def _check_pair(g1: LagrangianPath, g2: LagrangianPath) -> None:
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
-    check_integer(max_depth, "max_depth")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
 
 
 class _PairCounter:
@@ -87,11 +86,10 @@ class _PairCounter:
     whose relative unitary is e^{2i theta} C: the bisections of C, with its
     eigenphases moved rigidly by 2 theta."""
 
-    def __init__(self, g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH, theta: float = 0.0):
-        _check_pair(g1, g2, max_depth)
+    def __init__(self, g1: LagrangianPath, g2: LagrangianPath, theta: float = 0.0):
+        _check_pair(g1, g2)
         self.g1 = g1
         self.g2 = g2
-        self.max_depth = max_depth
         self.phase = np.exp(2j * theta) if theta else None
         # the end spectra of an accepted segment match within 2 arcsin(cap / 2)
         # per eigenphase (Bhatia & Davis), n of which stay below pi
@@ -111,8 +109,8 @@ class _PairCounter:
         """Net signed crossings of eigenphases through 0 on each [a[i], b[i]].
 
         A segment is accepted once ||C(b) - C(a)|| <= cap; the others are
-        halved, all of one depth together, until max_depth, where the first
-        open segment raises UnresolvedCrossing.
+        halved, all of one depth together, until MAX_DEPTH, read at the call,
+        where the first open segment raises UnresolvedCrossing.
         """
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -127,11 +125,11 @@ class _PairCounter:
             np.add.at(out, owner[ok], -np.rint((Sb[ok] - Sa[ok]) / (2.0 * np.pi)).astype(int))
             if ok.all():
                 return out
-            if depth == self.max_depth:
+            if depth == MAX_DEPTH:
                 k = int(np.argmin(ok))
                 raise UnresolvedCrossing(
                     f"unresolved crossing near lambda in [{a[k]:.12g}, {b[k]:.12g}] "
-                    f"after {self.max_depth} bisections"
+                    f"after {MAX_DEPTH} bisections"
                 )
             a, b, Ca, Cb, Sa, Sb, owner = (x[~ok] for x in (a, b, Ca, Cb, Sa, Sb, owner))
             m = 0.5 * (a + b)
@@ -170,8 +168,7 @@ def perturbation_theta(g1: LagrangianPath, g2: LagrangianPath) -> float:
     sees the same endpoint data, rigidly shifted, at every such angle, so is
     equally wrong at each.
     """
-    if g1.n != g2.n:
-        raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
+    _check_pair(g1, g2)
     _build_grids(g1, g2)
     ends = [_eigenphases(g1.souriau_matrix(e) @ g2.souriau_matrix(e).conj()) for e in (0.0, 1.0)]
     p = np.abs(np.concatenate(ends))
@@ -192,35 +189,35 @@ def _build_grids(*paths: LagrangianPath) -> None:
         g.sample_grid
 
 
-def _pair_counter(g1: LagrangianPath, g2: LagrangianPath, max_depth: int) -> _PairCounter:
+def _pair_counter(g1: LagrangianPath, g2: LagrangianPath) -> _PairCounter:
     """The counter of the pair, rotated by the stable Theta if an endpoint
     intersection is nontrivial at the default rank tolerance RANK_TOL of
     intersection_dimension.  That test decides which pairs are rotated, not
     the angle, which perturbation_theta reads from the endpoint phases.
 
-    max_depth and the half-dimensions are checked before any frame is read.
-    Both sample grids are built before the admissibility test, which then
+    The half-dimensions are checked before any frame is read.  Both sample
+    grids are built before the admissibility test, which then
     reads the endpoint frames from their first batch; the counter needs the
     grids in either branch.
     """
-    _check_pair(g1, g2, max_depth)
+    _check_pair(g1, g2)
     _build_grids(g1, g2)
     admissible = all(intersection_dimension(g1.frame(e), g2.frame(e)) == 0 for e in (0.0, 1.0))
-    return _PairCounter(g1, g2, max_depth, 0.0 if admissible else perturbation_theta(g1, g2))
+    return _PairCounter(g1, g2, 0.0 if admissible else perturbation_theta(g1, g2))
 
 
-def maslov_pair(g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH) -> int:
+def maslov_pair(g1: LagrangianPath, g2: LagrangianPath) -> int:
     """Maslov index of a pair of Lagrangian paths.
 
-    It takes no tolerance.  Admissible pairs, whose endpoint intersections
-    are trivial at RANK_TOL, are counted directly; otherwise the pair is
-    counted as (gamma_1, exp(-Theta J) gamma_2), Theta from
-    perturbation_theta.  A count that reaches max_depth raises
+    It takes no accuracy setting.  Admissible pairs, whose endpoint
+    intersections are trivial at RANK_TOL, are counted directly; otherwise
+    the pair is counted as (gamma_1, exp(-Theta J) gamma_2), Theta from
+    perturbation_theta.  A count that reaches MAX_DEPTH raises
     UnresolvedCrossing, as in crossing_list: a rotation exp(-Theta J) of
     gamma_2 multiplies C by the unit scalar e^{2i Theta}, which keeps every
     ||C(b) - C(a)|| and so every bisection.
     """
-    return _pair_counter(g1, g2, max_depth).total()
+    return _pair_counter(g1, g2).total()
 
 
 def maslov_rel(g: LagrangianPath, L0: LagrangianFrame) -> int:
@@ -248,16 +245,16 @@ def maslov_loop(g: LagrangianPath) -> int:
     return int(round(winding))
 
 
-def crossing_list(g1: LagrangianPath, g2: LagrangianPath, max_depth: int = MAX_DEPTH) -> list[CrossingRecord]:
+def crossing_list(g1: LagrangianPath, g2: LagrangianPath) -> list[CrossingRecord]:
     """Localized signed crossings underlying maslov_pair.
 
     Each record carries the crossing parameter, the net sign and the number
     of signed units; the signed sum equals the pair index.  Crossing clusters
     whose net contribution is zero are not emitted.  Non-admissible pairs are
     regularized exactly as in maslov_pair before localization; like it, the
-    list takes no tolerance.
+    list takes no accuracy setting.
     """
-    counter = _pair_counter(g1, g2, max_depth)
+    counter = _pair_counter(g1, g2)
     records = []
     nodes = counter.initial_nodes()
     a, b = nodes[:-1], nodes[1:]

@@ -40,14 +40,17 @@ a k-fold eigenvalue det ~ c (mu - mu*)^k, so that root is linear through it.
 Halving takes over where the secant stalls.  The count's parity is checked
 against det's sign changes.
 
-The spectral flow follows the partition definition: on each parameter
-subinterval an eigenvalue-free threshold epsilon is chosen and the counts of
-eigenvalues in [0, epsilon] at the two ends are differenced.  Subintervals are
-bisected until branch motion is small against the epsilon margins, level by
-level: the windows at every new node of a level come from one stacked
+The spectral flow follows the partition definition (Phillips, "Self-adjoint
+Fredholm operators and spectral flow", 1996): on each parameter subinterval
+an eigenvalue-free threshold epsilon is chosen and the counts of eigenvalues
+in [0, epsilon] at the two ends are differenced.  Subintervals are bisected
+until branch motion is small against the epsilon margins, level by level:
+the windows at every new node of a level come from one stacked
 spectrum_window call, so the detector calls of a level are shared by all its
 nodes.  The whole computation is repeated at doubled grid resolution as a
-consistency check.
+consistency check.  Its integer takes no accuracy setting: the locator width
+MU_TOL, the depth cap MAX_DEPTH and the base grid _default_base_nodes are
+constants of this module, read at each call.
 """
 
 from __future__ import annotations
@@ -68,13 +71,14 @@ _SF_WINDOW = 1.45
 _SF_CORE = 1.0
 _EPS_MAX = np.pi / 4
 # a threshold's margin must beat the branch motion by this much, far above the
-# locator error (below 5e-9 at tol 1e-8), so rounding never decides a refinement
+# locator error (below MU_TOL), so rounding never decides a refinement
 _EPS_SLACK = 1e-6
 _ZERO_TOL = 1e-9
 # an eigenphase within _TIE below 2pi counts as that phase minus 2pi, so the
 # rounding sign of a phase at 0 decides no count
 _TIE = 64 * np.finfo(float).eps
 DEFAULT_STEPS = 256
+# partition refinement levels below the base grid before spectral_flow raises
 MAX_DEPTH = 40
 # (mu, lambda) pairs propagated together: with the steps built as one matrix
 # product from the coefficients, chunks of 16 matched or beat 4, 8, 32 and the
@@ -452,7 +456,8 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     each half that holds eigenvalues, once they would not or when det
     vanishes at both ends.  No window takes more than
     twice the levels of plain bisection.  Each final midpoint is reported
-    with its count as multiplicity, and points closer than 1e-7 are merged.
+    with its count as multiplicity, and points closer than 2 tol, those of
+    adjacent final brackets, are merged.
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
     EigenvalueCountMismatch is raised, as it is when halving would grow a
@@ -609,7 +614,7 @@ def _locate(fam, lams, los, his, tol):
     prev, last_mu = -1, -np.inf
     for mu, mult, k in zip(0.5 * (lo[order] + hi[order]), cnt[order], w[order].astype(int).tolist()):
         eigenvalues = found[k]
-        if k == prev and mu - last_mu < 1e-7:
+        if k == prev and mu - last_mu < 2.0 * tol:
             eigenvalues[-1] = (eigenvalues[-1][0], eigenvalues[-1][1] + int(mult))
         else:
             eigenvalues.append((float(mu), int(mult)))
@@ -620,14 +625,15 @@ def _locate(fam, lams, los, his, tol):
     )
 
 
-def _clean_windows(fams, lams: np.ndarray, lo: float, hi: float, tol: float = MU_TOL) -> list:
-    """spectrum_window of each family over shared windows at a 1-D array of
-    lambdas, widened until no endpoint is an eigenvalue of any of them; only
-    the windows of the lambdas whose edge failed are widened."""
+def _clean_windows(fams, lams: np.ndarray, lo: float, hi: float) -> list:
+    """spectrum_window of each family, at width MU_TOL, over shared windows
+    at a 1-D array of lambdas, widened until no endpoint is an eigenvalue of
+    any of them; only the windows of the lambdas whose edge failed are
+    widened."""
     shift = np.zeros(len(lams))
     for _ in range(60):
         try:
-            return [spectrum_window(fam, lams, lo - shift, hi + shift, tol) for fam in fams]
+            return [spectrum_window(fam, lams, lo - shift, hi + shift, MU_TOL) for fam in fams]
         except EigenvalueAtWindowEdge as err:
             failed = list(err.windows)
             shift[failed] += _EDGE_NUDGE
@@ -680,16 +686,17 @@ def _interval_contribution(Ea: SpectrumWindow, Eb: SpectrumWindow):
     return Eb.count_between(-_ZERO_TOL, eps) - Ea.count_between(-_ZERO_TOL, eps), eps
 
 
-def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):
-    """Refine the subintervals of base_nodes level by level: the windows at
-    every new node of a level are located in one stacked spectrum_window
-    call, then each open subinterval either gets its threshold or is halved."""
+def _sflow_once(fam, base_nodes, spectra: dict):
+    """Refine the subintervals of base_nodes level by level, to at most
+    MAX_DEPTH levels: the windows at every new node of a level are located
+    in one stacked spectrum_window call, then each open subinterval either
+    gets its threshold or is halved."""
     segments = []
     pending = list(zip(base_nodes[:-1], base_nodes[1:]))
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         new = [lam for lam in dict.fromkeys(x for seg in pending for x in seg) if lam not in spectra]
         if new:
-            (windows,) = _clean_windows((fam,), np.array(new), -_SF_WINDOW, _SF_WINDOW, tol)
+            (windows,) = _clean_windows((fam,), np.array(new), -_SF_WINDOW, _SF_WINDOW)
             spectra.update(zip(new, windows))
         refine = []
         for a, b in pending:
@@ -700,7 +707,7 @@ def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):
                 segments.append((a, b, r[0], r[1]))
         if not refine:
             break
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             a, b = refine[0]
             raise RuntimeError(f"failed to separate eigenvalue branches on [{a:.12g}, {b:.12g}]")
         pending = [half for a, b in refine for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
@@ -714,38 +721,25 @@ def _sflow_once(fam, base_nodes, spectra: dict, tol: float, max_depth: int):
 
 
 def _default_base_nodes(fam):
+    """The base grid of spectral_flow: 17 equal steps of [0, 1] and the
+    boundary paths' breakpoints."""
     hints = set(np.linspace(0.0, 1.0, 17)) | set(fam.breakpoint_hints())
     return np.array(sorted(hints))
 
 
-def spectral_flow(
-    fam: BoundaryValueFamily,
-    base_grid=None,
-    *,
-    tol: float = MU_TOL,
-    max_depth: int = MAX_DEPTH,
-) -> SpectralFlowResult:
+def spectral_flow(fam: BoundaryValueFamily) -> SpectralFlowResult:
     """Spectral flow of the family A_lambda by the partition definition.
 
-    The partition refines base_grid (by default 17 equal steps plus the
-    boundary paths' breakpoints) until every subinterval has a threshold;
-    tol is the eigenvalue locator's tolerance and max_depth caps the
-    refinement.  The integer is recomputed at doubled base-grid resolution,
-    and a mismatch raises.
+    The partition refines the base grid _default_base_nodes until every
+    subinterval has a threshold, to at most MAX_DEPTH levels, and every
+    eigenvalue is located to width MU_TOL.  The integer is recomputed at
+    doubled base-grid resolution, and a mismatch raises.
     """
-    check_integer(max_depth, "max_depth")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    if base_grid is None:
-        nodes = _default_base_nodes(fam)
-    else:
-        nodes = np.unique(_finite_1d(base_grid, "base_grid"))
-        if not nodes.size or abs(nodes[0]) > 1e-15 or abs(nodes[-1] - 1.0) > 1e-15:
-            raise ValueError("base grid must start at 0 and end at 1")
+    nodes = _default_base_nodes(fam)
     spectra: dict[float, SpectrumWindow] = {}
-    value, partition, epsilons, data = _sflow_once(fam, nodes, spectra, tol, max_depth)
+    value, partition, epsilons, data = _sflow_once(fam, nodes, spectra)
     doubled = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
-    value2, _, _, _ = _sflow_once(fam, doubled, spectra, tol, max_depth)
+    value2, _, _, _ = _sflow_once(fam, doubled, spectra)
     if value2 != value:
         raise RuntimeError(f"spectral flow is partition dependent: {value} vs {value2} at doubled resolution")
     return SpectralFlowResult(value, partition, epsilons, data)

@@ -37,12 +37,13 @@ from maslovflow.suites import (
     three_term_suite,
 )
 from maslovflow.symplectic import frame_from_basis, l0_frame, l1_frame
+from test_maslov import _regularization_case
 
 GAMMA_NOR_CFG = {
     "n": 1,
     "gamma1": {"type": "normalization", "which": "gamma_nor"},
     "gamma2": {"type": "constant", "frame": "l1"},
-    "solver": {"steps": 256, "tol": 1e-8, "max_depth": 40, "mu_window": [-3.04, 3.04]},
+    "solver": {"steps": 256, "tol": 1e-8, "mu_window": [-3.04, 3.04]},
     "seed": 0,
     "lambda_grid": 21,
 }
@@ -248,7 +249,7 @@ def test_cli_sflow_csv_lists_the_branch_eigenvalues(tmp_path, capsys):
     assert main(["sflow", "--config", path, "--csv", str(csv)]) == 0
     report = json.loads(capsys.readouterr().out)
     cfg = parse_config(path)
-    result = spectral_flow(BoundaryValueFamily(cfg.path1(), cfg.path2()), tol=1e-8, max_depth=40)
+    result = spectral_flow(BoundaryValueFamily(cfg.path1(), cfg.path2()))
     assert report["values"]["spectral_flow"] == result.value
     rows = sorted((w.lam, mu, mult) for w in result.branch_data for mu, mult in w.eigenvalues)
     assert rows
@@ -392,12 +393,15 @@ def test_cli_verify_configured_identities(tmp_path, capsys):
     assert rep["command"] == "morse-index" and rep["passed"]
 
 
-def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, capsys):
+def test_cli_tol_reaches_the_spectra_locator_alone(tmp_path, monkeypatch, capsys):
+    # tol is the width to which spectra locates eigenvalues: spectral_flow
+    # locates at MU_TOL and maslov_pair takes no tolerance, so a config's tol
+    # reaches neither, and only the spectra report lists it
     calls = []
 
     def spy(fn):
         def wrapped(*args, **kwargs):
-            calls.append((fn.__name__, kwargs.get("tol"), kwargs.get("max_depth")))
+            calls.append((fn.__name__, tuple(sorted(kwargs.items()))))
             return fn(*args, **kwargs)
 
         return wrapped
@@ -406,26 +410,48 @@ def test_cli_tol_and_max_depth_reach_the_computation(tmp_path, monkeypatch, caps
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
     for name in ("maslov_pair", "spectral_flow"):
         monkeypatch.setattr(hamiltonian, name, spy(getattr(hamiltonian, name)))
-    cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
-    identity = _write(tmp_path, "b.json", IDENTITY_CFG)
-    # tol is the eigenvalue locator width: maslov_pair takes none
-    both = {("maslov_pair", None, 30), ("spectral_flow", 1e-9, 30)}
-    depth = ["--max-depth", "30"]
+    solver = dict(GAMMA_NOR_CFG["solver"], tol=1e-9)
+    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": solver})
+    identity = _write(tmp_path, "b.json", {**IDENTITY_CFG, "solver": solver})
+    both = {("maslov_pair", ()), ("spectral_flow", ())}
+    checked = {"integer_equality": 0}
     cases = [
-        (["sflow"] + depth, cfg, {("spectral_flow", 1e-9, 30)}),
-        (["spectra"], cfg, {("spectrum_window", 1e-9, None)}),
-        (["verify", "clm"] + depth, cfg, both),
-    ] + [(["verify", which] + depth, identity, both)
+        (["maslov"], cfg, {("maslov_pair", ())}, {}),
+        (["sflow"], cfg, {("spectral_flow", ())}, {}),
+        (["spectra"], cfg, {("spectrum_window", (("tol", 1e-9),))}, {"tol": 1e-9}),
+        (["spectra", "--tol", "1e-7"], cfg, {("spectrum_window", (("tol", 1e-7),))}, {"tol": 1e-7}),
+        (["verify", "clm"], cfg, both, checked),
+    ] + [(["verify", which], identity, both, checked)
          for which in ("hamiltonian", "three-term", "alpha-beta", "morse")]
-    for argv, path, expected in cases:
+    for argv, path, expected, tolerances in cases:
         calls.clear()
         out = str(tmp_path / "r.json")
-        assert main(argv + ["--config", path, "--tol", "1e-9", "--out", out]) == 0
+        assert main(argv + ["--config", path, "--out", out]) == 0
         assert set(calls) == expected, argv
         report = json.loads(Path(out).read_text())
-        assert report["inputs"]["solver"]["tol"] == 1e-9
-        assert report["tolerances"]["tol"] == 1e-9
+        assert report["inputs"]["solver"] == dict(solver, tol=tolerances.get("tol", 1e-9)), argv
+        assert report["tolerances"] == tolerances, argv
     capsys.readouterr()
+
+
+def test_cli_sflow_takes_no_locator_width_from_the_config(tmp_path, capsys):
+    # regularization case 83 has a kernel at lambda = 1: located to the
+    # config's width 1e-8 it read -1.3e-9, below the count's edge -1e-9, and
+    # sflow gave 2; located to MU_TOL it counts, and sflow gives the closed
+    # form
+    g1, _ = _regularization_case(83)
+    expected = sum(int(np.floor(p(1.0) / np.pi) - np.floor(p(0.0) / np.pi)) for p in g1.phases)
+    assert expected == 3
+    path = _write(tmp_path, "a.json", {
+        "n": g1.n,
+        "gamma1": {"type": "unitary_diagonal", "phases": [p.serialize() for p in g1.phases]},
+        "gamma2": {"type": "constant", "frame": "l0"},
+        "solver": {"steps": 256, "tol": 1e-8},
+    })
+    assert main(["sflow", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["values"] == {"spectral_flow": 3}
+    assert "tol" not in report["tolerances"]
 
 
 def test_cli_window_and_depth_overrides(tmp_path, capsys):
@@ -500,7 +526,10 @@ _UNREAD_FLAGS = [
     ["maslov", "--config", "CFG", "--seed", "3"],
     ["maslov", "--config", "CFG", "--steps", "64"],
     ["maslov", "--config", "CFG", "--window", "-1", "1"],
+    ["maslov", "--config", "CFG", "--max-depth", "30"],
     ["sflow", "--config", "CFG", "--seed", "3"],
+    ["sflow", "--config", "CFG", "--tol", "1e-9"],
+    ["sflow", "--config", "CFG", "--max-depth", "30"],
     ["sflow", "--config", "CFG", "--window", "-1", "1"],
     ["spectra", "--config", "CFG", "--seed", "3"],
     ["spectra", "--config", "CFG", "--max-depth", "30"],
@@ -512,7 +541,10 @@ _UNREAD_FLAGS = [
     ["verify", "clm", "--count", "1", "--max-depth", "30"],
     ["verify", "clm", "--count", "1", "--steps", "64"],
     ["verify", "clm", "--config", "CFG", "--seed", "3"],
+    ["verify", "clm", "--config", "CFG", "--tol", "1e-9"],
     ["verify", "hamiltonian", "--config", "IDENTITY", "--count", "2"],
+    ["verify", "hamiltonian", "--config", "IDENTITY", "--tol", "1e-9"],
+    ["verify", "morse", "--config", "IDENTITY", "--max-depth", "30"],
     ["verify", "morse", "--config", "IDENTITY", "--seed", "3"],
 ]
 
@@ -535,18 +567,31 @@ def test_cli_rejects_flags_the_check_does_not_read(argv, tmp_path, capsys):
 def test_parse_rejects_invalid_solver_settings(solver, field):
     with pytest.raises(ConfigError, match=f"solver.{field}"):
         parse_config({**GAMMA_NOR_CFG, "solver": solver})
-    with pytest.raises(ConfigError, match=f"solver.{field}"):
-        replace(SolverSettings(), **solver)
+    if field == "max_depth":
+        # no longer a setting: the depth caps are constants of the library
+        with pytest.raises(TypeError, match="max_depth"):
+            replace(SolverSettings(), **solver)
+    else:
+        with pytest.raises(ConfigError, match=f"solver.{field}"):
+            replace(SolverSettings(), **solver)
+
+
+@pytest.mark.parametrize("key", ["max_depth", "stpes"])
+def test_an_unknown_solver_key_exits_2_naming_it(key, tmp_path, capsys):
+    # a dropped setting or a misspelt one is refused, not silently ignored
+    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": dict(GAMMA_NOR_CFG["solver"], **{key: 40})})
+    assert _exit_code(["sflow", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: solver.{key}: unknown solver setting")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
     "argv, config_tol, field",
     [
-        (["sflow", "--tol", "-1"], 1e-8, "tol"),
+        (["spectra", "--tol", "-1"], 1e-8, "tol"),
         (["sflow", "--steps", "7"], 1e-8, "steps"),
-        (["sflow", "--max-depth", "-1"], 1e-8, "max_depth"),
         (["spectra", "--window", "1", "-1"], 1e-8, "mu_window"),
-        (["verify", "clm", "--tol", "0"], 1e-8, "tol"),
         (["sflow"], 0, "tol"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
@@ -684,7 +729,7 @@ def test_readme_flag_table_matches_the_parser():
         for name, p in sub.choices.items()
     }
     assert _readme_flag_table() == parsed
-    assert sum(len(flags) for flags in parsed.values()) == 22
+    assert sum(len(flags) for flags in parsed.values()) == 17
 
 
 # every verify check that builds fundamental solutions, in suite mode and

@@ -30,7 +30,7 @@ from maslovflow import (
 )
 from maslovflow import hamiltonian
 from maslovflow.config import parse_config
-from maslovflow.specflow import MAX_DEPTH, MU_TOL, spectral_flow
+from maslovflow.specflow import spectral_flow
 from maslovflow.propagator import ordered_product, rk4_step_propagators
 from maslovflow.suites import random_action, random_lagrangian_frame, random_pair, random_symmetric, random_symmetric_family
 from maslovflow.symplectic import gap_distance, nearest_lagrangian_frames, souriau_stack
@@ -410,18 +410,18 @@ def test_morse_randomized_degree_one():
 
 
 def test_identity_checkers_run_one_spectral_flow_at_tol_and_each_term_without_one(monkeypatch):
-    # called without tol, as the suites call them, every checker runs
-    # spectral_flow once at the locator's default width MU_TOL and then
-    # maslov_pair, which takes no tolerance, once per term, all with max_depth
-    assert inspect.signature(spectral_flow).parameters["tol"].default == MU_TOL == 1e-10
-    assert "tol" not in inspect.signature(maslov_pair).parameters
+    # no checker takes an accuracy setting: every one runs spectral_flow once,
+    # which locates at MU_TOL, and then maslov_pair, which takes no
+    # tolerance, once per term, neither with a keyword argument
+    assert list(inspect.signature(spectral_flow).parameters) == ["fam"]
+    assert list(inspect.signature(maslov_pair).parameters) == ["g1", "g2"]
     for checker in (clm_hamiltonian, three_term_identity, alpha_beta_identity, morse_index_formula):
-        assert inspect.signature(checker).parameters["tol"].default == MU_TOL
+        assert not {"tol", "max_depth"} & set(inspect.signature(checker).parameters)
     calls = []
 
     def spy(fn):
         def wrapped(*args, **kwargs):
-            calls.append((fn.__name__, kwargs.get("tol"), kwargs.get("max_depth")))
+            calls.append((fn.__name__, kwargs))
             return fn(*args, **kwargs)
 
         return wrapped
@@ -443,7 +443,7 @@ def test_identity_checkers_run_one_spectral_flow_at_tol_and_each_term_without_on
     for run, names in cases:
         calls.clear()
         report = run()
-        expected = [("spectral_flow", MU_TOL, MAX_DEPTH)] + [("maslov_pair", None, MAX_DEPTH)] * len(names)
+        expected = [("spectral_flow", {})] + [("maslov_pair", {})] * len(names)
         assert calls == expected
         rhs = ["rhs"] if len(names) > 1 else []
         assert sorted(report.values) == sorted(["spectral_flow"] + names + rhs)

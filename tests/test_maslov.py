@@ -31,13 +31,15 @@ from maslovflow import (
     rotate,
     souriau,
     spectral_flow,
+    spectrum_window,
     SymplecticActionPath,
     UnitaryDiagonalPath,
     UnresolvedCrossing,
     clm_hamiltonian,
     intersection_dimension,
 )
-from maslovflow import maslov, paths
+from maslovflow import maslov, paths, specflow
+from maslovflow.specflow import MU_TOL
 from maslovflow.paths import LagrangianPath
 from maslovflow.suites import random_action, random_lagrangian_frame, random_pair
 from maslovflow.symplectic import RANK_TOL, norm2
@@ -203,22 +205,13 @@ def test_maslov_pair_propagates_errors_other_than_unresolved_crossing(monkeypatc
         maslov_pair(gamma_nor(1), ConstantPath(l1_frame(1)))
 
 
-def test_depth_exhaustion_raises_unresolved_crossing():
+def test_depth_exhaustion_raises_unresolved_crossing(monkeypatch):
     # on [0, 1/2] the relative unitary of (gamma_nor, l1) moves from 1 to -1,
     # far beyond one resolvable segment, so depth 0 cannot settle it
-    counter = maslov._PairCounter(gamma_nor(1), ConstantPath(l1_frame(1)), max_depth=0)
+    monkeypatch.setattr(maslov, "MAX_DEPTH", 0)
+    counter = maslov._PairCounter(gamma_nor(1), ConstantPath(l1_frame(1)))
     with pytest.raises(UnresolvedCrossing, match="unresolved crossing"):
         counter.counts([0.0], [0.5])
-
-
-def test_negative_depth_cap_is_rejected():
-    g1, g2 = gamma_nor(1), ConstantPath(l1_frame(1))
-    with pytest.raises(ValueError, match="max_depth"):
-        maslov._PairCounter(g1, g2, max_depth=-1)
-    with pytest.raises(ValueError, match="max_depth"):
-        maslov_pair(g1, g2, max_depth=-1)
-    with pytest.raises(ValueError, match="max_depth"):
-        crossing_list(g1, g2, max_depth=-1)
 
 
 def test_perturbation_theta_admissible_pair():
@@ -403,7 +396,7 @@ def test_maslov_loop_matches_depth_first_winding():
 
 
 @pytest.mark.parametrize("max_depth", [0, 1, 3])
-def test_depth_cap_raises_for_the_segment_the_recursion_names(max_depth):
+def test_depth_cap_raises_for_the_segment_the_recursion_names(max_depth, monkeypatch):
     # slow on [0, 0.5] and fast after it, so the first open segment at the
     # cap is not the first segment of its level
     g1 = UnitaryDiagonalPath([PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.05, 6.0]), PiecewiseLinear.constant(0.3)])
@@ -411,7 +404,8 @@ def test_depth_cap_raises_for_the_segment_the_recursion_names(max_depth):
     count, _ = _dfs_counter(g1, g2, max_depth)
     with pytest.raises(UnresolvedCrossing) as expected:
         count(0.0, 1.0)
-    counter = maslov._PairCounter(g1, g2, max_depth=max_depth)
+    monkeypatch.setattr(maslov, "MAX_DEPTH", max_depth)
+    counter = maslov._PairCounter(g1, g2)
     with pytest.raises(UnresolvedCrossing) as got:
         counter.counts([0.0], [1.0])
     assert str(got.value) == str(expected.value)
@@ -427,8 +421,9 @@ def test_maslov_pair_and_crossing_list_raise_at_the_depth_cap(max_depth, monkeyp
     # the counter raises it, never retried through a rotation
     g1 = UnitaryDiagonalPath([PiecewiseLinear.linear(0.0, 8 * (np.pi - 0.09))])
     g2 = ConstantPath(l1_frame(1))
+    monkeypatch.setattr(maslov, "MAX_DEPTH", max_depth)
     with pytest.raises(UnresolvedCrossing) as expected:
-        maslov._PairCounter(g1, g2, max_depth).total()
+        maslov._PairCounter(g1, g2).total()
     calls = []
 
     def spy(*args):
@@ -438,7 +433,7 @@ def test_maslov_pair_and_crossing_list_raise_at_the_depth_cap(max_depth, monkeyp
     monkeypatch.setattr(maslov, "perturbation_theta", spy)
     for count in (maslov_pair, crossing_list):
         with pytest.raises(UnresolvedCrossing) as got:
-            count(g1, g2, max_depth=max_depth)
+            count(g1, g2)
         assert str(got.value) == str(expected.value)
     assert calls == []
 
@@ -542,10 +537,11 @@ def test_regularization_builds_no_rotated_path(monkeypatch):
         index(g1, g2)
 
 
-def _parent_regularized(g1, g2, tol, max_depth):
+def _parent_regularized(g1, g2, tol):
     """The regularization before the Theta/2 recount was dropped, verbatim but
-    for the names, as the reference: Theta is accepted only once the pair's
-    totals at Theta and Theta/2 agree."""
+    for the names and the counter's depth cap, now a constant, as the
+    reference: Theta is accepted only once the pair's totals at Theta and
+    Theta/2 agree."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
     maslov._build_grids(g1, g2)
@@ -563,8 +559,8 @@ def _parent_regularized(g1, g2, tol, max_depth):
                 if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk), tol) != 0:
                     ladder_ok = False
         if ladder_ok:
-            counter = maslov._PairCounter(g1, g2, max_depth, theta)
-            if counter.total() == maslov._PairCounter(g1, g2, max_depth, theta / 2).total():
+            counter = maslov._PairCounter(g1, g2, theta)
+            if counter.total() == maslov._PairCounter(g1, g2, theta / 2).total():
                 return float(theta), counter
         theta /= 4.0
     raise RuntimeError("no stable regularization angle found down to 1e-6")
@@ -636,13 +632,13 @@ def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted():
     for k, (g1, g2) in enumerate(_regularization_cases()):
         theta = perturbation_theta(g1, g2)
         try:
-            reference, _ = _parent_regularized(g1, g2, RANK_TOL, maslov.MAX_DEPTH)
+            reference, _ = _parent_regularized(g1, g2, RANK_TOL)
         except RuntimeError:
             raised.append(k)
             reference = min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2))
         assert theta == reference, k
-        total = maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta).total()
-        assert maslov._PairCounter(g1, g2, maslov.MAX_DEPTH, theta / 2).total() == total, k
+        total = maslov._PairCounter(g1, g2, theta).total()
+        assert maslov._PairCounter(g1, g2, theta / 2).total() == total, k
         index = maslov_pair(g1, g2)
         if any(intersection_dimension(g1.frame(e), g2.frame(e)) for e in (0.0, 1.0)):
             assert index == total, k
@@ -655,7 +651,7 @@ def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted():
         strict=True,
         raises=AssertionError,
         reason="the sample grid's first segment turns the line by 3.07 rad, and the segment test "
-        "reads only its ends, so counts -1 for the rotated pair's -2 (ROADMAP item 4)",
+        "reads only its ends, so counts -1 for the rotated pair's -2 (ROADMAP item 5)",
     )) if k == 65 else k
     for k in range(50, 100)
 ])
@@ -688,29 +684,41 @@ _BAND = pytest.mark.xfail(
     raises=AssertionError,
     reason="an endpoint eigenphase of C in [-1e-7, -2e-9) is lifted above the cut by Theta, while the "
     "spectral side reads its eigenvalue, about half the phase, as negative: the endpoint-band "
-    "convention (ROADMAP item 1)",
+    "convention (ROADMAP item 3)",
 )
-_UNDIAGNOSED = pytest.mark.xfail(
+_BRANCH_MATCH = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="no endpoint eigenphase of C lies in [-1e-7, -2e-9) and maslov_pair equals the rotated-pair "
-    "closed form; the spectral side differs by one, not yet diagnosed (ROADMAP item 1)",
+    reason="the partition accepts a segment on which a branch crosses its epsilon: nearest-neighbour "
+    "matching of the segment's end spectra maps two branches to one, so the spectral side is off by "
+    "one (ROADMAP item 1)",
 )
 _PARTITION = pytest.mark.xfail(
     strict=True,
     raises=RuntimeError,
-    reason="spectral flow is partition dependent at doubled resolution (ROADMAP item 5)",
+    reason="spectral flow is partition dependent at doubled resolution (ROADMAP item 1)",
 )
 
 
-def _theorem_marks(k):
+def _partition_marks(k):
     if k in (52, 79):
-        return [_UNDIAGNOSED]
+        return [_BRANCH_MATCH]
     if k in (51, 60, 84, 96):
         return [_PARTITION]
+    return []
+
+
+def _theorem_marks(k):
     if k in (54, 55, 56, 57, 58, 66, 67, 69, 70, 72, 73, 76, 81, 82, 83, 89, 90, 92, 93, 95, 97):
         return [_BAND]
-    return []
+    return _partition_marks(k)
+
+
+@functools.cache
+def _s0_flow(k):
+    """spectral_flow of case k at S = 0, shared by the tests that read it."""
+    g1, g2 = _regularization_case(k)
+    return spectral_flow(BoundaryValueFamily(g1, g2, None, 256)).value
 
 
 @pytest.mark.parametrize("k", [pytest.param(k, marks=_theorem_marks(k)) for k in range(100)])
@@ -718,17 +726,41 @@ def test_the_s0_theorem_on_the_regularization_cases(k):
     # pairs that meet, or nearly meet, at an endpoint: the Maslov index of the
     # pair is the spectral flow of Ju' with S = 0
     g1, g2 = _regularization_case(k)
-    index = maslov_pair(g1, g2)
-    assert spectral_flow(BoundaryValueFamily(g1, g2, None, 256)).value == index
+    assert _s0_flow(k) == maslov_pair(g1, g2)
+
+
+@pytest.mark.parametrize("k", [pytest.param(k, marks=_partition_marks(k)) for k in range(50, 100)])
+def test_s0_spectral_flow_equals_the_unrotated_closed_form(k):
+    # independent of every counter: at S = 0 the eigenvalues of A_lambda on a
+    # unitary-diagonal pair against R^n x {0} are theta_j(lambda) + k pi, and
+    # the count of [0, epsilon] takes an eigenvalue at 0 in, so the flow is
+    # sum_j floor(theta_j(1) / pi) - floor(theta_j(0) / pi), band cases included
+    g1, _ = _regularization_case(k)
+    expected = sum(int(np.floor(p(1.0) / np.pi) - np.floor(p(0.0) / np.pi)) for p in g1.phases)
+    assert _s0_flow(k) == expected
+
+
+def test_spectrum_window_keeps_a_kernel_apart_from_an_eigenvalue_5e_8_below_it():
+    # case 52 has the eigenvalues 0 and -5.22e-8 at both ends; merged as one
+    # double eigenvalue at -5.22e-8, the kernel would read as negative
+    g1, g2 = _regularization_case(52)
+    fam = BoundaryValueFamily(g1, g2, None, 256)
+    for lam in (0.0, 1.0):
+        exact = sorted(x for p in g1.phases for x in p(lam) + np.pi * np.arange(-3, 4) if abs(x) < 1e-3)
+        window = spectrum_window(fam, lam, -1e-3, 1e-3)
+        assert [m for _, m in window.eigenvalues] == [1, 1]
+        assert np.abs(window.values() - exact).max() <= MU_TOL
+        assert window.count_between(-1e-9, 1e-3) == 1
 
 
 @pytest.mark.parametrize("k, tol", [(54, 1e-9), (66, 1e-9), (69, 1e-9), (92, 1e-9), (97, 1e-9), (80, 1e-7)])
-def test_the_locator_width_leaves_the_maslov_term_of_the_s0_identity_alone(k, tol):
-    # tol is the width to which the spectral side locates eigenvalues; on
+def test_the_locator_width_leaves_the_maslov_term_of_the_s0_identity_alone(k, tol, monkeypatch):
+    # MU_TOL is the width to which the spectral side locates eigenvalues; on
     # these pairs an endpoint rank test at tol would decide differently than
     # at RANK_TOL whether the pair meets at an endpoint, and count differently
+    monkeypatch.setattr(specflow, "MU_TOL", tol)
     g1, g2 = _regularization_case(k)
-    assert clm_hamiltonian(None, g1, g2, tol=tol).values["maslov_transported"] == maslov_pair(g1, g2)
+    assert clm_hamiltonian(None, g1, g2).values["maslov_transported"] == maslov_pair(g1, g2)
 
 
 def _smallest_endpoint_phase(g1, g2):
@@ -772,7 +804,7 @@ def _fast_turning_line(gap: float):
     strict=True,
     raises=AssertionError,
     reason="the sample grid and the segment test read only segment ends, so a line that turns "
-    "by nearly pi between grid nodes looks like one that moved a little backwards",
+    "by nearly pi between grid nodes looks like one that moved a little backwards (ROADMAP item 5)",
 )
 def test_pair_index_of_a_line_turning_by_nearly_pi_per_grid_segment():
     g1, g2 = _fast_turning_line(0.05)

@@ -25,7 +25,6 @@ from maslovflow import (
     SymmetricFamily,
     UnitaryDiagonalPath,
     conjugation_spectrum_check,
-    crossing_list,
     discretized_gap_diagnostic,
     eigen_detector,
     fundamental_solution,
@@ -572,13 +571,12 @@ _TOL = "tol must be positive and finite, got "
 
 @pytest.mark.parametrize("call, message", [
     (lambda: spectrum_window(_nor_family(), 0.3, -1.0, 1.0, tol=np.inf), _TOL + "inf"),
-    (lambda: spectral_flow(_nor_family(), tol=np.inf), _TOL + "inf"),
     (lambda: spectral_flow_shifted(_nor_family(), np.inf), "delta must be finite, got inf"),
     (lambda: spectral_flow_shifted(_nor_family(), np.nan), "delta must be finite, got nan"),
     (lambda: conjugation_spectrum_check(gamma_nor(1), ConstantPath(l1_frame(1)), np.nan),
      "delta must be finite, got nan"),
     (lambda: SymmetricFamily.zero(1).shifted(-np.inf), "delta must be finite, got -inf"),
-], ids=["spectrum_window-tol-inf", "spectral_flow-tol-inf", "spectral_flow_shifted-inf", "spectral_flow_shifted-nan",
+], ids=["spectrum_window-tol-inf", "spectral_flow_shifted-inf", "spectral_flow_shifted-nan",
         "conjugation_spectrum_check-nan", "shifted-inf"])
 def test_a_numeric_argument_that_is_not_finite_or_positive_is_rejected_by_name(call, message, monkeypatch):
     # each is rejected before any frame is read or any window is located
@@ -596,18 +594,10 @@ def _nor_pair():
 
 
 @pytest.mark.parametrize("call, message", [
-    # a max_depth of 1.5 or inf never equals a bisection depth, so unchecked
-    # it never capped the count; range and numpy raise a bare TypeError on a
-    # float count
-    (lambda: maslov_pair(*_nor_pair(), max_depth=1.5), "max_depth must be an integer, got 1.5"),
-    (lambda: maslov_pair(*_nor_pair(), max_depth=np.inf), "max_depth must be an integer, got inf"),
-    (lambda: crossing_list(*_nor_pair(), max_depth=2.0), "max_depth must be an integer, got 2.0"),
-    (lambda: spectral_flow(_nor_family(), max_depth=1.5), "max_depth must be an integer, got 1.5"),
-    (lambda: spectral_flow(_nor_family(), max_depth=True), "max_depth must be an integer, got True"),
+    # numpy raises a bare TypeError on a float count
     (lambda: BoundaryValueFamily(*_nor_pair(), steps=256.0), "steps must be an integer, got 256.0"),
     (lambda: fundamental_solution(SymmetricFamily.zero(1), 0.5, 256.0), "steps must be an integer, got 256.0"),
-], ids=["maslov_pair-1.5", "maslov_pair-inf", "crossing_list-2.0", "spectral_flow-1.5", "spectral_flow-True",
-        "family-steps-256.0", "fundamental_solution-steps-256.0"])
+], ids=["family-steps-256.0", "fundamental_solution-steps-256.0"])
 def test_a_count_that_is_not_an_integer_is_rejected_by_name(call, message, monkeypatch):
     # each is rejected before any frame is read or any window is located
     def refuse(*args):
@@ -728,10 +718,17 @@ def test_spectral_flow_reference_pairs():
     assert spectral_flow(BoundaryValueFamily(ConstantPath(l0_frame(2)), ConstantPath(l1_frame(2)))).value == 0
 
 
-def test_spectral_flow_partition_independence():
+def _base_grid(monkeypatch, nodes):
+    """Make spectral_flow start from the base grid nodes."""
+    monkeypatch.setattr(specflow, "_default_base_nodes", lambda fam: np.asarray(nodes, dtype=float))
+
+
+def test_spectral_flow_partition_independence(monkeypatch):
     fam = BoundaryValueFamily(gamma_nor(2), ConstantPath(l1_frame(2)))
-    coarse = spectral_flow(fam, base_grid=np.linspace(0, 1, 9))
-    fine = spectral_flow(fam, base_grid=np.linspace(0, 1, 17))
+    _base_grid(monkeypatch, np.linspace(0, 1, 9))
+    coarse = spectral_flow(fam)
+    _base_grid(monkeypatch, np.linspace(0, 1, 17))
+    fine = spectral_flow(fam)
     assert coarse.value == fine.value == 1
     assert coarse.partition[0] == 0.0 and coarse.partition[-1] == 1.0
     assert all(e > 0 for e in coarse.epsilons)
@@ -741,12 +738,14 @@ def test_spectral_flow_partition_independence():
     (gamma_nor(1), ConstantPath(l1_frame(1))),
     (ConstantPath(l0_frame(1)), gamma_nor_prime(1)),
 ])
-def test_spectral_flow_partition_does_not_depend_on_rounding(g1, g2):
+def test_spectral_flow_partition_does_not_depend_on_rounding(g1, g2, monkeypatch):
     # on these pairs a subinterval has margin equal to motion (pi/16) exactly,
     # so without a slack eigenvalue errors of 1e-11 decide its refinement
     fam = BoundaryValueFamily(g1, g2)
-    coarse = spectral_flow(fam, tol=1e-8)
-    fine = spectral_flow(fam, tol=1e-10)
+    monkeypatch.setattr(specflow, "MU_TOL", 1e-8)
+    coarse = spectral_flow(fam)
+    monkeypatch.setattr(specflow, "MU_TOL", 1e-10)
+    fine = spectral_flow(fam)
     assert coarse.partition == fine.partition
     assert coarse.epsilons == pytest.approx(fine.epsilons, abs=1e-7)
 
@@ -1124,7 +1123,8 @@ def test_t_dependent_spectral_flow_builds_one_coefficient_table(monkeypatch):
         builds.clear()
         evals.clear()
         S = SymmetricFamily(coeffs)
-        result = spectral_flow(BoundaryValueFamily(g1, g2, S), base_grid=grid)
+        _base_grid(monkeypatch, grid)
+        result = spectral_flow(BoundaryValueFamily(g1, g2, S))
         assert len(builds) == 1 and specflow._table[0]() is S
         seen.append((len(evals), len(result.partition)))
     assert seen[0][0] == seen[1][0] and seen[0][1] < seen[1][1]
@@ -1162,26 +1162,19 @@ def test_edge_eigenvalues_are_listed_across_stacks():
         ([0.0, 0.5, 1.0], 2, r"\[0\.125, 0\.25\]"),
     ],
 )
-def test_spectral_flow_depth_cap_names_the_leftmost_open_segment(base_grid, max_depth, where):
+def test_spectral_flow_depth_cap_names_the_leftmost_open_segment(base_grid, max_depth, where, monkeypatch):
     # the branch pi lambda - pi/2 of gamma_nor(1) against l1 needs refinement
     # on the default grid near lambda = 1/3 only, and on the halves of [0, 1]
     # for several levels; of the segments still open at the cap, the error
     # names the leftmost, the one a depth-first refinement meets first
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    if base_grid is not None:
+        _base_grid(monkeypatch, base_grid)
+    monkeypatch.setattr(specflow, "MAX_DEPTH", max_depth)
     with pytest.raises(RuntimeError, match="failed to separate eigenvalue branches on " + where):
-        spectral_flow(fam, base_grid=base_grid, max_depth=max_depth)
-    assert spectral_flow(fam, base_grid=base_grid, max_depth=4).value == 1
-
-
-@pytest.mark.parametrize(
-    "kwargs, match",
-    [({"max_depth": -1}, "max_depth must be nonnegative"), ({"base_grid": []}, "base grid must start at 0")],
-    ids=["negative-depth", "empty-grid"],
-)
-def test_spectral_flow_rejects_a_negative_depth_and_an_empty_grid(kwargs, match):
-    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
-    with pytest.raises(ValueError, match=match):
-        spectral_flow(fam, **kwargs)
+        spectral_flow(fam)
+    monkeypatch.setattr(specflow, "MAX_DEPTH", 4)
+    assert spectral_flow(fam).value == 1
 
 
 def test_spectrum_window_rejects_a_lambda_array_of_two_dimensions():
@@ -1198,14 +1191,12 @@ def test_spectrum_window_rejects_a_lambda_array_of_two_dimensions():
         (lambda fam: spectrum_window(fam, 0.3, -np.inf, 1.0), "mu_min must be finite"),
         (lambda fam: spectrum_window(fam, 0.3, -1.0, np.nan), "mu_max must be finite"),
         (lambda fam: spectrum_window(fam, [0.2, 0.3], [-1.0, np.nan], 1.0), "mu_min must be finite"),
-        (lambda fam: spectral_flow(fam, base_grid=[0.0, np.nan, 1.0]), "base_grid must be finite"),
-        (lambda fam: spectral_flow(fam, base_grid=[[0.0, 1.0]]), "base_grid must be a scalar or a 1-D"),
         (lambda fam: fundamental_solution(fam.S, np.zeros((2, 2)), 64), "lam must be a scalar or a 1-D"),
         (lambda fam: fundamental_solution(fam.S, np.zeros((2, 3)), 64), "lam must be a scalar or a 1-D"),
         (lambda fam: fundamental_solution(fam.S, [0.5, np.nan], 64), "lam must be finite"),
     ],
-    ids=["nan-lam", "inf-in-lams", "inf-mu-min", "nan-mu-max", "nan-in-edges", "nan-in-base-grid",
-         "2-d-base-grid", "2x2-lams", "2x3-lams", "nan-in-solution-lams"],
+    ids=["nan-lam", "inf-in-lams", "inf-mu-min", "nan-mu-max", "nan-in-edges", "2x2-lams", "2x3-lams",
+         "nan-in-solution-lams"],
 )
 def test_public_calls_reject_a_non_finite_or_misshaped_lambda_or_window_edge(call, match):
     S = SymmetricFamily.constant(0.3 * np.eye(2))
