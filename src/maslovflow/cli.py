@@ -10,8 +10,9 @@ Commands
 
 Each command accepts only the flags it reads (see README).  Exit status: 0
 when all assertions pass, 1 on an assertion failure, 2 on a configuration
-error, which includes an invalid solver setting and a verify flag that the
-selected check does not read.
+error, which includes an invalid solver setting (steps below MIN_STEPS for
+any command), a verify flag that the selected check does not read and an
+--out or --csv path that cannot be written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .config import ConfigError, ProblemConfig, SolverSettings, _check_solver, check_int, parse_config
 from .families import SymmetricFamily
 from .hamiltonian import (
-    MIN_STEPS,
     alpha_beta_identity,
     clm_hamiltonian,
     morse_index_formula,
@@ -54,6 +54,17 @@ def _configured(report: VerificationReport, cfg: ProblemConfig) -> VerificationR
     return report
 
 
+class _CannotWrite(Exception):
+    """An --out or --csv path that cannot be opened for writing."""
+
+
+def _open_to_write(path: str):
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise _CannotWrite(f"cannot write {path}: {err.strerror}") from err
+
+
 def _write_csv(windows, dest) -> int:
     """Write the eigenvalues of windows to dest as sorted lambda,mu,multiplicity
     rows under a header; return the number of rows."""
@@ -77,7 +88,7 @@ def cmd_sflow(cfg: ProblemConfig, args) -> VerificationReport:
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
     result = spectral_flow(fam)
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with _open_to_write(args.csv) as fh:
             _write_csv(result.branch_data, fh)
     details = [{"partition": result.partition, "epsilons": result.epsilons}]
     report = VerificationReport("sflow", {}, {"spectral_flow": result.value}, True, details=details)
@@ -85,14 +96,13 @@ def cmd_sflow(cfg: ProblemConfig, args) -> VerificationReport:
 
 
 def cmd_spectra(cfg: ProblemConfig, args) -> VerificationReport:
-    """The CSV goes to --csv, else to stdout, and the report, which lists the
-    locator width tol, only to --out."""
+    """The CSV goes to --csv, else to stdout, and the report only to --out."""
     fam = BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=cfg.solver.steps)
     lo, hi = cfg.solver.mu_window
-    windows = spectrum_window(fam, np.linspace(0.0, 1.0, cfg.lambda_grid), lo, hi, tol=cfg.solver.tol)
-    with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as fh:
+    windows = spectrum_window(fam, np.linspace(0.0, 1.0, cfg.lambda_grid), lo, hi)
+    with _open_to_write(args.csv) if args.csv else nullcontext(sys.stdout) as fh:
         rows = _write_csv(windows, fh)
-    report = VerificationReport("spectra", {}, {"rows": rows}, True, tolerances={"tol": cfg.solver.tol})
+    report = VerificationReport("spectra", {}, {"rows": rows}, True)
     return _configured(report, cfg)
 
 
@@ -115,15 +125,13 @@ class _Check:
     `instance(cfg, steps=...)` checks the configured instance and reads
     --steps alone; otherwise the seeded `suite` runs, reads the flags in
     `suite_reads`, and has `count` instances unless --count or the config's
-    suite.count says otherwise.  A check that builds fundamental
-    solutions needs at least `min_steps` steps in either mode."""
+    suite.count says otherwise."""
 
     instance: Callable | None
     needs: tuple
     suite: Callable
     count: int
     suite_reads: tuple
-    min_steps: int = 0
 
 
 _PATHS = ("gamma1_desc", "gamma2_desc")
@@ -132,21 +140,21 @@ _VERIFY = {
     "clm": _Check(_verify_clm, _PATHS, theorem_suite, 25, ("count", "seed")),
     "hamiltonian": _Check(
         lambda cfg, **kw: clm_hamiltonian(_family(cfg), cfg.path1(), cfg.path2(), **kw),
-        _PATHS, hamiltonian_suite, 25, ("count", "seed", "steps"), MIN_STEPS,
+        _PATHS, hamiltonian_suite, 25, ("count", "seed", "steps"),
     ),
     "three-term": _Check(
         lambda cfg, **kw: three_term_identity(_family(cfg), cfg.path1(), cfg.path2(), **kw),
-        _PATHS, three_term_suite, 25, ("count", "seed", "steps"), MIN_STEPS,
+        _PATHS, three_term_suite, 25, ("count", "seed", "steps"),
     ),
     "alpha-beta": _Check(
         lambda cfg, **kw: alpha_beta_identity(
             _family(cfg), cfg.path1(), cfg.path2(), cfg.alpha, cfg.beta, **kw
         ),
-        _PATHS + ("alpha", "beta"), alpha_beta_suite, 25, ("count", "seed", "steps"), MIN_STEPS,
+        _PATHS + ("alpha", "beta"), alpha_beta_suite, 25, ("count", "seed", "steps"),
     ),
     "morse": _Check(
         lambda cfg, **kw: morse_index_formula(cfg.family, **kw),
-        ("family",), morse_suite, 5, ("count", "seed", "steps"), MIN_STEPS,
+        ("family",), morse_suite, 5, ("count", "seed", "steps"),
     ),
     "axioms": _Check(None, (), axiom_suite, 50, ("count", "seed")),
     "gap": _Check(None, (), gap_suite, 100, ("count", "seed")),
@@ -165,12 +173,6 @@ def cmd_verify(cfg: ProblemConfig, args) -> VerificationReport:
         if getattr(args, dest) is not None and dest not in reads:
             mode = "the configured instance" if configured else "the seeded suite"
             raise ConfigError(f"--{dest}: not read by {mode} of verify {args.which}")
-    if cfg.solver.steps < check.min_steps:
-        where = "--steps" if args.steps is not None else "solver.steps"
-        raise ConfigError(
-            f"{where}: verify {args.which} builds fundamental solutions, which take at least "
-            f"{check.min_steps} steps, got {cfg.solver.steps}"
-        )
     settings = {
         "count": cfg.suite.get("count", check.count) if args.count is None else args.count,
         "seed": cfg.seed,
@@ -193,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count": dict(type=int, help="override the suite instance count"),
         "--seed": dict(type=int, help="override the config seed"),
         "--steps": dict(type=int, help="override solver steps"),
-        "--tol": dict(type=float, help="override the eigenvalue locator width"),
         "--window": dict(type=float, nargs=2, metavar=("MU_MIN", "MU_MAX"), dest="mu_window",
                          help="override the eigenvalue window"),
     }
@@ -203,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sflow", cmd_sflow, "spectral flow of the configured family",
          ("--config", "--out", "--csv", "--steps")),
         ("spectra", cmd_spectra, "eigenvalue branches as CSV",
-         ("--config", "--out", "--csv", "--steps", "--tol", "--window")),
+         ("--config", "--out", "--csv", "--steps", "--window")),
         ("verify", cmd_verify, "randomized verification suites",
          ("--config", "--out", "--count", "--seed", "--steps")),
     )
@@ -242,15 +243,18 @@ def main(argv=None) -> int:
         report = args.run(cfg, args)
         report.timing_s = time.perf_counter() - t0
         text = report.to_json()
+        if args.out:
+            with _open_to_write(args.out) as fh:
+                fh.write(text)
     except ConfigError as err:
         sys.stderr.write(f"config error: {err}\n")
+        return 2
+    except _CannotWrite as err:
+        sys.stderr.write(f"error: {err}\n")
         return 2
     except (ValueError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     if args.command != "spectra":
         sys.stdout.write(text)
     return 0 if report.passed else 1

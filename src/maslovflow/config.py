@@ -1,7 +1,7 @@
 """JSON problem configuration: parsing, validation and round-trip serialization.
 
 Matrices are row-major nested arrays, angles are radians.  Path descriptors
-mirror the path classes; see README for the schema.
+mirror the path classes; see README for the schema, which names every key.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .paths import (
     gamma_nor,
     gamma_nor_prime,
 )
-from .specflow import DEFAULT_STEPS, MU_TOL
+from .specflow import DEFAULT_STEPS, MIN_STEPS
 from .symplectic import LagrangianFrame, frame_from_basis, l0_frame, l1_frame, norm2
 
 
@@ -49,6 +49,12 @@ def _is_real(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
 
 
+def _expect_known(obj: dict, known, prefix: str, what: str) -> None:
+    """Raise ConfigError naming the first key of obj that is not in known."""
+    for key in obj:
+        _expect(key in known, f"{prefix}{key}", f"unknown {what} (known: {', '.join(known)})")
+
+
 def check_int(x, where: str, lo: int) -> int:
     """An integer setting >= lo, from a flag or a config file."""
     _expect(_is_int(x) and x >= lo, where, f"must be an integer >= {lo}, got {x!r}")
@@ -59,10 +65,7 @@ def _check_solver(name: str, value, where: str):
     """The solver setting `name` (a SolverSettings field), checked and
     normalised; the ConfigError names `where`, a config field or a flag."""
     if name == "steps":
-        return check_int(value, where, 16)
-    if name == "tol":
-        _expect(_is_real(value) and value > 0, where, f"must be a positive number, got {value!r}")
-        return float(value)
+        return check_int(value, where, MIN_STEPS)
     _expect(
         isinstance(value, (list, tuple)) and len(value) == 2
         and all(_is_real(x) for x in value) and value[0] < value[1],
@@ -77,13 +80,10 @@ class SolverSettings:
     """Solver settings of a problem; every way of setting them (the library
     defaults, a config file, a CLI override through dataclasses.replace)
     passes the same check, which raises ConfigError naming the field; the
-    CLI checks an override first, so that the error names its flag.  tol is
-    the width to which `spectra` locates eigenvalues, and nothing else: the
-    spectral flow locates at MU_TOL, and the Maslov side takes no accuracy
-    setting."""
+    CLI checks an override first, so that the error names its flag.  No side
+    takes an accuracy setting: MU_TOL and RANK_TOL are library constants."""
 
     steps: int = DEFAULT_STEPS
-    tol: float = MU_TOL
     mu_window: tuple = (-np.pi + 0.1, np.pi - 0.1)
 
     def __post_init__(self):
@@ -92,11 +92,7 @@ class SolverSettings:
             object.__setattr__(self, f.name, value)
 
     def to_dict(self):
-        return {
-            "steps": self.steps,
-            "tol": self.tol,
-            "mu_window": list(self.mu_window),
-        }
+        return {"steps": self.steps, "mu_window": list(self.mu_window)}
 
 
 def _parse_frame(spec, n: int, where: str) -> LagrangianFrame:
@@ -245,14 +241,13 @@ def parse_config(data) -> ProblemConfig:
         except json.JSONDecodeError as err:
             raise ConfigError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from err
     _expect(isinstance(data, dict), "config", "top level must be an object")
+    _expect_known(data, [f.name.removesuffix("_desc") for f in fields(ProblemConfig)], "", "config key")
 
     n = check_int(data.get("n"), "n", 1)
 
     solver_in = data.get("solver", {})
     _expect(isinstance(solver_in, dict), "solver", "must be an object")
-    known = [f.name for f in fields(SolverSettings)]
-    for key in solver_in:
-        _expect(key in known, f"solver.{key}", f"unknown solver setting (known: {', '.join(known)})")
+    _expect_known(solver_in, [f.name for f in fields(SolverSettings)], "solver.", "solver setting")
     solver = SolverSettings(**solver_in)
 
     family = None
@@ -273,6 +268,7 @@ def parse_config(data) -> ProblemConfig:
 
     suite = data.get("suite", {})
     _expect(isinstance(suite, dict), "suite", "must be an object")
+    _expect_known(suite, ["count"], "suite.", "suite setting")
     if "count" in suite:
         check_int(suite["count"], "suite.count", 1)
 

@@ -38,13 +38,10 @@ from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
-from .specflow import BoundaryValueFamily, spectral_flow, DEFAULT_STEPS, _finite_1d
-from .symplectic import LagrangianFrame, check_integer, l1_frame, norm2, standard_J
+from .specflow import DEFAULT_STEPS, MIN_STEPS, BoundaryValueFamily, _finite_1d, check_steps, spectral_flow
+from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
 
 _DRIFT_ATOL = 1e-6
-# fewest RK4 steps of a fundamental solution; the CLI holds every verify
-# check that builds one to the same bound
-MIN_STEPS = 64
 # lambdas per stacked fundamental solution of a transported path: the stack
 # holds every step propagator of every lambda, and peak memory grows with it
 _STACK = 16
@@ -134,13 +131,11 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     formed at once; Psi(1/2) and Psi(1) are their ordered products, and the
     node values a prefix scan formed only when read.
 
-    Raises when the symplecticity drift at t = 1/2 or t = 1 exceeds 1e-6 or
-    is not finite, naming the first lambda where it does and suggesting more
-    steps.
+    Raises for steps below MIN_STEPS, and when the symplecticity drift at
+    t = 1/2 or t = 1 exceeds 1e-6 or is not finite, naming the first lambda
+    where it does and suggesting more steps.
     """
-    check_integer(steps, "steps")
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
+    check_steps(steps)
     lam = _finite_1d(lam, "lam")
     lam = float(lam) if lam.ndim == 0 else lam
     n = S.n

@@ -147,13 +147,9 @@ class LagrangianPath:
 
     def frame(self, lam: float) -> LagrangianFrame:
         """The frame at one lambda, a read-only copy of its cache row, so a
-        held frame does not keep a replaced cache alive."""
-        lam = float(lam)
-        row = self._keys.searchsorted(lam)
-        if row == self._keys.size or self._keys[row] != lam:
-            self.frames([lam])
-            row = self._keys.searchsorted(lam)
-        F = self._cache[row].copy()
+        held frame does not keep a replaced cache alive: one lookup through
+        frames."""
+        F = self.frames([float(lam)])[0]
         F.setflags(write=False)
         return LagrangianFrame._checked(self.n, F)
 

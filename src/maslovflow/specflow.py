@@ -48,9 +48,9 @@ until branch motion is small against the epsilon margins, level by level:
 the windows at every new node of a level come from one stacked
 spectrum_window call, so the detector calls of a level are shared by all its
 nodes.  The whole computation is repeated at doubled grid resolution as a
-consistency check.  Its integer takes no accuracy setting: the locator width
-MU_TOL, the depth cap MAX_DEPTH and the base grid _default_base_nodes are
-constants of this module, read at each call.
+consistency check.  No function takes an accuracy setting: the locator
+width MU_TOL, the depth cap MAX_DEPTH, the base grid _default_base_nodes and
+the step floor MIN_STEPS are constants of this module, read at each call.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ _ZERO_TOL = 1e-9
 # rounding sign of a phase at 0 decides no count
 _TIE = 64 * np.finfo(float).eps
 DEFAULT_STEPS = 256
+# fewest RK4 steps of the shooting and of a fundamental solution
+MIN_STEPS = 64
 # partition refinement levels below the base grid before spectral_flow raises
 MAX_DEPTH = 40
 # (mu, lambda) pairs propagated together: with the steps built as one matrix
@@ -195,6 +197,13 @@ def _rk4_transfer_batch(C, mus, at):
     return out
 
 
+def check_steps(steps) -> None:
+    """Raise a ValueError unless steps is an integer of at least MIN_STEPS."""
+    check_integer(steps, "steps")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}, got {steps}")
+
+
 class BoundaryValueFamily:
     """The operators A_lambda u = Ju' + S_lambda(t)u with u(0) in gamma_1(lambda),
     u(1) in gamma_2(lambda).
@@ -212,9 +221,7 @@ class BoundaryValueFamily:
     ):
         if gamma1.n != gamma2.n:
             raise ValueError(f"half-dimension mismatch: {gamma1.n} vs {gamma2.n}")
-        check_integer(steps, "steps")
-        if steps < 16:
-            raise ValueError(f"steps must be at least 16, got {steps}")
+        check_steps(steps)
         self.n = gamma1.n
         self.gamma1 = gamma1
         self.gamma2 = gamma2
@@ -433,7 +440,7 @@ def _edges(x, name: str, count: int) -> np.ndarray:
     return np.full(count, x)
 
 
-def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
+def spectrum_window(fam, lam, mu_min, mu_max):
     """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
 
     For a scalar lam, located as a stack of one, this returns one
@@ -448,15 +455,15 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     arg det C changes by less than pi per scan interval; an interval whose
     wrapped change is not negative is halved.  The number of eigenvalues in
     each interval is the winding of the eigenphase sum.  Every interval that
-    holds eigenvalues is narrowed to width tol with that count deciding each
+    holds eigenvalues is narrowed to width MU_TOL with that count deciding each
     new bracket.  A bracket that holds k eigenvalues takes Illinois secant
     steps on |det|^(1/k) at its lower end and -|det|^(1/k) at its upper end,
-    det being the detector's determinant, probed at x -+ tol/2, while the
+    det being the detector's determinant, probed at x -+ MU_TOL/2, while the
     iterations left still let plain halving finish; it is halved, keeping
     each half that holds eigenvalues, once they would not or when det
     vanishes at both ends.  No window takes more than
     twice the levels of plain bisection.  Each final midpoint is reported
-    with its count as multiplicity, and points closer than 2 tol, those of
+    with its count as multiplicity, and points closer than 2 MU_TOL, those of
     adjacent final brackets, are merged.
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
@@ -471,13 +478,11 @@ def spectrum_window(fam, lam, mu_min, mu_max, tol: float = MU_TOL):
     his = _edges(mu_max, "mu_max", lams.size)
     if not np.all(los < his):
         raise ValueError("empty mu-window")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     windows, edges = [], []
     for s in range(0, lams.size, _STACK):
         part = slice(s, s + _STACK)
         try:
-            windows.extend(_locate(fam, lams[part], los[part], his[part], tol))
+            windows.extend(_locate(fam, lams[part], los[part], his[part], MU_TOL))
         except EigenvalueAtWindowEdge as err:
             edges.append((err, [s + k for k in err.windows]))
     if edges:
@@ -633,7 +638,7 @@ def _clean_windows(fams, lams: np.ndarray, lo: float, hi: float) -> list:
     shift = np.zeros(len(lams))
     for _ in range(60):
         try:
-            return [spectrum_window(fam, lams, lo - shift, hi + shift, MU_TOL) for fam in fams]
+            return [spectrum_window(fam, lams, lo - shift, hi + shift) for fam in fams]
         except EigenvalueAtWindowEdge as err:
             failed = list(err.windows)
             shift[failed] += _EDGE_NUDGE

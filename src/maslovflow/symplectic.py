@@ -70,37 +70,37 @@ def norm2(M: np.ndarray):
     return float(s) if s.ndim == 0 else s
 
 
-def within(M: np.ndarray, tol: float) -> bool:
-    """norm2(M) <= tol: within_each on a stack of one."""
-    return bool(within_each(M[None], tol)[0])
+def within(M: np.ndarray, bound: float) -> bool:
+    """norm2(M) <= bound: within_each on a stack of one."""
+    return bool(within_each(M[None], bound)[0])
 
 
-def within_each(M: np.ndarray, tol: float) -> np.ndarray:
-    """norm2(M[k]) <= tol for every matrix of a stack (m, r, c), as a bool
+def within_each(M: np.ndarray, bound: float) -> np.ndarray:
+    """norm2(M[k]) <= bound for every matrix of a stack (m, r, c), as a bool
     array, decided by the Frobenius norm where that suffices.
 
-    ||M||_2 <= ||M||_F, so a Frobenius norm clearly below tol accepts without
-    an SVD; the 1e-12 relative margin covers the rounding of both norms, so
-    each decision is that of the exact spectral-norm test, which is taken
-    only where the Frobenius norm does not accept and is finite: a matrix
-    whose Frobenius norm is nan or inf fails without an SVD.
+    ||M||_2 <= ||M||_F, so a Frobenius norm clearly below bound accepts
+    without an SVD; the 1e-12 relative margin covers the rounding of both
+    norms, so each decision is that of the exact spectral-norm test, which is
+    taken only where the Frobenius norm does not accept and is finite: a
+    matrix whose Frobenius norm is nan or inf fails without an SVD.
     """
     fro = np.sqrt(np.einsum("kij,kij->k", M, M.conj()).real)
-    ok = fro <= tol * (1.0 - 1e-12)
+    ok = fro <= bound * (1.0 - 1e-12)
     if not ok.all():
         test = ~ok & np.isfinite(fro)
-        ok[test] = norm2(M[test]) <= tol
+        ok[test] = norm2(M[test]) <= bound
     return ok
 
 
-def _check_each(tol: float, *checks) -> None:
+def _check_each(bound: float, *checks) -> None:
     """Each check is a pair (M, message) of a matrix or a stack of matrices,
     all of one shape, and its message.  One within_each over all of them
-    decides; the first check with a matrix not within tol raises
+    decides; the first check with a matrix not within bound raises
     ValueError(message) with the 2-norm of its first such matrix, or its
     Frobenius norm where that is nan or inf."""
     devs = [dev.reshape(-1, *dev.shape[-2:]) for dev, _ in checks]
-    ok = within_each(np.concatenate(devs) if len(devs) > 1 else devs[0], tol)
+    ok = within_each(np.concatenate(devs) if len(devs) > 1 else devs[0], bound)
     if ok.all():
         return
     for (_, message), dev, ok_k in zip(checks, devs, ok.reshape(len(devs), -1)):
@@ -281,15 +281,15 @@ def souriau_stack(F: np.ndarray) -> np.ndarray:
     return W
 
 
-def intersection_dimension(L1: LagrangianFrame, L2: LagrangianFrame, tol: float = RANK_TOL) -> int:
+def intersection_dimension(L1: LagrangianFrame, L2: LagrangianFrame) -> int:
     """dim(L1 cap L2) = 2n - rank([F1 | F2]), rank by singular values.
 
-    Singular values below tol * sigma_max count as zero.
+    Singular values below RANK_TOL * sigma_max count as zero.
     """
     if L1.n != L2.n:
         raise ValueError(f"half-dimension mismatch: {L1.n} vs {L2.n}")
     s = np.linalg.svd(np.hstack([L1.F, L2.F]), compute_uv=False)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return 2 * L1.n - rank
 
 

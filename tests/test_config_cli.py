@@ -15,6 +15,7 @@ import pytest
 
 import maslovflow.cli as cli
 import maslovflow.hamiltonian as hamiltonian
+import maslovflow.specflow as specflow
 from maslovflow.cli import _VERIFY_CHOICES, main
 from maslovflow.config import ConfigError, SolverSettings, parse_config
 from maslovflow.paths import (
@@ -43,7 +44,7 @@ GAMMA_NOR_CFG = {
     "n": 1,
     "gamma1": {"type": "normalization", "which": "gamma_nor"},
     "gamma2": {"type": "constant", "frame": "l1"},
-    "solver": {"steps": 256, "tol": 1e-8, "mu_window": [-3.04, 3.04]},
+    "solver": {"steps": 256, "mu_window": [-3.04, 3.04]},
     "seed": 0,
     "lambda_grid": 21,
 }
@@ -240,7 +241,8 @@ def test_cli_spectra_writes_its_report_only_to_out(tmp_path, capsys):
     assert lines[0] == "lambda,mu,multiplicity"
     report = json.loads(out.read_text())
     assert report["values"] == {"rows": len(lines) - 1}
-    assert report["tolerances"] == {"tol": 1e-8} and report["timing_s"] > 0
+    # eigenvalues are located to the constant MU_TOL, so the report lists no width
+    assert report["tolerances"] == {} and report["timing_s"] > 0
 
 
 def test_cli_sflow_csv_lists_the_branch_eigenvalues(tmp_path, capsys):
@@ -393,10 +395,10 @@ def test_cli_verify_configured_identities(tmp_path, capsys):
     assert rep["command"] == "morse-index" and rep["passed"]
 
 
-def test_cli_tol_reaches_the_spectra_locator_alone(tmp_path, monkeypatch, capsys):
-    # tol is the width to which spectra locates eigenvalues: spectral_flow
-    # locates at MU_TOL and maslov_pair takes no tolerance, so a config's tol
-    # reaches neither, and only the spectra report lists it
+def test_no_command_passes_a_locator_width_and_mu_tol_reaches_spectra(tmp_path, monkeypatch, capsys):
+    # the locator width is the constant MU_TOL: no command passes a keyword
+    # to spectrum_window, spectral_flow or maslov_pair, no report lists a
+    # width, and a monkeypatched MU_TOL is the width the spectra locator uses
     calls = []
 
     def spy(fn):
@@ -410,16 +412,14 @@ def test_cli_tol_reaches_the_spectra_locator_alone(tmp_path, monkeypatch, capsys
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
     for name in ("maslov_pair", "spectral_flow"):
         monkeypatch.setattr(hamiltonian, name, spy(getattr(hamiltonian, name)))
-    solver = dict(GAMMA_NOR_CFG["solver"], tol=1e-9)
-    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": solver})
-    identity = _write(tmp_path, "b.json", {**IDENTITY_CFG, "solver": solver})
+    cfg = _write(tmp_path, "a.json", GAMMA_NOR_CFG)
+    identity = _write(tmp_path, "b.json", IDENTITY_CFG)
     both = {("maslov_pair", ()), ("spectral_flow", ())}
     checked = {"integer_equality": 0}
     cases = [
         (["maslov"], cfg, {("maslov_pair", ())}, {}),
         (["sflow"], cfg, {("spectral_flow", ())}, {}),
-        (["spectra"], cfg, {("spectrum_window", (("tol", 1e-9),))}, {"tol": 1e-9}),
-        (["spectra", "--tol", "1e-7"], cfg, {("spectrum_window", (("tol", 1e-7),))}, {"tol": 1e-7}),
+        (["spectra"], cfg, {("spectrum_window", ())}, {}),
         (["verify", "clm"], cfg, both, checked),
     ] + [(["verify", which], identity, both, checked)
          for which in ("hamiltonian", "three-term", "alpha-beta", "morse")]
@@ -429,16 +429,28 @@ def test_cli_tol_reaches_the_spectra_locator_alone(tmp_path, monkeypatch, capsys
         assert main(argv + ["--config", path, "--out", out]) == 0
         assert set(calls) == expected, argv
         report = json.loads(Path(out).read_text())
-        assert report["inputs"]["solver"] == dict(solver, tol=tolerances.get("tol", 1e-9)), argv
+        assert report["inputs"]["solver"] == GAMMA_NOR_CFG["solver"], argv
         assert report["tolerances"] == tolerances, argv
+
+    widths = []
+    locate = specflow._locate
+
+    def spy_locate(fam, lams, los, his, tol):
+        widths.append(tol)
+        return locate(fam, lams, los, his, tol)
+
+    monkeypatch.setattr(specflow, "_locate", spy_locate)
+    monkeypatch.setattr(specflow, "MU_TOL", 1e-7)
+    assert main(["spectra", "--config", cfg, "--csv", str(tmp_path / "s.csv")]) == 0
+    assert widths and set(widths) == {1e-7}
     capsys.readouterr()
 
 
 def test_cli_sflow_takes_no_locator_width_from_the_config(tmp_path, capsys):
     # regularization case 83 has a kernel at lambda = 1: located to the
-    # config's width 1e-8 it read -1.3e-9, below the count's edge -1e-9, and
-    # sflow gave 2; located to MU_TOL it counts, and sflow gives the closed
-    # form
+    # width 1e-8, which configs could once set, it read -1.3e-9, below the
+    # count's edge -1e-9, and sflow gave 2; located to MU_TOL it counts, and
+    # sflow gives the closed form
     g1, _ = _regularization_case(83)
     expected = sum(int(np.floor(p(1.0) / np.pi) - np.floor(p(0.0) / np.pi)) for p in g1.phases)
     assert expected == 3
@@ -446,7 +458,7 @@ def test_cli_sflow_takes_no_locator_width_from_the_config(tmp_path, capsys):
         "n": g1.n,
         "gamma1": {"type": "unitary_diagonal", "phases": [p.serialize() for p in g1.phases]},
         "gamma2": {"type": "constant", "frame": "l0"},
-        "solver": {"steps": 256, "tol": 1e-8},
+        "solver": {"steps": 256},
     })
     assert main(["sflow", "--config", path]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -532,6 +544,7 @@ _UNREAD_FLAGS = [
     ["sflow", "--config", "CFG", "--max-depth", "30"],
     ["sflow", "--config", "CFG", "--window", "-1", "1"],
     ["spectra", "--config", "CFG", "--seed", "3"],
+    ["spectra", "--config", "CFG", "--tol", "1e-9"],
     ["spectra", "--config", "CFG", "--max-depth", "30"],
     ["verify", "clm", "--config", "CFG", "--csv", "x.csv"],
     ["verify", "clm", "--config", "CFG", "--window", "-1", "1"],
@@ -567,38 +580,77 @@ def test_cli_rejects_flags_the_check_does_not_read(argv, tmp_path, capsys):
 def test_parse_rejects_invalid_solver_settings(solver, field):
     with pytest.raises(ConfigError, match=f"solver.{field}"):
         parse_config({**GAMMA_NOR_CFG, "solver": solver})
-    if field == "max_depth":
-        # no longer a setting: the depth caps are constants of the library
-        with pytest.raises(TypeError, match="max_depth"):
+    if field in ("tol", "max_depth"):
+        # no longer settings: the locator width and the depth caps are
+        # constants of the library, so a config naming them is refused
+        with pytest.raises(ConfigError, match=f"solver.{field}: unknown solver setting"):
+            parse_config({**GAMMA_NOR_CFG, "solver": solver})
+        with pytest.raises(TypeError, match=field):
             replace(SolverSettings(), **solver)
     else:
         with pytest.raises(ConfigError, match=f"solver.{field}"):
             replace(SolverSettings(), **solver)
 
 
-@pytest.mark.parametrize("key", ["max_depth", "stpes"])
+@pytest.mark.parametrize("key", ["max_depth", "stpes", "tol"])
 def test_an_unknown_solver_key_exits_2_naming_it(key, tmp_path, capsys):
     # a dropped setting or a misspelt one is refused, not silently ignored
     cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": dict(GAMMA_NOR_CFG["solver"], **{key: 40})})
     assert _exit_code(["sflow", "--config", cfg]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"config error: solver.{key}: unknown solver setting")
+    assert captured.err == (
+        f"config error: solver.{key}: unknown solver setting (known: steps, mu_window)\n"
+    )
+    assert captured.out == ""
+
+
+_CONFIG_KEYS = "n, gamma1, gamma2, family, alpha, beta, solver, seed, lambda_grid, suite"
+
+
+@pytest.mark.parametrize(
+    "argv, payload, err",
+    [
+        # a misspelt family used to leave S = 0, and verify clm checked that
+        # theorem and exited 0
+        (["verify", "clm"], {**{k: v for k, v in IDENTITY_CFG.items() if k != "family"},
+                             "famliy": IDENTITY_CFG["family"]},
+         f"config error: famliy: unknown config key (known: {_CONFIG_KEYS})\n"),
+        # a misspelt suite count used to run the default 50 instances
+        (["verify", "axioms"], {"n": 1, "suite": {"cuont": 1}},
+         "config error: suite.cuont: unknown suite setting (known: count)\n"),
+    ],
+    ids=["top-level", "suite"],
+)
+def test_a_misspelt_config_key_exits_2_naming_it(argv, payload, err, tmp_path, capsys):
+    assert _exit_code(argv + ["--config", _write(tmp_path, "a.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag", [("sflow", "--csv"), ("spectra", "--csv"), ("maslov", "--out")])
+def test_an_unwritable_output_path_is_a_one_line_error(command, flag, tmp_path, capsys):
+    # a usage error, like a bad flag: exit 2 with one line, no traceback
+    target = tmp_path / "missing" / "x.out"
+    argv = [command, "--config", _write(tmp_path, "a.json", GAMMA_NOR_CFG), flag, str(target)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize(
-    "argv, config_tol, field",
+    "argv, config_steps, field",
     [
-        (["spectra", "--tol", "-1"], 1e-8, "tol"),
-        (["sflow", "--steps", "7"], 1e-8, "steps"),
-        (["spectra", "--window", "1", "-1"], 1e-8, "mu_window"),
-        (["sflow"], 0, "tol"),
+        (["sflow", "--steps", "7"], 256, "steps"),
+        (["spectra", "--window", "1", "-1"], 256, "mu_window"),
+        (["sflow"], 63, "steps"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
-def test_cli_invalid_solver_settings_exit_2(argv, config_tol, field, tmp_path, capsys):
+def test_cli_invalid_solver_settings_exit_2(argv, config_steps, field, tmp_path, capsys):
     # an invalid override names its flag, an invalid config value its field
-    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": dict(GAMMA_NOR_CFG["solver"], tol=config_tol)})
+    cfg = _write(tmp_path, "a.json", {**GAMMA_NOR_CFG, "solver": dict(GAMMA_NOR_CFG["solver"], steps=config_steps)})
     assert _exit_code(argv + ["--config", cfg]) == 2
     captured = capsys.readouterr()
     name = next((a for a in argv if a.startswith("--")), f"solver.{field}")
@@ -729,12 +781,15 @@ def test_readme_flag_table_matches_the_parser():
         for name, p in sub.choices.items()
     }
     assert _readme_flag_table() == parsed
-    assert sum(len(flags) for flags in parsed.values()) == 17
+    assert sum(len(flags) for flags in parsed.values()) == 16
 
 
-# every verify check that builds fundamental solutions, in suite mode and
-# with a configured instance; the bound is that of fundamental_solution
+# every command that reads --steps, the verify checks in suite mode and with
+# a configured instance; the bound is the one MIN_STEPS of the shooting and
+# of fundamental_solution
 _TOO_FEW_STEPS = [
+    ["sflow", "--config", "CFG", "--steps", "32"],
+    ["spectra", "--config", "CFG", "--steps", "63"],
     ["verify", "hamiltonian", "--count", "1", "--steps", "32"],
     ["verify", "three-term", "--count", "1", "--steps", "32"],
     ["verify", "alpha-beta", "--count", "1", "--steps", "63"],
@@ -748,11 +803,11 @@ _TOO_FEW_STEPS = [
 
 @pytest.mark.parametrize("argv", _TOO_FEW_STEPS, ids=" ".join)
 def test_cli_rejects_too_few_steps_for_fundamental_solutions(argv, tmp_path, capsys):
-    path = _write(tmp_path, "b.json", IDENTITY_CFG)
-    assert _exit_code([path if a == "IDENTITY" else a for a in argv]) == 2
+    paths = {"CFG": _write(tmp_path, "a.json", GAMMA_NOR_CFG), "IDENTITY": _write(tmp_path, "b.json", IDENTITY_CFG)}
+    assert hamiltonian.MIN_STEPS is specflow.MIN_STEPS == 64
+    assert _exit_code([paths.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
-    assert f"--steps: verify {argv[1]} builds fundamental solutions" in captured.err
-    assert f"at least {hamiltonian.MIN_STEPS} steps, got {argv[-1]}" in captured.err
+    assert captured.err == f"config error: --steps: must be an integer >= 64, got {argv[-1]}\n"
     assert captured.out == ""
 
 
@@ -760,9 +815,13 @@ def test_cli_names_configured_steps_below_the_fundamental_solution_bound(tmp_pat
     cfg = {**IDENTITY_CFG, "solver": dict(IDENTITY_CFG["solver"], steps=32)}
     assert main(["verify", "hamiltonian", "--config", _write(tmp_path, "b.json", cfg)]) == 2
     captured = capsys.readouterr()
-    assert "config error: solver.steps: verify hamiltonian" in captured.err
+    assert captured.err == "config error: solver.steps: must be an integer >= 64, got 32\n"
+    # the library holds the shooting and the fundamental solutions to it too
+    cfg = parse_config({**cfg, "solver": {}})
     with pytest.raises(ValueError, match=f"at least {hamiltonian.MIN_STEPS}"):
-        hamiltonian.fundamental_solution(parse_config(cfg).family, 0.5, hamiltonian.MIN_STEPS - 1)
+        hamiltonian.fundamental_solution(cfg.family, 0.5, hamiltonian.MIN_STEPS - 1)
+    with pytest.raises(ValueError, match=f"at least {specflow.MIN_STEPS}"):
+        BoundaryValueFamily(cfg.path1(), cfg.path2(), cfg.family, steps=specflow.MIN_STEPS - 1)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -42,7 +42,7 @@ from maslovflow import maslov, paths, specflow
 from maslovflow.specflow import MU_TOL
 from maslovflow.paths import LagrangianPath
 from maslovflow.suites import random_action, random_lagrangian_frame, random_pair
-from maslovflow.symplectic import RANK_TOL, norm2
+from maslovflow.symplectic import norm2
 
 
 def test_normalization_pair_indices():
@@ -537,10 +537,10 @@ def test_regularization_builds_no_rotated_path(monkeypatch):
         index(g1, g2)
 
 
-def _parent_regularized(g1, g2, tol):
+def _parent_regularized(g1, g2):
     """The regularization before the Theta/2 recount was dropped, verbatim but
-    for the names and the counter's depth cap, now a constant, as the
-    reference: Theta is accepted only once the pair's totals at Theta and
+    for the names, the counter's depth cap and the rank tolerance, now
+    constants, as the reference: Theta is accepted only once the pair's totals at Theta and
     Theta/2 agree."""
     if g1.n != g2.n:
         raise ValueError(f"half-dimension mismatch: {g1.n} vs {g2.n}")
@@ -556,7 +556,7 @@ def _parent_regularized(g1, g2, tol):
         for k in range(4):
             tk = theta / 2**k
             for e in (0.0, 1.0):
-                if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk), tol) != 0:
+                if intersection_dimension(g1.frame(e), rotate(g2.frame(e), -tk)) != 0:
                     ladder_ok = False
         if ladder_ok:
             counter = maslov._PairCounter(g1, g2, theta)
@@ -632,7 +632,7 @@ def test_theta_from_endpoints_alone_is_the_angle_the_recount_accepted():
     for k, (g1, g2) in enumerate(_regularization_cases()):
         theta = perturbation_theta(g1, g2)
         try:
-            reference, _ = _parent_regularized(g1, g2, RANK_TOL)
+            reference, _ = _parent_regularized(g1, g2)
         except RuntimeError:
             raised.append(k)
             reference = min(np.pi / 8, 0.49 * _smallest_endpoint_phase(g1, g2))

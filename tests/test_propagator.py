@@ -212,7 +212,7 @@ def test_slice_coefficients_do_not_depend_on_the_stack(deg_l):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("steps", [17, 100, 255, 257])
+@pytest.mark.parametrize("steps", [65, 100, 255, 257])
 def test_shooting_batch_against_solve_ivp(n, steps):
     # BoundaryValueFamily shoots from the coefficients of its lambda slice,
     # an odd last step propagated alone; |mu| stays in the range the error

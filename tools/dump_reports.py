@@ -7,7 +7,9 @@ and, for each configs/*.json, the output of `maslov`, `sflow --csv`,
 `spectra --csv`, `verify alpha-beta` (as `<config>.verify`) and `verify
 clm` (as `<config>.verify-clm`; a config that sets a family exits 2 there):
 each JSON report with its timing_s set to 0, each CSV, and a `.status` file
-with the exit code and whatever went to stderr.  The maslovflow imported is
+with the exit code and whatever went to stderr; and each command's `--help`
+text, at 80 columns, as `<command>.help`, so that a flag change shows in the
+same diff as the reports.  The maslovflow imported is
 whichever is first on PYTHONPATH, so dumping two checkouts into two
 directories and running `diff -r` on them shows every byte a change moves.
 """
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 from maslovflow import cli, suites
 
@@ -65,6 +69,12 @@ def main(argv=None) -> int:
             if report.exists():
                 report.write_text(_untimed(report.read_text()))
             Path(f"{stem}.status").write_text(f"exit {code}\n{err.getvalue()}")
+    for command in ("maslov", "sflow", "spectra", "verify"):
+        text = io.StringIO()
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(text):
+            with contextlib.suppress(SystemExit):
+                cli.main([command, "--help"])
+        (out / f"{command}.help").write_text(text.getvalue())
     return 0
 
 
