@@ -9,7 +9,10 @@ index.  The count is the winding of the eigenphase sum Sigma(lambda), each
 eigenphase taken in [-PHASE_TOL, 2pi - PHASE_TOL), so a phase at 0 has
 already crossed: the half-closed convention of the spectral-flow side, whose
 eigenphases lie in [-_TIE, 2pi - _TIE) and so count the same way (Arnold,
-"Sturm theorems and symplectic geometry", 1985).
+"Sturm theorems and symplectic geometry", 1985).  Endpoint phases in
+[-PHASE_TOL, 0] = [-1e-9, 0] count as a kernel; at S = 0 an eigenvalue mu
+is a phase 2 mu of C, so the spectral side's kernel band, eigenvalues in
+[-_ZERO_TOL, 0] with _ZERO_TOL = 1e-9, is the phase band [-2e-9, 0].
 An eigenphase increasing through 0 makes Sigma jump by -2pi, so a parameter
 segment [a, b] holds -round((Sigma(b) - Sigma(a)) / 2pi) net crossings while
 the eigenphases together move by less than pi inside it.  Segments are

@@ -19,7 +19,9 @@ eigenphase of C(mu) = W(Phi_mu(1) gamma_1) conj(W(gamma_2)) decreases as mu
 grows and passes through 0 exactly at the eigenvalues, so the eigenphase sum,
 each phase taken in [-_TIE, 2pi - _TIE), jumps by 2pi per eigenvalue; a
 phase at 0 up to rounding, of either sign, has not yet crossed, so an
-eigenvalue on a scan point counts above it.  The detector never forms C:
+eigenvalue on a scan point counts above it.  Every scan interval is thus
+half-open, [a, b), and so is every mu-window: an eigenvalue on its lower
+edge is inside, one on its upper edge outside.  The detector never forms C:
 with Phi(1) F1 = Q R, the n x n matrix V = U_Q^* U_2 is read off
 Q^T [F2 | J F2], C is similar to conj(V^T V), and the determinant
 sign(det R) det(Q^T J F2) keeps no trace of the column signs the QR picks, so
@@ -43,11 +45,14 @@ against det's sign changes.
 The spectral flow follows the partition definition (Phillips, "Self-adjoint
 Fredholm operators and spectral flow", 1996): on each parameter subinterval
 an eigenvalue-free threshold epsilon is chosen and the counts of eigenvalues
-in [0, epsilon] at the two ends are differenced.  Subintervals are bisected
-until branch motion is small against the epsilon margins, level by level:
-the windows at every new node of a level come from one stacked
-spectrum_window call, so the detector calls of a level are shared by all its
-nodes.  The whole computation is repeated at doubled grid resolution as a
+in [-_ZERO_TOL, epsilon] at the two ends are differenced.  At S = 0,
+C(lambda, mu) = e^{-2i mu} C(lambda), so an eigenvalue mu is an eigenphase
+2 mu of W1 conj(W2): the kernel band _ZERO_TOL = 1e-9 is the phase band
+[-2e-9, 0], against the Maslov side's [-PHASE_TOL, 0] = [-1e-9, 0].
+Subintervals are bisected until branch motion is small against the epsilon
+margins, level by level: the windows at every new node of a level come from
+one stacked spectrum_window call, so the detector calls of a level are
+shared by all its nodes.  The whole computation is repeated at doubled grid resolution as a
 consistency check.  No function takes an accuracy setting: the locator
 width MU_TOL, the depth cap MAX_DEPTH, the base grid _default_base_nodes and
 the step floor MIN_STEPS are constants of this module, read at each call.
@@ -109,22 +114,11 @@ _LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN = range(9)
 # exactly; a scan that would hold more than this many times its first points
 # raises EigenvalueCountMismatch instead of doubling without end
 _SCAN_GROWTH = 64
-# equal widening of both window edges per retry in _clean_windows
-_EDGE_NUDGE = 0.0137
 # the RK4 coefficient table of the latest (S, steps), as (weak reference to
 # S, steps, table): one slot for the whole process, since a table kept per
 # family would live as long as its family (0.82 MB at n = 2, d_lambda = 2 and
 # 256 steps), and emptied when S is collected
 _table: tuple | None = None
-
-
-class EigenvalueAtWindowEdge(ValueError):
-    """An endpoint of a requested mu-window is an eigenvalue; windows holds
-    the positions of all such windows in the stack of lambdas (0 for one)."""
-
-    def __init__(self, message: str, windows: tuple = (0,)):
-        super().__init__(message)
-        self.windows = windows
 
 
 class EigenvalueCountMismatch(RuntimeError):
@@ -395,7 +389,8 @@ def eigen_detector(fam, lam: float, mu: float) -> float:
 
 @dataclass(frozen=True)
 class SpectrumWindow:
-    """All eigenvalues of one operator A_lambda inside an open mu-window."""
+    """All eigenvalues of one operator A_lambda in the half-open mu-window
+    [mu_min, mu_max)."""
 
     lam: float
     mu_min: float
@@ -414,7 +409,7 @@ class SpectrumWindow:
 
 
 def _count(sum_a, sum_b):
-    """Eigenvalues in [a, b] from the eigenphase sums at its ends, and the
+    """Eigenvalues in [a, b) from the eigenphase sums at its ends, and the
     wrapped change of arg det C over it: the count is exact when that change
     is negative, i.e. when the true change lies in (-pi, 0)."""
     turns = np.rint((sum_b - sum_a) / (2.0 * np.pi))
@@ -441,7 +436,7 @@ def _edges(x, name: str, count: int) -> np.ndarray:
 
 
 def spectrum_window(fam, lam, mu_min, mu_max):
-    """Locate every eigenvalue of A_lambda in (mu_min, mu_max) with multiplicity.
+    """Locate every eigenvalue of A_lambda in [mu_min, mu_max) with multiplicity.
 
     For a scalar lam, located as a stack of one, this returns one
     SpectrumWindow.  For a 1-D array of lambdas it returns a tuple of them,
@@ -468,9 +463,9 @@ def spectrum_window(fam, lam, mu_min, mu_max):
     Between scan points that are not eigenvalues, the parity of the count must
     match the sign change of the smooth determinant, or
     EigenvalueCountMismatch is raised, as it is when halving would grow a
-    window's scan past _SCAN_GROWTH times its first points.  Window endpoints
-    must not be eigenvalues (EigenvalueAtWindowEdge, which lists every window
-    with one).
+    window's scan past _SCAN_GROWTH times its first points.  An eigenvalue on
+    an edge is decided as at any scan point: one on mu_min is in the window,
+    located to within MU_TOL above it, and one on mu_max is not.
     """
     lam = _finite_1d(lam, "lam")
     lams = np.atleast_1d(lam)
@@ -478,15 +473,10 @@ def spectrum_window(fam, lam, mu_min, mu_max):
     his = _edges(mu_max, "mu_max", lams.size)
     if not np.all(los < his):
         raise ValueError("empty mu-window")
-    windows, edges = [], []
+    windows = []
     for s in range(0, lams.size, _STACK):
         part = slice(s, s + _STACK)
-        try:
-            windows.extend(_locate(fam, lams[part], los[part], his[part], MU_TOL))
-        except EigenvalueAtWindowEdge as err:
-            edges.append((err, [s + k for k in err.windows]))
-    if edges:
-        raise EigenvalueAtWindowEdge(str(edges[0][0]), tuple(k for _, ks in edges for k in ks))
+        windows.extend(_locate(fam, lams[part], los[part], his[part], MU_TOL))
     return tuple(windows) if lam.ndim else windows[0]
 
 
@@ -502,17 +492,6 @@ def _locate(fam, lams, los, his, tol):
     grid = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(los.tolist(), his.tolist(), npts)])
     win = np.repeat(np.arange(lams.size), npts)  # the window of each scan point
     g, dets, sums = detect(win, grid)
-
-    last = np.cumsum(npts) - 1
-    ends = np.stack([last + 1 - np.array(npts), last], axis=1)  # each window's first and last point
-    edge = g[ends] <= 10 * tol
-    if edge.any():
-        k, side = np.argwhere(edge)[0]
-        raise EigenvalueAtWindowEdge(
-            f"window endpoint mu={grid[ends[k, side]]:.12g} is an eigenvalue at lambda={lams[k]:.6g}; "
-            "shift the window",
-            tuple(np.flatnonzero(edge.any(axis=1)).tolist()),
-        )
 
     def mismatch(a, b, k, why):
         return EigenvalueCountMismatch(f"{why} at lambda={lams[k]:.6g} on mu in [{a:.12g}, {b:.12g}]")
@@ -630,21 +609,6 @@ def _locate(fam, lams, los, his, tol):
     )
 
 
-def _clean_windows(fams, lams: np.ndarray, lo: float, hi: float) -> list:
-    """spectrum_window of each family, at width MU_TOL, over shared windows
-    at a 1-D array of lambdas, widened until no endpoint is an eigenvalue of
-    any of them; only the windows of the lambdas whose edge failed are
-    widened."""
-    shift = np.zeros(len(lams))
-    for _ in range(60):
-        try:
-            return [spectrum_window(fam, lams, lo - shift, hi + shift) for fam in fams]
-        except EigenvalueAtWindowEdge as err:
-            failed = list(err.windows)
-            shift[failed] += _EDGE_NUDGE
-    raise RuntimeError(f"could not find an eigenvalue-free window boundary at lambda={lams[failed[0]]}")
-
-
 @dataclass
 class SpectralFlowResult:
     """Spectral flow integer with the partition, thresholds and branch data."""
@@ -701,8 +665,7 @@ def _sflow_once(fam, base_nodes, spectra: dict):
     for depth in range(MAX_DEPTH + 1):
         new = [lam for lam in dict.fromkeys(x for seg in pending for x in seg) if lam not in spectra]
         if new:
-            (windows,) = _clean_windows((fam,), np.array(new), -_SF_WINDOW, _SF_WINDOW)
-            spectra.update(zip(new, windows))
+            spectra.update(zip(new, spectrum_window(fam, np.array(new), -_SF_WINDOW, _SF_WINDOW)))
         refine = []
         for a, b in pending:
             r = _interval_contribution(spectra[a], spectra[b])
@@ -752,24 +715,22 @@ def spectral_flow(fam: BoundaryValueFamily) -> SpectralFlowResult:
 
 def spectral_flow_shifted(fam: BoundaryValueFamily, delta: float) -> int:
     """Spectral flow of A + delta I, the operator with S + delta I in place of
-    S; equals spectral_flow(fam) for small delta >= 0.
+    S, for delta >= 0 that leaves it equal to spectral_flow(fam).
 
-    Raises if some partition node has an eigenvalue inside [-delta, 0), in
-    which case the shift may drag a crossing over the threshold.
+    By the shift property, sf(A + delta) - sf(A) = N_1 - N_0, N_x being the
+    number of eigenvalues of A_x in [-delta, -_ZERO_TOL); a ValueError names
+    both counts where they differ.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    result = spectral_flow(fam.shifted(delta))
+    shifted = fam.shifted(delta)
     if delta > 0:
-        (windows,) = _clean_windows((fam,), np.array(result.partition), -delta - 0.05, 0.05)
-        for lam, window in zip(result.partition, windows):
-            for mu, mult in window.eigenvalues:
-                if -delta <= mu < -_ZERO_TOL:
-                    raise ValueError(
-                        f"delta={delta} too large: eigenvalue mu={mu:.9g} of A at "
-                        f"lambda={lam:.6g} lies in [-delta, 0)"
-                    )
-    return result.value
+        ends = spectrum_window(fam, np.array([0.0, 1.0]), -delta - 0.05, 0.05)
+        n0, n1 = (sum(m for mu, m in w.eigenvalues if -delta <= mu < -_ZERO_TOL) for w in ends)
+        if n0 != n1:
+            raise ValueError(f"delta={delta} too large: A has {n0} eigenvalues in [-delta, 0) "
+                             f"at lambda=0 and {n1} at lambda=1, so the shift changes the flow")
+    return spectral_flow(shifted).value
 
 
 def _spectra_deviations(pairs):
@@ -804,7 +765,7 @@ def conjugation_spectrum_check(
 
     The conjugating multiplication by exp(delta0 J t) is orthogonal, so the
     spectra agree exactly; numerically they must match within 1e-7 in the
-    window (-1.45, 1.45) that spectral_flow scans, at 11 equally spaced
+    window [-1.45, 1.45) that spectral_flow scans, at 11 equally spaced
     lambdas.
     """
     if abs(delta0) >= np.pi / 4:
@@ -813,7 +774,7 @@ def conjugation_spectrum_check(
     fam_shift = BoundaryValueFamily(gamma1, gamma2).shifted(delta0)
     fam_rot = BoundaryValueFamily(gamma1, RotatedPath(gamma2, -delta0))
 
-    windows = _clean_windows((fam_shift, fam_rot), lam_grid, -_SF_WINDOW, _SF_WINDOW)
+    windows = [spectrum_window(fam, lam_grid, -_SF_WINDOW, _SF_WINDOW) for fam in (fam_shift, fam_rot)]
     spectra = [(wa.values(), wb.values()) for wa, wb in zip(*windows)]
     devs, worst, ok = _spectra_deviations(spectra)
     detail = [

@@ -259,12 +259,14 @@ def test_cli_sflow_csv_lists_the_branch_eigenvalues(tmp_path, capsys):
     assert csv.read_text().splitlines() == expected
 
 
-def test_cli_eigenvalue_on_a_window_edge_exits_1(capsys):
+def test_cli_eigenvalue_on_a_lower_window_edge_is_in_the_window(tmp_path, capsys):
+    # the window is [mu_min, mu_max): -pi/2, an eigenvalue at lambda = 0, is
+    # listed, located within MU_TOL above the edge
     cfg = str(Path(__file__).resolve().parents[1] / "configs" / "gamma_nor_vs_l1.json")
-    assert main(["spectra", "--config", cfg, "--window", "-1.5707963267948966", "1.0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: window endpoint mu=-1.57079632679 is an eigenvalue at lambda=0; shift the window\n"
-    assert captured.out == ""
+    csv = tmp_path / "spectra.csv"
+    assert main(["spectra", "--config", cfg, "--window", "-1.5707963267948966", "1.0", "--csv", str(csv)]) == 0
+    assert capsys.readouterr().err == ""
+    assert csv.read_text().splitlines()[:2] == ["lambda,mu,multiplicity", "0,-1.57079632677,1"]
 
 
 def test_cli_spectra_branches_follow_formulas(tmp_path, capsys):

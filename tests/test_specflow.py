@@ -17,11 +17,11 @@ import scipy.linalg
 from maslovflow import (
     BoundaryValueFamily,
     ConstantPath,
-    EigenvalueAtWindowEdge,
     EigenvalueCountMismatch,
     LagrangianFrame,
     NonFiniteTransfer,
     PiecewiseLinear,
+    RotatedPath,
     SymmetricFamily,
     UnitaryDiagonalPath,
     conjugation_spectrum_check,
@@ -40,7 +40,7 @@ from maslovflow import (
     standard_J,
 )
 from maslovflow import paths, specflow, symplectic
-from maslovflow.specflow import _STACK, _clean_windows, _graph_matrix
+from maslovflow.specflow import _STACK, _graph_matrix
 from maslovflow.suites import random_pair, random_symmetric_family
 
 
@@ -419,11 +419,11 @@ def test_spectrum_window_matches_eigenphase_oracle_at_zero_potential():
         n = 1 + i % 3
         g1, g2 = random_pair(rng, n, force_nonadmissible=(i % 5 == 4))
         lam = float(rng.uniform(0.0, 1.0))
-        ((window,),) = _clean_windows((BoundaryValueFamily(g1, g2),), np.array([lam]), -2.03, 2.11)
+        window = spectrum_window(BoundaryValueFamily(g1, g2), lam, -2.03, 2.11)
         C = souriau(g1.frame(lam).F, n) @ souriau(g2.frame(lam).F, n).conj()
         half = np.angle(np.linalg.eigvals(C)) / 2.0
         expected = np.sort(
-            [mu for p in half for mu in p + np.pi * np.arange(-3, 4) if window.mu_min < mu < window.mu_max]
+            [mu for p in half for mu in p + np.pi * np.arange(-3, 4) if window.mu_min <= mu < window.mu_max]
         )
         got = window.values()
         assert got.shape == expected.shape, (i, window.eigenvalues, expected)
@@ -549,9 +549,17 @@ def test_a_window_scan_that_keeps_halving_raises_within_a_second():
 
 
 def test_spectrum_window_endpoint_collision():
+    # gamma_nor(1) against l1 has the simple eigenvalue -pi/2 at lambda = 0:
+    # a window is [mu_min, mu_max), so it is in the window it starts and not
+    # in the one it ends, located within MU_TOL above the edge, and an edge
+    # 1e-12 below or above it decides the same way
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
-    with pytest.raises(EigenvalueAtWindowEdge, match="shift the window"):
-        spectrum_window(fam, 0.0, -np.pi / 2, 1.0)
+    ((mu, mult),) = spectrum_window(fam, 0.0, -np.pi / 2, 1.0).eigenvalues
+    assert mult == 1 and -np.pi / 2 <= mu <= -np.pi / 2 + specflow.MU_TOL
+    assert spectrum_window(fam, 0.0, -1.0, np.pi / 2).eigenvalues == ()
+    ((below, _),) = spectrum_window(fam, 0.0, -np.pi / 2 - 1e-12, 1.0).eigenvalues
+    assert abs(below + np.pi / 2) <= specflow.MU_TOL
+    assert spectrum_window(fam, 0.0, -np.pi / 2 + 1e-12, 1.0).eigenvalues == ()
 
 
 def _nor_family():
@@ -843,9 +851,18 @@ def test_spectral_flow_shifted_reference():
 
 
 def test_spectral_flow_shifted_too_large():
-    fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
-    with pytest.raises(ValueError, match="too large"):
-        spectral_flow_shifted(fam, 0.5)
+    # the shift property: sf(A + delta) - sf(A) is the count of eigenvalues
+    # in [-delta, 0) at lambda = 1 less that at 0.  For gamma_nor(1) against
+    # l1 both are 0 at delta = 0.5, so the flow stays 1; a line rotating by
+    # one radian against l1 has a branch from -pi/2 to 1 - pi/2 = -0.571, so
+    # at delta = 0.6 the counts are 0 and 1, and the shift changes the flow
+    nor = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
+    assert spectral_flow_shifted(nor, 0.5) == spectral_flow(nor.shifted(0.5)).value == 1
+    rot = BoundaryValueFamily(RotatedPath(l0_frame(1), PiecewiseLinear.linear(0.0, 1.0)), ConstantPath(l1_frame(1)))
+    assert spectral_flow_shifted(rot, 0.5) == spectral_flow(rot).value == 0
+    with pytest.raises(ValueError, match=r"too large: A has 0 eigenvalues in \[-delta, 0\) at lambda=0 and 1 at"):
+        spectral_flow_shifted(rot, 0.6)
+    assert spectral_flow(rot.shifted(0.6)).value == 1
 
 
 def test_spectrum_shift_law():
@@ -867,7 +884,7 @@ def test_spectrum_shift_law():
         fam_delta = fam.shifted(delta)
         found = 0
         for lam in (0.0, 0.3, 0.7):
-            ((base,),) = _clean_windows((fam,), np.array([lam]), -1.2, 1.2)
+            base = spectrum_window(fam, lam, -1.2, 1.2)
             shifted = spectrum_window(fam_delta, lam, base.mu_min + delta, base.mu_max + delta)
             assert shifted.values().shape == base.values().shape
             assert np.allclose(base.values() + delta, shifted.values(), atol=1e-8)
@@ -1030,20 +1047,19 @@ def test_stacked_windows_equal_one_at_a_time(n, kind):
     assert found > 0
 
 
-def test_clean_windows_widens_only_the_window_whose_edge_failed():
-    # gamma_nor(1) against l1: at lambda = 0 the edge -pi/2 is an eigenvalue,
-    # at 0.3 and 0.6 neither edge is
+def test_windows_whose_edges_are_eigenvalues_are_located_stacked_as_alone():
+    # gamma_nor(1) against l1 has the eigenvalue pi lambda - pi/2: it lies on
+    # the lower edge of the window at 0.1, on the upper edge at 0.8 and inside
+    # the window at 0.5, and each window keeps its own edges in the stack
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
-    lams = np.array([0.3, 0.0, 0.6])
-    with pytest.raises(EigenvalueAtWindowEdge, match=r"lambda=0;") as err:
-        spectrum_window(fam, lams, -np.pi / 2, 1.0)
-    assert err.value.windows == (1,)
-    (windows,) = _clean_windows((fam,), lams, -np.pi / 2, 1.0)
-    assert [w.mu_min for w in windows] == [-np.pi / 2, -np.pi / 2 - 0.0137, -np.pi / 2]
-    assert [w.mu_max for w in windows] == [1.0, 1.0 + 0.0137, 1.0]
-    for lam, window in zip(lams, windows):
-        ((alone,),) = _clean_windows((fam,), np.array([lam]), -np.pi / 2, 1.0)
-        assert window.eigenvalues == alone.eigenvalues
+    lams = np.array([0.1, 0.5, 0.8])
+    los = np.array([0.1 * np.pi - np.pi / 2, -1.0, -1.0])
+    his = np.array([1.0, 1.0, 0.8 * np.pi - np.pi / 2])
+    stacked = spectrum_window(fam, lams, los, his)
+    assert [len(w.eigenvalues) for w in stacked] == [1, 1, 0]
+    assert [(w.mu_min, w.mu_max) for w in stacked] == list(zip(los, his))
+    for lam, lo, hi, window in zip(lams, los, his, stacked):
+        assert window.eigenvalues == spectrum_window(fam, float(lam), lo, hi).eigenvalues
 
 
 def test_spectral_flow_locates_each_level_in_one_detector_stream(monkeypatch):
@@ -1070,7 +1086,7 @@ def test_spectral_flow_locates_each_level_in_one_detector_stream(monkeypatch):
     probes.clear()
     fam = BoundaryValueFamily(g1, g2, S)
     for lam in lams:
-        _clean_windows((fam,), np.array([lam]), -1.45, 1.45)
+        spectrum_window(fam, lam, -1.45, 1.45)
     alone = [p for call in probes for p in call]
     assert len(probes) > len(lams)
     assert Counter(stacked) == Counter(alone)
@@ -1135,12 +1151,16 @@ def test_coefficient_table_is_released_with_its_family():
 
 def test_edge_eigenvalues_are_listed_across_stacks():
     # gamma_nor(1) against l1 has -pi/2 in its spectrum at lambda = 0 and 1,
-    # the first and the last window, in the first and the last stack
+    # the first and the last window, in the first and the last stack: both
+    # report it on their lower edge, as the windows located alone do
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     lams = np.linspace(0.0, 1.0, 2 * _STACK + 3)
-    with pytest.raises(EigenvalueAtWindowEdge, match=r"lambda=0;") as err:
-        spectrum_window(fam, lams, -np.pi / 2, 1.0)
-    assert err.value.windows == (0, lams.size - 1)
+    stacked = spectrum_window(fam, lams, -np.pi / 2, 1.0)
+    for window in (stacked[0], stacked[-1]):
+        assert window.eigenvalues == spectrum_window(fam, window.lam, -np.pi / 2, 1.0).eigenvalues
+        ((mu, mult),) = window.eigenvalues
+        assert mult == 1 and -np.pi / 2 <= mu <= -np.pi / 2 + specflow.MU_TOL
+    assert all(mu > -np.pi / 2 + 1e-3 for w in stacked[1:-1] for mu, _ in w.eigenvalues)
 
 
 @pytest.mark.parametrize(
