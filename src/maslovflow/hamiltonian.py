@@ -3,25 +3,29 @@
 The fundamental solution solves J Psi' + S_lambda(t) Psi = 0 with Psi(0) = I,
 i.e. Psi' = J S_lambda(t) Psi (the sign is pinned by S = delta I giving
 Psi(t) = exp(delta J t)).  It is fixed-step RK4 written as products of the
-one-step propagators P_k (see propagator.py), all formed at once.  Psi(1/2)
-and Psi(1) are their ordered products over the two halves of the steps,
-multiplied pairwise in log depth; the trajectory, every grid node Psi(t_k) =
-P_{k-1} ... P_0, comes out of one inclusive prefix scan, doubling the offset
-each round, formed only when a node is first read.  A 1-D array of lambdas
-is solved the same way with a leading lambda axis, each solution bit for bit
-that of its lambda alone, and `FundamentalSolution.at` takes an array of
-times.  So every path built here is a SymplecticActionPath whose action maps
-a lambda array to a stack of matrices: the transported path
-Psi_lambda(1) gamma_1(lambda) solves stacks of at most 16 lambdas and reads
-only the end products, and the frozen-time and alpha/beta paths read arrays
-of times off one trajectory.  Each identity checker only names its terms,
-sfl(A) = sum of sign * mu(pair), and one evaluator runs them all: the
-spectral flow of the boundary-value family, computed by shooting, then the
-Maslov index of each term's pair of paths transported by Psi, computed by
-eigenphase winding, and then the report.  The RK4 steps are the one
-setting, shared by both sides; neither side takes an accuracy setting.  The
-two sides share nothing beyond the RK4 step propagators, which the tests
-check against an independent integrator, and basic linear algebra.
+one-step propagators P_k (see propagator.py), all formed at once: for
+t-dependent S they are the mu^0 coefficients of the shooting's steps, one
+row product of a lambda's powers with the family's coefficient table
+(specflow._coefficient_table, the one the spectral flow builds), so S is not
+sampled again.  Psi(1/2) and Psi(1) are their ordered products over the two
+halves of the steps, multiplied pairwise in log depth; the trajectory, every
+grid node Psi(t_k) = P_{k-1} ... P_0, comes out of one inclusive prefix
+scan, doubling the offset each round, formed only when a node is first read.
+A 1-D array of lambdas is solved the same way with a leading lambda axis,
+each solution bit for bit that of its lambda alone, and
+`FundamentalSolution.at` takes an array of times.  So every path built here
+is a SymplecticActionPath whose action maps a lambda array to a stack of
+matrices: the transported path Psi_lambda(1) gamma_1(lambda) solves stacks
+of at most 16 lambdas and reads only the end products, and the frozen-time
+and alpha/beta paths read arrays of times off one trajectory.  Each identity
+checker only names its terms, sfl(A) = sum of sign * mu(pair), and one
+evaluator runs them all: the spectral flow of the boundary-value family,
+computed by shooting, then the Maslov index of each term's pair of paths
+transported by Psi, computed by eigenphase winding, and then the report.
+The RK4 steps are the one setting, shared by both sides; neither side takes
+an accuracy setting.  The two sides share nothing beyond the RK4 step
+propagators, read off that one table per family and checked in the tests
+against scipy's DOP853 and a plain RK4 loop, and basic linear algebra.
 The S = 0 theorem runs through the same evaluator, as clm_hamiltonian(None, ...).
 """
 
@@ -38,12 +42,21 @@ from .maslov import maslov_pair
 from .paths import ConstantPath, LagrangianPath, PiecewiseLinear, SymplecticActionPath
 from .propagator import ordered_product, prefix_products, rk4_step_propagators
 from .reports import VerificationReport
-from .specflow import DEFAULT_STEPS, MIN_STEPS, BoundaryValueFamily, _finite_1d, check_steps, spectral_flow
-from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J
+from .specflow import (
+    DEFAULT_STEPS,
+    MIN_STEPS,
+    BoundaryValueFamily,
+    _coefficient_table,
+    _finite_1d,
+    check_steps,
+    spectral_flow,
+)
+from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J, within_each
 
 _DRIFT_ATOL = 1e-6
 # lambdas per stacked fundamental solution of a transported path: the stack
-# holds every step propagator of every lambda, and peak memory grows with it
+# holds every step propagator of every lambda, read off the family's table
+# (32 KB per lambda at 256 steps and n = 2), and peak memory grows with it
 _STACK = 16
 
 
@@ -127,9 +140,12 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     lambda or at each lambda of a 1-D array (every array then has a leading
     lambda axis, and each solution is bit for bit that of its lambda alone).
 
-    The step propagators (for t-independent S, the exact step exp(h J S)) are
-    formed at once; Psi(1/2) and Psi(1) are their ordered products, and the
-    node values a prefix scan formed only when read.
+    The step propagators are formed at once: for t-dependent S, the mu^0
+    coefficients of the family's RK4 coefficient table at each lambda (one
+    row product, bit for bit the unpaired steps that shooting forms there);
+    for t-independent S, the exact step exp(h J S).  Psi(1/2) and Psi(1) are
+    their ordered products, and the node values a prefix scan formed only
+    when read.
 
     Raises for steps below MIN_STEPS, and when the symplecticity drift at
     t = 1/2 or t = 1 exceeds 1e-6 or is not finite, naming the first lambda
@@ -148,22 +164,24 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
         step = scipy.linalg.expm(h * D)[..., None, :, :]
         props = np.broadcast_to(step, step.shape[:-3] + (steps,) + step.shape[-2:])
         return FundamentalSolution(lam, ts, props, _ends(props), lambda t: D, generator=D)
-    nodes = J @ S(lam, ts)
-    mids = J @ S(lam, ts[:-1] + 0.5 * h)
-    props = rk4_step_propagators(nodes, mids, h)
+    # the mu^0 coefficients of the shooting's steps: one row product per
+    # lambda, as BoundaryValueFamily._build forms them
+    T0 = _coefficient_table(S, steps)[0]
+    table = T0.reshape(len(T0), -1)
+    props = np.empty(np.shape(lam) + T0.shape[1:])
+    for out, x in zip(props.reshape(-1, table.shape[1]), np.ravel(lam).tolist()):
+        out[:] = (x ** np.arange(len(T0), dtype=float)) @ table
     props.setflags(write=False)
     ends = _ends(props)
     dev = np.swapaxes(ends, -1, -2) @ J @ ends - J
-    # a drift that is not finite is nan, exceeds the bound and takes no SVD
-    finite = np.isfinite(dev).all(axis=(-2, -1))
-    drift = np.full(finite.shape, np.nan)
-    drift[finite] = norm2(dev[finite])
-    drift = np.atleast_1d(drift.max(axis=-1))
-    bad = ~(drift <= _DRIFT_ATOL)
+    bad = ~within_each(dev.reshape(-1, 2 * n, 2 * n), _DRIFT_ATOL).reshape(-1, 2).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
+        dev = dev.reshape(-1, 2, 2 * n, 2 * n)[k]
+        # a drift that is not finite is nan and takes no SVD
+        drift = norm2(dev).max() if np.isfinite(dev).all() else np.nan
         raise ValueError(
-            f"symplecticity drift {drift[k]:.3e} at lambda={np.ravel(lam)[k]:.6g} "
+            f"symplecticity drift {drift:.3e} at lambda={np.ravel(lam)[k]:.6g} "
             f"exceeds {_DRIFT_ATOL}; increase steps"
         )
     return FundamentalSolution(lam, ts, props, ends, lambda t: J @ S(lam, t))

@@ -115,9 +115,10 @@ _LO, _HI, _CNT, _S_LO, _F_LO, _F_HI, _KEPT, _CAUGHT, _WIN = range(9)
 # raises EigenvalueCountMismatch instead of doubling without end
 _SCAN_GROWTH = 64
 # the RK4 coefficient table of the latest (S, steps), as (weak reference to
-# S, steps, table): one slot for the whole process, since a table kept per
-# family would live as long as its family (0.82 MB at n = 2, d_lambda = 2 and
-# 256 steps), and emptied when S is collected
+# S, steps, table): one slot for the whole process, read by the shooting and
+# by the fundamental solutions of hamiltonian.py (its mu^0 coefficients), since
+# a table kept per family would live as long as its family (0.82 MB at n = 2,
+# d_lambda = 2 and 256 steps), and emptied when S is collected
 _table: tuple | None = None
 
 

@@ -28,7 +28,7 @@ from maslovflow import (
     three_term_identity,
     transported_path,
 )
-from maslovflow import hamiltonian
+from maslovflow import hamiltonian, symplectic
 from maslovflow.config import parse_config
 from maslovflow.specflow import spectral_flow
 from maslovflow.propagator import ordered_product, rk4_step_propagators
@@ -140,6 +140,19 @@ def test_fundamental_solution_drift_error_names_the_first_failing_lambda():
         fundamental_solution(S, np.array([1.0, 0.9, 0.3, 0.0]), steps=64)
     with pytest.raises(ValueError, match=r"at lambda=0 exceeds"):
         fundamental_solution(S, 0.0, steps=64)
+
+
+def test_fundamental_solution_drift_within_bound_takes_no_svd(monkeypatch):
+    # both ends of every lambda are decided by one within_each, whose
+    # Frobenius norm accepts a drift far below the bound; a 2-norm is taken
+    # only for the lambda an error names
+    def _no_svd(*args):
+        raise AssertionError("a drift within the bound takes no 2-norm")
+
+    monkeypatch.setattr(hamiltonian, "norm2", _no_svd)
+    monkeypatch.setattr(symplectic, "norm2", _no_svd)
+    S = random_symmetric_family(np.random.default_rng(3), 2, 2, 2, 2.0)
+    assert fundamental_solution(S, np.linspace(0.0, 1.0, 5), steps=128).ends.shape == (5, 2, 4, 4)
 
 
 @pytest.mark.parametrize("size", [3e3, 2e4])

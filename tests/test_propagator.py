@@ -2,12 +2,13 @@
 
 Shooting (BoundaryValueFamily.transfer and its batches) and the Maslov side
 of the Hamiltonian identities (fundamental_solution, FundamentalSolution.at)
-build their solutions from the same RK4 stage formulas: shooting from a
-table of the propagators' coefficients as polynomials in mu and lambda,
-each two consecutive steps multiplied out once per lambda, fundamental
-solutions from the propagators themselves.  Both are checked
-against code that is not maslovflow: scipy's DOP853 integrator and a plain
-RK4 loop that lives only in this file.
+build their solutions from one table per family of the RK4 propagators'
+coefficients as polynomials in mu and lambda: shooting multiplies each two
+consecutive steps out once per lambda, fundamental solutions read the mu^0
+coefficients, one row product per lambda.  The table is checked against the
+stage formulas run directly on samples of S, and both sides against code
+that is not maslovflow: scipy's DOP853 integrator and a plain RK4 loop that
+lives only in this file.
 
 Shooting with t-independent S uses the stacked Pade exponential expm_stack
 instead; it is checked against closed forms and scipy's expm, and the Maslov
@@ -24,12 +25,14 @@ from maslovflow import (
     ConstantPath,
     SymmetricFamily,
     SymplecticActionPath,
+    clm_hamiltonian,
     fundamental_solution,
     gamma_nor,
     l1_frame,
     maslov_pair,
     spectrum_window,
     standard_J,
+    three_term_identity,
 )
 from maslovflow import propagator, specflow
 from maslovflow.propagator import (
@@ -41,7 +44,7 @@ from maslovflow.propagator import (
     rk4_step_propagators,
     rk4_steps_at,
 )
-from maslovflow.suites import random_action, random_lagrangian_frame, random_symmetric, random_symmetric_family
+from maslovflow.suites import random_action, random_lagrangian_frame, random_pair, random_symmetric, random_symmetric_family
 
 
 def _family(n: int, seed: int) -> SymmetricFamily:
@@ -123,6 +126,8 @@ def test_step_coefficients_match_step_propagators(n, steps):
     assert C.shape == (5, steps, 2 * n, 2 * n)
     assert np.array_equal(C[0], rk4_step_propagators(nodes, mids, h))
     assert _rel(C[4], np.broadcast_to(h**4 / 24.0 * np.eye(2 * n), C[4].shape)) < 1e-15
+    # and exactly one constant multiple of I at every step
+    assert np.array_equal(C[4], np.broadcast_to(C[4][0, 0, 0] * np.eye(2 * n), C[4].shape))
     mus = np.random.default_rng(steps + n).uniform(-12.0, 12.0, size=7)
     for mu, P in zip(mus, rk4_steps_at(C, mus)):
         assert _rel(P, rk4_step_propagators(nodes - mu * J, mids - mu * J, h)) < 1e-13
@@ -252,6 +257,55 @@ def test_fundamental_solution_off_grid_against_solve_ivp(n):
     exact = _solve_ivp_flow(lambda t: J @ S(lam, t), 2 * n, ts)
     for t, ref in zip(ts, exact):
         assert _rel(sol.at(float(t)), ref) < _rk4_bound(100)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fundamental_solution_steps_are_the_tables_mu0_rows(n):
+    # the fundamental solution's step propagators are the unpaired mu^0
+    # coefficients of the shooting's steps, one row product per lambda as
+    # BoundaryValueFamily._build forms them, and they stay within rounding
+    # of the stage formulas run on samples of S at that lambda
+    rng = np.random.default_rng(50 + n)
+    S = random_symmetric_family(rng, n, 2, 3, 2.0)
+    steps = 100
+    J = standard_J(n)
+    h = 1.0 / steps
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    lams = np.concatenate([[0.0, 1.0], rng.uniform(size=4)])
+    sol = fundamental_solution(S, lams, steps)
+    T0 = specflow._coefficient_table(S, steps)[0]
+    for lam, props in zip(lams, sol.props):
+        row = (lam ** np.arange(len(T0), dtype=float)) @ T0.reshape(len(T0), -1)
+        assert np.array_equal(props, row.reshape(props.shape))
+        direct = rk4_step_propagators(J @ S(lam, ts), J @ S(lam, ts[:-1] + 0.5 * h), h)
+        assert _rel(props, direct) < 1e-13
+
+
+def test_fundamental_solution_evaluates_no_s(monkeypatch):
+    # a t-dependent fundamental solution reads its steps off the family's
+    # one coefficient table, built once and then shared, and samples S never
+    S = random_symmetric_family(np.random.default_rng(8), 2, 2, 2, 2.0)
+    builds, evals = [], []
+    table = specflow.rk4_step_coefficients
+    monkeypatch.setattr(specflow, "rk4_step_coefficients", lambda *args: builds.append(1) or table(*args))
+    call = SymmetricFamily.__call__
+    monkeypatch.setattr(SymmetricFamily, "__call__", lambda self, *args: evals.append(1) or call(self, *args))
+    for lam in (0.4, np.array([0.0, 0.5, 1.0])):
+        assert np.isfinite(fundamental_solution(S, lam, steps=128).end()).all()
+    assert len(builds) == 1 and specflow._table[0]() is S and not evals
+
+
+@pytest.mark.parametrize("identity", [clm_hamiltonian, three_term_identity])
+def test_identities_build_one_coefficient_table(monkeypatch, identity):
+    # the spectral flow and the fundamental solutions of the Maslov terms
+    # take their RK4 steps from one table
+    builds = []
+    table = specflow.rk4_step_coefficients
+    monkeypatch.setattr(specflow, "rk4_step_coefficients", lambda *args: builds.append(1) or table(*args))
+    rng = np.random.default_rng(14)
+    g1, g2 = random_pair(rng, 1)
+    rep = identity(random_symmetric_family(rng, 1, 1, 2, 1.5), g1, g2, steps=128)
+    assert rep.passed and len(builds) == 1
 
 
 def test_fundamental_solution_constant_scan_matches_powers():
