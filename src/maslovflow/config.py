@@ -198,12 +198,19 @@ class ProblemConfig:
     suite: dict = field(default_factory=dict)
 
     def path1(self) -> LagrangianPath:
-        _expect(self.gamma1_desc is not None, "gamma1", "missing path descriptor")
-        return build_path(self.gamma1_desc, self.n, "gamma1")
+        return self._path("gamma1")
 
     def path2(self) -> LagrangianPath:
-        _expect(self.gamma2_desc is not None, "gamma2", "missing path descriptor")
-        return build_path(self.gamma2_desc, self.n, "gamma2")
+        return self._path("gamma2")
+
+    def _path(self, name: str) -> LagrangianPath:
+        """The path of a descriptor, built on first use (by parse_config's
+        validation) and kept while the descriptor is the same object."""
+        desc = getattr(self, f"{name}_desc")
+        _expect(desc is not None, name, "missing path descriptor")
+        if self.__dict__.get(f"_{name}", (None,))[0] is not desc:
+            self.__dict__[f"_{name}"] = (desc, build_path(desc, self.n, name))
+        return self.__dict__[f"_{name}"][1]
 
     def to_dict(self) -> dict:
         out = {"n": self.n, "solver": self.solver.to_dict(), "seed": self.seed,
@@ -286,7 +293,8 @@ def parse_config(data) -> ProblemConfig:
         lambda_grid=lambda_grid,
         suite=dict(suite),
     )
-    # descriptors are validated eagerly so config errors surface before compute
+    # descriptors are validated eagerly so config errors surface before
+    # compute, and the paths built doing so are the ones path1 and path2 return
     if cfg.gamma1_desc is not None:
         cfg.path1()
     if cfg.gamma2_desc is not None:

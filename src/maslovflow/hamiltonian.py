@@ -6,7 +6,7 @@ Psi(t) = exp(delta J t)).  It is fixed-step RK4 written as products of the
 one-step propagators P_k (see propagator.py), all formed at once: for
 t-dependent S they are the mu^0 coefficients of the shooting's steps, one
 row product of a lambda's powers with the family's coefficient table
-(specflow._coefficient_table, the one the spectral flow builds), so S is not
+(specflow.step_coefficients, the table the spectral flow builds), so S is not
 sampled again.  Psi(1/2) and Psi(1) are their ordered products over the two
 halves of the steps, multiplied pairwise in log depth; the trajectory, every
 grid node Psi(t_k) = P_{k-1} ... P_0, comes out of one inclusive prefix
@@ -46,10 +46,10 @@ from .specflow import (
     DEFAULT_STEPS,
     MIN_STEPS,
     BoundaryValueFamily,
-    _coefficient_table,
-    _finite_1d,
+    _finite,
     check_steps,
     spectral_flow,
+    step_coefficients,
 )
 from .symplectic import LagrangianFrame, l1_frame, norm2, standard_J, within_each
 
@@ -152,7 +152,7 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
     where it does and suggesting more steps.
     """
     check_steps(steps)
-    lam = _finite_1d(lam, "lam")
+    lam = _finite(lam, "lam")
     lam = float(lam) if lam.ndim == 0 else lam
     n = S.n
     J = standard_J(n)
@@ -164,13 +164,9 @@ def fundamental_solution(S: SymmetricFamily, lam, steps: int = DEFAULT_STEPS) ->
         step = scipy.linalg.expm(h * D)[..., None, :, :]
         props = np.broadcast_to(step, step.shape[:-3] + (steps,) + step.shape[-2:])
         return FundamentalSolution(lam, ts, props, _ends(props), lambda t: D, generator=D)
-    # the mu^0 coefficients of the shooting's steps: one row product per
-    # lambda, as BoundaryValueFamily._build forms them
-    T0 = _coefficient_table(S, steps)[0]
-    table = T0.reshape(len(T0), -1)
-    props = np.empty(np.shape(lam) + T0.shape[1:])
-    for out, x in zip(props.reshape(-1, table.shape[1]), np.ravel(lam).tolist()):
-        out[:] = (x ** np.arange(len(T0), dtype=float)) @ table
+    # the mu^0 coefficients of the shooting's steps
+    props = np.stack([step_coefficients(S, steps, x, 0) for x in np.ravel(lam).tolist()])
+    props = props.reshape(np.shape(lam) + props.shape[1:])
     props.setflags(write=False)
     ends = _ends(props)
     dev = np.swapaxes(ends, -1, -2) @ J @ ends - J

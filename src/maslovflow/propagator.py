@@ -12,18 +12,20 @@ by rounding, so the end matrix is multiplied pairwise in log depth and the
 whole trajectory by a log-depth inclusive prefix scan (Hillis-Steele), in
 place of a sequential loop of tiny matrix products.
 
-Shooting propagates K(lambda, t) + mu D for many values of the scalars lambda
+Shooting propagates K(lambda, t) - mu J for many values of the scalars lambda
 and mu.  Each stage is then a matrix polynomial in mu (A and M of degree 1, K2
 of degree 2, K3 of 3, K4 of 4), so P_k(mu) = sum_j C_kj mu^j with
-C_k4 = (h^4/24) D^4.  With K = sum_i lambda^i K_i(t) a polynomial of degree
-L - 1 in lambda, each C_kj is one of degree (4 - j)(L - 1) in lambda.  Its
-coefficients, the table T[j][i], are built once per family from the same
-stage formulas applied to arrays indexed by the powers of mu and lambda; a
-lambda's C_kj is then one product of its lambda-powers with T[j].  Once per
-lambda, paired_steps multiplies each two consecutive steps out exactly, as
-polynomials of degree 8 in mu, so a batch of mu evaluates and multiplies
-half as many propagators: its steps are one matrix product of the mu-powers
-with the paired coefficients.
+C_k4 = (h^4/24) J^4 = (h^4/24) I.  With K = sum_i lambda^i K_i(t) a
+polynomial of degree L - 1 in lambda, each C_kj is one of degree
+(4 - j)(L - 1) in lambda.  Its coefficients, the table T[j][i], are built
+once per family from the same stage formulas applied to arrays indexed by
+the powers of mu and lambda; a lambda's C_kj is then one product of its
+lambda-powers with T[j].  Once per lambda, paired_steps multiplies each two
+consecutive steps out exactly, as polynomials of degree 8 in mu, so a batch
+of mu evaluates and multiplies half as many propagators: its steps are one
+matrix product of the mu-powers with the paired coefficients.  As C_k4 is a
+multiple of I, the pairing multiplies only 16 of the 25 coefficient pairs as
+matrices, and the products with C_k4 as scalars.
 
 For t-independent K the flow is exp(K) exactly; expm_stack forms it for a
 whole stack of generators at once by Higham's degree-13 Pade approximant with
@@ -34,6 +36,8 @@ matrix comes out bit for bit as it would alone.
 from __future__ import annotations
 
 import numpy as np
+
+from .symplectic import standard_J
 
 # steps of the coefficient table built together: the stage arrays of one
 # chunk are the build's only temporaries
@@ -67,26 +71,28 @@ def rk4_step_propagators(nodes: np.ndarray, mids: np.ndarray, h: float) -> np.nd
     return P
 
 
-def rk4_step_coefficients(nodes: np.ndarray, mids: np.ndarray, h: float, D: np.ndarray) -> tuple:
-    """Coefficients of the RK4 propagators of K(lambda, t) + mu D as polynomials
+def rk4_step_coefficients(nodes: np.ndarray, mids: np.ndarray, h: float) -> tuple:
+    """Coefficients of the RK4 propagators of K(lambda, t) - mu J as polynomials
     in mu and lambda, the table T with T[j][i] the coefficient of mu^j lambda^i.
 
     nodes and mids sample the lambda-power coefficients K_i(t) of
     K = sum_i lambda^i K_i at the step ends and midpoints, shape (L, N + 1, d, d)
-    and (L, N, d, d); D is a constant (d, d) matrix.  Returns five arrays, one
+    and (L, N, d, d), with J the standard d x d one.  Returns five arrays, one
     per power j of mu: T[j] has shape ((4 - j)(L - 1) + 1, N, d, d), and the
     propagator of step k at (lambda, mu) is sum_ij T[j][i, k] mu^j lambda^i.
     For L = 1 (K independent of lambda) T[j][0] is the mu^j coefficient.
+    T[4] is one block, (h^4/24) I at every step, as (-J)^4 = I.
 
     The table is built _TABLE_CHUNK steps at a time into one preallocated
     array, so the stage arrays stay small.
     """
     L, N = nodes.shape[0], mids.shape[1]
     eye = np.eye(nodes.shape[-1])
+    D = -standard_J(nodes.shape[-1] // 2)
     sizes = [(4 - j) * (L - 1) + 1 for j in range(5)]
     T = np.split(np.empty((sum(sizes), N) + mids.shape[2:]), np.cumsum(sizes)[:-1])
 
-    def times(X, c):  # (X + mu D) c, for c indexed [mu power, lambda power]
+    def times(X, c):  # (X - mu J) c, for c indexed [mu power, lambda power]
         out = np.zeros((c.shape[0] + 1, c.shape[1] + L - 1) + c.shape[2:])
         out[:-1, : c.shape[1]] = X[0] @ c
         for a in range(1, L):
@@ -119,17 +125,25 @@ def rk4_step_coefficients(nodes: np.ndarray, mids: np.ndarray, h: float, D: np.n
 
 def paired_steps(C: np.ndarray) -> np.ndarray:
     """Coefficients in mu of the products P_{2k+1}(mu) P_{2k}(mu) of
-    consecutive steps, from the steps' coefficients C, shape (J, N, d, d):
+    consecutive steps, from the steps' coefficients C, shape (5, N, d, d):
     out[c, k] = sum_{a+b=c} C[a, 2k+1] @ C[b, 2k], shape
-    (2J - 1, ceil(N / 2), d, d).  An odd last step is kept alone, with its
-    coefficients above degree J - 1 zero.
+    (9, ceil(N / 2), d, d).  An odd last step is kept alone, with its
+    coefficients above degree 4 zero.
+
+    C[4] is s I at every step, as rk4_step_coefficients builds it, so each
+    product with it is taken as a scalar multiple: the values of the matrix
+    product, and the same bits once added to out, each out[c] taking its
+    terms in ascending a as the defining sum does.
     """
-    J, N = C.shape[:2]
-    M = N // 2
-    out = np.zeros((2 * J - 1, N - M) + C.shape[2:])
-    for a in range(J):
-        out[a : a + J, :M] += C[a, 1 : 2 * M : 2] @ C[:, 0 : 2 * M : 2]
-    out[:J, M:] = C[:, 2 * M :]
+    M = C.shape[1] // 2
+    odd, even = C[:, 1 : 2 * M : 2], C[:, 0 : 2 * M : 2]
+    s = C[4, 0, 0, 0]
+    out = np.zeros((9, C.shape[1] - M) + C.shape[2:])
+    for a in range(4):
+        out[a : a + 4, :M] += odd[a] @ even[:4]
+        out[a + 4, :M] += s * odd[a]
+    out[4:, :M] += s * even
+    out[:5, M:] = C[:, 2 * M :]
     return out
 
 

@@ -30,14 +30,14 @@ mu: two-pass Gram-Schmidt for Q (so det R > 0), a scalar or a 2 x 2
 determinant, and the roots of the characteristic quadratic of V^T V, its
 discriminant formed from the entries that vanish at a double eigenvalue; for
 n >= 3 each mu takes one LAPACK QR, det and eigenproblem.  spectrum_window
-scans and narrows the windows at up to 32 lambdas together, batching the
-detector over mu and lambda, and each window comes out exactly as it would
-alone; a scalar lambda is a stack of one, and the detector takes one lambda
-per mu.  Every
-scan interval that holds eigenvalues is narrowed with the count as bracket
-invariant, by Illinois secant steps (Dowell & Jarratt 1971) on the k-th root
-of |det| for a bracket holding k of them, det being a smooth determinant that
-vanishes on the spectrum, signed + at the lower end and - at the upper: near
+takes one mu-window per call and scans and narrows it at up to 32 lambdas
+together, batching the detector over mu and lambda, and each window comes
+out exactly as it would alone; a scalar lambda is a stack of one, and the
+detector takes one lambda per mu.  Every scan interval that holds
+eigenvalues is narrowed with the count as bracket invariant, by Illinois
+secant steps (Dowell & Jarratt 1971) on the k-th root of |det| for a bracket
+holding k of them, det being a smooth determinant that vanishes on the
+spectrum, signed + at the lower end and - at the upper: near
 a k-fold eigenvalue det ~ c (mu - mu*)^k, so that root is linear through it.
 Halving takes over where the secant stalls.  The count's parity is checked
 against det's sign changes.
@@ -160,7 +160,7 @@ def _coefficient_table(S: SymmetricFamily, steps: int) -> tuple:
         ts = np.linspace(0.0, 1.0, steps + 1)
         J = standard_J(S.n)
         K = J @ S.lambda_coefficients(np.concatenate([ts, ts[:-1] + 0.5 * h]))
-        T = rk4_step_coefficients(K[:, : steps + 1], K[:, steps + 1 :], h, -J)
+        T = rk4_step_coefficients(K[:, : steps + 1], K[:, steps + 1 :], h)
         _table = (weakref.ref(S, _release_table), steps, T)
     return _table[2]
 
@@ -170,6 +170,15 @@ def _release_table(ref) -> None:
     global _table
     if _table is not None and _table[0] is ref:
         _table = None
+
+
+def step_coefficients(S: SymmetricFamily, steps: int, lam: float, j: int) -> np.ndarray:
+    """The mu^j coefficients, shape (steps, 2n, 2n), of the RK4 step
+    propagators of J S(lam, t) - mu J: one product of lam's powers with the
+    rows T[j] of the family's table, so a lambda's are the same bits alone
+    and in any stack."""
+    T_j = _coefficient_table(S, steps)[j]
+    return ((lam ** np.arange(len(T_j), dtype=float)) @ T_j.reshape(len(T_j), -1)).reshape(T_j.shape[1:])
 
 
 def _rk4_transfer_batch(C, mus, at):
@@ -255,16 +264,15 @@ class BoundaryValueFamily:
         elif self._t_const:
             coeff = self._J @ self.S(lams, 0.0)
         else:
-            # one product of a lambda's powers with the table per power of
-            # mu, one row each, then its steps paired into its own slot: no
-            # lambda's depend on the others, and the unpaired coefficients
-            # of one lambda at a time are held
-            T = _coefficient_table(self.S, self.steps)
-            coeff = np.empty((len(lams), 2 * len(T) - 1, (self.steps + 1) // 2) + T[0].shape[2:])
+            # the table first, so that its build's temporaries are freed
+            # before the slices are allocated; then a lambda's steps paired
+            # into its own slot: no lambda's depend on the others, and the
+            # unpaired coefficients of one lambda at a time are held
+            _coefficient_table(self.S, self.steps)
+            coeff = np.empty((len(lams), 9, (self.steps + 1) // 2) + self._J.shape)
             for i, lam in enumerate(lams.tolist()):
-                pows = lam ** np.arange(len(T[0]), dtype=float)
-                C = np.stack([pows[: len(Tj)] @ Tj.reshape(len(Tj), -1) for Tj in T])
-                coeff[i] = paired_steps(C.reshape((len(T),) + T[0].shape[1:]))
+                C = np.stack([step_coefficients(self.S, self.steps, lam, j) for j in range(5)])
+                coeff[i] = paired_steps(C)
         return _Slices(self.gamma1.frames(lams), np.concatenate([F2, self._J @ F2], axis=2), coeff)
 
     def _slices(self, lams: np.ndarray):
@@ -417,23 +425,15 @@ def _count(sum_a, sum_b):
     return turns.astype(int), sum_b - sum_a - 2.0 * np.pi * turns
 
 
-def _finite_1d(x, name: str) -> np.ndarray:
-    """x as a float array, rejected unless finite and a scalar or 1-D."""
+def _finite(x, name: str, ndim: int = 1) -> np.ndarray:
+    """x as a float array, rejected unless finite and of at most ndim
+    dimensions: a scalar, or for ndim 1 also a 1-D array."""
     x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite, got {x}")
+    if x.ndim > ndim:
+        raise ValueError(f"{name} must be {('a scalar', 'a scalar or a 1-D array')[ndim]}, got shape {x.shape}")
     return x
-
-
-def _edges(x, name: str, count: int) -> np.ndarray:
-    """The window edges x, given as a scalar or as one per lambda, as one per
-    lambda; an array of any other length is rejected."""
-    x = _finite_1d(x, name)
-    if x.ndim and x.size != count:
-        raise ValueError(f"{name} has {x.size} edges for {count} lambdas")
-    return np.full(count, x)
 
 
 def spectrum_window(fam, lam, mu_min, mu_max):
@@ -441,10 +441,11 @@ def spectrum_window(fam, lam, mu_min, mu_max):
 
     For a scalar lam, located as a stack of one, this returns one
     SpectrumWindow.  For a 1-D array of lambdas it returns a tuple of them,
-    one per lambda, located together in stacks of at most _STACK lambdas:
-    every detector call serves all the windows of a stack at once, and
-    mu_min and mu_max may be arrays with one edge per lambda.  Each window is
-    located exactly as it would be alone.
+    one per lambda, all with the window [mu_min, mu_max), located together
+    in stacks of at most _STACK lambdas: every detector call serves all the
+    windows of a stack at once, and each window is located exactly as it
+    would be alone.  The edges are scalars; an array edge is a ValueError
+    naming it.
 
     The window is scanned at a step tied to the a-priori pi-spacing of the
     branch families, capped at pi/(4n) and shrunk with the size of S, so that
@@ -468,36 +469,35 @@ def spectrum_window(fam, lam, mu_min, mu_max):
     an edge is decided as at any scan point: one on mu_min is in the window,
     located to within MU_TOL above it, and one on mu_max is not.
     """
-    lam = _finite_1d(lam, "lam")
+    lam = _finite(lam, "lam")
     lams = np.atleast_1d(lam)
-    los = _edges(mu_min, "mu_min", lams.size)
-    his = _edges(mu_max, "mu_max", lams.size)
-    if not np.all(los < his):
+    mu_min, mu_max = float(_finite(mu_min, "mu_min", 0)), float(_finite(mu_max, "mu_max", 0))
+    if not mu_min < mu_max:
         raise ValueError("empty mu-window")
     windows = []
     for s in range(0, lams.size, _STACK):
-        part = slice(s, s + _STACK)
-        windows.extend(_locate(fam, lams[part], los[part], his[part], MU_TOL))
+        windows.extend(_locate(fam, lams[s : s + _STACK], mu_min, mu_max))
     return tuple(windows) if lam.ndim else windows[0]
 
 
-def _locate(fam, lams, los, his, tol):
+def _locate(fam, lams, mu_min, mu_max):
     """The windows of spectrum_window at a stack of at most _STACK lambdas,
-    with edges los and his, as a tuple."""
+    each [mu_min, mu_max), as a tuple."""
+    tol = MU_TOL
 
     def detect(w, mus):  # the detector at the lambdas of windows w
         return fam.detector_batch(lams[w], mus)
 
     step = min(np.pi / 8.0, np.pi / (4.0 * fam.n)) / (1.0 + min(fam.s_norm, 3.0))
-    npts = [max(9, int(np.ceil((b - a) / step)) + 1) for a, b in zip(los.tolist(), his.tolist())]
-    grid = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(los.tolist(), his.tolist(), npts)])
+    npts = max(9, int(np.ceil((mu_max - mu_min) / step)) + 1)
+    grid = np.tile(np.linspace(mu_min, mu_max, npts), lams.size)
     win = np.repeat(np.arange(lams.size), npts)  # the window of each scan point
     g, dets, sums = detect(win, grid)
 
     def mismatch(a, b, k, why):
         return EigenvalueCountMismatch(f"{why} at lambda={lams[k]:.6g} on mu in [{a:.12g}, {b:.12g}]")
 
-    most = _SCAN_GROWTH * np.array(npts)  # scan points allowed per window
+    most = _SCAN_GROWTH * npts  # scan points allowed per window
     while True:
         counts, wrapped = _count(sums[:-1], sums[1:])
         across = win[:-1] != win[1:]  # pairs of scan points of two windows
@@ -604,10 +604,7 @@ def _locate(fam, lams, los, his, tol):
         else:
             eigenvalues.append((float(mu), int(mult)))
         prev, last_mu = k, mu
-    return tuple(
-        SpectrumWindow(float(x), float(a), float(c), tuple(ev))
-        for x, a, c, ev in zip(lams, los, his, found)
-    )
+    return tuple(SpectrumWindow(float(x), mu_min, mu_max, tuple(ev)) for x, ev in zip(lams, found))
 
 
 @dataclass

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import maslovflow.cli as cli
+import maslovflow.config as config
 import maslovflow.hamiltonian as hamiltonian
 import maslovflow.specflow as specflow
 from maslovflow.cli import _VERIFY_CHOICES, main
@@ -156,6 +157,21 @@ def test_parsed_descriptor_frames_equal_the_python_path(desc, build):
     assert type(cfg.path1()) is type(build())
     assert np.array_equal(cfg.path1().frames(lams), build().frames(lams))
     assert np.array_equal(cfg.path2().frames(lams), ConstantPath(l1_frame(2)).frames(lams))
+
+
+def test_each_configured_path_is_built_once(monkeypatch):
+    # parse_config builds every path to validate it, and path1 and path2
+    # return that path: each descriptor, nested ones included, is built once
+    built = []
+    build = config.build_path
+    monkeypatch.setattr(config, "build_path", lambda desc, n, where: built.append(where) or build(desc, n, where))
+    cfg = parse_config({"n": 2, "gamma1": {"type": "reversed", "path": _ROT},
+                        "gamma2": {"type": "constant", "frame": "l1"}})
+    assert cfg.path1() is cfg.path1() and cfg.path2() is cfg.path2()
+    assert sorted(built) == ["gamma1", "gamma1.path", "gamma2"]
+    # a descriptor put in place of the parsed one is built anew
+    cfg.gamma2_desc = {"type": "constant", "frame": "l0"}
+    assert np.array_equal(cfg.path2().frames([0.5]), ConstantPath(l0_frame(2)).frames([0.5]))
 
 
 @pytest.mark.parametrize(
@@ -437,14 +453,23 @@ def test_no_command_passes_a_locator_width_and_mu_tol_reaches_spectra(tmp_path, 
     widths = []
     locate = specflow._locate
 
-    def spy_locate(fam, lams, los, his, tol):
-        widths.append(tol)
-        return locate(fam, lams, los, his, tol)
+    def spy_locate(fam, lams, mu_min, mu_max):
+        # a secant step probes its bracket at x -+ MU_TOL/2 in one detector
+        # call, so the width in use is the spacing of such probes
+        batch = fam.detector_batch
+
+        def probe(lam, mus):
+            gaps = np.abs(np.subtract.outer(mus, mus))
+            widths.extend(np.round(gaps[(gaps > 0) & (gaps < 1e-6)], 12).tolist())
+            return batch(lam, mus)
+
+        fam.detector_batch = probe
+        return locate(fam, lams, mu_min, mu_max)
 
     monkeypatch.setattr(specflow, "_locate", spy_locate)
     monkeypatch.setattr(specflow, "MU_TOL", 1e-7)
     assert main(["spectra", "--config", cfg, "--csv", str(tmp_path / "s.csv")]) == 0
-    assert widths and set(widths) == {1e-7}
+    assert 1e-7 in widths and 1e-10 not in widths
     capsys.readouterr()
 
 

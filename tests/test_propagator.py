@@ -122,7 +122,7 @@ def test_step_coefficients_match_step_propagators(n, steps):
     h = 1.0 / steps
     ts = np.linspace(0.0, 1.0, steps + 1)
     nodes, mids = J @ S(0.45, ts), J @ S(0.45, ts[:-1] + 0.5 * h)
-    C = np.stack([Tj[0] for Tj in rk4_step_coefficients(nodes[None], mids[None], h, -J)])
+    C = np.stack([Tj[0] for Tj in rk4_step_coefficients(nodes[None], mids[None], h)])
     assert C.shape == (5, steps, 2 * n, 2 * n)
     assert np.array_equal(C[0], rk4_step_propagators(nodes, mids, h))
     assert _rel(C[4], np.broadcast_to(h**4 / 24.0 * np.eye(2 * n), C[4].shape)) < 1e-15
@@ -182,7 +182,7 @@ def test_coefficient_table_matches_each_lambda(n, steps):
     for deg_l in range(5):
         for deg_t in range(5):
             S = random_symmetric_family(rng, n, deg_l, deg_t, 2.0)
-            T = rk4_step_coefficients(*_samples(S, steps), h, -J)
+            T = rk4_step_coefficients(*_samples(S, steps), h)
             assert [len(Tj) for Tj in T] == [(4 - j) * deg_l + 1 for j in range(5)]
             for lam in rng.uniform(size=3):
                 ref = _one_lambda_coefficients(J @ S(lam, ts), J @ S(lam, ts[:-1] + 0.5 * h), h, -J)
@@ -197,7 +197,7 @@ def test_coefficient_table_of_one_block_is_the_per_lambda_build_bit_for_bit(n):
     # stage formulas in the same order as at one lambda, steps chunked or not
     S = random_symmetric_family(np.random.default_rng(n), n, 0, 3, 2.0)
     nodes, mids = _samples(S, 100)
-    T = rk4_step_coefficients(nodes, mids, 0.01, -standard_J(n))
+    T = rk4_step_coefficients(nodes, mids, 0.01)
     ref = _one_lambda_coefficients(nodes[0], mids[0], 0.01, -standard_J(n))
     assert all(len(Tj) == 1 for Tj in T)
     assert np.array_equal(np.stack([Tj[0] for Tj in T]), ref)
@@ -347,7 +347,7 @@ def test_transfer_batch_independent_of_batch_size():
 def _lambda_coefficients(S, steps, lam):
     """The mu-coefficients (5, steps, 2n, 2n) of the RK4 steps of
     J S(lam, t) - mu J, read off the family's table at lam."""
-    T = rk4_step_coefficients(*_samples(S, steps), 1.0 / steps, -standard_J(S.n))
+    T = rk4_step_coefficients(*_samples(S, steps), 1.0 / steps)
     return np.stack([np.tensordot(lam ** np.arange(len(Tj)), Tj, axes=1) for Tj in T])
 
 
@@ -367,6 +367,24 @@ def test_paired_steps_equal_the_sequential_product(n, steps):
     if steps % 2:
         assert np.array_equal(pairs[:5, M], C[:, -1]) and not pairs[5:, M].any()
         assert _rel(Q[:, M], P[:, -1]) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("steps", [16, 17, 255, 256])
+def test_paired_steps_are_the_defining_sum_bit_for_bit(n, steps):
+    # the products with the constant mu^4 coefficient are taken as scalar
+    # multiples, yet each paired coefficient is the sum of matrix products
+    # added from zero in ascending a, to the bit and the sign of zero
+    S = random_symmetric_family(np.random.default_rng(7 * n + steps), n, 2, 2, 2.0)
+    C = _lambda_coefficients(S, steps, 0.63)
+    M = steps // 2
+    ref = np.zeros((9, M) + C.shape[2:])
+    for k in range(M):
+        for c in range(9):
+            for a in range(max(0, c - 4), min(c, 4) + 1):
+                ref[c, k] += C[a, 2 * k + 1] @ C[c - a, 2 * k]
+    pairs = paired_steps(C)[:, :M]
+    assert np.array_equal(pairs, ref) and np.array_equal(np.signbit(pairs), np.signbit(ref))
 
 
 def test_paired_rows_do_not_depend_on_the_batch():

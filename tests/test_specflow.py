@@ -1032,15 +1032,15 @@ def _families(n: int):
 @pytest.mark.parametrize("kind", [0, 1, 2, 3], ids=["zero", "t-independent", "t-dependent", "walls"])
 def test_stacked_windows_equal_one_at_a_time(n, kind):
     # a stack shares every detector call, yet each window is located exactly
-    # as alone, edges given per lambda included
+    # as alone
     lams = np.linspace(0.0, 1.0, 7)
-    lo, hi = -1.45 - 0.01 * np.arange(7), 1.45
+    lo, hi = -1.47, 1.45
     stacked = spectrum_window(_families(n)[kind], lams, lo, hi)
     alone = _families(n)[kind]
     assert isinstance(stacked, tuple) and len(stacked) == 7
     found = 0
-    for lam, a, window in zip(lams, lo, stacked):
-        one = spectrum_window(alone, float(lam), float(a), hi)
+    for lam, window in zip(lams, stacked):
+        one = spectrum_window(alone, float(lam), lo, hi)
         assert window.eigenvalues == one.eigenvalues
         assert (window.lam, window.mu_min, window.mu_max) == (one.lam, one.mu_min, one.mu_max)
         found += len(one.eigenvalues)
@@ -1048,17 +1048,17 @@ def test_stacked_windows_equal_one_at_a_time(n, kind):
 
 
 def test_windows_whose_edges_are_eigenvalues_are_located_stacked_as_alone():
-    # gamma_nor(1) against l1 has the eigenvalue pi lambda - pi/2: it lies on
-    # the lower edge of the window at 0.1, on the upper edge at 0.8 and inside
-    # the window at 0.5, and each window keeps its own edges in the stack
+    # gamma_nor(1) against l1 has the eigenvalue pi lambda - pi/2: with the
+    # window's edges its values at 0.1 and 0.8, it lies on the lower edge at
+    # 0.1, inside the window at 0.5 and on the upper edge at 0.8, and each
+    # window of the stack is located as alone
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     lams = np.array([0.1, 0.5, 0.8])
-    los = np.array([0.1 * np.pi - np.pi / 2, -1.0, -1.0])
-    his = np.array([1.0, 1.0, 0.8 * np.pi - np.pi / 2])
-    stacked = spectrum_window(fam, lams, los, his)
+    lo, hi = 0.1 * np.pi - np.pi / 2, 0.8 * np.pi - np.pi / 2
+    stacked = spectrum_window(fam, lams, lo, hi)
     assert [len(w.eigenvalues) for w in stacked] == [1, 1, 0]
-    assert [(w.mu_min, w.mu_max) for w in stacked] == list(zip(los, his))
-    for lam, lo, hi, window in zip(lams, los, his, stacked):
+    assert all((w.mu_min, w.mu_max) == (lo, hi) for w in stacked)
+    for lam, window in zip(lams, stacked):
         assert window.eigenvalues == spectrum_window(fam, float(lam), lo, hi).eigenvalues
 
 
@@ -1217,13 +1217,16 @@ def test_public_calls_reject_a_non_finite_or_misshaped_lambda_or_window_edge(cal
 @pytest.mark.parametrize(
     "lam, mu_min, mu_max, match",
     [
-        ([0.2, 0.3], [-1.0, -1.0, -1.0], 1.0, "mu_min has 3 edges for 2 lambdas"),
-        (0.2, [-1.0, -1.0], 1.0, "mu_min has 2 edges for 1 lambdas"),
-        ([0.2, 0.3], -1.0, [1.0], "mu_max has 1 edges for 2 lambdas"),
+        ([0.2, 0.3], [-1.0, -1.0, -1.0], 1.0, r"mu_min must be a scalar, got shape \(3,\)"),
+        (0.2, [-1.0, -1.0], 1.0, r"mu_min must be a scalar, got shape \(2,\)"),
+        ([0.2, 0.3], -1.0, [1.0], r"mu_max must be a scalar, got shape \(1,\)"),
+        ([0.2, 0.3], [-1.0, -1.0], 1.0, r"mu_min must be a scalar, got shape \(2,\)"),
     ],
-    ids=["3-lo-for-2", "2-lo-for-scalar", "1-hi-for-2"],
+    ids=["3-lo-for-2", "2-lo-for-scalar", "1-hi-for-2", "2-lo-for-2"],
 )
-def test_spectrum_window_rejects_an_edge_count_unlike_the_lambda_count(lam, mu_min, mu_max, match):
+def test_spectrum_window_rejects_an_array_edge(lam, mu_min, mu_max, match):
+    # every window of a call has the same scalar edges: an array edge, of
+    # whatever length, is rejected by name
     fam = BoundaryValueFamily(gamma_nor(1), ConstantPath(l1_frame(1)))
     with pytest.raises(ValueError, match=match):
         spectrum_window(fam, lam, mu_min, mu_max)
